@@ -15,8 +15,7 @@ from .sim import (ExperimentReport, SampleConfig, check_nni_conjecture,
                   estimate_star_probability, random_equidistant_tree,
                   random_one_nni_pair, random_shared_clade_pair, sample_rng)
 from .trees import (Topology, is_clade, is_equidistant, nni_neighbors,
-                    one_nni_apart, restrict_to_clade, speciation_times,
-                    topology_of)
+                    one_nni_apart, speciation_times, topology_of)
 from .tropical import (TropicalSegment, canonicalize, in_tropical_hull,
                        point_type, trop_combine, trop_dist, tropical_segment)
 from .treespace import (TreeSegment, Ultrametric, check_clade_preservation,
@@ -58,7 +57,6 @@ __all__ = [
     "random_equidistant_tree",
     "random_one_nni_pair",
     "random_shared_clade_pair",
-    "restrict_to_clade",
     "sample_rng",
     "segment_to_star",
     "speciation_times",

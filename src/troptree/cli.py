@@ -22,8 +22,9 @@ from .errors import (LeafSetMismatchError, NewickParseError,
                      NotEquidistantError, NotUltrametricError, TropTreeError)
 from .newick import RootedTree, parse_newick, write_newick
 from .sim import SampleConfig, check_nni_conjecture, estimate_star_probability
-from .treespace import topology_sequence, tree_segment, ultrametric_of
-from .trees import is_equidistant, one_nni_apart
+from .treespace import (require_ultrametric, topology_sequence, tree_segment,
+                        ultrametric_of)
+from .trees import require_same_leaves
 from .tropical import trop_dist
 from .util import DEFAULT_TOL
 
@@ -121,13 +122,9 @@ def cmd_topologies(args) -> int:
         print(topo.canonical_str())
     star = any(topo.is_star for topo in topos)
     print(f"star-crossing: {'yes' if star else 'no'}")
-    reps = {}
-    for topo, tree in seg.positions():
-        reps.setdefault(topo, tree)
-    for k in range(len(topos) - 1):
-        a, b = topos[k], topos[k + 1]
+    for k, (a, b) in enumerate(zip(topos, topos[1:])):
         if a.is_binary and b.is_binary:
-            flag = "yes" if one_nni_apart(reps[a], reps[b], args.tol) else "no"
+            flag = "yes" if a.one_nni_apart(b) else "no"
         else:
             flag = "degenerate"
         print(f"transition {k}: single-nni {flag}")
@@ -137,20 +134,15 @@ def cmd_topologies(args) -> int:
 def cmd_dist(args) -> int:
     u = ultrametric_of(_load_tree(args.tree1), args.tol)
     v = ultrametric_of(_load_tree(args.tree2), args.tol)
-    if set(u.labels) != set(v.labels):
-        raise LeafSetMismatchError(
-            f"leaf sets differ: {sorted(set(u.labels) ^ set(v.labels))} not shared")
+    require_same_leaves(u.labels, v.labels)
     print(format(trop_dist(u.entries, v.entries), f".{args.precision}g"))
     return EXIT_OK
 
 
 def cmd_validate(args) -> int:
     tree = _load_tree(args.tree1)
-    if not is_equidistant(tree, args.tol):
-        # re-raise with the deviant leaf named
-        from .trees import require_equidistant
-        require_equidistant(tree, args.tol)
-    ultrametric_of(tree, args.tol)  # raises NotUltrametricError on failure
+    # the same checks segment applies to its inputs
+    require_ultrametric(ultrametric_of(tree, args.tol), args.tol)
     print(f"valid: {tree.n_leaves} leaves, height {tree.height():.12g}")
     return EXIT_OK
 

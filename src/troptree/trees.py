@@ -23,13 +23,17 @@ from .util import DEFAULT_TOL, label_pairs, natural_key, pair_index, sorted_labe
 # --------------------------------------------------------------------------
 
 def is_equidistant(tree: RootedTree, tol: float = DEFAULT_TOL) -> bool:
-    """True iff all root-to-leaf path lengths agree within tol."""
-    depths = list(tree.leaf_depths().values())
-    return max(depths) - min(depths) <= tol
+    """True iff :func:`require_equidistant` accepts the tree."""
+    try:
+        require_equidistant(tree, tol)
+    except NotEquidistantError:
+        return False
+    return True
 
 
 def require_equidistant(tree: RootedTree, tol: float = DEFAULT_TOL) -> None:
-    """Raise :class:`NotEquidistantError` naming a deviant leaf."""
+    """Raise :class:`NotEquidistantError` naming a deviant leaf: one whose
+    root-to-leaf path length is more than tol from the median."""
     depths = tree.leaf_depths()
     if len(depths) < 2:
         return
@@ -106,6 +110,15 @@ def clade_leafsets(tree: RootedTree) -> dict[int, frozenset[str]]:
     return sets
 
 
+def require_same_leaves(a: Iterable[str], b: Iterable[str]) -> None:
+    """Raise :class:`LeafSetMismatchError` unless two trees' leaf labels
+    form the same set."""
+    a, b = set(a), set(b)
+    if a != b:
+        raise LeafSetMismatchError(
+            f"trees have different leaf sets: {sorted(a ^ b)} not shared")
+
+
 # --------------------------------------------------------------------------
 # topologies
 # --------------------------------------------------------------------------
@@ -150,6 +163,13 @@ class Topology:
         """True iff self arises from `other` by collapsing internal edges
         (its clade family is a sub-family of other's)."""
         return self.leaves == other.leaves and self.clades <= other.clades
+
+    def one_nni_apart(self, other: "Topology") -> bool:
+        """True iff both topologies are binary and each has exactly one
+        clade the other lacks: rooted Robinson-Foulds distance 2, which for
+        binary rooted trees means exactly one NNI move apart."""
+        return (self.is_binary and other.is_binary and self.leaves == other.leaves
+                and len(self.clades - other.clades) == 1)
 
     def canonical_str(self) -> str:
         return "|".join("{" + ",".join(c) + "}" for c in self._key)
@@ -307,35 +327,8 @@ def internal_clade_heights(tree: RootedTree) -> dict[frozenset[str], float]:
 
 
 # --------------------------------------------------------------------------
-# clades and restriction
+# clades
 # --------------------------------------------------------------------------
-
-def restrict_to_clade(tree: RootedTree, leaves: Iterable[str]) -> RootedTree:
-    """The equidistant tree induced on a subset of leaves: the pairwise
-    distances are restricted and the tree rebuilt from them."""
-    keep = sorted_labels(set(leaves))
-    if not keep:
-        raise ValueError("cannot restrict to an empty leaf set")
-    full = set(tree.leaf_labels)
-    unknown = [lab for lab in keep if lab not in full]
-    if unknown:
-        raise ValueError(f"unknown leaf label(s): {unknown}")
-    if len(keep) == 1:
-        return RootedTree(TreeNode(label=keep[0]))
-
-    labels, dists = pairwise_distances(tree)
-    n = len(labels)
-    pos = {lab: k for k, lab in enumerate(labels)}
-    m = len(keep)
-    sub = np.empty(m * (m - 1) // 2)
-    for a in range(m):
-        for b in range(a + 1, m):
-            i, j = pos[keep[a]], pos[keep[b]]
-            if i > j:
-                i, j = j, i
-            sub[pair_index(m, a, b)] = dists[pair_index(n, i, j)]
-    return agglomerate(keep, sub)
-
 
 def is_clade(tree: RootedTree, leaves: Iterable[str], tol: float = DEFAULT_TOL) -> bool:
     """True iff every within-set distance is smaller than every distance to
@@ -414,10 +407,7 @@ def nni_neighbors(tree: RootedTree) -> list[RootedTree]:
 
 def one_nni_apart(a: RootedTree, b: RootedTree, tol: float = DEFAULT_TOL) -> bool:
     """True iff the topology of `b` is exactly one rooted NNI move from the
-    topology of `a` (identical topologies give False)."""
-    if set(a.leaf_labels) != set(b.leaf_labels):
-        raise LeafSetMismatchError(
-            "trees have different leaf sets: "
-            f"{sorted(set(a.leaf_labels) ^ set(b.leaf_labels))} not shared")
-    topo_b = topology_of(b, tol)
-    return any(topology_of(x, tol) == topo_b for x in nni_neighbors(a))
+    topology of `a` (see :meth:`Topology.one_nni_apart`; identical or
+    non-binary topologies give False)."""
+    require_same_leaves(a.leaf_labels, b.leaf_labels)
+    return topology_of(a, tol).one_nni_apart(topology_of(b, tol))

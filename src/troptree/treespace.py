@@ -21,10 +21,11 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import trees as _trees
-from .errors import LeafSetMismatchError, NotUltrametricError, TropTreeError
+from .errors import NotUltrametricError, TropTreeError
 from .newick import RootedTree, write_newick
 from .tropical import TropicalSegment, in_tropical_hull, tropical_segment
-from .trees import Topology, require_equidistant, speciation_times, topology_of
+from .trees import (Topology, require_equidistant, require_same_leaves,
+                    speciation_times, topology_of)
 from .util import DEFAULT_TOL, label_pairs, pair_index, sorted_labels
 
 
@@ -141,14 +142,11 @@ def ultrametric_of(tree: RootedTree, tol: float = DEFAULT_TOL) -> Ultrametric:
     return Ultrametric(labels, dists)
 
 
-def tree_of(u: Ultrametric, tol: float = DEFAULT_TOL) -> RootedTree:
-    """The unique equidistant tree realizing an ultrametric.
-
-    Leaves merge bottom-up at half their pairwise distance; entries equal
-    within tol merge simultaneously, producing polytomies.  Raises
-    :class:`NotUltrametricError` naming an offending triple when the
-    three-point condition fails.
-    """
+def require_ultrametric(u: Ultrametric, tol: float = DEFAULT_TOL) -> None:
+    """Raise :class:`NotUltrametricError` naming an offending triple when
+    the three-point condition fails.  Every max-plus combination of
+    ultrametrics that pass is again one that passes, so validating a
+    segment's endpoints validates all of it."""
     D = _square_from_condensed(u.entries, u.n)
     bad = _violating_triple(D, tol)
     if bad is not None:
@@ -159,6 +157,17 @@ def tree_of(u: Ultrametric, tol: float = DEFAULT_TOL) -> RootedTree:
             f"d({names[0]},{names[1]})={D[i, j]:.12g} exceeds both "
             f"d({names[0]},{names[2]})={D[i, k]:.12g} and "
             f"d({names[1]},{names[2]})={D[j, k]:.12g}", triple=names)
+
+
+def tree_of(u: Ultrametric, tol: float = DEFAULT_TOL) -> RootedTree:
+    """The unique equidistant tree realizing an ultrametric.
+
+    Leaves merge bottom-up at half their pairwise distance; entries equal
+    within tol merge simultaneously, producing polytomies.  Raises
+    :class:`NotUltrametricError` naming an offending triple when the
+    three-point condition fails.
+    """
+    require_ultrametric(u, tol)
     return _trees.agglomerate(u.labels, u.entries, tol)
 
 
@@ -175,7 +184,9 @@ class TreeSegment:
     of the underlying coordinate segment) to the first (the u end).
     Positions along the segment interleave bends and pieces:
     ``2*k`` is bend k and ``2*k + 1`` is the open piece between bends
-    k and k+1.
+    k and k+1.  The trees are rebuilt without re-checking the three-point
+    condition, so `u` and `v` must already have passed
+    :func:`require_ultrametric` (as in :func:`tree_segment`).
     """
 
     def __init__(self, t1: RootedTree, t2: RootedTree, u: Ultrametric,
@@ -188,10 +199,10 @@ class TreeSegment:
         self.tol = tol
         labels = u.labels
         self.bend_ultrametrics = [Ultrametric(labels, b) for b in segment.bend_points]
-        self.bend_trees = [tree_of(bu, tol) for bu in self.bend_ultrametrics]
+        self.bend_trees = [_trees.agglomerate(labels, b, tol) for b in segment.bend_points]
         self.bend_topologies = [topology_of(t, tol) for t in self.bend_trees]
         self.piece_trees = [
-            tree_of(Ultrametric(labels, segment.piece_midpoint(k)), tol)
+            _trees.agglomerate(labels, segment.piece_midpoint(k), tol)
             for k in range(len(self.bend_trees) - 1)]
         self.piece_topologies = [topology_of(t, tol) for t in self.piece_trees]
 
@@ -248,12 +259,11 @@ class TreeSegment:
 def tree_segment(t1: RootedTree, t2: RootedTree, tol: float = DEFAULT_TOL) -> TreeSegment:
     """Tropical line segment between two equidistant trees on one leaf set,
     reconstructed tree by tree (ordered from t2 to t1)."""
-    if set(t1.leaf_labels) != set(t2.leaf_labels):
-        raise LeafSetMismatchError(
-            "trees have different leaf sets: "
-            f"{sorted(set(t1.leaf_labels) ^ set(t2.leaf_labels))} not shared")
+    require_same_leaves(t1.leaf_labels, t2.leaf_labels)
     u = ultrametric_of(t1, tol)
     v = ultrametric_of(t2, tol)
+    require_ultrametric(u, tol)
+    require_ultrametric(v, tol)
     seg = tropical_segment(u.entries, v.entries, tol)
     return TreeSegment(t1, t2, u, v, seg, tol)
 
@@ -265,14 +275,6 @@ def topology_sequence(seg: TreeSegment) -> list[Topology]:
     for topo, _ in seg.positions():
         if not out or out[-1] != topo:
             out.append(topo)
-    return out
-
-
-def _topology_sequence_with_trees(seg: TreeSegment) -> list[tuple[Topology, RootedTree]]:
-    out: list[tuple[Topology, RootedTree]] = []
-    for topo, tree in seg.positions():
-        if not out or out[-1][0] != topo:
-            out.append((topo, tree))
     return out
 
 
@@ -290,8 +292,9 @@ def segment_to_star(tree: RootedTree, tol: float = DEFAULT_TOL) -> list[RootedTr
     the last is the star.
     """
     u = ultrametric_of(tree, tol)
+    require_ultrametric(u, tol)
     times = speciation_times(tree, tol)
-    return [tree_of(Ultrametric(u.labels, np.maximum(u.entries, 2.0 * t)), tol)
+    return [_trees.agglomerate(u.labels, np.maximum(u.entries, 2.0 * t), tol)
             for t in times]
 
 
@@ -299,10 +302,7 @@ def star_on_segment(t1: RootedTree, t2: RootedTree, tol: float = DEFAULT_TOL) ->
     """True iff the segment between two equal-height trees passes through
     the star tree, i.e. the coordinate-wise maximum of the two ultrametrics
     is a constant vector (the torus origin)."""
-    if set(t1.leaf_labels) != set(t2.leaf_labels):
-        raise LeafSetMismatchError(
-            "trees have different leaf sets: "
-            f"{sorted(set(t1.leaf_labels) ^ set(t2.leaf_labels))} not shared")
+    require_same_leaves(t1.leaf_labels, t2.leaf_labels)
     u = ultrametric_of(t1, tol)
     v = ultrametric_of(t2, tol)
     if abs(u.height - v.height) > tol:
@@ -326,16 +326,16 @@ def check_clade_preservation(t1: RootedTree, t2: RootedTree,
     leaves = sorted_labels(set(leaves))
     if not (_trees.is_clade(t1, leaves, tol) and _trees.is_clade(t2, leaves, tol)):
         raise ValueError(f"{list(leaves)} is not a clade of both trees")
-    target = topology_of(_trees.restrict_to_clade(t1, leaves), tol)
-    if topology_of(_trees.restrict_to_clade(t2, leaves), tol) != target:
+
+    def induced(tree: RootedTree) -> Topology:
+        return topology_of(tree_of(ultrametric_of(tree, tol).restrict(leaves), tol), tol)
+
+    target = induced(t1)
+    if induced(t2) != target:
         raise ValueError(
             f"the trees induce different topologies on {list(leaves)}")
-    for bend in tree_segment(t1, t2, tol).bend_trees:
-        if not _trees.is_clade(bend, leaves, tol):
-            return False
-        if topology_of(_trees.restrict_to_clade(bend, leaves), tol) != target:
-            return False
-    return True
+    return all(_trees.is_clade(bend, leaves, tol) and induced(bend) == target
+               for bend in tree_segment(t1, t2, tol).bend_trees)
 
 
 def check_nni_theorem(t1: RootedTree, t2: RootedTree,
@@ -346,7 +346,7 @@ def check_nni_theorem(t1: RootedTree, t2: RootedTree,
     collapsed to length 0)."""
     topo1 = topology_of(t1, tol)
     topo2 = topology_of(t2, tol)
-    if topo1 != topo2 and not _trees.one_nni_apart(t1, t2, tol):
+    if topo1 != topo2 and not topo1.one_nni_apart(topo2):
         raise ValueError("the trees are not one NNI move apart")
     return all(
         topo == topo1 or topo == topo2

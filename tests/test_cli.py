@@ -7,6 +7,9 @@ import pytest
 from troptree.cli import main
 from tests.conftest import CLADE_A, QUARTET_A, QUARTET_B
 
+#: equidistant within tol, but the three-point condition fails by more
+SKEWED = "((1:0.5000000009,2:0.4999999991):0.5,3:1);"
+
 
 @pytest.fixture
 def files(tmp_path):
@@ -120,6 +123,21 @@ def test_validate(files, capsys):
     assert "leaf" in err
 
 
+def test_validate_and_segment_reject_three_point_violation(files, capsys):
+    skewed = files("skewed.nwk", SKEWED)
+    code, out, err = run(capsys, "validate", skewed)
+    assert code == 3
+    assert out == "" and "three-point" in err
+    # segment rejects it whatever the partner tree, the one within tol of
+    # it included
+    for partner in ("((1:0.5,2:0.5):0.5,3:1);", "((1:0.5,3:0.5):0.5,2:1);"):
+        other = files("other.nwk", partner)
+        for argv in (["segment", skewed, other], ["segment", other, skewed]):
+            code, out, err = run(capsys, *argv)
+            assert code == 3
+            assert out == "" and "three-point" in err
+
+
 def test_exit_codes(files, capsys):
     broken = files("broken.nwk", "((1:0.2,2:0.2):0.8,3;")
     code, _, err = run(capsys, "validate", broken)
@@ -127,7 +145,8 @@ def test_exit_codes(files, capsys):
     assert "byte" in err
     a = files("a.nwk", QUARTET_A)
     other = files("other.nwk", CLADE_A)
-    assert run(capsys, "segment", a, other)[0] == 4
+    for command in ("segment", "topologies", "dist"):
+        assert run(capsys, command, a, other)[0] == 4
     missing = str(files("x", "x")) + ".does-not-exist"
     assert run(capsys, "validate", missing)[0] == 1
     assert run(capsys, "simulate", "star-prob", "--n", "2")[0] == 1

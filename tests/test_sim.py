@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,3 +126,18 @@ def test_conjecture_report_fields():
     csv_text = violations_csv(report)
     assert csv_text.splitlines()[0] == "sample,t1,t2,transition"
     assert len(csv_text.splitlines()) == 1 + len(report.violations)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name, experiment, cfg", [
+    ("nni_conjecture_n6_seed1.json", check_nni_conjecture,
+     SampleConfig(n=6, samples=100, seed=1)),
+    ("star_prob_n4_seed1.json", estimate_star_probability,
+     SampleConfig(n=4, samples=2000, seed=1)),
+])
+def test_report_golden(name, experiment, cfg):
+    # byte for byte; the survey holds 429 transitions, 390 single-NNI,
+    # 39 violations and 429 degenerate boundaries
+    assert experiment(cfg).to_json() + "\n" == (GOLDEN / name).read_text()

@@ -4,13 +4,22 @@ from hypothesis import strategies as st
 
 import troptree as tt
 from troptree import (Topology, is_clade, is_equidistant, nni_neighbors,
-                      one_nni_apart, parse_newick, restrict_to_clade,
-                      speciation_times, topology_of, write_newick)
-from troptree.trees import internal_clade_heights
+                      one_nni_apart, parse_newick, speciation_times,
+                      topology_of, write_newick)
+from troptree.trees import (internal_clade_heights, require_equidistant,
+                            tree_from_clade_heights)
+
+#: leaf depths spread by 1.8e-9: within tol of the median, but the
+#: three-point condition fails on (1, 3, 2) by more than tol
+SKEWED = "((1:0.5000000009,2:0.4999999991):0.5,3:1);"
 
 
 def topo(*clades, leaves):
     return Topology(leaves, [frozenset(c) for c in clades])
+
+
+def restrict(tree, keep):
+    return tt.tree_of(tt.ultrametric_of(tree).restrict(keep))
 
 
 # --------------------------------------------------------------------------
@@ -21,6 +30,16 @@ def test_is_equidistant(quartet_a):
     assert is_equidistant(quartet_a)
     assert not is_equidistant(parse_newick("(1:1,(2:0.5,3:0.5):0.2);"))
     assert is_equidistant(parse_newick("A:0;"))
+
+
+def test_is_equidistant_agrees_with_require_equidistant():
+    skewed = parse_newick(SKEWED)
+    require_equidistant(skewed)
+    assert is_equidistant(skewed)
+    tight = 0.5e-9
+    with pytest.raises(tt.NotEquidistantError):
+        require_equidistant(skewed, tight)
+    assert not is_equidistant(skewed, tight)
 
 
 def test_not_equidistant_error_names_leaf():
@@ -106,34 +125,40 @@ def test_speciation_times_dedupe_ties():
 # --------------------------------------------------------------------------
 
 def test_restrict_clade_golden(clade_a):
-    sub = restrict_to_clade(clade_a, {"S1", "S2", "S3"})
+    sub = restrict(clade_a, {"S1", "S2", "S3"})
     assert write_newick(sub) == "((S1:0.5,S2:0.5):0.5,S3:1);"
 
 
 def test_restrict_identity(clade_a):
-    sub = restrict_to_clade(clade_a, clade_a.leaf_labels)
+    sub = restrict(clade_a, clade_a.leaf_labels)
     assert tt.structurally_equal(sub, clade_a, tol=1e-12)
 
 
 def test_restrict_two_leaves(clade_a):
-    sub = restrict_to_clade(clade_a, {"S1", "S4"})
+    sub = restrict(clade_a, {"S1", "S4"})
     # distance S1-S4 is 3.8, so the cherry height is 1.9
     assert write_newick(sub) == "(S1:1.9,S4:1.9);"
 
 
 def test_restrict_errors(clade_a):
     with pytest.raises(ValueError):
-        restrict_to_clade(clade_a, set())
+        restrict(clade_a, set())
     with pytest.raises(ValueError):
-        restrict_to_clade(clade_a, {"S1", "nope"})
+        restrict(clade_a, {"S1", "nope"})
 
 
 def test_restrict_matches_ultrametric_route(clade_a):
-    # independent route: restrict the distance vector, then rebuild
-    keep = ("S1", "S2", "S4")
-    direct = restrict_to_clade(clade_a, keep)
-    via_u = tt.tree_of(tt.ultrametric_of(clade_a).restrict(keep))
-    assert tt.structurally_equal(direct, via_u, tol=1e-12)
+    # independent route: intersect every clade with the kept leaves; each
+    # intersection of two or more leaves sits at the height of the lowest
+    # clade that gives it
+    keep = frozenset({"S1", "S2", "S4"})
+    induced: dict = {}
+    for clade, height in internal_clade_heights(clade_a).items():
+        sub = clade & keep
+        if len(sub) >= 2:
+            induced[sub] = min(height, induced.get(sub, height))
+    want = tree_from_clade_heights(keep, induced)
+    assert tt.structurally_equal(restrict(clade_a, keep), want, tol=1e-12)
 
 
 def test_is_clade_golden(clade_a):
@@ -151,7 +176,7 @@ def test_is_clade_iff_in_topology(n, seed, data):
     size = data.draw(st.integers(2, n - 1))
     subset = frozenset(data.draw(st.permutations(labels))[:size])
     assert is_clade(tree, subset) == (subset in topology_of(tree).clades)
-    assert is_equidistant(restrict_to_clade(tree, subset))
+    assert is_equidistant(restrict(tree, subset))
 
 
 # --------------------------------------------------------------------------
@@ -232,6 +257,29 @@ def test_one_nni_apart_leaf_mismatch(quartet_a):
         one_nni_apart(quartet_a, parse_newick("((1:0.5,2:0.5):0.5,9:1);"))
 
 
+def nni_by_enumeration(a, b):
+    """Reference: is b's topology among those of a's NNI neighbours?"""
+    return any(topology_of(x) == topology_of(b) for x in nni_neighbors(a))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(4, 9), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["one-move", "independent", "two-moves"]))
+def test_one_nni_apart_matches_enumeration(n, seed, kind):
+    rng = tt.sample_rng(seed, 0)
+    if kind == "one-move":
+        a, b = tt.random_one_nni_pair(n, 1.0, rng)
+    elif kind == "independent":
+        a = tt.random_equidistant_tree(n, 1.0, rng)
+        b = tt.random_equidistant_tree(n, 1.0, rng)
+    else:
+        a, mid = tt.random_one_nni_pair(n, 1.0, rng)
+        nbrs = nni_neighbors(mid)
+        b = nbrs[int(rng.integers(len(nbrs)))]
+    assert one_nni_apart(a, b) == nni_by_enumeration(a, b)
+    assert one_nni_apart(b, a) == nni_by_enumeration(b, a)
+
+
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(4, 9), seed=st.integers(0, 2**32 - 1))
 def test_one_nni_apart_symmetric(n, seed):
@@ -249,8 +297,8 @@ def test_one_nni_apart_symmetric(n, seed):
 def test_random_shared_clade_pair(n, seed):
     t1, t2, leaves = tt.random_shared_clade_pair(n, 1.0, tt.sample_rng(seed, 0))
     assert is_clade(t1, leaves) and is_clade(t2, leaves)
-    assert topology_of(restrict_to_clade(t1, leaves)) == \
-        topology_of(restrict_to_clade(t2, leaves))
+    assert topology_of(restrict(t1, leaves)) == \
+        topology_of(restrict(t2, leaves))
     assert is_equidistant(t2)
     heights = internal_clade_heights(t2)
     assert max(heights.values()) == pytest.approx(1.0)

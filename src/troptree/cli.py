@@ -7,7 +7,7 @@ stdout, diagnostics to stderr.  Exit codes are stable:
 * 1 - bad usage or configuration (missing file, bad flag values)
 * 2 - Newick parse error (diagnostic includes the byte offset)
 * 3 - semantic tree error (not equidistant, three-point violation, height
-      mismatch)
+      mismatch, fewer than 2 leaves)
 * 4 - leaf-set mismatch between the two input trees
 """
 

@@ -224,35 +224,25 @@ def parse_newick(text: str) -> RootedTree:
 def write_newick(tree: RootedTree, precision: int = 10) -> str:
     """Serialize a tree deterministically.
 
-    Children are ordered by the smallest leaf label (natural order) in their
-    clade, lengths are printed with `precision` significant digits and
-    trailing zeros trimmed, and the root never carries a length, so equal
-    trees produce byte-identical strings.
+    Children are ordered by the natural-order rank of the smallest leaf
+    label in their clade, lengths are printed with `precision` significant
+    digits and trailing zeros trimmed, and the root never carries a length,
+    so equal trees produce byte-identical strings.
     """
     if precision < 1:
         raise ValueError("precision must be >= 1")
+    rank = {lab: r for r, lab in enumerate(tree.leaf_labels)}
+    fmt = f".{precision}g"
 
-    min_leaf: dict[int, str] = {}
-
-    def find_min(node: TreeNode) -> str:
+    def render(node: TreeNode) -> tuple[int, str]:
+        """The smallest leaf rank below `node` and its Newick text."""
         if node.is_leaf():
-            return node.label
-        key = id(node)
-        if key not in min_leaf:
-            min_leaf[key] = min((find_min(c) for c in node.children), key=natural_key)
-        return min_leaf[key]
+            return rank[node.label], node.label
+        parts = sorted((*render(c), format(c.length, fmt)) for c in node.children)
+        return parts[0][0], "(" + ",".join(
+            f"{text}:{length}" for _, text, length in parts) + ")"
 
-    def render(node: TreeNode, is_root: bool) -> str:
-        if node.is_leaf():
-            out = node.label
-        else:
-            ordered = sorted(node.children, key=lambda c: natural_key(find_min(c)))
-            out = "(" + ",".join(render(c, False) for c in ordered) + ")"
-        if not is_root:
-            out += ":" + format(node.length, f".{precision}g")
-        return out
-
-    return render(tree.root, True) + ";"
+    return render(tree.root)[1] + ";"
 
 
 def structurally_equal(a: RootedTree, b: RootedTree, tol: float = 0.0) -> bool:

@@ -139,15 +139,16 @@ def random_equidistant_tree(n: int, height: float, rng: np.random.Generator,
     return RootedTree(nodes[0])
 
 
-def random_one_nni_pair(n: int, height: float,
-                        rng: np.random.Generator) -> tuple[RootedTree, RootedTree]:
+def random_one_nni_pair(n: int, height: float, rng: np.random.Generator,
+                        tol: float = DEFAULT_TOL) -> tuple[RootedTree, RootedTree]:
     """A random tree and a uniformly chosen NNI neighbor of it."""
     t1 = random_equidistant_tree(n, height, rng)
-    nbrs = nni_neighbors(t1)
+    nbrs = nni_neighbors(t1, tol)
     return t1, nbrs[int(rng.integers(len(nbrs)))]
 
 
 def random_shared_clade_pair(n: int, height: float, rng: np.random.Generator,
+                             tol: float = DEFAULT_TOL,
                              ) -> tuple[RootedTree, RootedTree, tuple[str, ...]]:
     """Two random trees sharing one clade with an identical induced
     topology (the shared subtree is rescaled to fit the second tree, which
@@ -170,9 +171,9 @@ def random_shared_clade_pair(n: int, height: float, rng: np.random.Generator,
 
     parent = min((c for c in new_map if clade < c), key=len)
     slot = new_map[parent]
-    shared = internal_clade_heights(tree_of(ultrametric_of(t1).restrict(clade)))
+    shared = internal_clade_heights(tree_of(ultrametric_of(t1, tol).restrict(clade), tol))
     top = max(shared.values())
-    scale = (0.5 * slot / top) if top >= slot - 2 * DEFAULT_TOL else 1.0
+    scale = (0.5 * slot / top) if top >= slot - 2 * tol else 1.0
     for c, h in shared.items():
         new_map[c] = h * scale
     return t1, tree_from_clade_heights(full, new_map), tuple(sorted_labels(clade))

@@ -8,6 +8,7 @@ height of their most recent common ancestor.
 
 from __future__ import annotations
 
+import itertools
 import statistics
 from typing import Iterable, Sequence
 
@@ -15,7 +16,8 @@ import numpy as np
 
 from .errors import LeafSetMismatchError, NotEquidistantError
 from .newick import RootedTree, TreeNode
-from .util import DEFAULT_TOL, label_pairs, natural_key, pair_index, sorted_labels, tol_groups
+from .util import (DEFAULT_TOL, natural_key, pair_index, sorted_labels, square_form,
+                   tol_group_stops)
 
 
 # --------------------------------------------------------------------------
@@ -127,58 +129,93 @@ class Topology:
     """Canonical rooted tree shape: a laminar family of clades over a fixed
     leaf set.  The full leaf set is always a clade; singletons never are.
     Branch lengths are discarded, so tied node heights appear as polytomies
-    (missing clades)."""
+    (missing clades).
 
-    __slots__ = ("leaves", "clades", "_key")
+    `labels` holds the leaves in natural order.  Each clade is an int
+    bitmask in `masks`, in which the leaf of rank r sets bit
+    ``1 << (n-1-r)`` (Day 1985's cluster table, one int per cluster), so
+    equality, contraction and the NNI test are set operations on ints.  The
+    canonical clade order, by size and then by member labels in natural
+    order, is the order by (popcount, -mask)."""
+
+    __slots__ = ("labels", "masks")
 
     def __init__(self, leaves: Iterable[str], clades: Iterable[frozenset[str]]):
-        self.leaves = frozenset(leaves)
-        cl = set(frozenset(c) for c in clades)
-        cl.add(frozenset(self.leaves))
-        for c in cl:
-            if len(c) < 2 or not c <= self.leaves:
+        labels = sorted_labels(frozenset(leaves))
+        bit = {lab: 1 << k for k, lab in enumerate(reversed(labels))}
+        masks = []
+        for c in map(frozenset, clades):
+            if len(c) < 2 or not c <= bit.keys():
                 raise ValueError(f"bad clade {sorted(c)}")
-        ordered = sorted(cl, key=len)
-        for a_i, a in enumerate(ordered):
-            for b in ordered[a_i + 1:]:
-                if a & b and not a <= b:
-                    raise ValueError(
-                        f"clades {sorted(a)} and {sorted(b)} are not laminar")
-        self.clades = frozenset(cl)
-        self._key = tuple(sorted(
-            (tuple(sorted(c, key=natural_key)) for c in cl),
-            key=lambda t: (len(t), tuple(natural_key(x) for x in t))))
+            masks.append(sum(bit[lab] for lab in c))
+        self._set(labels, masks)
+        ordered = sorted(self.masks, key=int.bit_count)
+        for k, a in enumerate(ordered):
+            for b in ordered[k + 1:]:
+                if a & b and a & b != a:
+                    raise ValueError(f"clades {self._members(a)} and "
+                                     f"{self._members(b)} are not laminar")
+
+    @classmethod
+    def _of_masks(cls, labels: tuple[str, ...], masks: Iterable[int]) -> "Topology":
+        """Topology from natural-sorted labels and clade masks known to be
+        laminar (as the clades of a tree are)."""
+        topo = object.__new__(cls)
+        topo._set(labels, masks)
+        return topo
+
+    def _set(self, labels: tuple[str, ...], masks: Iterable[int]) -> None:
+        if len(labels) < 2:
+            raise ValueError(f"bad clade {list(labels)}")
+        self.labels = labels
+        self.masks = frozenset(masks).union(((1 << len(labels)) - 1,))
+
+    def _members(self, mask: int) -> list[str]:
+        """Labels of a clade mask, in natural order."""
+        labels, n = self.labels, len(self.labels)
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(labels[n - low.bit_length()])
+            mask ^= low
+        return out[::-1]
+
+    @property
+    def clades(self) -> frozenset[frozenset[str]]:
+        return frozenset(frozenset(self._members(m)) for m in self.masks)
 
     @property
     def is_binary(self) -> bool:
         # a laminar family with the full set and n-1 members forces 2 children
         # at every internal node
-        return len(self.clades) == len(self.leaves) - 1
+        return len(self.masks) == len(self.labels) - 1
 
     @property
     def is_star(self) -> bool:
-        return len(self.clades) == 1
+        return len(self.masks) == 1
 
     def is_contraction_of(self, other: "Topology") -> bool:
         """True iff self arises from `other` by collapsing internal edges
         (its clade family is a sub-family of other's)."""
-        return self.leaves == other.leaves and self.clades <= other.clades
+        return self.labels == other.labels and self.masks <= other.masks
 
     def one_nni_apart(self, other: "Topology") -> bool:
         """True iff both topologies are binary and each has exactly one
         clade the other lacks: rooted Robinson-Foulds distance 2, which for
         binary rooted trees means exactly one NNI move apart."""
-        return (self.is_binary and other.is_binary and self.leaves == other.leaves
-                and len(self.clades - other.clades) == 1)
+        return (self.is_binary and other.is_binary and self.labels == other.labels
+                and len(self.masks - other.masks) == 1)
 
     def canonical_str(self) -> str:
-        return "|".join("{" + ",".join(c) + "}" for c in self._key)
+        ordered = sorted(self.masks, key=lambda m: (m.bit_count(), -m))
+        return "|".join("{" + ",".join(self._members(m)) + "}" for m in ordered)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Topology) and self._key == other._key
+        return (isinstance(other, Topology) and self.masks == other.masks
+                and self.labels == other.labels)
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return hash(self.masks)
 
     def __repr__(self) -> str:
         return f"Topology({self.canonical_str()})"
@@ -186,12 +223,24 @@ class Topology:
 
 def topology_of(tree: RootedTree, tol: float = DEFAULT_TOL) -> Topology:
     """Clade set of an equidistant tree after collapsing every internal edge
-    of length <= tol into its parent."""
+    of length <= tol into its parent, built as bitmasks in one walk."""
     require_equidistant(tree, tol)
-    sets = clade_leafsets(tree)
-    clades = [sets[id(node)] for node in tree.nodes()
-              if not node.is_leaf() and (node is tree.root or node.length > tol)]
-    return Topology(tree.leaf_labels, clades)
+    labels = tree.leaf_labels
+    bit = {lab: 1 << k for k, lab in enumerate(reversed(labels))}
+    masks: list[int] = []
+
+    def visit(node: TreeNode) -> int:
+        if node.is_leaf():
+            return bit[node.label]
+        mask = 0
+        for child in node.children:
+            mask |= visit(child)
+        if node.length > tol:
+            masks.append(mask)
+        return mask
+
+    visit(tree.root)
+    return Topology._of_masks(labels, masks)
 
 
 def speciation_times(tree: RootedTree, tol: float = DEFAULT_TOL) -> tuple[float, ...]:
@@ -201,43 +250,49 @@ def speciation_times(tree: RootedTree, tol: float = DEFAULT_TOL) -> tuple[float,
     require_equidistant(tree, tol)
     heights = subtree_heights(tree)
     internal = sorted(heights[id(node)] for node in tree.nodes() if not node.is_leaf())
-    return tuple(internal[stop - 1] for _, stop in tol_groups(internal, tol))
+    return tuple(internal[stop - 1] for stop in tol_group_stops(internal, tol))
 
 
 # --------------------------------------------------------------------------
 # building trees from distances or clade maps
 # --------------------------------------------------------------------------
 
-class _UnionFind:
-    __slots__ = ("parent",)
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> int:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-        return ra
+def _mst_edges(dists: np.ndarray, n: int) -> tuple[list[int], list[int], np.ndarray]:
+    """The n-1 edges (near, far, weight) of a minimum spanning tree of the
+    complete graph whose condensed edge weights are `dists`, in the order
+    Prim's algorithm adds them (numpy row updates, O(n^2))."""
+    D = square_form(dists, n, np.inf)
+    best = D[0].copy()                  # distance of each vertex to the tree
+    closest = np.zeros(n, dtype=np.intp)  # and the tree vertex it is closest to
+    D[:, 0] = np.inf
+    near, far, weight = [], [], np.empty(n - 1)
+    for k in range(n - 1):
+        j = int(best.argmin())
+        near.append(int(closest[j]))
+        far.append(j)
+        weight[k] = best[j]
+        D[:, j] = np.inf                # j joins the tree: no row may lower best[j]
+        best[j] = np.inf
+        row = D[j]
+        closest[row < best] = j
+        np.minimum(best, row, out=best)
+    return near, far, weight
 
 
 def agglomerate(labels: Sequence[str], dists: np.ndarray,
                 tol: float = DEFAULT_TOL) -> RootedTree:
     """Build the equidistant tree whose cophenetic distances are `dists`
-    (condensed order over `labels`, which must be natural-sorted).
+    (condensed order over `labels`, which must be natural-sorted): the
+    single-linkage dendrogram of the distances.
 
-    Pairs merge bottom-up at half their distance; distance values within tol
-    of each other merge simultaneously, producing polytomies.  The input is
-    assumed to satisfy the three-point condition; validation belongs to the
-    callers.
+    The sorted distance values are split into runs wherever consecutive
+    values differ by more than tol; the pairs of a run merge simultaneously
+    at half the run's largest value, so values within tol of each other
+    produce polytomies.  Only the edges of a minimum spanning tree are
+    merged: for every threshold, those at or below it connect the same
+    leaves as all pairs at or below it (Gower & Ross 1969), so the tree is
+    built in O(n^2).  The input is assumed to satisfy the three-point
+    condition; validation belongs to the callers.
     """
     n = len(labels)
     dists = np.asarray(dists, dtype=float)
@@ -246,45 +301,35 @@ def agglomerate(labels: Sequence[str], dists: np.ndarray,
     if n == 1:
         return RootedTree(TreeNode(label=labels[0]))
 
-    pairs = label_pairs(labels)
-    order = np.argsort(dists, kind="stable")
-    svals = dists[order]
+    svals = np.sort(dists)
+    stops = tol_group_stops(svals, tol)
+    near, far, weight = _mst_edges(dists, n)
+    run_of = np.searchsorted(stops, np.searchsorted(svals, weight), side="right").tolist()
 
-    uf = _UnionFind(n)
-    pos = {lab: k for k, lab in enumerate(labels)}
-    comp_node: dict[int, TreeNode] = {k: TreeNode(label=lab) for k, lab in enumerate(labels)}
-    comp_height: dict[int, float] = {k: 0.0 for k in range(n)}
+    parent = list(range(n))                 # union-find over components
 
-    for start, stop in tol_groups(svals, tol):
-        height = float(svals[stop - 1]) / 2.0
-        merged_into: dict[int, list[int]] = {}
-        for k in order[start:stop]:
-            a, b = pairs[int(k)]
-            ra, rb = uf.find(pos[a]), uf.find(pos[b])
-            if ra == rb:
-                continue
-            new = uf.union(ra, rb)
-            old = rb if new == ra else ra
-            group = merged_into.setdefault(new, [new])
-            if old in merged_into:
-                group.extend(merged_into.pop(old))
-            else:
-                group.append(old)
-        for new_root, members in merged_into.items():
-            children = [comp_node[m] for m in members]
-            for m, child in zip(members, children):
-                child.length = max(height - comp_height[m], 0.0)
-            node = TreeNode(children=children)
-            for m in members:
-                comp_node.pop(m, None)
-                comp_height.pop(m, None)
-            comp_node[new_root] = node
-            comp_height[new_root] = height
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
 
-    roots = [uf.find(k) for k in range(n)]
-    if len(set(roots)) != 1:
-        raise ValueError("distances do not define a single tree")
-    return RootedTree(comp_node[roots[0]])
+    node = [TreeNode(label=lab) for lab in labels]     # by component root
+    node_height = [0.0] * n
+    edges = sorted(range(n - 1), key=run_of.__getitem__)
+    for run, ks in itertools.groupby(edges, key=run_of.__getitem__):
+        height = float(svals[stops[run] - 1]) / 2.0
+        ends = [(find(near[k]), find(far[k])) for k in ks]
+        for ra, rb in ends:
+            parent[find(rb)] = find(ra)
+        merged: dict[int, list[int]] = {}
+        for r in dict.fromkeys(itertools.chain.from_iterable(ends)):
+            merged.setdefault(find(r), []).append(r)
+        for root, olds in merged.items():
+            for r in olds:
+                node[r].length = max(height - node_height[r], 0.0)
+            node[root] = TreeNode(children=[node[r] for r in olds])
+            node_height[root] = height
+    return RootedTree(node[find(0)])
 
 
 def tree_from_clade_heights(leaves: Iterable[str],
@@ -356,7 +401,7 @@ def is_clade(tree: RootedTree, leaves: Iterable[str], tol: float = DEFAULT_TOL) 
 # NNI moves
 # --------------------------------------------------------------------------
 
-def nni_neighbors(tree: RootedTree) -> list[RootedTree]:
+def nni_neighbors(tree: RootedTree, tol: float = DEFAULT_TOL) -> list[RootedTree]:
     """All trees one rooted NNI move away from a binary equidistant tree.
 
     For every internal edge there are two moves, each exchanging the clade
@@ -364,7 +409,8 @@ def nni_neighbors(tree: RootedTree) -> list[RootedTree]:
     node where the exchange happens keeps its height.  If the regrafted
     subtree does not fit strictly below its new parent, its internal heights
     are rescaled into the lower half of the available span (the move is then
-    metrically refitted but topologically exact).
+    metrically refitted but topologically exact); "strictly" means by more
+    than 2 tol.
     """
     for node in tree.nodes():
         if not node.is_leaf() and len(node.children) != 2:
@@ -395,7 +441,7 @@ def nni_neighbors(tree: RootedTree) -> list[RootedTree]:
             del new_map[clade]
             # the regrafted sibling subtree must sit strictly below h_v
             sib_h = new_map.get(sibling, 0.0)
-            if sib_h >= h_v - 2 * DEFAULT_TOL:
+            if sib_h >= h_v - 2 * tol:
                 scale = (0.5 * h_v) / sib_h
                 for other in list(new_map):
                     if other <= sibling:

@@ -26,7 +26,7 @@ from .newick import RootedTree, write_newick
 from .tropical import TropicalSegment, in_tropical_hull, tropical_segment
 from .trees import (Topology, require_equidistant, require_same_leaves,
                     speciation_times, topology_of)
-from .util import DEFAULT_TOL, label_pairs, pair_index, sorted_labels
+from .util import DEFAULT_TOL, label_pairs, pair_index, sorted_labels, square_form
 
 
 class Ultrametric:
@@ -44,7 +44,7 @@ class Ultrametric:
             raise ValueError("labels must be natural-sorted and unique")
         n = len(self.labels)
         if n < 2:
-            raise ValueError("an ultrametric needs at least 2 leaves")
+            raise TropTreeError("an ultrametric needs at least 2 leaves")
         self.entries = np.asarray(entries, dtype=float)
         if self.entries.shape != (n * (n - 1) // 2,):
             raise ValueError(
@@ -100,14 +100,6 @@ class Ultrametric:
         return f"Ultrametric(n={self.n}, [{vals}])"
 
 
-def _square_from_condensed(vec: np.ndarray, n: int) -> np.ndarray:
-    D = np.zeros((n, n))
-    iu = np.triu_indices(n, k=1)
-    D[iu] = vec
-    D.T[iu] = vec
-    return D
-
-
 def _violating_triple(D: np.ndarray, tol: float) -> tuple[int, int, int] | None:
     """First triple (i, j, k) with D[i,j] > max(D[i,k], D[j,k]) + tol, if any."""
     n = D.shape[0]
@@ -132,7 +124,7 @@ def is_ultrametric(entries, tol: float = DEFAULT_TOL) -> bool:
         raise ValueError(f"length {e} is not a triangular number")
     if n < 3:
         return True
-    return _violating_triple(_square_from_condensed(vec, n), tol) is None
+    return _violating_triple(square_form(vec, n), tol) is None
 
 
 def ultrametric_of(tree: RootedTree, tol: float = DEFAULT_TOL) -> Ultrametric:
@@ -147,7 +139,7 @@ def require_ultrametric(u: Ultrametric, tol: float = DEFAULT_TOL) -> None:
     the three-point condition fails.  Every max-plus combination of
     ultrametrics that pass is again one that passes, so validating a
     segment's endpoints validates all of it."""
-    D = _square_from_condensed(u.entries, u.n)
+    D = square_form(u.entries, u.n)
     bad = _violating_triple(D, tol)
     if bad is not None:
         i, j, k = bad
@@ -245,7 +237,7 @@ class TreeSegment:
         writer.writerow(header)
         for k, bu in enumerate(self.bend_ultrametrics):
             row = [str(k), format(self.segment.bend_parameters[k], fmt)]
-            row += [format(x, fmt) for x in bu.entries]
+            row += [format(x, fmt) for x in bu.entries.tolist()]
             row += [write_newick(self.bend_trees[k], precision),
                     self.bend_topologies[k].canonical_str()]
             writer.writerow(row)

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
+
+import numpy as np
 
 #: Library-wide absolute tolerance.  Branch lengths and node heights are
 #: compared with this value directly; pairwise-distance entries (which are
@@ -39,13 +42,26 @@ def pair_index(n: int, i: int, j: int) -> int:
     return n * i - i * (i + 1) // 2 + (j - i - 1)
 
 
-def tol_groups(sorted_values: Sequence[float], tol: float) -> Iterator[tuple[int, int]]:
-    """Yield (start, stop) runs of an ascending sequence, split where the
-    gap between consecutive values exceeds tol."""
-    start = 0
-    for k in range(1, len(sorted_values)):
-        if sorted_values[k] - sorted_values[k - 1] > tol:
-            yield start, k
-            start = k
-    if len(sorted_values) > 0:
-        yield start, len(sorted_values)
+def tol_group_stops(sorted_values: Sequence[float], tol: float) -> np.ndarray:
+    """End indices (exclusive) of the runs of an ascending sequence, split
+    where the gap between consecutive values exceeds tol."""
+    values = np.asarray(sorted_values, dtype=float)
+    stops = np.flatnonzero(np.diff(values) > tol) + 1
+    return np.append(stops, values.size) if values.size else stops
+
+
+@functools.lru_cache(maxsize=32)
+def _square_index(n: int) -> np.ndarray:
+    e = n * (n - 1) // 2
+    index = np.full((n, n), e)          # the diagonal reads entry e
+    iu = np.triu_indices(n, k=1)
+    index[iu] = np.arange(e)
+    index.T[iu] = np.arange(e)
+    index.setflags(write=False)         # shared by every caller of this n
+    return index
+
+
+def square_form(vec: np.ndarray, n: int, diagonal: float = 0.0) -> np.ndarray:
+    """The symmetric n x n matrix of a condensed pair vector (lexicographic
+    pair order), with `diagonal` on the diagonal."""
+    return np.append(vec, diagonal)[_square_index(n)]

@@ -1,6 +1,8 @@
 import csv
+import gzip
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -150,6 +152,13 @@ def test_exit_codes(files, capsys):
     missing = str(files("x", "x")) + ".does-not-exist"
     assert run(capsys, "validate", missing)[0] == 1
     assert run(capsys, "simulate", "star-prob", "--n", "2")[0] == 1
+    # a one-leaf tree parses but has no ultrametric: a diagnostic, no traceback
+    single = files("single.nwk", "A:0;")
+    for argv in (["validate", single], ["segment", single, single],
+                 ["dist", single, single], ["topologies", single, single]):
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == "" and err == "error: an ultrametric needs at least 2 leaves\n"
 
 
 def test_dist_not_equidistant(files, capsys):
@@ -199,3 +208,34 @@ def test_outputs_are_byte_deterministic(files, capsys):
             assert code == 0
             outs.add((tuple(cmd[0:1] + cmd[3:]), out))
     assert len(outs) == 4
+
+
+#: One directory per input pair: t1.nwk, t2.nwk and the stdout of
+#: `segment --format csv|newick|json` and `topologies` on them, byte for
+#: byte (gzipped when large).  The pairs: seeded random trees at n = 6, 12
+#: (mixed text and numeric labels) and 32; trees with tied node heights and
+#: input polytomies (`ties_n8`); and trees whose node heights differ by
+#: 0.5 and 1.5 tol (`tolgaps_height_n8`) or 0.25 and 0.75 tol
+#: (`tolgaps_dist_n8`, distance gaps of 0.5 and 1.5 tol), nested and
+#: between subtrees.
+CLI_GOLDEN = Path(__file__).parent / "golden" / "cli"
+CLI_OUTPUTS = {
+    "segment.csv": ["segment", "--format", "csv"],
+    "segment.newick": ["segment", "--format", "newick"],
+    "segment.json": ["segment", "--format", "json"],
+    "topologies.txt": ["topologies"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(p.name for p in CLI_GOLDEN.iterdir()))
+@pytest.mark.parametrize("output", sorted(CLI_OUTPUTS))
+def test_cli_golden(case, output, capsys):
+    folder = CLI_GOLDEN / case
+    command, *options = CLI_OUTPUTS[output]
+    code, out, err = run(capsys, command, str(folder / "t1.nwk"),
+                         str(folder / "t2.nwk"), *options)
+    assert code == 0 and err == ""
+    plain = folder / output
+    expected = (plain.read_bytes() if plain.exists()
+                else gzip.decompress((folder / (output + ".gz")).read_bytes()))
+    assert out.encode() == expected

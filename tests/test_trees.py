@@ -242,6 +242,24 @@ def test_nni_refit_keeps_topology_valid():
         assert is_equidistant(nb)
 
 
+def test_nni_neighbors_use_callers_tol():
+    # the sibling clade {4,5} sits 1e-8 below the node {1,2,3} it is
+    # regrafted to: more than 2 tol below at the default, so it keeps its
+    # height, but within 2 tol at tol=1e-7, so it is rescaled
+    tree = parse_newick("(((1:0.3,2:0.3):0.2,3:0.5):0.5,"
+                        "(4:0.49999999,5:0.49999999):0.50000001);")
+
+    def heights_of_45(nbrs):
+        return {round(internal_clade_heights(nb)[frozenset("45")], 12)
+                for nb in nbrs if frozenset("45") in internal_clade_heights(nb)}
+
+    default = nni_neighbors(tree)
+    assert [write_newick(t) for t in default] == \
+        [write_newick(t) for t in nni_neighbors(tree, tt.DEFAULT_TOL)]
+    assert heights_of_45(default) == {0.49999999}
+    assert heights_of_45(nni_neighbors(tree, 1e-7)) == {0.49999999, 0.25}
+
+
 def test_one_nni_apart_golden(quartet_a, quartet_b):
     balanced = parse_newick("((1:0.2,2:0.2):0.8,(3:0.3,4:0.3):0.7);")
     assert one_nni_apart(balanced, quartet_a)
@@ -302,3 +320,12 @@ def test_random_shared_clade_pair(n, seed):
     assert is_equidistant(t2)
     heights = internal_clade_heights(t2)
     assert max(heights.values()) == pytest.approx(1.0)
+
+
+def test_random_shared_clade_pair_default_tol():
+    for seed in range(5):
+        got = tt.random_shared_clade_pair(6, 1.0, tt.sample_rng(seed, 0))
+        explicit = tt.random_shared_clade_pair(6, 1.0, tt.sample_rng(seed, 0),
+                                               tol=tt.DEFAULT_TOL)
+        assert [write_newick(t) for t in got[:2]] == [write_newick(t) for t in explicit[:2]]
+        assert got[2] == explicit[2]

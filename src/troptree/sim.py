@@ -22,9 +22,9 @@ import numpy as np
 
 from .newick import RootedTree, TreeNode, write_newick
 from .trees import internal_clade_heights, nni_neighbors, tree_from_clade_heights
-from .treespace import (star_on_segment, topology_sequence, tree_of,
+from .treespace import (star_crossings, topology_sequence, tree_of,
                         tree_segment, ultrametric_of)
-from .util import DEFAULT_TOL, natural_key, sorted_labels
+from .util import DEFAULT_TOL, natural_key, sorted_labels, square_index
 
 MODEL_TAG = "coalescent-uniform-heights"
 
@@ -108,6 +108,17 @@ def sample_rng(seed: int, index: int) -> np.random.Generator:
         np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(index,))))
 
 
+def _merges(n: int, height: float, rng: np.random.Generator):
+    """The sampling model's merge schedule, and the only code that draws
+    its random numbers: (i, j, h) per merge, meaning that lineages i < j of
+    the current k are merged at height h into a new last lineage.  The
+    n-2 non-root heights are drawn first, sorted; then one pair per merge."""
+    heights = np.sort(rng.uniform(0.0, height, n - 2)).tolist() if n > 2 else []
+    for k, h in zip(range(n, 1, -1), heights + [height]):
+        i, j = sorted(rng.choice(k, size=2, replace=False).tolist())
+        yield i, j, h
+
+
 def random_equidistant_tree(n: int, height: float, rng: np.random.Generator,
                             labels: Sequence[str] | None = None) -> RootedTree:
     """One draw from the sampling model: a binary equidistant tree with the
@@ -123,11 +134,9 @@ def random_equidistant_tree(n: int, height: float, rng: np.random.Generator,
         if len(labels) != n:
             raise ValueError(f"{len(labels)} labels for n={n}")
 
-    merge_heights = np.sort(rng.uniform(0.0, height, n - 2)) if n > 2 else np.array([])
     nodes = [TreeNode(label=lab) for lab in labels]
     node_heights = [0.0] * n
-    for h in list(merge_heights) + [height]:
-        i, j = sorted(rng.choice(len(nodes), size=2, replace=False))
+    for i, j, h in _merges(n, height, rng):
         b = nodes.pop(j)
         a = nodes.pop(i)
         hb = node_heights.pop(j)
@@ -137,6 +146,33 @@ def random_equidistant_tree(n: int, height: float, rng: np.random.Generator,
         nodes.append(TreeNode(children=[a, b]))
         node_heights.append(h)
     return RootedTree(nodes[0])
+
+
+def _ultrametric_row(n: int, height: float, rng: np.random.Generator) -> list[float]:
+    """One draw from the sampling model as its condensed ultrametric over
+    the default labels: bit for bit
+    ``ultrametric_of(random_equidistant_tree(n, height, rng)).entries``.
+    Each leaf keeps its depth below the newest node above it, grown by
+    ``h - h_child`` per merge and summed pairwise, in the order in which
+    :func:`~troptree.trees.pairwise_distances` adds the tree's lengths."""
+    index = square_index(n).tolist()
+    row = [0.0] * (n * (n - 1) // 2)
+    depth = [0.0] * n
+    members = [[k] for k in range(n)]
+    tops = [0.0] * n
+    for i, j, h in _merges(n, height, rng):
+        b, hb = members.pop(j), tops.pop(j)
+        a, ha = members.pop(i), tops.pop(i)
+        for group, step in ((a, h - ha), (b, h - hb)):
+            for x in group:
+                depth[x] += step
+        for x in a:
+            dx, at = depth[x], index[x]
+            for y in b:
+                row[at[y]] = dx + depth[y]
+        members.append(a + b)
+        tops.append(h)
+    return row
 
 
 def random_one_nni_pair(n: int, height: float, rng: np.random.Generator,
@@ -179,17 +215,43 @@ def random_shared_clade_pair(n: int, height: float, rng: np.random.Generator,
     return t1, tree_from_clade_heights(full, new_map), tuple(sorted_labels(clade))
 
 
+#: Entries per (u, v) block of the star-crossing test: 32768 floats, 256 KiB
+#: per side, so memory stays flat at any sample count and any n.
+_STAR_BLOCK_ENTRIES = 1 << 15
+
+
+def _star_block_rows(n: int) -> int:
+    """Samples per block of :func:`estimate_star_probability` at n leaves."""
+    return max(1, _STAR_BLOCK_ENTRIES // (n * (n - 1) // 2))
+
+
 def estimate_star_probability(cfg: SampleConfig) -> ExperimentReport:
     """Draw pairs of random trees and count how often the segment between
-    them passes through the star tree (the origin of the coordinates)."""
+    them passes through the star tree (the origin of the coordinates).
+
+    The pairs are drawn straight into ultrametric rows and tested a block
+    at a time, with the positivity and height checks and the star test of
+    :func:`star_on_segment`, raising what it raises.  The trees are
+    equidistant by construction, so their depths are not re-checked."""
     start = time.perf_counter()
+    e = cfg.n * (cfg.n - 1) // 2
+    block = _star_block_rows(cfg.n)
     hits = 0
-    for index in range(cfg.samples):
-        rng = sample_rng(cfg.seed, index)
-        t1 = random_equidistant_tree(cfg.n, cfg.height, rng)
-        t2 = random_equidistant_tree(cfg.n, cfg.height, rng)
-        if star_on_segment(t1, t2):
-            hits += 1
+    for first in range(0, cfg.samples, block):
+        rows = min(block, cfg.samples - first)
+        u = np.empty((rows, e))
+        v = np.empty((rows, e))
+        for r in range(rows):
+            rng = sample_rng(cfg.seed, first + r)
+            u[r] = _ultrametric_row(cfg.n, cfg.height, rng)
+            v[r] = _ultrametric_row(cfg.n, cfg.height, rng)
+        positive = (u > 0).all(axis=1) & (v > 0).all(axis=1)
+        valid = rows if positive.all() else int(np.argmin(positive))
+        # rows before the first non-positive one are height-checked first,
+        # as the per-sample loop would have reached them first
+        hits += int(np.count_nonzero(star_crossings(u[:valid], v[:valid])))
+        if valid < rows:
+            raise ValueError("all pairwise distances must be positive")
     return ExperimentReport(
         experiment="star-prob", config=cfg, hits=hits,
         rate=hits / cfg.samples, wall_clock_sec=time.perf_counter() - start)

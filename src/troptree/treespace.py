@@ -40,7 +40,8 @@ class Ultrametric:
 
     def __init__(self, labels: Sequence[str], entries):
         self.labels = tuple(labels)
-        if self.labels != sorted_labels(self.labels):
+        if (self.labels != sorted_labels(self.labels)
+                or len(set(self.labels)) != len(self.labels)):
             raise ValueError("labels must be natural-sorted and unique")
         n = len(self.labels)
         if n < 2:
@@ -290,6 +291,21 @@ def segment_to_star(tree: RootedTree, tol: float = DEFAULT_TOL) -> list[RootedTr
             for t in times]
 
 
+def star_crossings(u: np.ndarray, v: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Star test on stacked pairs of ultrametric rows, shape (pairs, e): one
+    bool per pair, true iff their coordinate-wise maximum is a constant
+    vector.  Raises :class:`TropTreeError` naming the first pair whose
+    heights differ by more than tol."""
+    hu = u.max(axis=1) / 2.0
+    hv = v.max(axis=1) / 2.0
+    mismatch = np.flatnonzero(np.abs(hu - hv) > tol)
+    if mismatch.size:
+        k = mismatch[0]
+        raise TropTreeError(f"height mismatch: {hu[k]:.12g} vs {hv[k]:.12g}")
+    m = np.maximum(u, v)
+    return m.max(axis=1) - m.min(axis=1) <= 2.0 * tol
+
+
 def star_on_segment(t1: RootedTree, t2: RootedTree, tol: float = DEFAULT_TOL) -> bool:
     """True iff the segment between two equal-height trees passes through
     the star tree, i.e. the coordinate-wise maximum of the two ultrametrics
@@ -297,11 +313,7 @@ def star_on_segment(t1: RootedTree, t2: RootedTree, tol: float = DEFAULT_TOL) ->
     require_same_leaves(t1.leaf_labels, t2.leaf_labels)
     u = ultrametric_of(t1, tol)
     v = ultrametric_of(t2, tol)
-    if abs(u.height - v.height) > tol:
-        raise TropTreeError(
-            f"height mismatch: {u.height:.12g} vs {v.height:.12g}")
-    m = np.maximum(u.entries, v.entries)
-    return float(m.max() - m.min()) <= 2.0 * tol
+    return bool(star_crossings(u.entries[None], v.entries[None], tol)[0])
 
 
 # --------------------------------------------------------------------------

@@ -19,11 +19,12 @@ _DIGIT_RUN = re.compile(r"(\d+)")
 
 
 def natural_key(label: str) -> tuple:
-    """Sort key that orders digit runs numerically, so 'S2' < 'S10'."""
-    return tuple(
-        (0, int(part)) if part.isdigit() else (1, part)
-        for part in _DIGIT_RUN.split(label)
-    )
+    """Sort key that orders digit runs numerically, so 'S2' < 'S10'.  Labels
+    whose digit runs differ only in leading zeros, such as '01' and '1',
+    are ordered by the raw label, so the order never depends on the input's."""
+    parts = tuple([(0, int(part)) if part.isdigit() else (1, part)
+                   for part in _DIGIT_RUN.split(label)])
+    return parts, label
 
 
 def sorted_labels(labels: Iterable[str]) -> tuple[str, ...]:
@@ -51,7 +52,9 @@ def tol_group_stops(sorted_values: Sequence[float], tol: float) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=32)
-def _square_index(n: int) -> np.ndarray:
+def square_index(n: int) -> np.ndarray:
+    """The n x n matrix of condensed pair indices (lexicographic pair
+    order); the diagonal holds n(n-1)/2, one past the last pair."""
     e = n * (n - 1) // 2
     index = np.full((n, n), e)          # the diagonal reads entry e
     iu = np.triu_indices(n, k=1)
@@ -64,4 +67,4 @@ def _square_index(n: int) -> np.ndarray:
 def square_form(vec: np.ndarray, n: int, diagonal: float = 0.0) -> np.ndarray:
     """The symmetric n x n matrix of a condensed pair vector (lexicographic
     pair order), with `diagonal` on the diagonal."""
-    return np.append(vec, diagonal)[_square_index(n)]
+    return np.append(vec, diagonal)[square_index(n)]

@@ -3,7 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from troptree import (NewickParseError, parse_newick, random_equidistant_tree,
-                      sample_rng, structurally_equal, write_newick)
+                      sample_rng, structurally_equal, topology_of, ultrametric_of,
+                      write_newick)
 
 
 def test_parse_three_leaf_depths():
@@ -96,6 +97,17 @@ def test_natural_label_order():
     tree = parse_newick("(S10:1,(S2:0.5,S1:0.5):0.5);")
     assert tree.leaf_labels == ("S1", "S2", "S10")
     assert write_newick(tree) == "((S1:0.5,S2:0.5):0.5,S10:1);"
+
+
+def test_tied_natural_keys_ordered_by_label():
+    # '01' and '1' have equal digit runs; the spelling of the input must
+    # not decide their order
+    a = parse_newick("((01:1,1:1):1,2:2);")
+    b = parse_newick("((1:1,01:1):1,2:2);")
+    assert a.leaf_labels == b.leaf_labels == ("01", "1", "2")
+    assert write_newick(a) == write_newick(b) == "((01:1,1:1):1,2:2);"
+    assert topology_of(a) == topology_of(b)
+    assert ultrametric_of(a).entries.tolist() == ultrametric_of(b).entries.tolist()
 
 
 @settings(max_examples=100, deadline=None)

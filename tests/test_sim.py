@@ -128,6 +128,40 @@ def test_conjecture_report_fields():
     assert len(csv_text.splitlines()) == 1 + len(report.violations)
 
 
+@pytest.mark.parametrize("height", [1e-3, 1.0, 1e3])
+def test_ultrametric_row_matches_tree_route(height):
+    # bit for bit, so that seeded reports do not depend on the route
+    for n in range(2, 31):
+        for seed in range(3):
+            for index in range(4):
+                row = np.array(tt.sim._ultrametric_row(n, height, sample_rng(seed, index)))
+                tree = random_equidistant_tree(n, height, sample_rng(seed, index))
+                assert row.tobytes() == tt.ultrametric_of(tree).entries.tobytes()
+
+
+def _crosses_star(n, seed, index):
+    # the per-sample route: two trees, then star_on_segment
+    rng = sample_rng(seed, index)
+    t1 = random_equidistant_tree(n, 1.0, rng)
+    t2 = random_equidistant_tree(n, 1.0, rng)
+    return tt.star_on_segment(t1, t2)
+
+
+def test_star_blocks_match_per_sample_loop():
+    n = 4
+    block = tt.sim._star_block_rows(n)
+    assert block > 1
+    # a seed whose samples on both sides of the first block boundary cross
+    # the star, so a boundary sample lost or drawn from the wrong stream
+    # changes the count
+    seed = next(s for s in range(2000)
+                if _crosses_star(n, s, block - 1) and _crosses_star(n, s, block))
+    crossed = [_crosses_star(n, seed, k) for k in range(block + 1)]
+    for samples in (1, block, block + 1):
+        report = estimate_star_probability(SampleConfig(n=n, samples=samples, seed=seed))
+        assert report.hits == sum(crossed[:samples])
+
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -136,6 +170,12 @@ GOLDEN = Path(__file__).parent / "golden"
      SampleConfig(n=6, samples=100, seed=1)),
     ("star_prob_n4_seed1.json", estimate_star_probability,
      SampleConfig(n=4, samples=2000, seed=1)),
+    ("star_prob_n3_seed1.json", estimate_star_probability,
+     SampleConfig(n=3, samples=2000, seed=1)),
+    ("star_prob_n5_seed1.json", estimate_star_probability,
+     SampleConfig(n=5, samples=2000, seed=1)),
+    ("star_prob_n8_seed1.json", estimate_star_probability,
+     SampleConfig(n=8, samples=2000, seed=1)),
 ])
 def test_report_golden(name, experiment, cfg):
     # byte for byte; the survey holds 429 transitions, 390 single-NNI,

@@ -72,6 +72,11 @@ def test_ultrametric_type_validation():
         Ultrametric(("1", "2", "3"), [1.0, 1.0])
 
 
+def test_ultrametric_rejects_duplicate_labels():
+    with pytest.raises(ValueError, match="natural-sorted and unique"):
+        Ultrametric(["1", "1", "2"], [1, 2, 2])
+
+
 @settings(max_examples=80, deadline=None)
 @given(n=st.integers(3, 24), seed=st.integers(0, 2**32 - 1))
 def test_roundtrip_tree_ultrametric(n, seed):
@@ -269,8 +274,22 @@ def test_star_on_segment_shared_cherry_blocks():
 
 def test_star_on_segment_height_mismatch(quartet_a):
     taller = parse_newick("(((1:0.2,2:0.2):0.2,3:0.4):1.6,4:2);")
-    with pytest.raises(tt.TropTreeError):
+    with pytest.raises(tt.TropTreeError, match="height mismatch: 1 vs 2"):
         star_on_segment(quartet_a, taller)
+
+
+def test_star_crossings_rows():
+    star = [2.0, 2.0, 2.0]
+    cherry = [1.0, 2.0, 2.0]
+    other = [2.0, 2.0, 1.0]
+    u = np.array([cherry, cherry, star])
+    v = np.array([other, cherry, cherry])
+    assert tt.treespace.star_crossings(u, v).tolist() == [True, False, True]
+    # the first pair whose heights differ is the one named
+    v[1] *= 3.0
+    v[2] *= 2.0
+    with pytest.raises(tt.TropTreeError, match="height mismatch: 1 vs 3"):
+        tt.treespace.star_crossings(u, v)
 
 
 def test_three_leaf_law():

@@ -20,6 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import TropTreeError
 from .newick import RootedTree, TreeNode, write_newick
 from .trees import internal_clade_heights, nni_neighbors, tree_from_clade_heights
 from .treespace import (star_crossings, topology_sequence, tree_of,
@@ -251,7 +252,7 @@ def estimate_star_probability(cfg: SampleConfig) -> ExperimentReport:
         # as the per-sample loop would have reached them first
         hits += int(np.count_nonzero(star_crossings(u[:valid], v[:valid])))
         if valid < rows:
-            raise ValueError("all pairwise distances must be positive")
+            raise TropTreeError("all pairwise distances must be positive")
     return ExperimentReport(
         experiment="star-prob", config=cfg, hits=hits,
         rate=hits / cfg.samples, wall_clock_sec=time.perf_counter() - start)

@@ -279,28 +279,20 @@ def _mst_edges(dists: np.ndarray, n: int) -> tuple[list[int], list[int], np.ndar
     return near, far, weight
 
 
-def agglomerate(labels: Sequence[str], dists: np.ndarray,
-                tol: float = DEFAULT_TOL) -> RootedTree:
-    """Build the equidistant tree whose cophenetic distances are `dists`
-    (condensed order over `labels`, which must be natural-sorted): the
-    single-linkage dendrogram of the distances.
+def _single_linkage(dists: np.ndarray, n: int,
+                    tol: float) -> list[tuple[float, list[int]]]:
+    """The merge schedule of the single-linkage dendrogram of condensed
+    distances over n leaves: one (height, children) per internal node, in
+    the order the nodes are made.  Leaves are nodes 0..n-1 and the m-th
+    internal node is node n + m, so the last one is the root.
 
     The sorted distance values are split into runs wherever consecutive
     values differ by more than tol; the pairs of a run merge simultaneously
     at half the run's largest value, so values within tol of each other
     produce polytomies.  Only the edges of a minimum spanning tree are
     merged: for every threshold, those at or below it connect the same
-    leaves as all pairs at or below it (Gower & Ross 1969), so the tree is
-    built in O(n^2).  The input is assumed to satisfy the three-point
-    condition; validation belongs to the callers.
-    """
-    n = len(labels)
-    dists = np.asarray(dists, dtype=float)
-    if dists.shape != (n * (n - 1) // 2,):
-        raise ValueError("distance vector length does not match the labels")
-    if n == 1:
-        return RootedTree(TreeNode(label=labels[0]))
-
+    leaves as all pairs at or below it (Gower & Ross 1969), so this takes
+    O(n^2)."""
     svals = np.sort(dists)
     stops = tol_group_stops(svals, tol)
     near, far, weight = _mst_edges(dists, n)
@@ -313,8 +305,8 @@ def agglomerate(labels: Sequence[str], dists: np.ndarray,
             parent[x] = x = parent[parent[x]]
         return x
 
-    node = [TreeNode(label=lab) for lab in labels]     # by component root
-    node_height = [0.0] * n
+    top = list(range(n))                    # node of each component, by its root
+    merges: list[tuple[float, list[int]]] = []
     edges = sorted(range(n - 1), key=run_of.__getitem__)
     for run, ks in itertools.groupby(edges, key=run_of.__getitem__):
         height = float(svals[stops[run] - 1]) / 2.0
@@ -323,13 +315,82 @@ def agglomerate(labels: Sequence[str], dists: np.ndarray,
             parent[find(rb)] = find(ra)
         merged: dict[int, list[int]] = {}
         for r in dict.fromkeys(itertools.chain.from_iterable(ends)):
-            merged.setdefault(find(r), []).append(r)
-        for root, olds in merged.items():
-            for r in olds:
-                node[r].length = max(height - node_height[r], 0.0)
-            node[root] = TreeNode(children=[node[r] for r in olds])
-            node_height[root] = height
-    return RootedTree(node[find(0)])
+            merged.setdefault(find(r), []).append(top[r])
+        for root, children in merged.items():
+            top[root] = n + len(merges)
+            merges.append((height, children))
+    return merges
+
+
+def _merge_lengths(n: int, merges: list[tuple[float, list[int]]]) -> list[float]:
+    """The branch length of every node of a :func:`_single_linkage`
+    schedule over n leaves, by node number: the parent's height minus the
+    node's own, clamped at 0.  The root's is 0."""
+    heights = [0.0] * n
+    lengths = [0.0] * (n + len(merges))
+    for height, children in merges:
+        for c in children:
+            lengths[c] = max(height - heights[c], 0.0)
+        heights.append(height)
+    return lengths
+
+
+def _tree_of_merges(labels: Sequence[str],
+                    merges: list[tuple[float, list[int]]]) -> RootedTree:
+    """The tree of a :func:`_single_linkage` schedule over `labels`."""
+    lengths = _merge_lengths(len(labels), merges)
+    nodes = [TreeNode(label=lab) for lab in labels]
+    for _, children in merges:
+        for c in children:
+            nodes[c].length = lengths[c]
+        nodes.append(TreeNode(children=[nodes[c] for c in children]))
+    return RootedTree(nodes[-1])
+
+
+def _topology_of_merges(labels: Sequence[str],
+                        merges: list[tuple[float, list[int]]],
+                        tol: float) -> Topology:
+    """``topology_of(_tree_of_merges(labels, merges), tol)`` without
+    building the tree: a node's clade is kept when its branch (from
+    :func:`_merge_lengths`, as in the tree) exceeds tol, and the
+    root-to-leaf sums get the same equidistance check (on failure the tree
+    is built, so that the error is the one :func:`topology_of` raises).
+    `labels` must be natural-sorted."""
+    n = len(labels)
+    lengths = _merge_lengths(n, merges)
+    masks = [1 << k for k in range(n - 1, -1, -1)]
+    for _, children in merges:
+        mask = 0
+        for c in children:
+            mask |= masks[c]
+        masks.append(mask)
+    # root-to-leaf sums, added from the root down as RootedTree.leaf_depths does
+    depths = [0.0] * len(lengths)
+    for m in range(len(merges) - 1, -1, -1):
+        above = depths[n + m]
+        for c in merges[m][1]:
+            depths[c] = above + lengths[c]
+    ref = statistics.median(depths[:n])
+    if not all(abs(d - ref) <= tol for d in depths[:n]):
+        require_equidistant(_tree_of_merges(labels, merges), tol)
+    return Topology._of_masks(tuple(labels), [masks[k] for k in range(n, len(masks))
+                                              if lengths[k] > tol])
+
+
+def agglomerate(labels: Sequence[str], dists: np.ndarray,
+                tol: float = DEFAULT_TOL) -> RootedTree:
+    """Build the equidistant tree whose cophenetic distances are `dists`
+    (condensed order over `labels`, which must be natural-sorted): the
+    single-linkage dendrogram of the distances, in which entries within
+    tol of each other merge simultaneously (see :func:`_single_linkage`).
+    The input is assumed to satisfy the three-point condition; validation
+    belongs to the callers.
+    """
+    n = len(labels)
+    dists = np.asarray(dists, dtype=float)
+    if dists.shape != (n * (n - 1) // 2,):
+        raise ValueError("distance vector length does not match the labels")
+    return _tree_of_merges(labels, _single_linkage(dists, n, tol))
 
 
 def tree_from_clade_heights(leaves: Iterable[str],

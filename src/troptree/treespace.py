@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import io
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -39,20 +40,31 @@ class Ultrametric:
     __slots__ = ("labels", "entries")
 
     def __init__(self, labels: Sequence[str], entries):
-        self.labels = tuple(labels)
-        if (self.labels != sorted_labels(self.labels)
-                or len(set(self.labels)) != len(self.labels)):
+        labels = tuple(labels)
+        if labels != sorted_labels(labels) or len(set(labels)) != len(labels):
             raise ValueError("labels must be natural-sorted and unique")
-        n = len(self.labels)
+        self._set(labels, entries)
+
+    @classmethod
+    def _of_sorted(cls, labels: tuple[str, ...], entries) -> "Ultrametric":
+        """Ultrametric over labels known to be natural-sorted and unique (as
+        those of another Ultrametric are)."""
+        u = object.__new__(cls)
+        u._set(labels, entries)
+        return u
+
+    def _set(self, labels: tuple[str, ...], entries) -> None:
+        n = len(labels)
         if n < 2:
             raise TropTreeError("an ultrametric needs at least 2 leaves")
+        self.labels = labels
         self.entries = np.asarray(entries, dtype=float)
         if self.entries.shape != (n * (n - 1) // 2,):
             raise ValueError(
                 f"expected {n * (n - 1) // 2} entries for {n} leaves, "
                 f"got {self.entries.shape}")
         if not np.all(self.entries > 0):
-            raise ValueError("all pairwise distances must be positive")
+            raise TropTreeError("all pairwise distances must be positive")
 
     @property
     def n(self) -> int:
@@ -169,15 +181,16 @@ def tree_of(u: Ultrametric, tol: float = DEFAULT_TOL) -> RootedTree:
 # --------------------------------------------------------------------------
 
 class TreeSegment:
-    """A tropical line segment between two equidistant trees, with the tree
-    and topology reconstructed at every bend point and on every straight
-    piece in between.
+    """A tropical line segment between two equidistant trees, with the
+    topology at every bend point and on every straight piece in between.
 
     Order convention: everything runs from the second input tree (the v end
     of the underlying coordinate segment) to the first (the u end).
     Positions along the segment interleave bends and pieces:
     ``2*k`` is bend k and ``2*k + 1`` is the open piece between bends
-    k and k+1.  The trees are rebuilt without re-checking the three-point
+    k and k+1.  Topologies are read from the single-linkage merges of each
+    point, without building its tree; the trees at the bends are built on
+    first use of :attr:`bend_trees`.  Nothing re-checks the three-point
     condition, so `u` and `v` must already have passed
     :func:`require_ultrametric` (as in :func:`tree_segment`).
     """
@@ -190,27 +203,35 @@ class TreeSegment:
         self.v = v
         self.segment = segment
         self.tol = tol
-        labels = u.labels
-        self.bend_ultrametrics = [Ultrametric(labels, b) for b in segment.bend_points]
-        self.bend_trees = [_trees.agglomerate(labels, b, tol) for b in segment.bend_points]
-        self.bend_topologies = [topology_of(t, tol) for t in self.bend_trees]
-        self.piece_trees = [
-            _trees.agglomerate(labels, segment.piece_midpoint(k), tol)
-            for k in range(len(self.bend_trees) - 1)]
-        self.piece_topologies = [topology_of(t, tol) for t in self.piece_trees]
+        labels, n = u.labels, u.n
+        self.bend_ultrametrics = [Ultrametric._of_sorted(labels, b)
+                                  for b in segment.bend_points]
+        self._bend_merges = [_trees._single_linkage(b, n, tol) for b in segment.bend_points]
+        self.bend_topologies = [_trees._topology_of_merges(labels, m, tol)
+                                for m in self._bend_merges]
+        self.piece_topologies = [
+            _trees._topology_of_merges(
+                labels, _trees._single_linkage(segment.piece_midpoint(k), n, tol), tol)
+            for k in range(len(self.bend_topologies) - 1)]
+
+    @cached_property
+    def bend_trees(self) -> list[RootedTree]:
+        """The tree at every bend point, built from the merges its topology
+        was read from."""
+        return [_trees._tree_of_merges(self.u.labels, m) for m in self._bend_merges]
 
     @property
     def n_bends(self) -> int:
-        return len(self.bend_trees)
+        return len(self.bend_topologies)
 
-    def positions(self) -> list[tuple[Topology, RootedTree]]:
-        """Topology and a representative tree at every position (bends and
-        pieces interleaved, from the t2 end to the t1 end)."""
-        out: list[tuple[Topology, RootedTree]] = []
-        for k in range(self.n_bends):
-            out.append((self.bend_topologies[k], self.bend_trees[k]))
+    def positions(self) -> list[Topology]:
+        """Topology at every position (bends and pieces interleaved, from
+        the t2 end to the t1 end)."""
+        out: list[Topology] = []
+        for k, topo in enumerate(self.bend_topologies):
+            out.append(topo)
             if k < len(self.piece_topologies):
-                out.append((self.piece_topologies[k], self.piece_trees[k]))
+                out.append(self.piece_topologies[k])
         return out
 
     @property
@@ -218,7 +239,7 @@ class TreeSegment:
         """Maximal runs of equal topology as (topology, first, last) over
         the interleaved positions."""
         runs: list[tuple[Topology, int, int]] = []
-        for pos, (topo, _) in enumerate(self.positions()):
+        for pos, topo in enumerate(self.positions()):
             if runs and runs[-1][0] == topo:
                 prev = runs.pop()
                 runs.append((prev[0], prev[1], pos))
@@ -237,11 +258,15 @@ class TreeSegment:
         header += ["newick", "topology"]
         writer.writerow(header)
         for k, bu in enumerate(self.bend_ultrametrics):
-            row = [str(k), format(self.segment.bend_parameters[k], fmt)]
-            row += [format(x, fmt) for x in bu.entries.tolist()]
-            row += [write_newick(self.bend_trees[k], precision),
-                    self.bend_topologies[k].canonical_str()]
-            writer.writerow(row)
+            # a bend point is an ultrametric, with at most n-1 distinct
+            # entries: format each once
+            values, inverse = np.unique(bu.entries, return_inverse=True)
+            text = np.array([format(x, fmt) for x in values.tolist()], dtype=object)
+            # numbers need no csv quoting, so they are joined directly
+            buf.write(",".join([str(k), format(self.segment.bend_parameters[k], fmt),
+                                *text[inverse].tolist()]) + ",")
+            writer.writerow([write_newick(self.bend_trees[k], precision),
+                             self.bend_topologies[k].canonical_str()])
         return buf.getvalue()
 
     def __repr__(self) -> str:
@@ -265,7 +290,7 @@ def topology_sequence(seg: TreeSegment) -> list[Topology]:
     """Deduplicated sequence of topologies along the segment, from the t2
     end to the t1 end (bends and straight pieces interleaved)."""
     out: list[Topology] = []
-    for topo, _ in seg.positions():
+    for topo in seg.positions():
         if not out or out[-1] != topo:
             out.append(topo)
     return out

@@ -159,6 +159,12 @@ def test_exit_codes(files, capsys):
         code, out, err = run(capsys, *argv)
         assert code == 3
         assert out == "" and err == "error: an ultrametric needs at least 2 leaves\n"
+    # at a subnormal height the sampler draws merge heights of exactly 0
+    for kind in ("star-prob", "nni-conjecture"):
+        code, out, err = run(capsys, "simulate", kind, "--n", "4", "--samples", "50",
+                             "--height", "5e-324")
+        assert code == 3
+        assert out == "" and err == "error: all pairwise distances must be positive\n"
 
 
 def test_dist_not_equidistant(files, capsys):

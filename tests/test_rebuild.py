@@ -1,6 +1,7 @@
 """The single-linkage rebuild and the bitmask topologies against reference
 implementations kept here: the all-pairs merge loop that `agglomerate`
-replaced, and a canonical clade order computed from label sets."""
+replaced, a canonical clade order computed from label sets, and the tree
+route to a topology that the merge-schedule route replaced along segments."""
 
 import itertools
 
@@ -8,9 +9,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from troptree import DEFAULT_TOL, Topology, structurally_equal, topology_of
+from troptree import (DEFAULT_TOL, NotEquidistantError, SampleConfig, Topology,
+                      check_nni_conjecture, random_equidistant_tree, sample_rng,
+                      structurally_equal, topology_of, topology_sequence, tree_segment)
+from troptree import trees
 from troptree.newick import RootedTree, TreeNode
-from troptree.trees import agglomerate
+from troptree.trees import _single_linkage, _topology_of_merges, agglomerate
 from troptree.util import natural_key, sorted_labels
 
 TOL = DEFAULT_TOL
@@ -108,17 +112,107 @@ def test_agglomerate_matches_all_pairs_loop(case):
     assert topology_of(tree).canonical_str() == reference_canonical_str(tree)
 
 
+@st.composite
+def distance_vectors(draw):
+    """An arbitrary distance vector on n leaves, from a grid with gaps on
+    either side of tol."""
+    n = draw(st.integers(2, 12))
+    grid = st.sampled_from((1.0, 1.0 + TOL / 2, 1.0 + 2 * TOL, 2.0, 3.0, 3.0 + TOL))
+    dists = draw(st.lists(grid, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    return n, np.array(dists)
+
+
 @settings(max_examples=60, deadline=None)
-@given(n=st.integers(2, 12), data=st.data())
-def test_agglomerate_matches_all_pairs_loop_on_any_distances(n, data):
+@given(case=distance_vectors())
+def test_agglomerate_matches_all_pairs_loop_on_any_distances(case):
     # the spanning-tree argument holds for every distance vector, not only
     # for ultrametrics
-    grid = st.sampled_from((1.0, 1.0 + TOL / 2, 1.0 + 2 * TOL, 2.0, 3.0, 3.0 + TOL))
-    dists = np.array(data.draw(st.lists(grid, min_size=n * (n - 1) // 2,
-                                        max_size=n * (n - 1) // 2)))
+    n, dists = case
     labels = [f"S{k}" for k in range(1, n + 1)]
     assert structurally_equal(agglomerate(labels, dists),
                               all_pairs_agglomerate(labels, dists, TOL))
+
+
+def outcome(build):
+    """What a topology builder returns, or the type and message it raises."""
+    try:
+        return build()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def assert_merge_topology_matches_tree_route(labels, dists, tol=TOL):
+    labels = tuple(labels)
+    merged = outcome(lambda: _topology_of_merges(
+        labels, _single_linkage(dists, len(labels), tol), tol))
+    assert merged == outcome(lambda: topology_of(agglomerate(labels, dists, tol), tol))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=ultrametrics(), height=st.sampled_from((1e-3, 1.0, 1e3)))
+def test_merge_topology_matches_tree_route(case, height):
+    n, dists = case
+    assert_merge_topology_matches_tree_route(
+        [str(k) for k in range(1, n + 1)], dists * height)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=distance_vectors(), height=st.sampled_from((1e-3, 1.0, 1e3)))
+def test_merge_topology_matches_tree_route_on_any_distances(case, height):
+    n, dists = case
+    assert_merge_topology_matches_tree_route(
+        [f"S{k}" for k in range(1, n + 1)], dists * height)
+
+
+def test_merge_topology_raises_what_the_tree_route_raises():
+    # at height 1e9 the branch lengths' sums round apart by more than tol
+    labels = ("1", "2", "3", "4")
+    dists = np.array([2e9, 2e9, 2e9, 15391826.52607618, 841289020.0374248,
+                      841289020.0374248])
+    merged = outcome(lambda: _topology_of_merges(labels, _single_linkage(dists, 4, TOL), TOL))
+    assert merged[0] is NotEquidistantError
+    assert_merge_topology_matches_tree_route(labels, dists)
+    # one leaf: no topology either way
+    assert_merge_topology_matches_tree_route(("1",), np.empty(0))
+
+
+def test_merge_topology_drops_a_branch_of_exactly_tol():
+    # the cherry's branch, 0.75 - 0.5, is exactly tol: not kept
+    dists = np.array([1.0, 1.5, 1.5])
+    topo = _topology_of_merges(("1", "2", "3"), _single_linkage(dists, 3, 0.25), 0.25)
+    assert topo.is_star
+    assert_merge_topology_matches_tree_route(("1", "2", "3"), dists, tol=0.25)
+
+
+def test_segment_builds_trees_only_for_output(monkeypatch):
+    calls = {"agglomerate": 0, "_single_linkage": 0, "_tree_of_merges": 0}
+
+    def counted(name):
+        real = getattr(trees, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(trees, name, counted(name))
+
+    check_nni_conjecture(SampleConfig(n=6, samples=20, seed=1))
+    assert calls["agglomerate"] == calls["_tree_of_merges"] == 0
+    calls["_single_linkage"] = 0
+    rng = sample_rng(5, 0)
+    seg = tree_segment(random_equidistant_tree(12, 1.0, rng),
+                       random_equidistant_tree(12, 1.0, rng))
+    topology_sequence(seg)
+    # one single-linkage pass per bend and per piece, and no tree
+    linkages = 2 * seg.n_bends - 1
+    assert calls == {"agglomerate": 0, "_single_linkage": linkages, "_tree_of_merges": 0}
+    seg.to_csv()
+    assert len(seg.bend_trees) == seg.n_bends
+    # one tree per bend, from the merges already computed
+    assert calls == {"agglomerate": 0, "_single_linkage": linkages,
+                     "_tree_of_merges": seg.n_bends}
 
 
 def reference_canonical_str(tree):

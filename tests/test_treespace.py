@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -164,6 +167,30 @@ def test_topology_runs_structure(quartet_a, quartet_b):
     assert runs[0][1] == 0 and runs[-1][2] == 4
 
 
+def per_entry_csv(seg, precision):
+    """TreeSegment.to_csv as it was before it formatted each distinct value
+    of a row once: one format call per entry."""
+    fmt = f".{precision}g"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["index", "lambda"] + [f"d({a},{b})" for a, b in seg.u.pairs()]
+                    + ["newick", "topology"])
+    for k, bu in enumerate(seg.bend_ultrametrics):
+        row = [str(k), format(seg.segment.bend_parameters[k], fmt)]
+        row += [format(x, fmt) for x in bu.entries.tolist()]
+        row += [write_newick(seg.bend_trees[k], precision),
+                seg.bend_topologies[k].canonical_str()]
+        writer.writerow(row)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("n", [4, 7, 12, 20, 32])
+def test_to_csv_matches_per_entry_format(n):
+    seg = tree_segment(random_tree(n, 100 + n), random_tree(n, 200 + n))
+    for precision in (3, 10, 17):
+        assert seg.to_csv(precision) == per_entry_csv(seg, precision)
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(3, 9), s1=st.integers(0, 2**31), s2=st.integers(0, 2**31))
 def test_segment_closure_and_geodesic(n, s1, s2):
@@ -192,6 +219,7 @@ def test_piece_topology_constant_and_refines_bends(n, s1, s2):
         assert len(topos) == 1
         # the piece topology is the union of the two adjacent bend topologies
         piece = topos.pop()
+        assert seg.piece_topologies[k] == piece
         union = seg.bend_topologies[k].clades | seg.bend_topologies[k + 1].clades
         assert piece.clades == union
 

@@ -20,7 +20,7 @@ import time
 
 from .errors import (LeafSetMismatchError, NewickParseError,
                      NotEquidistantError, NotUltrametricError, TropTreeError)
-from .newick import RootedTree, parse_newick, write_newick
+from .newick import RootedTree, parse_newick
 from .sim import SampleConfig, check_nni_conjecture, estimate_star_probability
 from .treespace import (require_ultrametric, topology_sequence, tree_segment,
                         ultrametric_of)
@@ -99,14 +99,15 @@ def cmd_segment(args) -> int:
     if args.format == "csv":
         sys.stdout.write(seg.to_csv(args.precision))
     elif args.format == "newick":
-        for tree in seg.bend_trees:
-            print(write_newick(tree, args.precision))
+        for newick in seg.bend_newicks(args.precision):
+            print(newick)
     else:
+        newicks = seg.bend_newicks(args.precision)
         rows = [{
             "index": k,
             "lambda": float(seg.segment.bend_parameters[k]),
             "ultrametric": [float(x) for x in bu.entries],
-            "newick": write_newick(seg.bend_trees[k], args.precision),
+            "newick": newicks[k],
             "topology": seg.bend_topologies[k].canonical_str(),
         } for k, bu in enumerate(seg.bend_ultrametrics)]
         print(json.dumps(rows, indent=2, sort_keys=True))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import LeafSetMismatchError, NotEquidistantError
 from .newick import RootedTree, TreeNode
-from .util import (DEFAULT_TOL, natural_key, pair_index, sorted_labels, square_form,
+from .util import (DEFAULT_TOL, natural_key, pair_index, sorted_labels, square_index,
                    tol_group_stops)
 
 
@@ -171,14 +171,15 @@ class Topology:
         self.masks = frozenset(masks).union(((1 << len(labels)) - 1,))
 
     def _members(self, mask: int) -> list[str]:
-        """Labels of a clade mask, in natural order."""
-        labels, n = self.labels, len(self.labels)
+        """Labels of a clade mask, in natural order: its bits from the high
+        end."""
+        labels, top = self.labels, len(self.labels) - 1
         out = []
         while mask:
-            low = mask & -mask
-            out.append(labels[n - low.bit_length()])
-            mask ^= low
-        return out[::-1]
+            high = mask.bit_length() - 1
+            out.append(labels[top - high])
+            mask ^= 1 << high
+        return out
 
     @property
     def clades(self) -> frozenset[frozenset[str]]:
@@ -207,8 +208,7 @@ class Topology:
                 and len(self.masks - other.masks) == 1)
 
     def canonical_str(self) -> str:
-        ordered = sorted(self.masks, key=lambda m: (m.bit_count(), -m))
-        return "|".join("{" + ",".join(self._members(m)) + "}" for m in ordered)
+        return _canonical_strs([self])[0]
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Topology) and self.masks == other.masks
@@ -219,6 +219,28 @@ class Topology:
 
     def __repr__(self) -> str:
         return f"Topology({self.canonical_str()})"
+
+
+def _canonical_strs(topologies: Sequence[Topology]) -> list[str]:
+    """The canonical string of each of a sequence of topologies over one
+    label tuple: its clades in canonical order, by (popcount, -mask), each
+    written as its members in braces.  A clade that several of the
+    topologies share is written once."""
+    written: dict[int, tuple[int, str]] = {}     # mask -> (sort key, text)
+    out = []
+    for topo in topologies:
+        n = len(topo.labels)
+        clades = []
+        for mask in topo.masks:
+            clade = written.get(mask)
+            if clade is None:
+                # (popcount << n) - mask orders as (popcount, -mask) does
+                clade = written[mask] = ((mask.bit_count() << n) - mask,
+                                         "{" + ",".join(topo._members(mask)) + "}")
+            clades.append(clade)
+        clades.sort()
+        out.append("|".join([text for _, text in clades]))
+    return out
 
 
 def topology_of(tree: RootedTree, tol: float = DEFAULT_TOL) -> Topology:
@@ -257,34 +279,47 @@ def speciation_times(tree: RootedTree, tol: float = DEFAULT_TOL) -> tuple[float,
 # building trees from distances or clade maps
 # --------------------------------------------------------------------------
 
-def _mst_edges(dists: np.ndarray, n: int) -> tuple[list[int], list[int], np.ndarray]:
+#: Entries of the (rows, n, n) distance stack that one block of
+#: :func:`_single_linkages` builds: 1 MiB of floats, so memory stays flat
+#: at any number of rows and any n.
+_LINKAGE_BLOCK_ENTRIES = 1 << 17
+
+
+def _mst_edges(stack: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The n-1 edges (near, far, weight) of a minimum spanning tree of the
-    complete graph whose condensed edge weights are `dists`, in the order
-    Prim's algorithm adds them (numpy row updates, O(n^2))."""
-    D = square_form(dists, n, np.inf)
-    best = D[0].copy()                  # distance of each vertex to the tree
-    closest = np.zeros(n, dtype=np.intp)  # and the tree vertex it is closest to
-    D[:, 0] = np.inf
-    near, far, weight = [], [], np.empty(n - 1)
+    complete graph on n vertices for every row of a stack of condensed edge
+    weights, shape (rows, n(n-1)/2): three (rows, n-1) arrays, in the order
+    Prim's algorithm adds the edges (numpy updates of all rows at once,
+    O(n^2) per row)."""
+    rows = stack.shape[0]
+    at = np.arange(rows)
+    D = np.concatenate((stack, np.full((rows, 1), np.inf)), axis=1)[:, square_index(n)]
+    best = D[:, 0].copy()                       # distance of each vertex to the tree
+    closest = np.zeros((rows, n), dtype=np.intp)  # and the tree vertex it is closest to
+    D[:, :, 0] = np.inf
+    near = np.empty((rows, n - 1), dtype=np.intp)
+    far = np.empty((rows, n - 1), dtype=np.intp)
+    weight = np.empty((rows, n - 1))
     for k in range(n - 1):
-        j = int(best.argmin())
-        near.append(int(closest[j]))
-        far.append(j)
-        weight[k] = best[j]
-        D[:, j] = np.inf                # j joins the tree: no row may lower best[j]
-        best[j] = np.inf
-        row = D[j]
-        closest[row < best] = j
+        j = best.argmin(axis=1)
+        near[:, k] = closest[at, j]
+        far[:, k] = j
+        weight[:, k] = best[at, j]
+        D[at, :, j] = np.inf                    # j joins the tree: no row may lower best[j]
+        best[at, j] = np.inf
+        row = D[at, j]
+        np.copyto(closest, j[:, None], where=row < best)
         np.minimum(best, row, out=best)
     return near, far, weight
 
 
-def _single_linkage(dists: np.ndarray, n: int,
-                    tol: float) -> list[tuple[float, list[int]]]:
-    """The merge schedule of the single-linkage dendrogram of condensed
-    distances over n leaves: one (height, children) per internal node, in
-    the order the nodes are made.  Leaves are nodes 0..n-1 and the m-th
-    internal node is node n + m, so the last one is the root.
+def _single_linkages(points: Sequence[np.ndarray], n: int, tol: float,
+                     ) -> tuple[list[list[tuple[float, list[int]]]], np.ndarray, np.ndarray]:
+    """The merge schedule of the single-linkage dendrogram of each of a
+    sequence of condensed distance vectors over n leaves: one
+    (height, children) per internal node, in the order the nodes are made.
+    Leaves are nodes 0..n-1 and the m-th internal node is node n + m, so
+    the last one is the root.
 
     The sorted distance values are split into runs wherever consecutive
     values differ by more than tol; the pairs of a run merge simultaneously
@@ -292,12 +327,41 @@ def _single_linkage(dists: np.ndarray, n: int,
     produce polytomies.  Only the edges of a minimum spanning tree are
     merged: for every threshold, those at or below it connect the same
     leaves as all pairs at or below it (Gower & Ross 1969), so this takes
-    O(n^2)."""
-    svals = np.sort(dists)
-    stops = tol_group_stops(svals, tol)
-    near, far, weight = _mst_edges(dists, n)
-    run_of = np.searchsorted(stops, np.searchsorted(svals, weight), side="right").tolist()
+    O(n^2) per vector.  The vectors are stacked in blocks of
+    `_LINKAGE_BLOCK_ENTRIES` square entries; the sort, the run split and
+    Prim's algorithm run on a whole block, and only the union-find runs per
+    vector.
 
+    Also returns, per vector, the width of its widest run (largest minus
+    smallest value, 0 for a single value) and the narrowest gap between
+    two consecutive runs (inf with one run)."""
+    schedules: list[list[tuple[float, list[int]]]] = []
+    widths, gaps = [], []
+    step = max(1, _LINKAGE_BLOCK_ENTRIES // (n * n))
+    for first in range(0, len(points), step):
+        block = np.stack(points[first:first + step])
+        svals = np.sort(block, axis=1)
+        run_start = np.ones(svals.shape, dtype=bool)
+        run_start[:, 1:] = np.diff(svals, axis=1) > tol
+        run_end = np.ones(svals.shape, dtype=bool)
+        run_end[:, :-1] = run_start[:, 1:]
+        near, far, weight = _mst_edges(block, n)
+        for r in range(block.shape[0]):
+            run_min, run_max = svals[r][run_start[r]], svals[r][run_end[r]]
+            widths.append((run_max - run_min).max(initial=0.0))
+            gaps.append((run_min[1:] - run_max[:-1]).min(initial=np.inf))
+            run = np.searchsorted(run_max, weight[r])
+            order = np.argsort(run, kind="stable")
+            schedules.append(_merge_runs(n, near[r][order].tolist(), far[r][order].tolist(),
+                                         run[order].tolist(), run_max.tolist()))
+    return schedules, np.array(widths), np.array(gaps)
+
+
+def _merge_runs(n: int, near: list[int], far: list[int], run: list[int],
+                run_max: list[float]) -> list[tuple[float, list[int]]]:
+    """The merge schedule of spanning-tree edges (near[k], far[k]) sorted by
+    run: the edges of one run join their components into one node each, at
+    half the run's largest value."""
     parent = list(range(n))                 # union-find over components
 
     def find(x: int) -> int:
@@ -307,10 +371,21 @@ def _single_linkage(dists: np.ndarray, n: int,
 
     top = list(range(n))                    # node of each component, by its root
     merges: list[tuple[float, list[int]]] = []
-    edges = sorted(range(n - 1), key=run_of.__getitem__)
-    for run, ks in itertools.groupby(edges, key=run_of.__getitem__):
-        height = float(svals[stops[run] - 1]) / 2.0
-        ends = [(find(near[k]), find(far[k])) for k in ks]
+    first = 0
+    while first < n - 1:
+        height = run_max[run[first]] / 2.0
+        last = first + 1
+        while last < n - 1 and run[last] == run[first]:
+            last += 1
+        if last == first + 1:
+            # a run of one edge (no tie): a binary merge
+            ra, rb = find(near[first]), find(far[first])
+            parent[rb] = ra
+            merges.append((height, [top[ra], top[rb]]))
+            top[ra] = n + len(merges) - 1
+            first = last
+            continue
+        ends = [(find(near[k]), find(far[k])) for k in range(first, last)]
         for ra, rb in ends:
             parent[find(rb)] = find(ra)
         merged: dict[int, list[int]] = {}
@@ -319,11 +394,19 @@ def _single_linkage(dists: np.ndarray, n: int,
         for root, children in merged.items():
             top[root] = n + len(merges)
             merges.append((height, children))
+        first = last
     return merges
 
 
+def _single_linkage(dists: np.ndarray, n: int,
+                    tol: float) -> list[tuple[float, list[int]]]:
+    """The :func:`_single_linkages` merge schedule of one condensed distance
+    vector over n leaves."""
+    return _single_linkages([dists], n, tol)[0][0]
+
+
 def _merge_lengths(n: int, merges: list[tuple[float, list[int]]]) -> list[float]:
-    """The branch length of every node of a :func:`_single_linkage`
+    """The branch length of every node of a :func:`_single_linkages`
     schedule over n leaves, by node number: the parent's height minus the
     node's own, clamped at 0.  The root's is 0."""
     heights = [0.0] * n
@@ -337,7 +420,7 @@ def _merge_lengths(n: int, merges: list[tuple[float, list[int]]]) -> list[float]
 
 def _tree_of_merges(labels: Sequence[str],
                     merges: list[tuple[float, list[int]]]) -> RootedTree:
-    """The tree of a :func:`_single_linkage` schedule over `labels`."""
+    """The tree of a :func:`_single_linkages` schedule over `labels`."""
     lengths = _merge_lengths(len(labels), merges)
     nodes = [TreeNode(label=lab) for lab in labels]
     for _, children in merges:
@@ -347,17 +430,33 @@ def _tree_of_merges(labels: Sequence[str],
     return RootedTree(nodes[-1])
 
 
+def _newick_of_merges(labels: Sequence[str], merges: list[tuple[float, list[int]]],
+                      lengths: list[float], precision: int) -> str:
+    """``write_newick(_tree_of_merges(labels, merges), precision)`` without
+    building the tree: each node's children in the order of their smallest
+    leaf rank, with the `lengths` of :func:`_merge_lengths`.  `labels` must
+    be natural-sorted, so that a leaf's rank is its node number."""
+    fmt = f".{precision}g"
+    first = list(range(len(labels)))        # smallest leaf rank below each node
+    text = list(labels)
+    for _, children in merges:
+        children = sorted(children, key=first.__getitem__)
+        first.append(first[children[0]])
+        text.append("(" + ",".join([text[c] + ":" + format(lengths[c], fmt)
+                                    for c in children]) + ")")
+    return text[-1] + ";"
+
+
 def _topology_of_merges(labels: Sequence[str],
                         merges: list[tuple[float, list[int]]],
-                        tol: float) -> Topology:
+                        lengths: list[float], tol: float) -> Topology:
     """``topology_of(_tree_of_merges(labels, merges), tol)`` without
-    building the tree: a node's clade is kept when its branch (from
-    :func:`_merge_lengths`, as in the tree) exceeds tol, and the
+    building the tree: a node's clade is kept when its branch (`lengths`,
+    from :func:`_merge_lengths`, as in the tree) exceeds tol, and the
     root-to-leaf sums get the same equidistance check (on failure the tree
     is built, so that the error is the one :func:`topology_of` raises).
     `labels` must be natural-sorted."""
     n = len(labels)
-    lengths = _merge_lengths(n, merges)
     masks = [1 << k for k in range(n - 1, -1, -1)]
     for _, children in merges:
         mask = 0
@@ -382,7 +481,7 @@ def agglomerate(labels: Sequence[str], dists: np.ndarray,
     """Build the equidistant tree whose cophenetic distances are `dists`
     (condensed order over `labels`, which must be natural-sorted): the
     single-linkage dendrogram of the distances, in which entries within
-    tol of each other merge simultaneously (see :func:`_single_linkage`).
+    tol of each other merge simultaneously (see :func:`_single_linkages`).
     The input is assumed to satisfy the three-point condition; validation
     belongs to the callers.
     """

@@ -23,11 +23,12 @@ import numpy as np
 
 from . import trees as _trees
 from .errors import NotUltrametricError, TropTreeError
-from .newick import RootedTree, write_newick
+from .newick import RootedTree
 from .tropical import TropicalSegment, in_tropical_hull, tropical_segment
 from .trees import (Topology, require_equidistant, require_same_leaves,
                     speciation_times, topology_of)
-from .util import DEFAULT_TOL, label_pairs, pair_index, sorted_labels, square_form
+from .util import (DEFAULT_TOL, label_pairs, sorted_labels, square_form,
+                   square_index)
 
 
 class Ultrametric:
@@ -82,29 +83,21 @@ class Ultrametric:
     def pairs(self) -> list[tuple[str, str]]:
         return label_pairs(self.labels)
 
-    def index(self, a: str, b: str) -> int:
-        i, j = self.labels.index(a), self.labels.index(b)
-        if i > j:
-            i, j = j, i
-        return pair_index(self.n, i, j)
-
-    def entry(self, a: str, b: str) -> float:
-        return float(self.entries[self.index(a, b)])
-
     def restrict(self, keep: Iterable[str]) -> "Ultrametric":
         """Sub-ultrametric on a subset of at least two leaves."""
         keep = sorted_labels(set(keep))
-        missing = [lab for lab in keep if lab not in self.labels]
+        rank = {lab: r for r, lab in enumerate(self.labels)}
+        missing = [lab for lab in keep if lab not in rank]
         if missing:
             raise ValueError(f"unknown leaf label(s): {missing}")
         m = len(keep)
         if m < 2:
             raise ValueError("restriction needs at least 2 leaves")
-        sub = np.empty(m * (m - 1) // 2)
-        for a in range(m):
-            for b in range(a + 1, m):
-                sub[pair_index(m, a, b)] = self.entries[self.index(keep[a], keep[b])]
-        return Ultrametric(keep, sub)
+        # the kept ranks ascend, so the upper triangle of their square of
+        # pair indices lists the sub-pairs in lexicographic order
+        at = np.array([rank[lab] for lab in keep])
+        pairs = square_index(self.n)[at[:, None], at][np.triu_indices(m, k=1)]
+        return Ultrametric._of_sorted(keep, self.entries[pairs])
 
     def __repr__(self) -> str:
         vals = ", ".join(format(x, ".6g") for x in self.entries[:6])
@@ -180,39 +173,83 @@ def tree_of(u: Ultrametric, tol: float = DEFAULT_TOL) -> RootedTree:
 # tree segments
 # --------------------------------------------------------------------------
 
+#: Bounds, in multiples of tol, on the widest run of distance values and
+#: the narrowest gap between runs of a bend point under which the pieces
+#: next to it read their topologies from their bends (see :class:`TreeSegment`).
+_RUN_WIDTH = 0.25
+_RUN_GAP = 8.0
+
+
 class TreeSegment:
     """A tropical line segment between two equidistant trees, with the
     topology at every bend point and on every straight piece in between.
 
-    Order convention: everything runs from the second input tree (the v end
-    of the underlying coordinate segment) to the first (the u end).
-    Positions along the segment interleave bends and pieces:
-    ``2*k`` is bend k and ``2*k + 1`` is the open piece between bends
-    k and k+1.  Topologies are read from the single-linkage merges of each
-    point, without building its tree; the trees at the bends are built on
-    first use of :attr:`bend_trees`.  Nothing re-checks the three-point
+    Order convention: everything runs from the v end of the underlying
+    coordinate segment to the u end (from the second input tree of
+    :func:`tree_segment` to the first).  Positions along the segment
+    interleave bends and pieces: ``2*k`` is bend k and ``2*k + 1`` is the
+    open piece between bends k and k+1.  Nothing re-checks the three-point
     condition, so `u` and `v` must already have passed
     :func:`require_ultrametric` (as in :func:`tree_segment`).
+
+    The bend topologies are read from the single-linkage merges of the bend
+    points, one batched pass over all of them, without building a tree.
+    Each piece topology follows from its two bends.  On an open piece no
+    coordinate changes side between ``u + d`` and ``v``, so every
+    coordinate is affine in d; the tree's shape is constant there (tropical
+    types are constant on open cells, Develin & Sturmfels 2004), so every
+    branch length, a difference of two node heights, is affine in d as
+    well, and at a bend it is the limit of its values on the piece.  A
+    branch length that is affine and non-negative on the closed piece is
+    positive inside it exactly when it is positive at one of its ends, so
+    the piece's clades are the union of the two bends' clades.
+
+    The tolerance breaks that argument near `tol`: a branch of length l at
+    one end and 0 at the other has l/2 at the midpoint, which the
+    midpoint's tree drops when l <= 2 tol, and values within tol of each
+    other merge into one run, which can hide a branch.  The union is used
+    only where neither can happen: when, at both bends, every run of
+    distance values is at most tol/4 wide and consecutive runs are more
+    than 8 tol apart.  Then every branch of a bend lies either within a
+    run (at most tol/8 long, dropped) or between runs (longer than 4 tol,
+    kept).  On the piece, two coordinates on the same side keep their
+    difference, so a run at the midpoint joins at most one value class of
+    each side and is at most tol + tol/2 wide.  It moves a node height by
+    at most 3 tol / 4: a branch longer than 2 tol at the midpoint keeps
+    more than tol, and one short at both bends stays at most 7 tol / 8.
+    Elsewhere a piece gets its topology from a single-linkage pass at its
+    midpoint.
+
+    The trees at the bends are built only on first use of
+    :attr:`bend_trees`; :meth:`bend_newicks` writes their Newick strings
+    straight from the merges.
     """
 
-    def __init__(self, t1: RootedTree, t2: RootedTree, u: Ultrametric,
-                 v: Ultrametric, segment: TropicalSegment, tol: float):
-        self.t1 = t1
-        self.t2 = t2
+    def __init__(self, u: Ultrametric, v: Ultrametric, segment: TropicalSegment,
+                 tol: float):
         self.u = u
         self.v = v
         self.segment = segment
         self.tol = tol
         labels, n = u.labels, u.n
-        self.bend_ultrametrics = [Ultrametric._of_sorted(labels, b)
-                                  for b in segment.bend_points]
-        self._bend_merges = [_trees._single_linkage(b, n, tol) for b in segment.bend_points]
-        self.bend_topologies = [_trees._topology_of_merges(labels, m, tol)
-                                for m in self._bend_merges]
+        points = segment.bend_points
+        self.bend_ultrametrics = [Ultrametric._of_sorted(labels, b) for b in points]
+        self._bend_merges, widths, gaps = _trees._single_linkages(points, n, tol)
+        self._bend_lengths = [_trees._merge_lengths(n, m) for m in self._bend_merges]
+        self.bend_topologies = [_trees._topology_of_merges(labels, m, lengths, tol)
+                                for m, lengths in zip(self._bend_merges, self._bend_lengths)]
+        clean = ((widths <= _RUN_WIDTH * tol) & (gaps > _RUN_GAP * tol)).tolist()
         self.piece_topologies = [
-            _trees._topology_of_merges(
-                labels, _trees._single_linkage(segment.piece_midpoint(k), n, tol), tol)
-            for k in range(len(self.bend_topologies) - 1)]
+            Topology._of_masks(labels, a.masks | b.masks) if clean[k] and clean[k + 1]
+            else self._midpoint_topology(k)
+            for k, (a, b) in enumerate(zip(self.bend_topologies, self.bend_topologies[1:]))]
+
+    def _midpoint_topology(self, k: int) -> Topology:
+        """Topology of piece k read from the single-linkage merges of its
+        midpoint."""
+        merges = _trees._single_linkage(self.segment.piece_midpoint(k), self.u.n, self.tol)
+        return _trees._topology_of_merges(
+            self.u.labels, merges, _trees._merge_lengths(self.u.n, merges), self.tol)
 
     @cached_property
     def bend_trees(self) -> list[RootedTree]:
@@ -220,13 +257,22 @@ class TreeSegment:
         was read from."""
         return [_trees._tree_of_merges(self.u.labels, m) for m in self._bend_merges]
 
+    def bend_newicks(self, precision: int = 10) -> list[str]:
+        """The Newick string of the tree at every bend point, written from
+        its merges without building the tree: byte for byte
+        ``write_newick(self.bend_trees[k], precision)``."""
+        if precision < 1:
+            raise ValueError("precision must be >= 1")
+        return [_trees._newick_of_merges(self.u.labels, m, lengths, precision)
+                for m, lengths in zip(self._bend_merges, self._bend_lengths)]
+
     @property
     def n_bends(self) -> int:
         return len(self.bend_topologies)
 
     def positions(self) -> list[Topology]:
         """Topology at every position (bends and pieces interleaved, from
-        the t2 end to the t1 end)."""
+        the v end to the u end)."""
         out: list[Topology] = []
         for k, topo in enumerate(self.bend_topologies):
             out.append(topo)
@@ -257,6 +303,8 @@ class TreeSegment:
         header += [f"d({a},{b})" for a, b in self.u.pairs()]
         header += ["newick", "topology"]
         writer.writerow(header)
+        newicks = self.bend_newicks(precision)
+        topologies = _trees._canonical_strs(self.bend_topologies)
         for k, bu in enumerate(self.bend_ultrametrics):
             # a bend point is an ultrametric, with at most n-1 distinct
             # entries: format each once
@@ -265,8 +313,7 @@ class TreeSegment:
             # numbers need no csv quoting, so they are joined directly
             buf.write(",".join([str(k), format(self.segment.bend_parameters[k], fmt),
                                 *text[inverse].tolist()]) + ",")
-            writer.writerow([write_newick(self.bend_trees[k], precision),
-                             self.bend_topologies[k].canonical_str()])
+            writer.writerow([newicks[k], topologies[k]])
         return buf.getvalue()
 
     def __repr__(self) -> str:
@@ -283,7 +330,7 @@ def tree_segment(t1: RootedTree, t2: RootedTree, tol: float = DEFAULT_TOL) -> Tr
     require_ultrametric(u, tol)
     require_ultrametric(v, tol)
     seg = tropical_segment(u.entries, v.entries, tol)
-    return TreeSegment(t1, t2, u, v, seg, tol)
+    return TreeSegment(u, v, seg, tol)
 
 
 def topology_sequence(seg: TreeSegment) -> list[Topology]:

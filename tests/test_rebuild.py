@@ -1,20 +1,27 @@
 """The single-linkage rebuild and the bitmask topologies against reference
 implementations kept here: the all-pairs merge loop that `agglomerate`
-replaced, a canonical clade order computed from label sets, and the tree
-route to a topology that the merge-schedule route replaced along segments."""
+replaced, a canonical clade order computed from label sets, the tree route
+to a topology and to a Newick string that the merge-schedule routes replaced
+along segments, and the midpoint pass that piece topologies read from their
+bends replaced."""
 
 import itertools
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from troptree import (DEFAULT_TOL, NotEquidistantError, SampleConfig, Topology,
-                      check_nni_conjecture, random_equidistant_tree, sample_rng,
-                      structurally_equal, topology_of, topology_sequence, tree_segment)
-from troptree import trees
+                      TreeSegment, Ultrametric, check_nni_conjecture, parse_newick,
+                      random_equidistant_tree, sample_rng, structurally_equal,
+                      topology_of, topology_sequence, tree_segment, tropical_segment,
+                      write_newick)
+from troptree import trees, treespace
+from troptree.cli import main
 from troptree.newick import RootedTree, TreeNode
-from troptree.trees import _single_linkage, _topology_of_merges, agglomerate
+from troptree.trees import (_merge_lengths, _newick_of_merges, _single_linkage,
+                            _topology_of_merges, _tree_of_merges, agglomerate)
 from troptree.util import natural_key, sorted_labels
 
 TOL = DEFAULT_TOL
@@ -78,10 +85,11 @@ def all_pairs_agglomerate(labels, dists, tol):
 
 
 @st.composite
-def ultrametrics(draw):
+def ultrametrics(draw, n=st.integers(3, 40), scale=1.0, offsets=NEAR_TOL):
     """A random ultrametric on n leaves, built by merging clusters at
-    heights drawn from a coarse grid (ties) plus offsets around tol."""
-    n = draw(st.integers(3, 40))
+    heights drawn from a coarse grid scaled by `scale` (ties) plus
+    `offsets` (by default around tol)."""
+    n = draw(n)
     members = [[k] for k in range(n)]
     heights = [0.0] * n
     D = np.zeros((n, n))
@@ -90,8 +98,8 @@ def ultrametrics(draw):
         picked = sorted(draw(st.lists(st.integers(0, len(members) - 1),
                                       min_size=size, max_size=size, unique=True)))
         floor = max(heights[k] for k in picked)
-        h = max(floor, draw(st.sampled_from((0.1, 0.2, 0.3, 0.5, 0.8))))
-        h += draw(st.sampled_from(NEAR_TOL))
+        h = max(floor, scale * draw(st.sampled_from((0.1, 0.2, 0.3, 0.5, 0.8))))
+        h += draw(st.sampled_from(offsets))
         for x, y in itertools.combinations(picked, 2):
             for a in members[x]:
                 for b in members[y]:
@@ -141,10 +149,14 @@ def outcome(build):
         return type(exc), str(exc)
 
 
+def merge_topology(labels, dists, tol=TOL):
+    """The topology read from the single-linkage merges of `dists`."""
+    merges = _single_linkage(dists, len(labels), tol)
+    return _topology_of_merges(tuple(labels), merges, _merge_lengths(len(labels), merges), tol)
+
+
 def assert_merge_topology_matches_tree_route(labels, dists, tol=TOL):
-    labels = tuple(labels)
-    merged = outcome(lambda: _topology_of_merges(
-        labels, _single_linkage(dists, len(labels), tol), tol))
+    merged = outcome(lambda: merge_topology(labels, dists, tol))
     assert merged == outcome(lambda: topology_of(agglomerate(labels, dists, tol), tol))
 
 
@@ -169,7 +181,7 @@ def test_merge_topology_raises_what_the_tree_route_raises():
     labels = ("1", "2", "3", "4")
     dists = np.array([2e9, 2e9, 2e9, 15391826.52607618, 841289020.0374248,
                       841289020.0374248])
-    merged = outcome(lambda: _topology_of_merges(labels, _single_linkage(dists, 4, TOL), TOL))
+    merged = outcome(lambda: merge_topology(labels, dists))
     assert merged[0] is NotEquidistantError
     assert_merge_topology_matches_tree_route(labels, dists)
     # one leaf: no topology either way
@@ -179,40 +191,148 @@ def test_merge_topology_raises_what_the_tree_route_raises():
 def test_merge_topology_drops_a_branch_of_exactly_tol():
     # the cherry's branch, 0.75 - 0.5, is exactly tol: not kept
     dists = np.array([1.0, 1.5, 1.5])
-    topo = _topology_of_merges(("1", "2", "3"), _single_linkage(dists, 3, 0.25), 0.25)
+    topo = merge_topology(("1", "2", "3"), dists, 0.25)
     assert topo.is_star
     assert_merge_topology_matches_tree_route(("1", "2", "3"), dists, tol=0.25)
 
 
-def test_segment_builds_trees_only_for_output(monkeypatch):
-    calls = {"agglomerate": 0, "_single_linkage": 0, "_tree_of_merges": 0}
+GOLDEN_CLI = Path(__file__).parent / "golden" / "cli"
+
+
+def midpoint_topology(seg, k):
+    """Piece k's topology read from the single-linkage merges of its
+    midpoint, as every piece's was before it was read from its bends."""
+    return merge_topology(seg.u.labels, seg.segment.piece_midpoint(k), seg.tol)
+
+
+def counted_calls(monkeypatch, module, names):
+    calls = dict.fromkeys(names, 0)
 
     def counted(name):
-        real = getattr(trees, name)
+        real = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return real(*args, **kwargs)
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(trees, name, counted(name))
+    for name in names:
+        monkeypatch.setattr(module, name, counted(name))
+    return calls
 
+
+def test_segment_builds_trees_only_for_output(monkeypatch):
+    calls = counted_calls(monkeypatch, trees, ("agglomerate", "_single_linkages",
+                                               "_single_linkage", "_tree_of_merges"))
     check_nni_conjecture(SampleConfig(n=6, samples=20, seed=1))
-    assert calls["agglomerate"] == calls["_tree_of_merges"] == 0
-    calls["_single_linkage"] = 0
+    # one batched single-linkage pass per segment and no tree
+    assert calls == {"agglomerate": 0, "_single_linkages": 20, "_single_linkage": 0,
+                     "_tree_of_merges": 0}
+    calls.update(dict.fromkeys(calls, 0))
     rng = sample_rng(5, 0)
     seg = tree_segment(random_equidistant_tree(12, 1.0, rng),
                        random_equidistant_tree(12, 1.0, rng))
     topology_sequence(seg)
-    # one single-linkage pass per bend and per piece, and no tree
-    linkages = 2 * seg.n_bends - 1
-    assert calls == {"agglomerate": 0, "_single_linkage": linkages, "_tree_of_merges": 0}
     seg.to_csv()
+    seg.bend_newicks(10)
+    # no distance values near tol apart: no piece needs a midpoint pass
+    assert calls == {"agglomerate": 0, "_single_linkages": 1, "_single_linkage": 0,
+                     "_tree_of_merges": 0}
     assert len(seg.bend_trees) == seg.n_bends
     # one tree per bend, from the merges already computed
-    assert calls == {"agglomerate": 0, "_single_linkage": linkages,
-                     "_tree_of_merges": seg.n_bends}
+    assert calls["_tree_of_merges"] == seg.n_bends
+
+    # a pair with node heights 0.5 and 1.5 tol apart: some pieces need a
+    # midpoint pass (one more single-linkage call each); output builds no tree
+    folder = [str(GOLDEN_CLI / "tolgaps_height_n8" / f"t{k}.nwk") for k in (1, 2)]
+    for fmt in ("csv", "newick", "json"):
+        calls.update(dict.fromkeys(calls, 0))
+        assert main(["segment", *folder, "--format", fmt]) == 0
+        midpoints = calls["_single_linkage"]
+        assert midpoints > 0
+        assert calls == {"agglomerate": 0, "_single_linkages": 1 + midpoints,
+                         "_single_linkage": midpoints, "_tree_of_merges": 0}
+
+
+def test_fallback_pieces_of_a_pair_with_gaps_near_tol(monkeypatch):
+    # node heights 0.5 and 1.5 tol apart: the union of the bends' clades is
+    # not what the midpoint pass reads on some piece, and a midpoint pass
+    # runs there
+    t1, t2 = (parse_newick((GOLDEN_CLI / "tolgaps_height_n8" / f"t{k}.nwk").read_text())
+              for k in (1, 2))
+    midpoints = counted_calls(monkeypatch, treespace.TreeSegment, ("_midpoint_topology",))
+    seg = tree_segment(t1, t2)
+    fallback = midpoints["_midpoint_topology"]
+    assert 0 < fallback <= len(seg.piece_topologies)
+    reference = [midpoint_topology(seg, k) for k in range(len(seg.piece_topologies))]
+    assert seg.piece_topologies == reference
+    unions = [Topology._of_masks(seg.u.labels, a.masks | b.masks)
+              for a, b in zip(seg.bend_topologies, seg.bend_topologies[1:])]
+    assert unions != reference
+
+
+def test_piece_next_to_a_wide_run_reads_its_midpoint():
+    # one piece: leaves 1-3 keep their distances, those of leaves 4-8 grow
+    # by 10 tol.  At both bends the cherry {1,2} lies in a run of values 0,
+    # 0.9, 1.7 and 2.2 tol above 1, which hides it; at the midpoint the
+    # values of 4-8 have moved away and it is a branch of 1.1 tol
+    labels = tuple(str(k) for k in range(1, 9))
+
+    def ultrametric(shift):
+        D = np.full((8, 8), 4.0)
+        for clade, value in (((4, 5, 6, 7, 8), 1.0 + 1.7 * TOL), ((4, 5, 6, 7), 1.0 + 0.9 * TOL),
+                             ((4, 5, 6), 1.0 - 8.3 * TOL), ((4, 5), 1.0 - 9.1 * TOL),
+                             ((1, 2, 3), 1.0 + 2.2 * TOL - shift), ((1, 2), 1.0 - shift)):
+            at = np.array(clade) - 1
+            D[np.ix_(at, at)] = value
+        return Ultrametric(labels, D[np.triu_indices(8, k=1)])
+
+    v, u = ultrametric(0.0), ultrametric(10 * TOL)
+    seg = TreeSegment(u, v, tropical_segment(u.entries, v.entries, TOL), TOL)
+    assert seg.n_bends == 2
+    cherry = frozenset({"1", "2"})
+    assert all(cherry not in bend.clades for bend in seg.bend_topologies)
+    assert seg.piece_topologies == [midpoint_topology(seg, 0)]
+    assert cherry in seg.piece_topologies[0].clades
+
+
+@st.composite
+def ultrametric_pairs(draw):
+    """Two ultrametrics on the same n leaves, from a grid scaled by 1e-3, 1
+    or 1e3 (ties), in half the pairs plus offsets around tol that are not
+    scaled (most pieces of those pairs get a midpoint pass)."""
+    n = draw(st.integers(3, 12))
+    scale = draw(st.sampled_from((1e-3, 1.0, 1e3)))
+    offsets = draw(st.sampled_from((NEAR_TOL, (0.0,))))
+    u = draw(ultrametrics(n=st.just(n), scale=scale, offsets=offsets))[1]
+    v = draw(ultrametrics(n=st.just(n), scale=scale, offsets=offsets))[1]
+    return n, u, v
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=ultrametric_pairs())
+def test_piece_topologies_match_midpoint_pass(case):
+    n, u, v = case
+    labels = tuple(str(k) for k in range(1, n + 1))
+    u, v = Ultrametric(labels, u), Ultrametric(labels, v)
+    seg = TreeSegment(u, v, tropical_segment(u.entries, v.entries, TOL), TOL)
+    disagreements = [k for k in range(len(seg.piece_topologies))
+                     if seg.piece_topologies[k] != midpoint_topology(seg, k)]
+    assert disagreements == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=st.one_of(ultrametrics(), distance_vectors()),
+       height=st.sampled_from((1e-3, 1.0, 1e3)))
+def test_newick_of_merges_matches_tree_route(case, height):
+    # labels whose natural order differs from their string order
+    n, dists = case
+    labels = tuple(f"t{k}" for k in range(1, n + 1))
+    merges = _single_linkage(dists * height, n, TOL)
+    lengths = _merge_lengths(n, merges)
+    for precision in (3, 10, 17):
+        assert _newick_of_merges(labels, merges, lengths, precision) == \
+            write_newick(_tree_of_merges(labels, merges), precision)
 
 
 def reference_canonical_str(tree):

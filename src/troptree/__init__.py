@@ -20,8 +20,8 @@ from .tropical import (TropicalSegment, canonicalize, in_tropical_hull,
                        point_type, trop_combine, trop_dist, tropical_segment)
 from .treespace import (TreeSegment, Ultrametric, check_clade_preservation,
                         check_nni_theorem, is_ultrametric, segment_to_star,
-                        star_in_hull, star_on_segment, topology_sequence,
-                        tree_of, tree_segment, ultrametric_of)
+                        star_on_segment, topology_sequence, tree_of,
+                        tree_segment, ultrametric_of)
 from .util import DEFAULT_TOL
 
 __version__ = "0.1.0"
@@ -60,7 +60,6 @@ __all__ = [
     "sample_rng",
     "segment_to_star",
     "speciation_times",
-    "star_in_hull",
     "star_on_segment",
     "structurally_equal",
     "topology_of",

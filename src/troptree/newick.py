@@ -43,9 +43,6 @@ class TreeNode:
     def is_leaf(self) -> bool:
         return not self.children
 
-    def copy(self) -> "TreeNode":
-        return TreeNode(self.label, self.length, [c.copy() for c in self.children])
-
     def __repr__(self) -> str:
         if self.is_leaf():
             return f"TreeNode({self.label!r}, length={self.length})"
@@ -86,9 +83,6 @@ class RootedTree:
         """Preorder iteration over all nodes."""
         return _walk(self.root)
 
-    def leaves(self) -> Iterator[TreeNode]:
-        return (node for node in _walk(self.root) if node.is_leaf())
-
     def leaf_depths(self) -> dict[str, float]:
         """Total branch length from the root down to each leaf."""
         depths: dict[str, float] = {}
@@ -105,9 +99,6 @@ class RootedTree:
     def height(self) -> float:
         """Largest root-to-leaf distance (the tree height when equidistant)."""
         return max(self.leaf_depths().values())
-
-    def copy(self) -> "RootedTree":
-        return RootedTree(self.root.copy())
 
     def __repr__(self) -> str:
         return f"RootedTree({write_newick(self, precision=6)!r})"

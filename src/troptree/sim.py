@@ -22,10 +22,10 @@ import numpy as np
 
 from .errors import TropTreeError
 from .newick import RootedTree, TreeNode, write_newick
-from .trees import internal_clade_heights, nni_neighbors, tree_from_clade_heights
+from .trees import _clade_table, _tree_of_clades, nni_neighbors
 from .treespace import (star_crossings, topology_sequence, tree_of,
                         tree_segment, ultrametric_of)
-from .util import DEFAULT_TOL, natural_key, sorted_labels, square_index
+from .util import DEFAULT_TOL, square_index
 
 MODEL_TAG = "coalescent-uniform-heights"
 
@@ -193,27 +193,27 @@ def random_shared_clade_pair(n: int, height: float, rng: np.random.Generator,
     if n < 4:
         raise ValueError("need at least 4 leaves to share a proper clade")
     t1 = random_equidistant_tree(n, height, rng)
-    full = frozenset(t1.leaf_labels)
-    proper = [c for c in internal_clade_heights(t1) if c != full]
+    labels = t1.leaf_labels
+    proper = [c for c in _clade_table(t1) if c != (1 << n) - 1]
     clade = proper[int(rng.integers(len(proper)))]
 
-    stub = min(clade, key=natural_key)
-    rest = sorted_labels((full - clade) | {stub})
+    # the skeleton keeps the clade's leaf of smallest rank (its top bit) as
+    # a stub, which every skeleton clade above it expands to the clade
+    stub = 1 << (clade.bit_length() - 1)
+    inside = [lab for r, lab in enumerate(labels) if clade >> (n - 1 - r) & 1]
+    rest = [lab for r, lab in enumerate(labels) if not (clade ^ stub) >> (n - 1 - r) & 1]
     skeleton = random_equidistant_tree(len(rest), height, rng, labels=rest)
+    new_map = {(c | clade if c & stub else c): h
+               for c, (h, _) in _clade_table(skeleton, labels).items()}
 
-    def expand(c):
-        return frozenset((c - {stub}) | clade) if stub in c else c
-
-    new_map = {expand(c): h for c, h in internal_clade_heights(skeleton).items()}
-
-    parent = min((c for c in new_map if clade < c), key=len)
-    slot = new_map[parent]
-    shared = internal_clade_heights(tree_of(ultrametric_of(t1, tol).restrict(clade), tol))
-    top = max(shared.values())
+    # the smallest skeleton clade above the stub
+    slot = new_map[min((c for c in new_map if c & stub), key=int.bit_count)]
+    shared = _clade_table(tree_of(ultrametric_of(t1, tol).restrict(inside), tol), labels)
+    top = max(h for h, _ in shared.values())
     scale = (0.5 * slot / top) if top >= slot - 2 * tol else 1.0
-    for c, h in shared.items():
+    for c, (h, _) in shared.items():
         new_map[c] = h * scale
-    return t1, tree_from_clade_heights(full, new_map), tuple(sorted_labels(clade))
+    return t1, _tree_of_clades(labels, new_map), tuple(inside)
 
 
 #: Entries per (u, v) block of the star-crossing test: 32768 floats, 256 KiB
@@ -319,12 +319,3 @@ def check_nni_conjecture(cfg: SampleConfig) -> ExperimentReport:
         topology_count_histogram=histogram,
         violations=violations,
         wall_clock_sec=time.perf_counter() - start)
-
-
-def violations_csv(report: ExperimentReport) -> str:
-    """Violation log as CSV: sample index, the two Newick inputs, and the
-    transition index within their segment."""
-    lines = ["sample,t1,t2,transition"]
-    for v in report.violations:
-        lines.append(f"{v['sample']},\"{v['t1']}\",\"{v['t2']}\",{v['transition']}")
-    return "\n".join(lines) + "\n"

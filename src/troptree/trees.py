@@ -9,6 +9,7 @@ height of their most recent common ancestor.
 from __future__ import annotations
 
 import itertools
+import math
 import statistics
 from typing import Iterable, Sequence
 
@@ -16,8 +17,7 @@ import numpy as np
 
 from .errors import LeafSetMismatchError, NotEquidistantError
 from .newick import RootedTree, TreeNode
-from .util import (DEFAULT_TOL, natural_key, pair_index, sorted_labels, square_index,
-                   tol_group_stops)
+from .util import DEFAULT_TOL, pair_index, sorted_labels, square_index
 
 
 # --------------------------------------------------------------------------
@@ -45,21 +45,6 @@ def require_equidistant(tree: RootedTree, tol: float = DEFAULT_TOL) -> None:
         raise NotEquidistantError(
             f"tree is not equidistant: leaf {worst!r} has depth "
             f"{depths[worst]:.12g}, expected {ref:.12g}", leaf=worst)
-
-
-def subtree_heights(tree: RootedTree) -> dict[int, float]:
-    """Height of every node, keyed by id(node).  Computed downward (largest
-    distance to a descendant leaf), so it needs no equidistance assumption."""
-    heights: dict[int, float] = {}
-
-    def visit(node: TreeNode) -> float:
-        h = 0.0 if node.is_leaf() else max(
-            visit(c) + c.length for c in node.children)
-        heights[id(node)] = h
-        return h
-
-    visit(tree.root)
-    return heights
 
 
 def pairwise_distances(tree: RootedTree) -> tuple[tuple[str, ...], np.ndarray]:
@@ -94,22 +79,6 @@ def pairwise_distances(tree: RootedTree) -> tuple[tuple[str, ...], np.ndarray]:
 
     visit(tree.root)
     return labels, out
-
-
-def clade_leafsets(tree: RootedTree) -> dict[int, frozenset[str]]:
-    """Descendant leaf set of every node, keyed by id(node)."""
-    sets: dict[int, frozenset[str]] = {}
-
-    def visit(node: TreeNode) -> frozenset[str]:
-        if node.is_leaf():
-            s = frozenset([node.label])
-        else:
-            s = frozenset().union(*(visit(c) for c in node.children))
-        sets[id(node)] = s
-        return s
-
-    visit(tree.root)
-    return sets
 
 
 def require_same_leaves(a: Iterable[str], b: Iterable[str]) -> None:
@@ -265,14 +234,47 @@ def topology_of(tree: RootedTree, tol: float = DEFAULT_TOL) -> Topology:
     return Topology._of_masks(labels, masks)
 
 
+def _clade_table(tree: RootedTree, labels: Sequence[str] | None = None,
+                 ) -> dict[int, tuple[float, list[int]]]:
+    """The tree's cluster table (Day 1985), read in one walk: each internal
+    node's clade mask -> (height, its children's masks), in
+    :meth:`RootedTree.nodes` order.  Masks are over natural-sorted `labels`
+    (default the tree's own) in the bit convention of :class:`Topology`.
+    Heights are computed downward, as the largest child height plus branch."""
+    labels = tree.leaf_labels if labels is None else labels
+    bit = {lab: 1 << k for k, lab in enumerate(reversed(labels))}
+    rows: list = []
+
+    def visit(node: TreeNode) -> tuple[int, float]:
+        slot = len(rows)
+        rows.append(None)               # preorder slot; nodes() takes the last child first
+        mask = 0
+        height = 0.0
+        kids = []
+        for child in reversed(node.children):
+            m, h = visit(child) if child.children else (bit[child.label], 0.0)
+            h += child.length
+            mask |= m
+            if h > height:
+                height = h
+            kids.append(m)
+        kids.reverse()
+        rows[slot] = (mask, (height, kids))
+        return mask, height
+
+    if tree.root.children:
+        visit(tree.root)
+    return dict(rows)
+
+
 def speciation_times(tree: RootedTree, tol: float = DEFAULT_TOL) -> tuple[float, ...]:
     """Sorted distinct internal-node heights; values within tol are merged
-    (each merged group is represented by its largest member, so the last
-    entry is exactly the tree height)."""
+    (each merged group, split where consecutive heights differ by more than
+    tol, is represented by its largest member, so the last entry is exactly
+    the tree height)."""
     require_equidistant(tree, tol)
-    heights = subtree_heights(tree)
-    internal = sorted(heights[id(node)] for node in tree.nodes() if not node.is_leaf())
-    return tuple(internal[stop - 1] for stop in tol_group_stops(internal, tol))
+    internal = sorted([h for h, _ in _clade_table(tree).values()])
+    return tuple(h for h, up in zip(internal, internal[1:] + [math.inf]) if up - h > tol)
 
 
 # --------------------------------------------------------------------------
@@ -420,7 +422,8 @@ def _merge_lengths(n: int, merges: list[tuple[float, list[int]]]) -> list[float]
 
 def _tree_of_merges(labels: Sequence[str],
                     merges: list[tuple[float, list[int]]]) -> RootedTree:
-    """The tree of a :func:`_single_linkages` schedule over `labels`."""
+    """The tree of a merge schedule over `labels`, as :func:`_single_linkages`
+    and :func:`_tree_of_clades` make them."""
     lengths = _merge_lengths(len(labels), merges)
     nodes = [TreeNode(label=lab) for lab in labels]
     for _, children in merges:
@@ -492,43 +495,26 @@ def agglomerate(labels: Sequence[str], dists: np.ndarray,
     return _tree_of_merges(labels, _single_linkage(dists, n, tol))
 
 
-def tree_from_clade_heights(leaves: Iterable[str],
-                            clade_heights: dict[frozenset[str], float]) -> RootedTree:
-    """Build an equidistant tree from a laminar clade -> height map that
-    includes the full leaf set."""
-    leaves = sorted_labels(leaves)
-    full = frozenset(leaves)
-    if full not in clade_heights:
-        raise ValueError("the clade map must contain the full leaf set")
-    tops: dict[str, TreeNode] = {lab: TreeNode(label=lab) for lab in leaves}
-    top_height: dict[int, float] = {id(node): 0.0 for node in tops.values()}
-
-    for clade in sorted(clade_heights, key=len):
-        height = clade_heights[clade]
-        children: list[TreeNode] = []
-        seen: set[int] = set()
-        for lab in sorted(clade, key=natural_key):
-            node = tops[lab]
-            if id(node) not in seen:
-                seen.add(id(node))
-                children.append(node)
-        if len(children) < 2:
-            raise ValueError(f"clade {sorted(clade)} has fewer than 2 branches")
-        for child in children:
-            child.length = max(height - top_height[id(child)], 0.0)
-        node = TreeNode(children=children)
-        top_height[id(node)] = height
-        for lab in clade:
-            tops[lab] = node
-    return RootedTree(tops[leaves[0]])
-
-
-def internal_clade_heights(tree: RootedTree) -> dict[frozenset[str], float]:
-    """Clade -> height map over the internal nodes (root included)."""
-    heights = subtree_heights(tree)
-    sets = clade_leafsets(tree)
-    return {sets[id(node)]: heights[id(node)]
-            for node in tree.nodes() if not node.is_leaf()}
+def _tree_of_clades(labels: Sequence[str], heights: dict[int, float]) -> RootedTree:
+    """The tree of a laminar clade mask -> height map over natural-sorted
+    `labels` that includes the full set, built by :func:`_tree_of_merges`
+    from its merge schedule, each node's children in the order of their
+    smallest leaf rank."""
+    n = len(labels)
+    top = list(range(n))        # node of the largest clade so far, at its smallest rank
+    masks = [1 << (n - 1 - r) for r in range(n)]
+    merges: list[tuple[float, list[int]]] = []
+    for mask in sorted(heights, key=int.bit_count):
+        children = []           # the largest clades so far that make up this one
+        rest = mask
+        while rest:
+            child = top[n - rest.bit_length()]
+            children.append(child)
+            rest &= ~masks[child]
+        top[n - mask.bit_length()] = len(masks)
+        masks.append(mask)
+        merges.append((heights[mask], children))
+    return _tree_of_merges(labels, merges)
 
 
 # --------------------------------------------------------------------------
@@ -572,42 +558,31 @@ def nni_neighbors(tree: RootedTree, tol: float = DEFAULT_TOL) -> list[RootedTree
     metrically refitted but topologically exact); "strictly" means by more
     than 2 tol.
     """
-    for node in tree.nodes():
-        if not node.is_leaf() and len(node.children) != 2:
-            raise ValueError("NNI moves are defined on binary trees only")
-
-    heights = internal_clade_heights(tree)
-    sets = clade_leafsets(tree)
-    children_of: dict[frozenset[str], list[frozenset[str]]] = {
-        sets[id(node)]: [sets[id(c)] for c in node.children]
-        for node in tree.nodes() if not node.is_leaf()}
-    full = frozenset(tree.leaf_labels)
-
-    parent_of: dict[frozenset[str], frozenset[str]] = {}
-    for clade, kids in children_of.items():
-        for kid in kids:
-            parent_of[kid] = clade
+    table = _clade_table(tree)
+    if any(len(kids) != 2 for _, kids in table.values()):
+        raise ValueError("NNI moves are defined on binary trees only")
+    heights = {clade: h for clade, (h, _) in table.items()}
+    parent_of = {kid: clade for clade, (_, kids) in table.items() for kid in kids}
+    full = (1 << tree.n_leaves) - 1
 
     neighbors: list[RootedTree] = []
-    for clade, h_v in heights.items():
+    for clade, (h_v, kids) in table.items():
         if clade == full:
             continue
-        parent = parent_of[clade]
-        (sibling,) = [c for c in children_of[parent] if c != clade]
-        for moved_out in children_of[clade]:
-            kept = next(c for c in children_of[clade] if c != moved_out)
-            new_clade = kept | sibling
+        sibling = parent_of[clade] ^ clade
+        for kept in reversed(kids):     # moving out the first child keeps the second
             new_map = dict(heights)
             del new_map[clade]
-            # the regrafted sibling subtree must sit strictly below h_v
+            # the regrafted sibling subtree must sit strictly below h_v; one
+            # of height 0 (a leaf, say) has nothing to rescale
             sib_h = new_map.get(sibling, 0.0)
-            if sib_h >= h_v - 2 * tol:
+            if sib_h > 0 and sib_h >= h_v - 2 * tol:
                 scale = (0.5 * h_v) / sib_h
-                for other in list(new_map):
-                    if other <= sibling:
+                for other in new_map:
+                    if other | sibling == sibling:
                         new_map[other] *= scale
-            new_map[new_clade] = h_v
-            neighbors.append(tree_from_clade_heights(full, new_map))
+            new_map[kept | sibling] = h_v
+            neighbors.append(_tree_of_clades(tree.leaf_labels, new_map))
     return neighbors
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -24,11 +25,10 @@ import numpy as np
 from . import trees as _trees
 from .errors import NotUltrametricError, TropTreeError
 from .newick import RootedTree
-from .tropical import TropicalSegment, in_tropical_hull, tropical_segment
+from .tropical import TropicalSegment, tropical_segment
 from .trees import (Topology, require_equidistant, require_same_leaves,
                     speciation_times, topology_of)
-from .util import (DEFAULT_TOL, label_pairs, sorted_labels, square_form,
-                   square_index)
+from .util import DEFAULT_TOL, sorted_labels, square_form, square_index
 
 
 class Ultrametric:
@@ -81,7 +81,8 @@ class Ultrametric:
         return float(self.entries.max()) / 2.0
 
     def pairs(self) -> list[tuple[str, str]]:
-        return label_pairs(self.labels)
+        """All leaf pairs, in lexicographic order."""
+        return list(itertools.combinations(self.labels, 2))
 
     def restrict(self, keep: Iterable[str]) -> "Ultrametric":
         """Sub-ultrametric on a subset of at least two leaves."""
@@ -428,13 +429,3 @@ def check_nni_theorem(t1: RootedTree, t2: RootedTree,
         topo == topo1 or topo == topo2
         or topo.is_contraction_of(topo1) or topo.is_contraction_of(topo2)
         for topo in topology_sequence(tree_segment(t1, t2, tol)))
-
-
-def star_in_hull(t1: RootedTree, t2: RootedTree, tol: float = DEFAULT_TOL) -> bool:
-    """Membership route to the same question as :func:`star_on_segment`:
-    does the constant vector at the shared height lie in the tropical hull
-    of the two ultrametrics?"""
-    u = ultrametric_of(t1, tol)
-    v = ultrametric_of(t2, tol)
-    origin = np.full(u.e, max(u.entries.max(), v.entries.max()))
-    return in_tropical_hull([u.entries, v.entries], origin, tol)

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import functools
-import itertools
 import re
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -31,24 +30,11 @@ def sorted_labels(labels: Iterable[str]) -> tuple[str, ...]:
     return tuple(sorted(labels, key=natural_key))
 
 
-def label_pairs(labels: Sequence[str]) -> list[tuple[str, str]]:
-    """All unordered pairs of already-sorted labels, lexicographic order."""
-    return list(itertools.combinations(labels, 2))
-
-
 def pair_index(n: int, i: int, j: int) -> int:
     """Condensed index of the pair (i, j), i < j, among n items."""
     if not 0 <= i < j < n:
         raise ValueError(f"bad pair ({i}, {j}) for n={n}")
     return n * i - i * (i + 1) // 2 + (j - i - 1)
-
-
-def tol_group_stops(sorted_values: Sequence[float], tol: float) -> np.ndarray:
-    """End indices (exclusive) of the runs of an ascending sequence, split
-    where the gap between consecutive values exceeds tol."""
-    values = np.asarray(sorted_values, dtype=float)
-    stops = np.flatnonzero(np.diff(values) > tol) + 1
-    return np.append(stops, values.size) if values.size else stops
 
 
 @functools.lru_cache(maxsize=32)

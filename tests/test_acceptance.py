@@ -4,6 +4,7 @@ Run with `python3 -m pytest tests/test_acceptance.py -v -s` to see the lines
 as they complete.  Monte Carlo criteria are seeded and deterministic.
 """
 
+import gc
 import math
 import time
 
@@ -17,7 +18,6 @@ from troptree import (SampleConfig, Ultrametric, canonicalize,
                       segment_to_star, structurally_equal, topology_of,
                       tree_of, tree_segment, trop_combine, trop_dist,
                       tropical_segment, ultrametric_of, write_newick)
-from troptree.trees import tree_from_clade_heights
 
 from tests.conftest import LADDER8, QUARTET_A, QUARTET_B
 
@@ -189,18 +189,20 @@ def _grid_vectors_n3():
 
 
 def _grid_vectors_n4():
-    labels = ("1", "2", "3", "4")
+    # each entry is twice the height of the lowest clade holding its pair
+    leaves = (1, 2, 3, 4)
     shapes = []
-    for pair in (("1", "2"), ("1", "3"), ("1", "4")):
-        rest = tuple(sorted(set(labels) - set(pair)))
-        shapes.append([frozenset(pair), frozenset(rest)])          # balanced
-        shapes.append([frozenset(pair), frozenset(pair + rest[:1])])  # ladder
+    for pair in ((1, 2), (1, 3), (1, 4)):
+        rest = tuple(sorted(set(leaves) - set(pair)))
+        shapes.append([set(pair), set(rest)])               # balanced
+        shapes.append([set(pair), set(pair + rest[:1])])    # ladder
     out = []
     for shape in shapes:
         for h1, h2 in ((0.25, 0.5), (0.5, 0.75)):
-            heights = {shape[0]: h1, shape[1]: h2, frozenset(labels): 1.0}
-            tree = tree_from_clade_heights(labels, heights)
-            out.append(ultrametric_of(tree).entries)
+            out.append(np.array([
+                2 * min([h for clade, h in zip(shape, (h1, h2)) if {a, b} <= clade],
+                        default=1.0)
+                for a in leaves for b in leaves if a < b]))
     return out
 
 
@@ -243,14 +245,26 @@ def test_criterion_10_complexity_scaling():
             ultrametric_of(tt.random_equidistant_tree(n, 1.0, rng)).entries)
     for n in sizes:  # warm caches and the allocator before timing
         tropical_segment(*inputs[n])
-    timings = {}
-    for n in sizes:
-        best = math.inf
+    # one call takes 20-30 us at n=100, short enough for a timer tick or a
+    # page fault to swing it; each sample times a batch of calls lasting a
+    # few milliseconds, and the per-call time is the best batch's mean.  The
+    # sizes take turns, batch by batch, so that a slow phase of the host
+    # slows all of them alike.  As in timeit, the garbage collector is off
+    # while timing, so that a collection of the rest of the suite's heap
+    # lands in no sample.
+    calls = {100: 100, 200: 25, 400: 5}
+    best = dict.fromkeys(sizes, math.inf)
+    gc.disable()
+    try:
         for _ in range(25):
-            start = time.perf_counter()
-            tropical_segment(*inputs[n])
-            best = min(best, time.perf_counter() - start)
-        timings[n] = best
+            for n in sizes:
+                start = time.perf_counter()
+                for _ in range(calls[n]):
+                    tropical_segment(*inputs[n])
+                best[n] = min(best[n], time.perf_counter() - start)
+    finally:
+        gc.enable()
+    timings = {n: best[n] / calls[n] for n in sizes}
 
     def model(n):
         e = n * (n - 1) / 2

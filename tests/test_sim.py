@@ -1,3 +1,4 @@
+import gzip
 import json
 import math
 from pathlib import Path
@@ -8,8 +9,7 @@ import pytest
 import troptree as tt
 from troptree import (SampleConfig, check_nni_conjecture,
                       estimate_star_probability, random_equidistant_tree,
-                      sample_rng)
-from troptree.sim import violations_csv
+                      sample_rng, write_newick)
 
 
 def test_sample_config_validation():
@@ -123,9 +123,6 @@ def test_conjecture_report_fields():
     assert report.unresolved_boundaries == 0
     data = report.to_dict()
     assert data["config"]["model"] == tt.sim.MODEL_TAG
-    csv_text = violations_csv(report)
-    assert csv_text.splitlines()[0] == "sample,t1,t2,transition"
-    assert len(csv_text.splitlines()) == 1 + len(report.violations)
 
 
 @pytest.mark.parametrize("height", [1e-3, 1.0, 1e3])
@@ -181,3 +178,30 @@ def test_report_golden(name, experiment, cfg):
     # byte for byte; the survey holds 429 transitions, 390 single-NNI,
     # 39 violations and 429 degenerate boundaries
     assert experiment(cfg).to_json() + "\n" == (GOLDEN / name).read_text()
+
+
+#: Seeded draws of the pair generators behind criteria 6 and 7, byte for
+#: byte: for n = 4..31 at heights 1e-3, 1 and 1e3, one stream each, the
+#: `random_one_nni_pair` and `random_shared_clade_pair` trees (Newick at 17
+#: digits), the shared clade, the `speciation_times` of all four trees and
+#: every `nni_neighbors` tree of the first.
+DRAWS_GOLDEN = GOLDEN / "seeded_draws.txt.gz"
+
+
+def seeded_draws() -> str:
+    lines = []
+    for n in range(4, 32):
+        for index, height in enumerate((1e-3, 1.0, 1e3)):
+            rng = sample_rng(n, index)
+            t1, t2 = tt.random_one_nni_pair(n, height, rng)
+            a, b, clade = tt.random_shared_clade_pair(n, height, rng)
+            lines.append(f"n={n} height={height!r}")
+            lines += [write_newick(t, 17) for t in (t1, t2, a, b)]
+            lines.append(" ".join(clade))
+            lines += [" ".join(map(repr, tt.speciation_times(t))) for t in (t1, t2, a, b)]
+            lines += [write_newick(t, 17) for t in tt.nni_neighbors(t1)]
+    return "\n".join(lines) + "\n"
+
+
+def test_seeded_draws_golden():
+    assert seeded_draws().encode() == gzip.decompress(DRAWS_GOLDEN.read_bytes())

@@ -6,8 +6,8 @@ import troptree as tt
 from troptree import (Topology, is_clade, is_equidistant, nni_neighbors,
                       one_nni_apart, parse_newick, speciation_times,
                       topology_of, write_newick)
-from troptree.trees import (internal_clade_heights, require_equidistant,
-                            tree_from_clade_heights)
+from troptree.trees import _clade_table, _tree_of_clades, require_equidistant
+from troptree.util import sorted_labels
 
 #: leaf depths spread by 1.8e-9: within tol of the median, but the
 #: three-point condition fails on (1, 3, 2) by more than tol
@@ -20,6 +20,27 @@ def topo(*clades, leaves):
 
 def restrict(tree, keep):
     return tt.tree_of(tt.ultrametric_of(tree).restrict(keep))
+
+
+def members(labels, mask):
+    """The labels of a clade mask over natural-sorted labels."""
+    n = len(labels)
+    return frozenset(lab for r, lab in enumerate(labels) if mask >> (n - 1 - r) & 1)
+
+
+def clade_heights(tree):
+    """Internal clade (as a label set) -> height, from the cluster table."""
+    return {members(tree.leaf_labels, mask): h
+            for mask, (h, _) in _clade_table(tree).items()}
+
+
+def tree_of_clade_heights(leaves, heights):
+    """The tree of a laminar label-set clade -> height map."""
+    labels = sorted_labels(leaves)
+    n = len(labels)
+    return _tree_of_clades(labels, {
+        sum(1 << (n - 1 - labels.index(lab)) for lab in clade): h
+        for clade, h in heights.items()})
 
 
 # --------------------------------------------------------------------------
@@ -153,11 +174,11 @@ def test_restrict_matches_ultrametric_route(clade_a):
     # clade that gives it
     keep = frozenset({"S1", "S2", "S4"})
     induced: dict = {}
-    for clade, height in internal_clade_heights(clade_a).items():
+    for clade, height in clade_heights(clade_a).items():
         sub = clade & keep
         if len(sub) >= 2:
             induced[sub] = min(height, induced.get(sub, height))
-    want = tree_from_clade_heights(keep, induced)
+    want = tree_of_clade_heights(keep, induced)
     assert tt.structurally_equal(restrict(clade_a, keep), want, tol=1e-12)
 
 
@@ -250,14 +271,34 @@ def test_nni_neighbors_use_callers_tol():
                         "(4:0.49999999,5:0.49999999):0.50000001);")
 
     def heights_of_45(nbrs):
-        return {round(internal_clade_heights(nb)[frozenset("45")], 12)
-                for nb in nbrs if frozenset("45") in internal_clade_heights(nb)}
+        return {round(clade_heights(nb)[frozenset("45")], 12)
+                for nb in nbrs if frozenset("45") in clade_heights(nb)}
 
     default = nni_neighbors(tree)
     assert [write_newick(t) for t in default] == \
         [write_newick(t) for t in nni_neighbors(tree, tt.DEFAULT_TOL)]
     assert heights_of_45(default) == {0.49999999}
     assert heights_of_45(nni_neighbors(tree, 1e-7)) == {0.49999999, 0.25}
+
+
+def test_nni_neighbors_regraft_a_sibling_of_height_zero():
+    # the cherry sits at 1e-9, within 2 tol of 0, and the sibling regrafted
+    # below it is the leaf 3: a subtree of height 0 has nothing to rescale
+    tree = parse_newick("((1:1e-9,2:1e-9):0.999999999,3:1);")
+    nbrs = nni_neighbors(tree)
+    assert [write_newick(nb) for nb in nbrs] == [
+        "(1:1,(2:1e-09,3:1e-09):0.999999999);",
+        "((1:1e-09,3:1e-09):0.999999999,2:1);"]
+    assert [topology_of(nb) for nb in nbrs] == [
+        topo("23", "123", leaves="123"), topo("13", "123", leaves="123")]
+    # at height 1e-9 every node height is below 2 tol; each neighbour is
+    # still exactly one NNI move away
+    for seed in range(20):
+        t1, t2 = tt.random_one_nni_pair(5, 1e-9, tt.sample_rng(seed, 0))
+        base = topology_of(t1, 1e-15)
+        assert base.is_binary
+        for nb in [t2, *nni_neighbors(t1)]:
+            assert base.one_nni_apart(topology_of(nb, 1e-15))
 
 
 def test_one_nni_apart_golden(quartet_a, quartet_b):
@@ -318,7 +359,7 @@ def test_random_shared_clade_pair(n, seed):
     assert topology_of(restrict(t1, leaves)) == \
         topology_of(restrict(t2, leaves))
     assert is_equidistant(t2)
-    heights = internal_clade_heights(t2)
+    heights = clade_heights(t2)
     assert max(heights.values()) == pytest.approx(1.0)
 
 

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 import troptree as tt
 from troptree import (Topology, Ultrametric, check_clade_preservation,
-                      check_nni_theorem, is_ultrametric, parse_newick,
-                      segment_to_star, star_in_hull, star_on_segment,
+                      check_nni_theorem, in_tropical_hull, is_ultrametric,
+                      parse_newick, segment_to_star, star_on_segment,
                       topology_of, topology_sequence, tree_of, tree_segment,
                       trop_dist, ultrametric_of, write_newick)
 
@@ -278,6 +278,16 @@ def test_segment_to_star_matches_segment_bends(ladder8):
 # --------------------------------------------------------------------------
 # star crossings
 # --------------------------------------------------------------------------
+
+def star_in_hull(t1, t2, tol=tt.DEFAULT_TOL):
+    """Oracle for :func:`star_on_segment` by a second route: does the
+    constant vector at the shared height lie in the tropical hull of the
+    two ultrametrics?"""
+    u = ultrametric_of(t1, tol)
+    v = ultrametric_of(t2, tol)
+    origin = np.full(u.e, max(u.entries.max(), v.entries.max()))
+    return in_tropical_hull([u.entries, v.entries], origin, tol)
+
 
 def test_star_on_segment_golden():
     x = tree_of(Ultrametric(("1", "2", "3", "4"), [1, 2, 2, 2, 2, 2]))

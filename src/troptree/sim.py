@@ -21,10 +21,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import TropTreeError
-from .newick import RootedTree, TreeNode, write_newick
-from .trees import _clade_table, _tree_of_clades, nni_neighbors
-from .treespace import (star_crossings, topology_sequence, tree_of,
-                        tree_segment, ultrametric_of)
+from .newick import RootedTree
+from .trees import (Topology, _clade_table, _merge_lengths,
+                    _newick_of_merges, _require_equidistant_merges, _tree_of_clades,
+                    _tree_of_merges, nni_neighbors)
+from .treespace import (_require_ultrametric_rows, _segment_topologies,
+                        _topology_sequence, star_crossings, tree_segment)
+from .tropical import tropical_segment
 from .util import DEFAULT_TOL, square_index
 
 MODEL_TAG = "coalescent-uniform-heights"
@@ -109,69 +112,63 @@ def sample_rng(seed: int, index: int) -> np.random.Generator:
         np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(index,))))
 
 
-def _merges(n: int, height: float, rng: np.random.Generator):
+def _schedule(n: int, height: float, rng: np.random.Generator,
+              ) -> list[tuple[float, list[int]]]:
     """The sampling model's merge schedule, and the only code that draws
-    its random numbers: (i, j, h) per merge, meaning that lineages i < j of
-    the current k are merged at height h into a new last lineage.  The
-    n-2 non-root heights are drawn first, sorted; then one pair per merge."""
+    its random numbers.  The n-2 non-root heights are drawn first, sorted;
+    then one pair per merge: lineages i < j of the current k are merged at
+    height h into a new last lineage.  The schedule has the form of
+    :func:`~troptree.trees._single_linkages`: (h, [node of i, node of j])
+    per merge, leaves are nodes 0..n-1 and the m-th merge makes node n + m."""
+    if n < 2:
+        raise ValueError("need at least 2 leaves")
+    if not height > 0:
+        raise ValueError("height must be positive")
     heights = np.sort(rng.uniform(0.0, height, n - 2)).tolist() if n > 2 else []
+    lineages = list(range(n))
+    merges: list[tuple[float, list[int]]] = []
     for k, h in zip(range(n, 1, -1), heights + [height]):
         i, j = sorted(rng.choice(k, size=2, replace=False).tolist())
-        yield i, j, h
+        b = lineages.pop(j)
+        a = lineages.pop(i)
+        lineages.append(n + len(merges))
+        merges.append((h, [a, b]))
+    return merges
 
 
 def random_equidistant_tree(n: int, height: float, rng: np.random.Generator,
                             labels: Sequence[str] | None = None) -> RootedTree:
     """One draw from the sampling model: a binary equidistant tree with the
     given height.  Default labels are "1" ... "n"."""
-    if n < 2:
-        raise ValueError("need at least 2 leaves")
-    if not height > 0:
-        raise ValueError("height must be positive")
     if labels is None:
         labels = [str(i) for i in range(1, n + 1)]
-    else:
-        labels = list(labels)
-        if len(labels) != n:
-            raise ValueError(f"{len(labels)} labels for n={n}")
-
-    nodes = [TreeNode(label=lab) for lab in labels]
-    node_heights = [0.0] * n
-    for i, j, h in _merges(n, height, rng):
-        b = nodes.pop(j)
-        a = nodes.pop(i)
-        hb = node_heights.pop(j)
-        ha = node_heights.pop(i)
-        a.length = h - ha
-        b.length = h - hb
-        nodes.append(TreeNode(children=[a, b]))
-        node_heights.append(h)
-    return RootedTree(nodes[0])
+    elif len(labels) != n:
+        raise ValueError(f"{len(labels)} labels for n={n}")
+    return _tree_of_merges(list(labels), _schedule(n, height, rng))
 
 
-def _ultrametric_row(n: int, height: float, rng: np.random.Generator) -> list[float]:
-    """One draw from the sampling model as its condensed ultrametric over
-    the default labels: bit for bit
-    ``ultrametric_of(random_equidistant_tree(n, height, rng)).entries``.
-    Each leaf keeps its depth below the newest node above it, grown by
-    ``h - h_child`` per merge and summed pairwise, in the order in which
+def _ultrametric_row(n: int, merges: list[tuple[float, list[int]]]) -> list[float]:
+    """The condensed ultrametric of a :func:`_schedule` over the default
+    labels: bit for bit ``ultrametric_of(random_equidistant_tree(n, height,
+    rng)).entries`` for the schedule drawn from the same stream.  Each leaf
+    keeps its depth below the newest node above it, grown by ``h - h_child``
+    per merge and summed pairwise, in the order in which
     :func:`~troptree.trees.pairwise_distances` adds the tree's lengths."""
     index = square_index(n).tolist()
     row = [0.0] * (n * (n - 1) // 2)
     depth = [0.0] * n
     members = [[k] for k in range(n)]
     tops = [0.0] * n
-    for i, j, h in _merges(n, height, rng):
-        b, hb = members.pop(j), tops.pop(j)
-        a, ha = members.pop(i), tops.pop(i)
-        for group, step in ((a, h - ha), (b, h - hb)):
+    for h, (a, b) in merges:
+        low, high = members[a], members[b]
+        for group, step in ((low, h - tops[a]), (high, h - tops[b])):
             for x in group:
                 depth[x] += step
-        for x in a:
+        for x in low:
             dx, at = depth[x], index[x]
-            for y in b:
+            for y in high:
                 row[at[y]] = dx + depth[y]
-        members.append(a + b)
+        members.append(low + high)
         tops.append(h)
     return row
 
@@ -192,9 +189,11 @@ def random_shared_clade_pair(n: int, height: float, rng: np.random.Generator,
     preserves its topology)."""
     if n < 4:
         raise ValueError("need at least 4 leaves to share a proper clade")
-    t1 = random_equidistant_tree(n, height, rng)
-    labels = t1.leaf_labels
-    proper = [c for c in _clade_table(t1) if c != (1 << n) - 1]
+    labels = tuple(str(k) for k in range(1, n + 1))
+    merges = _schedule(n, height, rng)
+    t1 = _tree_of_merges(labels, merges)
+    table = _clade_table(t1)
+    proper = [c for c in table if c != (1 << n) - 1]
     clade = proper[int(rng.integers(len(proper)))]
 
     # the skeleton keeps the clade's leaf of smallest rank (its top bit) as
@@ -208,12 +207,51 @@ def random_shared_clade_pair(n: int, height: float, rng: np.random.Generator,
 
     # the smallest skeleton clade above the stub
     slot = new_map[min((c for c in new_map if c & stub), key=int.bit_count)]
-    shared = _clade_table(tree_of(ultrametric_of(t1, tol).restrict(inside), tol), labels)
-    top = max(h for h, _ in shared.values())
+    shared = _subtree_heights(n, merges, table, clade)
+    top = max(shared.values())
     scale = (0.5 * slot / top) if top >= slot - 2 * tol else 1.0
-    for c, (h, _) in shared.items():
+    for c, h in shared.items():
         new_map[c] = h * scale
     return t1, _tree_of_clades(labels, new_map), tuple(inside)
+
+
+def _subtree_heights(n: int, merges: list[tuple[float, list[int]]],
+                     table: dict[int, tuple[float, list[int]]], clade: int) -> dict[int, float]:
+    """The node heights of the subtree of a clade of the binary tree of a
+    :func:`_schedule` (`table` is its :func:`~troptree.trees._clade_table`),
+    as rebuilding the subtree from its distances gives them: each node at
+    half the largest distance across it, re-read downward as
+    :func:`~troptree.trees._clade_table` reads a tree.
+
+    A leaf's distance to a node above it is a sum of branch lengths, added
+    upward from the leaf as :func:`~troptree.trees.pairwise_distances` adds
+    them.  Float addition is monotone, so the largest such sum through
+    child c is ``h_c + l_c``, with h_c its height in `table` and l_c its
+    branch, and the largest distance across a node is the sum of that for
+    its two children.  This is the value that single linkage of the
+    distances halves whenever the distances across different nodes of the
+    clade are more than tol apart; closer ones it would merge into a
+    polytomy, where this keeps the clade's binary shape."""
+    lengths = _merge_lengths(n, merges)
+    masks = [1 << (n - 1 - r) for r in range(n)]
+    half = [0.0] * n                # each node's height in the rebuilt subtree
+    read = [0.0] * n                # and its height read downward from it
+    shared = {}
+    for h, children in merges:
+        mask = masks[children[0]] | masks[children[1]]
+        masks.append(mask)
+        half.append(0.0)
+        read.append(0.0)
+        if mask & ~clade:
+            continue
+        a, b = ((table[masks[c]][0] if c >= n else 0.0) + lengths[c] for c in children)
+        half[-1] = (a + b) / 2.0
+        for c in children:
+            down = read[c] + max(half[-1] - half[c], 0.0)
+            if down > read[-1]:
+                read[-1] = down
+        shared[mask] = read[-1]
+    return shared
 
 
 #: Entries per (u, v) block of the star-crossing test: 32768 floats, 256 KiB
@@ -244,8 +282,8 @@ def estimate_star_probability(cfg: SampleConfig) -> ExperimentReport:
         v = np.empty((rows, e))
         for r in range(rows):
             rng = sample_rng(cfg.seed, first + r)
-            u[r] = _ultrametric_row(cfg.n, cfg.height, rng)
-            v[r] = _ultrametric_row(cfg.n, cfg.height, rng)
+            u[r] = _ultrametric_row(cfg.n, _schedule(cfg.n, cfg.height, rng))
+            v[r] = _ultrametric_row(cfg.n, _schedule(cfg.n, cfg.height, rng))
         positive = (u > 0).all(axis=1) & (v > 0).all(axis=1)
         valid = rows if positive.all() else int(np.argmin(positive))
         # rows before the first non-positive one are height-checked first,
@@ -258,13 +296,12 @@ def estimate_star_probability(cfg: SampleConfig) -> ExperimentReport:
         rate=hits / cfg.samples, wall_clock_sec=time.perf_counter() - start)
 
 
-def _binary_transitions(t1: RootedTree, t2: RootedTree, tol: float):
-    """Consecutive pairs of distinct binary topologies along the segment.
-    Degenerate (polytomy) topologies bound the binary runs and are not
-    transition endpoints themselves; each must resolve against (be a
-    contraction of) its binary neighbors."""
-    seq = topology_sequence(tree_segment(t1, t2, tol))
-    binary: list = []
+def _binary_transitions(seq: list[Topology]):
+    """Consecutive pairs of distinct binary topologies along a segment's
+    deduplicated topology sequence.  Degenerate (polytomy) topologies bound
+    the binary runs and are not transition endpoints themselves; each must
+    resolve against (be a contraction of) its binary neighbors."""
+    binary: list[Topology] = []
     degenerate = 0
     unresolved = 0
     for k, topo in enumerate(seq):
@@ -275,41 +312,112 @@ def _binary_transitions(t1: RootedTree, t2: RootedTree, tol: float):
                     unresolved += 1
         elif not binary or binary[-1] != topo:
             binary.append(topo)
-    return list(zip(binary, binary[1:])), degenerate, unresolved, len(seq)
+    return list(zip(binary, binary[1:])), degenerate, unresolved
+
+
+#: Bends per block of the NNI survey, counting n(n-1)/2 per segment, the
+#: most a segment has.  A block's merge schedules and topologies take about
+#: 2 KiB of Python objects per bend at small n, far more than its floats,
+#: so this keeps a block near 1 MiB, while one batched single-linkage pass
+#: still spreads numpy's per-call cost over hundreds of bends.
+_SURVEY_BLOCK_BENDS = 1 << 9
+
+
+def _survey_block_rows(n: int) -> int:
+    """Samples per block of :func:`check_nni_conjecture` at n leaves."""
+    return max(1, _SURVEY_BLOCK_BENDS // (n * (n - 1) // 2))
+
+
+def _survey_block(cfg: SampleConfig, labels: tuple[str, ...], first: int, stop: int):
+    """Samples first..stop-1 of the NNI survey, from their merge schedules,
+    sample by sample: its index, its two draws' (merges, branch lengths)
+    and the deduplicated topology sequence of their segment.
+
+    Every check of the tree route runs, batched where it can be: the
+    equidistance of each draw, positivity and the three-point condition on
+    the stacked rows, the finiteness check of the segment, and the
+    equidistance of every bend inside the shared single-linkage pass.  A
+    failing check raises, but not necessarily for the first failing sample,
+    so the caller replays the block on the tree route."""
+    n, tol = cfg.n, DEFAULT_TOL
+    draws = []
+    rows = []
+    for index in range(first, stop):
+        rng = sample_rng(cfg.seed, index)
+        pair = []
+        for _ in range(2):
+            merges = _schedule(n, cfg.height, rng)
+            lengths = _merge_lengths(n, merges)
+            _require_equidistant_merges(labels, merges, lengths, tol)
+            pair.append((merges, lengths))
+            rows.append(_ultrametric_row(n, merges))
+        draws.append(pair)
+    rows = np.array(rows)
+    _require_ultrametric_rows(labels, rows, tol)
+    segments = [tropical_segment(u, v, tol) for u, v in zip(rows[::2], rows[1::2])]
+    for index, pair, (_, _, bends, pieces) in zip(
+            range(first, stop), draws, _segment_topologies(labels, segments, tol)):
+        yield index, pair, _topology_sequence(bends, pieces)
+
+
+def _replay(cfg: SampleConfig, first: int, stop: int) -> None:
+    """Samples first..stop-1 of the NNI survey one at a time on the tree
+    route (two trees, then :func:`tree_segment`), which raises the first
+    error in sample order."""
+    for index in range(first, stop):
+        rng = sample_rng(cfg.seed, index)
+        t1 = random_equidistant_tree(cfg.n, cfg.height, rng)
+        t2 = random_equidistant_tree(cfg.n, cfg.height, rng)
+        tree_segment(t1, t2, DEFAULT_TOL)
 
 
 def check_nni_conjecture(cfg: SampleConfig) -> ExperimentReport:
     """Draw pairs of random trees and test whether consecutive binary
     topologies along each segment differ by a single NNI move.  Each
     segment is computed once, at the default tolerance; a transition that
-    fails the test is reported as a violation."""
+    fails the test is reported as a violation, with the Newick strings of
+    the sample's two trees.
+
+    The samples run in blocks of :func:`_survey_block_rows`, from their
+    merge schedules: no tree is built, the bend points of all the segments
+    of a block share one single-linkage pass, and the Newick strings are
+    written from the schedules, only for samples with a violation.  If
+    anything in a block raises, the block is replayed sample by sample on
+    the tree route, so that the survey stops with the error, and the
+    message, of the first sample that fails."""
     start = time.perf_counter()
+    labels = tuple(str(k) for k in range(1, cfg.n + 1))
     total = 0
     single = 0
     degenerate_total = 0
     unresolved_total = 0
     histogram: dict[int, int] = {}
     violations: list[dict] = []
-    for index in range(cfg.samples):
-        rng = sample_rng(cfg.seed, index)
-        t1 = random_equidistant_tree(cfg.n, cfg.height, rng)
-        t2 = random_equidistant_tree(cfg.n, cfg.height, rng)
-        pairs, degenerate, unresolved, n_topos = _binary_transitions(
-            t1, t2, DEFAULT_TOL)
-        histogram[n_topos] = histogram.get(n_topos, 0) + 1
-        degenerate_total += degenerate
-        unresolved_total += unresolved
-        for t_index, (topo_a, topo_b) in enumerate(pairs):
-            total += 1
-            if topo_a.one_nni_apart(topo_b):
-                single += 1
-            else:
-                violations.append({
-                    "sample": index,
-                    "transition": t_index,
-                    "t1": write_newick(t1),
-                    "t2": write_newick(t2),
-                })
+    block = _survey_block_rows(cfg.n)
+    for first in range(0, cfg.samples, block):
+        stop = min(first + block, cfg.samples)
+        try:
+            for index, pair, seq in _survey_block(cfg, labels, first, stop):
+                pairs, degenerate, unresolved = _binary_transitions(seq)
+                histogram[len(seq)] = histogram.get(len(seq), 0) + 1
+                degenerate_total += degenerate
+                unresolved_total += unresolved
+                newicks = None
+                for t_index, (topo_a, topo_b) in enumerate(pairs):
+                    total += 1
+                    if topo_a.one_nni_apart(topo_b):
+                        single += 1
+                        continue
+                    if newicks is None:
+                        newicks = [_newick_of_merges(labels, merges, lengths, 10)
+                                   for merges, lengths in pair]
+                    violations.append({"sample": index, "transition": t_index,
+                                       "t1": newicks[0], "t2": newicks[1]})
+        except Exception:
+            # the survey stops here; the replay raises the first error in
+            # sample order
+            _replay(cfg, first, stop)
+            raise
     return ExperimentReport(
         experiment="nni-conjecture", config=cfg,
         transitions_total=total, transitions_single_nni=single,

@@ -330,15 +330,15 @@ def _single_linkages(points: Sequence[np.ndarray], n: int, tol: float,
     merged: for every threshold, those at or below it connect the same
     leaves as all pairs at or below it (Gower & Ross 1969), so this takes
     O(n^2) per vector.  The vectors are stacked in blocks of
-    `_LINKAGE_BLOCK_ENTRIES` square entries; the sort, the run split and
-    Prim's algorithm run on a whole block, and only the union-find runs per
-    vector.
+    `_LINKAGE_BLOCK_ENTRIES` square entries; the sort, the run split,
+    Prim's algorithm and the run of every spanning-tree edge are computed
+    for a whole block, and only the union-find runs per vector.
 
     Also returns, per vector, the width of its widest run (largest minus
     smallest value, 0 for a single value) and the narrowest gap between
     two consecutive runs (inf with one run)."""
     schedules: list[list[tuple[float, list[int]]]] = []
-    widths, gaps = [], []
+    widths, gaps = [np.empty(0)], [np.empty(0)]
     step = max(1, _LINKAGE_BLOCK_ENTRIES // (n * n))
     for first in range(0, len(points), step):
         block = np.stack(points[first:first + step])
@@ -347,23 +347,39 @@ def _single_linkages(points: Sequence[np.ndarray], n: int, tol: float,
         run_start[:, 1:] = np.diff(svals, axis=1) > tol
         run_end = np.ones(svals.shape, dtype=bool)
         run_end[:, :-1] = run_start[:, 1:]
+        # the runs of all vectors, flat: their vector, smallest and largest
+        # values; each vector's largest values, padded with inf to the
+        # block's most runs; the widest run of each vector and the narrowest
+        # gap between two of its consecutive runs
+        runs = np.count_nonzero(run_end, axis=1)
+        vector = np.repeat(np.arange(len(block)), runs)
+        bottom, top = svals[run_start], svals[run_end]
+        run_max = np.full((len(block), runs.max()), np.inf)
+        run_max[vector, np.arange(len(top)) - (np.cumsum(runs) - runs)[vector]] = top
+        width = np.zeros(len(block))
+        np.maximum.at(width, vector, top - bottom)
+        widths.append(width)
+        inner = vector[1:] == vector[:-1]
+        narrowest = np.full(len(block), np.inf)
+        np.minimum.at(narrowest, vector[1:][inner], (bottom[1:] - top[:-1])[inner])
+        gaps.append(narrowest)
         near, far, weight = _mst_edges(block, n)
-        for r in range(block.shape[0]):
-            run_min, run_max = svals[r][run_start[r]], svals[r][run_end[r]]
-            widths.append((run_max - run_min).max(initial=0.0))
-            gaps.append((run_min[1:] - run_max[:-1]).min(initial=np.inf))
-            run = np.searchsorted(run_max, weight[r])
-            order = np.argsort(run, kind="stable")
-            schedules.append(_merge_runs(n, near[r][order].tolist(), far[r][order].tolist(),
-                                         run[order].tolist(), run_max.tolist()))
-    return schedules, np.array(widths), np.array(gaps)
+        # the run of an edge: the number of runs whose largest value is below its weight
+        edge_run = np.count_nonzero(run_max[:, None, :] < weight[:, :, None], axis=2)
+        at = np.arange(len(block))[:, None]
+        by_run = np.argsort(edge_run, axis=1, kind="stable")
+        near, far, edge_run = near[at, by_run], far[at, by_run], edge_run[at, by_run]
+        near, far, tops = near.tolist(), far.tolist(), run_max[at, edge_run].tolist()
+        for r, run in enumerate(edge_run.tolist()):
+            schedules.append(_merge_runs(n, near[r], far[r], run, tops[r]))
+    return schedules, np.concatenate(widths), np.concatenate(gaps)
 
 
 def _merge_runs(n: int, near: list[int], far: list[int], run: list[int],
-                run_max: list[float]) -> list[tuple[float, list[int]]]:
+                top_value: list[float]) -> list[tuple[float, list[int]]]:
     """The merge schedule of spanning-tree edges (near[k], far[k]) sorted by
-    run: the edges of one run join their components into one node each, at
-    half the run's largest value."""
+    run[k]: the edges of one run join their components into one node each,
+    at half the run's largest value, `top_value[k]`."""
     parent = list(range(n))                 # union-find over components
 
     def find(x: int) -> int:
@@ -375,7 +391,7 @@ def _merge_runs(n: int, near: list[int], far: list[int], run: list[int],
     merges: list[tuple[float, list[int]]] = []
     first = 0
     while first < n - 1:
-        height = run_max[run[first]] / 2.0
+        height = top_value[first] / 2.0
         last = first + 1
         while last < n - 1 and run[last] == run[first]:
             last += 1
@@ -415,7 +431,8 @@ def _merge_lengths(n: int, merges: list[tuple[float, list[int]]]) -> list[float]
     lengths = [0.0] * (n + len(merges))
     for height, children in merges:
         for c in children:
-            lengths[c] = max(height - heights[c], 0.0)
+            length = height - heights[c]
+            lengths[c] = 0.0 if length < 0.0 else length
         heights.append(height)
     return lengths
 
@@ -450,15 +467,37 @@ def _newick_of_merges(labels: Sequence[str], merges: list[tuple[float, list[int]
     return text[-1] + ";"
 
 
+def _require_equidistant_merges(labels: Sequence[str],
+                                merges: list[tuple[float, list[int]]],
+                                lengths: list[float], tol: float) -> None:
+    """``require_equidistant(_tree_of_merges(labels, merges), tol)`` without
+    building the tree unless it fails: the root-to-leaf sums of the
+    `lengths` of :func:`_merge_lengths` are added from the root down, as
+    :meth:`RootedTree.leaf_depths` adds them, and compared with their median;
+    on failure the tree is built, so that the error is the one
+    :func:`require_equidistant` raises."""
+    n = len(labels)
+    depths = [0.0] * len(lengths)
+    for m in range(len(merges) - 1, -1, -1):
+        above = depths[n + m]
+        for c in merges[m][1]:
+            depths[c] = above + lengths[c]
+    leaves = sorted(depths[:n])
+    half = n // 2                   # their median, as statistics.median takes it
+    ref = leaves[half] if n % 2 else (leaves[half - 1] + leaves[half]) / 2
+    if not all([abs(d - ref) <= tol for d in leaves]):
+        require_equidistant(_tree_of_merges(labels, merges), tol)
+
+
 def _topology_of_merges(labels: Sequence[str],
                         merges: list[tuple[float, list[int]]],
                         lengths: list[float], tol: float) -> Topology:
     """``topology_of(_tree_of_merges(labels, merges), tol)`` without
-    building the tree: a node's clade is kept when its branch (`lengths`,
-    from :func:`_merge_lengths`, as in the tree) exceeds tol, and the
-    root-to-leaf sums get the same equidistance check (on failure the tree
-    is built, so that the error is the one :func:`topology_of` raises).
-    `labels` must be natural-sorted."""
+    building the tree: the same equidistance check
+    (:func:`_require_equidistant_merges`), then a node's clade is kept when
+    its branch (`lengths`, from :func:`_merge_lengths`, as in the tree)
+    exceeds tol.  `labels` must be natural-sorted."""
+    _require_equidistant_merges(labels, merges, lengths, tol)
     n = len(labels)
     masks = [1 << k for k in range(n - 1, -1, -1)]
     for _, children in merges:
@@ -466,15 +505,6 @@ def _topology_of_merges(labels: Sequence[str],
         for c in children:
             mask |= masks[c]
         masks.append(mask)
-    # root-to-leaf sums, added from the root down as RootedTree.leaf_depths does
-    depths = [0.0] * len(lengths)
-    for m in range(len(merges) - 1, -1, -1):
-        above = depths[n + m]
-        for c in merges[m][1]:
-            depths[c] = above + lengths[c]
-    ref = statistics.median(depths[:n])
-    if not all(abs(d - ref) <= tol for d in depths[:n]):
-        require_equidistant(_tree_of_merges(labels, merges), tol)
     return Topology._of_masks(tuple(labels), [masks[k] for k in range(n, len(masks))
                                               if lengths[k] > tol])
 

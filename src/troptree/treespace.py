@@ -18,7 +18,7 @@ import csv
 import io
 import itertools
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -107,16 +107,19 @@ class Ultrametric:
         return f"Ultrametric(n={self.n}, [{vals}])"
 
 
-def _violating_triple(D: np.ndarray, tol: float) -> tuple[int, int, int] | None:
-    """First triple (i, j, k) with D[i,j] > max(D[i,k], D[j,k]) + tol, if any."""
-    n = D.shape[0]
-    for k in range(n):
-        limit = np.maximum(D[:, k][:, None], D[None, k, :])
-        bad = D > limit + tol
+def _violating_triple(D: np.ndarray, tol: float) -> tuple[int, int, int, int] | None:
+    """The first triple that fails the three-point condition in a stack of
+    square distance matrices, shape (rows, n, n): (r, i, j, k) with
+    D[r,i,j] > max(D[r,i,k], D[r,j,k]) + tol, for the smallest r, then the
+    smallest k, then (i, j) in row-major order; None if there is none."""
+    first = None
+    for k in range(D.shape[1]):
+        bad = D > np.maximum(D[:, :, k, None], D[:, None, k, :]) + tol
         if bad.any():
-            i, j = np.argwhere(bad)[0]
-            return int(i), int(j), k
-    return None
+            r, i, j = np.argwhere(bad)[0].tolist()
+            if first is None or r < first[0]:
+                first = (r, i, j, k)
+    return first
 
 
 def is_ultrametric(entries, tol: float = DEFAULT_TOL) -> bool:
@@ -131,7 +134,7 @@ def is_ultrametric(entries, tol: float = DEFAULT_TOL) -> bool:
         raise ValueError(f"length {e} is not a triangular number")
     if n < 3:
         return True
-    return _violating_triple(square_form(vec, n), tol) is None
+    return _violating_triple(square_form(vec, n)[None], tol) is None
 
 
 def ultrametric_of(tree: RootedTree, tol: float = DEFAULT_TOL) -> Ultrametric:
@@ -147,15 +150,30 @@ def require_ultrametric(u: Ultrametric, tol: float = DEFAULT_TOL) -> None:
     ultrametrics that pass is again one that passes, so validating a
     segment's endpoints validates all of it."""
     D = square_form(u.entries, u.n)
-    bad = _violating_triple(D, tol)
+    bad = _violating_triple(D[None], tol)
     if bad is not None:
-        i, j, k = bad
+        _, i, j, k = bad
         names = (u.labels[i], u.labels[j], u.labels[k])
         raise NotUltrametricError(
             f"three-point condition fails on triple {names}: "
             f"d({names[0]},{names[1]})={D[i, j]:.12g} exceeds both "
             f"d({names[0]},{names[2]})={D[i, k]:.12g} and "
             f"d({names[1]},{names[2]})={D[j, k]:.12g}", triple=names)
+
+
+def _require_ultrametric_rows(labels: tuple[str, ...], rows: np.ndarray,
+                              tol: float) -> None:
+    """``require_ultrametric(Ultrametric(labels, row), tol)`` for every row
+    of a stack of condensed vectors, shape (rows, e), with the positivity
+    and three-point checks batched: raises what those raise for the first
+    row that fails."""
+    bad = ~(rows > 0).all(axis=1)
+    squares = np.concatenate((rows, np.zeros((len(rows), 1))), axis=1)[:, square_index(len(labels))]
+    triple = _violating_triple(squares, tol)
+    if triple is not None:
+        bad[triple[0]] = True
+    if bad.any():
+        require_ultrametric(Ultrametric._of_sorted(labels, rows[np.argmax(bad)]), tol)
 
 
 def tree_of(u: Ultrametric, tol: float = DEFAULT_TOL) -> RootedTree:
@@ -179,6 +197,42 @@ def tree_of(u: Ultrametric, tol: float = DEFAULT_TOL) -> RootedTree:
 #: next to it read their topologies from their bends (see :class:`TreeSegment`).
 _RUN_WIDTH = 0.25
 _RUN_GAP = 8.0
+
+
+def _segment_topologies(labels: tuple[str, ...], segments: Sequence[TropicalSegment],
+                        tol: float) -> Iterator[tuple[list, list, list[Topology], list[Topology]]]:
+    """The bend merges, their branch lengths, the bend topologies and the
+    piece topologies of each of a sequence of segments between ultrametrics
+    over `labels`, as :class:`TreeSegment` holds them, segment by segment:
+    one batched single-linkage pass over the bend points of all the
+    segments, then each piece from its two bends, or from a pass at its
+    midpoint where the tolerance needs one (see :class:`TreeSegment`)."""
+    n = len(labels)
+    points = [p for segment in segments for p in segment.bend_points]
+    merges, widths, gaps = _trees._single_linkages(points, n, tol)
+    clean = ((widths <= _RUN_WIDTH * tol) & (gaps > _RUN_GAP * tol)).tolist()
+    first = 0
+    for segment in segments:
+        last = first + len(segment.bend_points)
+        bend_merges = merges[first:last]
+        lengths = [_trees._merge_lengths(n, m) for m in bend_merges]
+        bends = [_trees._topology_of_merges(labels, m, ls, tol)
+                 for m, ls in zip(bend_merges, lengths)]
+        pieces = [Topology._of_masks(labels, a.masks | b.masks)
+                  if clean[first + k] and clean[first + k + 1]
+                  else _midpoint_topology(labels, segment, k, tol)
+                  for k, (a, b) in enumerate(zip(bends, bends[1:]))]
+        yield bend_merges, lengths, bends, pieces
+        first = last
+
+
+def _midpoint_topology(labels: tuple[str, ...], segment: TropicalSegment, k: int,
+                       tol: float) -> Topology:
+    """Topology of piece k of a segment, read from the single-linkage
+    merges of its midpoint."""
+    n = len(labels)
+    merges = _trees._single_linkage(segment.piece_midpoint(k), n, tol)
+    return _trees._topology_of_merges(labels, merges, _trees._merge_lengths(n, merges), tol)
 
 
 class TreeSegment:
@@ -223,7 +277,9 @@ class TreeSegment:
 
     The trees at the bends are built only on first use of
     :attr:`bend_trees`; :meth:`bend_newicks` writes their Newick strings
-    straight from the merges.
+    straight from the merges.  The topologies are read by
+    :func:`_segment_topologies`, which the NNI survey runs on many segments
+    at once.
     """
 
     def __init__(self, u: Ultrametric, v: Ultrametric, segment: TropicalSegment,
@@ -232,25 +288,17 @@ class TreeSegment:
         self.v = v
         self.segment = segment
         self.tol = tol
-        labels, n = u.labels, u.n
-        points = segment.bend_points
-        self.bend_ultrametrics = [Ultrametric._of_sorted(labels, b) for b in points]
-        self._bend_merges, widths, gaps = _trees._single_linkages(points, n, tol)
-        self._bend_lengths = [_trees._merge_lengths(n, m) for m in self._bend_merges]
-        self.bend_topologies = [_trees._topology_of_merges(labels, m, lengths, tol)
-                                for m, lengths in zip(self._bend_merges, self._bend_lengths)]
-        clean = ((widths <= _RUN_WIDTH * tol) & (gaps > _RUN_GAP * tol)).tolist()
-        self.piece_topologies = [
-            Topology._of_masks(labels, a.masks | b.masks) if clean[k] and clean[k + 1]
-            else self._midpoint_topology(k)
-            for k, (a, b) in enumerate(zip(self.bend_topologies, self.bend_topologies[1:]))]
+        ((self._bend_merges, self._bend_lengths, self.bend_topologies,
+          self.piece_topologies),) = _segment_topologies(u.labels, [segment], tol)
 
-    def _midpoint_topology(self, k: int) -> Topology:
-        """Topology of piece k read from the single-linkage merges of its
-        midpoint."""
-        merges = _trees._single_linkage(self.segment.piece_midpoint(k), self.u.n, self.tol)
-        return _trees._topology_of_merges(
-            self.u.labels, merges, _trees._merge_lengths(self.u.n, merges), self.tol)
+    @cached_property
+    def bend_ultrametrics(self) -> list[Ultrametric]:
+        """The ultrametric at every bend point, made on first use.  Making
+        them checks nothing that the endpoints have not passed: coordinate
+        by coordinate, the bend at parameter d is ``max(u + min(d, 0),
+        v - max(d, 0))``, at least v for d <= 0 and at least u for d >= 0,
+        so the bends of positive endpoints are positive."""
+        return [Ultrametric._of_sorted(self.u.labels, b) for b in self.segment.bend_points]
 
     @cached_property
     def bend_trees(self) -> list[RootedTree]:
@@ -306,10 +354,10 @@ class TreeSegment:
         writer.writerow(header)
         newicks = self.bend_newicks(precision)
         topologies = _trees._canonical_strs(self.bend_topologies)
-        for k, bu in enumerate(self.bend_ultrametrics):
+        for k, point in enumerate(self.segment.bend_points):
             # a bend point is an ultrametric, with at most n-1 distinct
             # entries: format each once
-            values, inverse = np.unique(bu.entries, return_inverse=True)
+            values, inverse = np.unique(point, return_inverse=True)
             text = np.array([format(x, fmt) for x in values.tolist()], dtype=object)
             # numbers need no csv quoting, so they are joined directly
             buf.write(",".join([str(k), format(self.segment.bend_parameters[k], fmt),
@@ -337,10 +385,18 @@ def tree_segment(t1: RootedTree, t2: RootedTree, tol: float = DEFAULT_TOL) -> Tr
 def topology_sequence(seg: TreeSegment) -> list[Topology]:
     """Deduplicated sequence of topologies along the segment, from the t2
     end to the t1 end (bends and straight pieces interleaved)."""
-    out: list[Topology] = []
-    for topo in seg.positions():
-        if not out or out[-1] != topo:
-            out.append(topo)
+    return _topology_sequence(seg.bend_topologies, seg.piece_topologies)
+
+
+def _topology_sequence(bends: list[Topology], pieces: list[Topology]) -> list[Topology]:
+    """The bend topologies interleaved with the piece topologies between
+    them, consecutive duplicates removed."""
+    out = [bends[0]]
+    for piece, bend in zip(pieces, bends[1:]):
+        if piece != out[-1]:
+            out.append(piece)
+        if bend != out[-1]:
+            out.append(bend)
     return out
 
 

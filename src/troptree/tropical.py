@@ -119,7 +119,15 @@ class TropicalSegment:
         params = self.bend_parameters
         if len(params) == 1:
             return [self.v.copy()]
-        inner = [self.point_at(d) for d in params[1:-1]]
+        # point_at at every inner parameter, as rows of one array written in
+        # place: the parameters ascend, so those <= 0, at which the point is
+        # max(u + d, v), come first, and at the others it is max(u, v - d)
+        d = params[1:-1, None]
+        inner = np.empty((len(d), self.u.size))
+        cut = int(np.searchsorted(params[1:-1], 0.0, side="right"))
+        below, above = inner[:cut], inner[cut:]
+        np.maximum(np.add(self.u, d[:cut], out=below), self.v, out=below)
+        np.maximum(np.subtract(self.v, d[cut:], out=above), self.u, out=above)
         return [self.v.copy(), *inner, self.u.copy()]
 
     def piece_midpoint(self, k: int) -> np.ndarray:

@@ -2,6 +2,9 @@ import csv
 import gzip
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -245,3 +248,25 @@ def test_cli_golden(case, output, capsys):
     expected = (plain.read_bytes() if plain.exists()
                 else gzip.decompress((folder / (output + ".gz")).read_bytes()))
     assert out.encode() == expected
+
+
+def test_python_dash_m_runs_the_cli():
+    # `python -m troptree` is the CLI: stdout, exit codes and all
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+
+    def python_m(*argv):
+        return subprocess.run([sys.executable, "-m", "troptree", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    done = python_m("simulate", "nni-conjecture", "--n", "6", "--samples", "100",
+                    "--seed", "1")
+    assert done.returncode == 0
+    assert done.stdout == (Path(__file__).parent / "golden" /
+                           "nni_conjecture_n6_seed1.json").read_text()
+    done = python_m("simulate", "nni-conjecture", "--n", "6", "--samples", "100",
+                    "--height", "1e9")
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr.startswith("error: tree is not equidistant")
+    assert python_m().returncode == 1

@@ -225,8 +225,9 @@ def test_segment_builds_trees_only_for_output(monkeypatch):
     calls = counted_calls(monkeypatch, trees, ("agglomerate", "_single_linkages",
                                                "_single_linkage", "_tree_of_merges"))
     check_nni_conjecture(SampleConfig(n=6, samples=20, seed=1))
-    # one batched single-linkage pass per segment and no tree
-    assert calls == {"agglomerate": 0, "_single_linkages": 20, "_single_linkage": 0,
+    # one batched single-linkage pass per block of samples (20 samples fit
+    # in one) and no tree
+    assert calls == {"agglomerate": 0, "_single_linkages": 1, "_single_linkage": 0,
                      "_tree_of_merges": 0}
     calls.update(dict.fromkeys(calls, 0))
     rng = sample_rng(5, 0)
@@ -260,7 +261,7 @@ def test_fallback_pieces_of_a_pair_with_gaps_near_tol(monkeypatch):
     # runs there
     t1, t2 = (parse_newick((GOLDEN_CLI / "tolgaps_height_n8" / f"t{k}.nwk").read_text())
               for k in (1, 2))
-    midpoints = counted_calls(monkeypatch, treespace.TreeSegment, ("_midpoint_topology",))
+    midpoints = counted_calls(monkeypatch, treespace, ("_midpoint_topology",))
     seg = tree_segment(t1, t2)
     fallback = midpoints["_midpoint_topology"]
     assert 0 < fallback <= len(seg.piece_topologies)

@@ -1,15 +1,65 @@
 import gzip
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import troptree as tt
+from troptree.cli import main
 from troptree import (SampleConfig, check_nni_conjecture,
                       estimate_star_probability, random_equidistant_tree,
                       sample_rng, write_newick)
+
+
+def oracle_transitions(t1, t2, tol):
+    """The survey's per-sample tree route: consecutive pairs of distinct
+    binary topologies along the segment of two trees, the degenerate
+    topologies, those of them that resolve against neither binary
+    neighbour, and the number of topologies."""
+    seq = tt.topology_sequence(tt.tree_segment(t1, t2, tol))
+    binary = []
+    degenerate = 0
+    unresolved = 0
+    for k, topo in enumerate(seq):
+        if not topo.is_binary:
+            degenerate += 1
+            for nb in seq[k - 1:k] + seq[k + 1:k + 2]:
+                if nb.is_binary and not topo.is_contraction_of(nb):
+                    unresolved += 1
+        elif not binary or binary[-1] != topo:
+            binary.append(topo)
+    return list(zip(binary, binary[1:])), degenerate, unresolved, len(seq)
+
+
+def oracle_survey(cfg):
+    """The NNI survey one sample at a time on the tree route: two trees
+    drawn per sample, their segment, and Newick strings from the trees."""
+    report = tt.ExperimentReport(experiment="nni-conjecture", config=cfg,
+                                 transitions_total=0, transitions_single_nni=0,
+                                 degenerate_boundaries=0, unresolved_boundaries=0,
+                                 topology_count_histogram={})
+    for index in range(cfg.samples):
+        rng = sample_rng(cfg.seed, index)
+        t1 = random_equidistant_tree(cfg.n, cfg.height, rng)
+        t2 = random_equidistant_tree(cfg.n, cfg.height, rng)
+        pairs, degenerate, unresolved, n_topos = oracle_transitions(t1, t2, tt.DEFAULT_TOL)
+        hist = report.topology_count_histogram
+        hist[n_topos] = hist.get(n_topos, 0) + 1
+        report.degenerate_boundaries += degenerate
+        report.unresolved_boundaries += unresolved
+        for t_index, (a, b) in enumerate(pairs):
+            report.transitions_total += 1
+            if a.one_nni_apart(b):
+                report.transitions_single_nni += 1
+            else:
+                report.violations.append({"sample": index, "transition": t_index,
+                                          "t1": write_newick(t1), "t2": write_newick(t2)})
+    total = report.transitions_total
+    report.transition_rate = report.transitions_single_nni / total if total else 1.0
+    return report
 
 
 def test_sample_config_validation():
@@ -110,9 +160,10 @@ def test_conjecture_one_nni_pairs_always_single_move():
 
 
 def test_conjecture_identical_pair_has_no_transitions(quartet_a):
-    pairs, degenerate, unresolved, n_topos = \
-        tt.sim._binary_transitions(quartet_a, quartet_a, 1e-9)
-    assert pairs == [] and degenerate == 0 and n_topos == 1
+    seq = tt.topology_sequence(tt.tree_segment(quartet_a, quartet_a, 1e-9))
+    pairs, degenerate, unresolved = tt.sim._binary_transitions(seq)
+    assert pairs == [] and degenerate == 0 and len(seq) == 1
+    assert oracle_transitions(quartet_a, quartet_a, 1e-9) == (pairs, degenerate, unresolved, 1)
 
 
 def test_conjecture_report_fields():
@@ -131,7 +182,8 @@ def test_ultrametric_row_matches_tree_route(height):
     for n in range(2, 31):
         for seed in range(3):
             for index in range(4):
-                row = np.array(tt.sim._ultrametric_row(n, height, sample_rng(seed, index)))
+                merges = tt.sim._schedule(n, height, sample_rng(seed, index))
+                row = np.array(tt.sim._ultrametric_row(n, merges))
                 tree = random_equidistant_tree(n, height, sample_rng(seed, index))
                 assert row.tobytes() == tt.ultrametric_of(tree).entries.tobytes()
 
@@ -157,6 +209,49 @@ def test_star_blocks_match_per_sample_loop():
     for samples in (1, block, block + 1):
         report = estimate_star_probability(SampleConfig(n=n, samples=samples, seed=seed))
         assert report.hits == sum(crossed[:samples])
+
+
+@pytest.mark.parametrize("height", [1e-3, 1.0, 1e3, 1e6])
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9])
+def test_survey_matches_tree_route(n, height, monkeypatch):
+    # blocks of 7 samples, so that 30 samples cross four block boundaries
+    monkeypatch.setattr(tt.sim, "_survey_block_rows", lambda n: 7)
+    for seed in (0, 1):
+        cfg = SampleConfig(n=n, height=height, samples=30, seed=seed)
+        assert check_nni_conjecture(cfg).to_json() == oracle_survey(cfg).to_json()
+
+
+def test_survey_matches_tree_route_across_a_natural_block():
+    block = tt.sim._survey_block_rows(9)
+    assert 1 < block < 60
+    cfg = SampleConfig(n=9, samples=block + 6, seed=3)
+    report = check_nni_conjecture(cfg)
+    assert report.violations and report.to_json() == oracle_survey(cfg).to_json()
+
+
+@pytest.mark.parametrize("n, height, seed, samples", [
+    (6, 1e7, 1, 100), (6, 1e9, 0, 100), (6, 5e-324, 0, 100),
+    # the first failing sample fails the three-point condition, and a later
+    # one in its block fails the equidistance of a draw, which the block
+    # checks first
+    (7, 1e7, 1, 100),
+    # the first failing sample fails at a bend, a later one at a draw
+    (5, 1e7, 3, 100),
+    # only the equidistance check of a draw fails, or only the three-point
+    # condition
+    (6, 1e8, 4, 1), (7, 1e7, 4, 1),
+])
+def test_survey_errors_match_tree_route(n, height, seed, samples, capsys):
+    cfg = SampleConfig(n=n, height=height, samples=samples, seed=seed)
+    with pytest.raises(tt.TropTreeError) as expected:
+        oracle_survey(cfg)
+    code = main(["simulate", "nni-conjecture", "--n", str(n), "--height", repr(height),
+                 "--samples", str(samples), "--seed", str(seed)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "")
+    assert err.splitlines()[0] == f"error: {expected.value}"
+    with pytest.raises(type(expected.value), match="^" + re.escape(str(expected.value)) + "$"):
+        check_nni_conjecture(cfg)
 
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -137,6 +137,9 @@ def test_segment_properties(data):
     # every bend lies in the tropical hull of the endpoints
     for b in bends:
         assert in_tropical_hull([u, v], b)
+    # the inner bends are the points at their parameters, exactly
+    for b, d in zip(bends[1:-1], seg.bend_parameters[1:-1]):
+        assert np.array_equal(b, seg.point_at(d))
 
 
 @settings(max_examples=100, deadline=None)

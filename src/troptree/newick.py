@@ -16,10 +16,10 @@ byte offset of the offending character.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import NewickParseError
-from .util import natural_key, sorted_labels
+from .util import sorted_labels
 
 _SPECIAL = set("(),:;")
 
@@ -53,10 +53,13 @@ class RootedTree:
     """A rooted phylogenetic tree with branch lengths and unique leaf labels.
 
     Instances are treated as immutable: all operations in this package build
-    new trees instead of mutating inputs.
+    new trees instead of mutating inputs.  Every question about a tree (its
+    Newick string, depths, distances, topology, cluster table) is answered
+    from its merge schedule, which :func:`_read_tree` reads from the nodes
+    on first use and keeps.
     """
 
-    __slots__ = ("root", "leaf_labels")
+    __slots__ = ("root", "leaf_labels", "_schedule")
 
     def __init__(self, root: TreeNode):
         self.root = root
@@ -74,6 +77,7 @@ class RootedTree:
             if not node.is_leaf() and len(node.children) < 2:
                 raise ValueError("internal nodes need at least 2 children")
         self.leaf_labels = sorted_labels(labels)
+        self._schedule = None
 
     @property
     def n_leaves(self) -> int:
@@ -84,17 +88,12 @@ class RootedTree:
         return _walk(self.root)
 
     def leaf_depths(self) -> dict[str, float]:
-        """Total branch length from the root down to each leaf."""
-        depths: dict[str, float] = {}
-        stack = [(self.root, 0.0)]
-        while stack:
-            node, acc = stack.pop()
-            if node.is_leaf():
-                depths[node.label] = acc
-            else:
-                for child in node.children:
-                    stack.append((child, acc + child.length))
-        return depths
+        """Total branch length from the root down to each leaf, in
+        :meth:`nodes` order."""
+        labels = self.leaf_labels
+        merges, lengths = _read_tree(self)
+        depths = _node_depths(len(labels), merges, lengths)
+        return {labels[k]: depths[k] for k in _preorder_leaves(len(labels), merges)}
 
     def height(self) -> float:
         """Largest root-to-leaf distance (the tree height when equidistant)."""
@@ -110,6 +109,85 @@ def _walk(root: TreeNode) -> Iterator[TreeNode]:
         node = stack.pop()
         yield node
         stack.extend(node.children)
+
+
+def _read_tree(tree: RootedTree) -> tuple[list[tuple[float, list[int]]], list[float]]:
+    """The tree's merge schedule and the branch length of every node, by
+    node number, read in one walk on first use and kept on the tree.
+
+    Leaves are numbered by the natural rank of their labels
+    (``tree.leaf_labels``).  Internal nodes are numbered in reverse
+    :meth:`RootedTree.nodes` order, so that the preorder, and with it the
+    order of :meth:`RootedTree.leaf_depths`, is the schedule's walked from
+    the root, and each keeps its children in the tree's order.  The lengths
+    are the nodes' own (the root's is 0); a node's height is the largest
+    child height plus branch length."""
+    if tree._schedule is None:
+        rank = {lab: r for r, lab in enumerate(tree.leaf_labels)}
+        internal = []                   # in preorder
+        stack = [tree.root]
+        while stack:
+            node = stack.pop()
+            if node.children:
+                internal.append(node)
+                stack += node.children
+        number: dict[int, int] = {}
+        heights = [0.0] * len(rank)
+        lengths = [0.0] * (len(rank) + len(internal))
+        merges: list[tuple[float, list[int]]] = []
+        for node in reversed(internal):
+            height = 0.0
+            children = []
+            for child in node.children:
+                c = number[id(child)] if child.children else rank[child.label]
+                lengths[c] = child.length
+                h = heights[c] + child.length
+                if h > height:
+                    height = h
+                children.append(c)
+            number[id(node)] = len(heights)
+            heights.append(height)
+            merges.append((height, children))
+        tree._schedule = (merges, lengths)
+    return tree._schedule
+
+
+def _node_depths(n: int, merges: list[tuple[float, list[int]]],
+                 lengths: list[float]) -> list[float]:
+    """The root-to-node sum of `lengths` of every node of a schedule over n
+    leaves, by node number, added from the root down."""
+    depths = [0.0] * len(lengths)
+    for m in range(len(merges) - 1, -1, -1):
+        above = depths[n + m]
+        for c in merges[m][1]:
+            depths[c] = above + lengths[c]
+    return depths
+
+
+def _preorder_leaves(n: int, merges: list[tuple[float, list[int]]]) -> list[int]:
+    """The leaves of a schedule over n leaves in the :meth:`RootedTree.nodes`
+    order of its tree."""
+    leaves = []
+    stack = [n + len(merges) - 1]
+    while stack:
+        node = stack.pop()
+        if node < n:
+            leaves.append(node)
+        else:
+            stack += merges[node - n][1]
+    return leaves
+
+
+def _merge_masks(leaves: list[int], merges: list[tuple[float, list[int]]]) -> list[int]:
+    """The clade mask of every node of a schedule, by node number, from the
+    masks of its leaves."""
+    masks = list(leaves)
+    for _, children in merges:
+        mask = 0
+        for c in children:
+            mask |= masks[c]
+        masks.append(mask)
+    return masks
 
 
 class _Scanner:
@@ -222,40 +300,38 @@ def write_newick(tree: RootedTree, precision: int = 10) -> str:
     """
     if precision < 1:
         raise ValueError("precision must be >= 1")
-    rank = {lab: r for r, lab in enumerate(tree.leaf_labels)}
+    return _newick_of_merges(tree.leaf_labels, *_read_tree(tree), precision)
+
+
+def _newick_of_merges(labels: Sequence[str], merges: list[tuple[float, list[int]]],
+                      lengths: list[float], precision: int) -> str:
+    """The Newick string of a merge schedule over natural-sorted `labels`,
+    so that a leaf's rank is its node number, with the branch `lengths` of
+    its nodes: each node's children in the order of their smallest leaf
+    rank, as :func:`write_newick` writes them."""
     fmt = f".{precision}g"
-
-    def render(node: TreeNode) -> tuple[int, str]:
-        """The smallest leaf rank below `node` and its Newick text."""
-        if node.is_leaf():
-            return rank[node.label], node.label
-        parts = sorted((*render(c), format(c.length, fmt)) for c in node.children)
-        return parts[0][0], "(" + ",".join(
-            f"{text}:{length}" for _, text, length in parts) + ")"
-
-    return render(tree.root)[1] + ";"
+    first = list(range(len(labels)))        # smallest leaf rank below each node
+    text = list(labels)
+    for _, children in merges:
+        children = sorted(children, key=first.__getitem__)
+        first.append(first[children[0]])
+        text.append("(" + ",".join([text[c] + ":" + format(lengths[c], fmt)
+                                    for c in children]) + ")")
+    return text[-1] + ";"
 
 
 def structurally_equal(a: RootedTree, b: RootedTree, tol: float = 0.0) -> bool:
     """Node-for-node equality up to `tol` on branch lengths, ignoring child
-    order (children are matched in canonical order)."""
+    order: the same leaf labels, the same clades and, clade by clade, the
+    same non-root branch lengths within tol."""
+    if a.leaf_labels != b.leaf_labels:
+        return False
+    leaves = [1 << k for k in range(a.n_leaves - 1, -1, -1)]
 
-    def smallest(node: TreeNode) -> str:
-        if node.is_leaf():
-            return node.label
-        return min((smallest(c) for c in node.children), key=natural_key)
+    def branches(tree: RootedTree) -> dict[int, float]:
+        """Clade mask -> branch length, for every node but the root."""
+        merges, lengths = _read_tree(tree)
+        return dict(zip(_merge_masks(leaves, merges), lengths[:-1]))
 
-    def eq(x: TreeNode, y: TreeNode, at_root: bool) -> bool:
-        if x.is_leaf() != y.is_leaf():
-            return False
-        if x.is_leaf():
-            return x.label == y.label and (at_root or abs(x.length - y.length) <= tol)
-        if len(x.children) != len(y.children):
-            return False
-        if not at_root and abs(x.length - y.length) > tol:
-            return False
-        xs = sorted(x.children, key=lambda c: natural_key(smallest(c)))
-        ys = sorted(y.children, key=lambda c: natural_key(smallest(c)))
-        return all(eq(cx, cy, False) for cx, cy in zip(xs, ys))
-
-    return eq(a.root, b.root, True)
+    x, y = branches(a), branches(b)
+    return x.keys() == y.keys() and all(abs(x[m] - y[m]) <= tol for m in x)

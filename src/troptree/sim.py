@@ -21,14 +21,14 @@ from typing import Sequence
 import numpy as np
 
 from .errors import TropTreeError
-from .newick import RootedTree
-from .trees import (Topology, _clade_table, _merge_lengths,
-                    _newick_of_merges, _require_equidistant_merges, _tree_of_clades,
-                    _tree_of_merges, nni_neighbors)
+from .newick import RootedTree, _newick_of_merges
+from .trees import (Topology, _clade_table, _distances_of_merges, _merge_lengths,
+                    _require_equidistant_merges, _tree_of_clades, _tree_of_merges,
+                    nni_neighbors)
 from .treespace import (_require_ultrametric_rows, _segment_topologies,
                         _topology_sequence, star_crossings, tree_segment)
 from .tropical import tropical_segment
-from .util import DEFAULT_TOL, square_index
+from .util import DEFAULT_TOL
 
 MODEL_TAG = "coalescent-uniform-heights"
 
@@ -147,32 +147,6 @@ def random_equidistant_tree(n: int, height: float, rng: np.random.Generator,
     return _tree_of_merges(list(labels), _schedule(n, height, rng))
 
 
-def _ultrametric_row(n: int, merges: list[tuple[float, list[int]]]) -> list[float]:
-    """The condensed ultrametric of a :func:`_schedule` over the default
-    labels: bit for bit ``ultrametric_of(random_equidistant_tree(n, height,
-    rng)).entries`` for the schedule drawn from the same stream.  Each leaf
-    keeps its depth below the newest node above it, grown by ``h - h_child``
-    per merge and summed pairwise, in the order in which
-    :func:`~troptree.trees.pairwise_distances` adds the tree's lengths."""
-    index = square_index(n).tolist()
-    row = [0.0] * (n * (n - 1) // 2)
-    depth = [0.0] * n
-    members = [[k] for k in range(n)]
-    tops = [0.0] * n
-    for h, (a, b) in merges:
-        low, high = members[a], members[b]
-        for group, step in ((low, h - tops[a]), (high, h - tops[b])):
-            for x in group:
-                depth[x] += step
-        for x in low:
-            dx, at = depth[x], index[x]
-            for y in high:
-                row[at[y]] = dx + depth[y]
-        members.append(low + high)
-        tops.append(h)
-    return row
-
-
 def random_one_nni_pair(n: int, height: float, rng: np.random.Generator,
                         tol: float = DEFAULT_TOL) -> tuple[RootedTree, RootedTree]:
     """A random tree and a uniformly chosen NNI neighbor of it."""
@@ -282,8 +256,9 @@ def estimate_star_probability(cfg: SampleConfig) -> ExperimentReport:
         v = np.empty((rows, e))
         for r in range(rows):
             rng = sample_rng(cfg.seed, first + r)
-            u[r] = _ultrametric_row(cfg.n, _schedule(cfg.n, cfg.height, rng))
-            v[r] = _ultrametric_row(cfg.n, _schedule(cfg.n, cfg.height, rng))
+            for side in (u, v):
+                merges = _schedule(cfg.n, cfg.height, rng)
+                side[r] = _distances_of_merges(cfg.n, merges, _merge_lengths(cfg.n, merges))
         positive = (u > 0).all(axis=1) & (v > 0).all(axis=1)
         valid = rows if positive.all() else int(np.argmin(positive))
         # rows before the first non-positive one are height-checked first,
@@ -350,7 +325,7 @@ def _survey_block(cfg: SampleConfig, labels: tuple[str, ...], first: int, stop: 
             lengths = _merge_lengths(n, merges)
             _require_equidistant_merges(labels, merges, lengths, tol)
             pair.append((merges, lengths))
-            rows.append(_ultrametric_row(n, merges))
+            rows.append(_distances_of_merges(n, merges, lengths))
         draws.append(pair)
     rows = np.array(rows)
     _require_ultrametric_rows(labels, rows, tol)

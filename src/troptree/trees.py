@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import itertools
 import math
-import statistics
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import LeafSetMismatchError, NotEquidistantError
-from .newick import RootedTree, TreeNode
-from .util import DEFAULT_TOL, pair_index, sorted_labels, square_index
+from .newick import (RootedTree, TreeNode, _merge_masks, _node_depths, _preorder_leaves,
+                     _read_tree)
+from .util import DEFAULT_TOL, sorted_labels, square_form, square_index
 
 
 # --------------------------------------------------------------------------
@@ -36,49 +36,44 @@ def is_equidistant(tree: RootedTree, tol: float = DEFAULT_TOL) -> bool:
 def require_equidistant(tree: RootedTree, tol: float = DEFAULT_TOL) -> None:
     """Raise :class:`NotEquidistantError` naming a deviant leaf: one whose
     root-to-leaf path length is more than tol from the median."""
-    depths = tree.leaf_depths()
-    if len(depths) < 2:
-        return
-    ref = statistics.median(depths.values())
-    worst = max(depths, key=lambda lab: abs(depths[lab] - ref))
-    if abs(depths[worst] - ref) > tol:
-        raise NotEquidistantError(
-            f"tree is not equidistant: leaf {worst!r} has depth "
-            f"{depths[worst]:.12g}, expected {ref:.12g}", leaf=worst)
+    _require_equidistant_merges(tree.leaf_labels, *_read_tree(tree), tol)
 
 
 def pairwise_distances(tree: RootedTree) -> tuple[tuple[str, ...], np.ndarray]:
-    """Cophenetic path distances between all leaf pairs.
+    """Cophenetic path distances between all leaf pairs, written from the
+    tree's merge schedule by :func:`_distances_of_merges`.
 
     Returns the natural-sorted labels and the condensed vector in
     lexicographic pair order over those labels.
     """
     labels = tree.leaf_labels
-    n = len(labels)
-    pos = {lab: k for k, lab in enumerate(labels)}
-    out = np.zeros(n * (n - 1) // 2)
+    return labels, np.array(_distances_of_merges(len(labels), *_read_tree(tree)))
 
-    def visit(node: TreeNode) -> dict[str, float]:
-        if node.is_leaf():
-            return {node.label: 0.0}
-        maps = []
-        for child in node.children:
-            m = visit(child)
-            maps.append({lab: d + child.length for lab, d in m.items()})
-        merged: dict[str, float] = {}
-        for k, m in enumerate(maps):
-            for other in maps[k + 1:]:
-                for la, da in m.items():
-                    for lb, db in other.items():
-                        i, j = pos[la], pos[lb]
-                        if i > j:
-                            i, j = j, i
-                        out[pair_index(n, i, j)] = da + db
-            merged.update(m)
-        return merged
 
-    visit(tree.root)
-    return labels, out
+def _distances_of_merges(n: int, merges: list[tuple[float, list[int]]],
+                         lengths: list[float]) -> list[float]:
+    """The condensed cophenetic distances of a merge schedule over n leaves
+    with the branch `lengths` of its nodes.  Each leaf keeps its depth below
+    the newest node above it, added upward from the leaf, one branch per
+    merge; the distance of two leaves is the sum of their depths below the
+    node that joins them."""
+    index = square_index(n).tolist()
+    row = [0.0] * (n * (n - 1) // 2)
+    depth = [0.0] * n
+    members = [[k] for k in range(n)]
+    for _, children in merges:
+        below: list[int] = []
+        for c in children:
+            group, step = members[c], lengths[c]
+            for x in group:
+                depth[x] += step
+            for x in group:
+                dx, at = depth[x], index[x]
+                for y in below:
+                    row[at[y]] = dx + depth[y]
+            below += group
+        members.append(below)
+    return row
 
 
 def require_same_leaves(a: Iterable[str], b: Iterable[str]) -> None:
@@ -214,57 +209,25 @@ def _canonical_strs(topologies: Sequence[Topology]) -> list[str]:
 
 def topology_of(tree: RootedTree, tol: float = DEFAULT_TOL) -> Topology:
     """Clade set of an equidistant tree after collapsing every internal edge
-    of length <= tol into its parent, built as bitmasks in one walk."""
-    require_equidistant(tree, tol)
-    labels = tree.leaf_labels
-    bit = {lab: 1 << k for k, lab in enumerate(reversed(labels))}
-    masks: list[int] = []
-
-    def visit(node: TreeNode) -> int:
-        if node.is_leaf():
-            return bit[node.label]
-        mask = 0
-        for child in node.children:
-            mask |= visit(child)
-        if node.length > tol:
-            masks.append(mask)
-        return mask
-
-    visit(tree.root)
-    return Topology._of_masks(labels, masks)
+    of length <= tol into its parent, read from its merge schedule."""
+    return _topology_of_merges(tree.leaf_labels, *_read_tree(tree), tol)
 
 
 def _clade_table(tree: RootedTree, labels: Sequence[str] | None = None,
                  ) -> dict[int, tuple[float, list[int]]]:
-    """The tree's cluster table (Day 1985), read in one walk: each internal
-    node's clade mask -> (height, its children's masks), in
+    """The tree's cluster table (Day 1985), read from its merge schedule:
+    each internal node's clade mask -> (height, its children's masks), in
     :meth:`RootedTree.nodes` order.  Masks are over natural-sorted `labels`
     (default the tree's own) in the bit convention of :class:`Topology`.
-    Heights are computed downward, as the largest child height plus branch."""
+    Heights are those of :func:`~troptree.newick._read_tree`, the largest
+    child height plus branch."""
     labels = tree.leaf_labels if labels is None else labels
     bit = {lab: 1 << k for k, lab in enumerate(reversed(labels))}
-    rows: list = []
-
-    def visit(node: TreeNode) -> tuple[int, float]:
-        slot = len(rows)
-        rows.append(None)               # preorder slot; nodes() takes the last child first
-        mask = 0
-        height = 0.0
-        kids = []
-        for child in reversed(node.children):
-            m, h = visit(child) if child.children else (bit[child.label], 0.0)
-            h += child.length
-            mask |= m
-            if h > height:
-                height = h
-            kids.append(m)
-        kids.reverse()
-        rows[slot] = (mask, (height, kids))
-        return mask, height
-
-    if tree.root.children:
-        visit(tree.root)
-    return dict(rows)
+    merges, _ = _read_tree(tree)
+    n = tree.n_leaves
+    masks = _merge_masks([bit[lab] for lab in tree.leaf_labels], merges)
+    return {masks[n + m]: (height, [masks[c] for c in children])
+            for m, (height, children) in reversed(list(enumerate(merges)))}
 
 
 def speciation_times(tree: RootedTree, tol: float = DEFAULT_TOL) -> tuple[float, ...]:
@@ -273,7 +236,7 @@ def speciation_times(tree: RootedTree, tol: float = DEFAULT_TOL) -> tuple[float,
     tol, is represented by its largest member, so the last entry is exactly
     the tree height)."""
     require_equidistant(tree, tol)
-    internal = sorted([h for h, _ in _clade_table(tree).values()])
+    internal = sorted([h for h, _ in _read_tree(tree)[0]])
     return tuple(h for h, up in zip(internal, internal[1:] + [math.inf]) if up - h > tol)
 
 
@@ -450,61 +413,41 @@ def _tree_of_merges(labels: Sequence[str],
     return RootedTree(nodes[-1])
 
 
-def _newick_of_merges(labels: Sequence[str], merges: list[tuple[float, list[int]]],
-                      lengths: list[float], precision: int) -> str:
-    """``write_newick(_tree_of_merges(labels, merges), precision)`` without
-    building the tree: each node's children in the order of their smallest
-    leaf rank, with the `lengths` of :func:`_merge_lengths`.  `labels` must
-    be natural-sorted, so that a leaf's rank is its node number."""
-    fmt = f".{precision}g"
-    first = list(range(len(labels)))        # smallest leaf rank below each node
-    text = list(labels)
-    for _, children in merges:
-        children = sorted(children, key=first.__getitem__)
-        first.append(first[children[0]])
-        text.append("(" + ",".join([text[c] + ":" + format(lengths[c], fmt)
-                                    for c in children]) + ")")
-    return text[-1] + ";"
-
-
 def _require_equidistant_merges(labels: Sequence[str],
                                 merges: list[tuple[float, list[int]]],
                                 lengths: list[float], tol: float) -> None:
-    """``require_equidistant(_tree_of_merges(labels, merges), tol)`` without
-    building the tree unless it fails: the root-to-leaf sums of the
-    `lengths` of :func:`_merge_lengths` are added from the root down, as
-    :meth:`RootedTree.leaf_depths` adds them, and compared with their median;
-    on failure the tree is built, so that the error is the one
-    :func:`require_equidistant` raises."""
+    """Raise :class:`NotEquidistantError` naming a deviant leaf of a merge
+    schedule over `labels` with the branch `lengths` of its nodes: one
+    whose root-to-leaf sum (:func:`~troptree.newick._node_depths`) is more
+    than tol from the median of all; of several that deviate most, the
+    first in :meth:`RootedTree.nodes` order of its tree."""
     n = len(labels)
-    depths = [0.0] * len(lengths)
-    for m in range(len(merges) - 1, -1, -1):
-        above = depths[n + m]
-        for c in merges[m][1]:
-            depths[c] = above + lengths[c]
-    leaves = sorted(depths[:n])
+    if n < 2:
+        return
+    depths = _node_depths(n, merges, lengths)
+    ordered = sorted(depths[:n])
     half = n // 2                   # their median, as statistics.median takes it
-    ref = leaves[half] if n % 2 else (leaves[half - 1] + leaves[half]) / 2
-    if not all([abs(d - ref) <= tol for d in leaves]):
-        require_equidistant(_tree_of_merges(labels, merges), tol)
+    ref = ordered[half] if n % 2 else (ordered[half - 1] + ordered[half]) / 2
+    # the largest deviation is at one end of the sorted depths
+    if ordered[-1] - ref <= tol and ref - ordered[0] <= tol:
+        return
+    worst = max(_preorder_leaves(n, merges), key=lambda k: abs(depths[k] - ref))
+    if abs(depths[worst] - ref) > tol:
+        raise NotEquidistantError(
+            f"tree is not equidistant: leaf {labels[worst]!r} has depth "
+            f"{depths[worst]:.12g}, expected {ref:.12g}", leaf=labels[worst])
 
 
 def _topology_of_merges(labels: Sequence[str],
                         merges: list[tuple[float, list[int]]],
                         lengths: list[float], tol: float) -> Topology:
-    """``topology_of(_tree_of_merges(labels, merges), tol)`` without
-    building the tree: the same equidistance check
+    """The topology of a merge schedule over natural-sorted `labels` with
+    the branch `lengths` of its nodes: the equidistance check
     (:func:`_require_equidistant_merges`), then a node's clade is kept when
-    its branch (`lengths`, from :func:`_merge_lengths`, as in the tree)
-    exceeds tol.  `labels` must be natural-sorted."""
+    its branch exceeds tol."""
     _require_equidistant_merges(labels, merges, lengths, tol)
     n = len(labels)
-    masks = [1 << k for k in range(n - 1, -1, -1)]
-    for _, children in merges:
-        mask = 0
-        for c in children:
-            mask |= masks[c]
-        masks.append(mask)
+    masks = _merge_masks([1 << k for k in range(n - 1, -1, -1)], merges)
     return Topology._of_masks(tuple(labels), [masks[k] for k in range(n, len(masks))
                                               if lengths[k] > tol])
 
@@ -562,15 +505,11 @@ def is_clade(tree: RootedTree, leaves: Iterable[str], tol: float = DEFAULT_TOL) 
     if len(keep) <= 1 or keep == full:
         return True
     labels, dists = pairwise_distances(tree)
-    n = len(labels)
-    pos = {lab: k for k, lab in enumerate(labels)}
-    inside = sorted(pos[lab] for lab in keep)
-    outside = sorted(pos[lab] for lab in full - keep)
-    max_in = max(dists[pair_index(n, a, b)]
-                 for ai, a in enumerate(inside) for b in inside[ai + 1:])
-    min_ext = min(dists[pair_index(n, min(a, b), max(a, b))]
-                  for a in inside for b in outside)
-    return min_ext - max_in > tol
+    D = square_form(dists, len(labels), diagonal=-np.inf)
+    inside = np.array([lab in keep for lab in labels])
+    max_in = D[np.ix_(inside, inside)].max()
+    min_ext = D[np.ix_(inside, ~inside)].min()
+    return bool(min_ext - max_in > tol)
 
 
 # --------------------------------------------------------------------------

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import trees as _trees
 from .errors import NotUltrametricError, TropTreeError
-from .newick import RootedTree
+from .newick import RootedTree, _newick_of_merges
 from .tropical import TropicalSegment, tropical_segment
 from .trees import (Topology, require_equidistant, require_same_leaves,
                     speciation_times, topology_of)
@@ -308,11 +308,10 @@ class TreeSegment:
 
     def bend_newicks(self, precision: int = 10) -> list[str]:
         """The Newick string of the tree at every bend point, written from
-        its merges without building the tree: byte for byte
-        ``write_newick(self.bend_trees[k], precision)``."""
+        its merges by the writer of :func:`~troptree.newick.write_newick`."""
         if precision < 1:
             raise ValueError("precision must be >= 1")
-        return [_trees._newick_of_merges(self.u.labels, m, lengths, precision)
+        return [_newick_of_merges(self.u.labels, m, lengths, precision)
                 for m, lengths in zip(self._bend_merges, self._bend_lengths)]
 
     @property

@@ -30,13 +30,6 @@ def sorted_labels(labels: Iterable[str]) -> tuple[str, ...]:
     return tuple(sorted(labels, key=natural_key))
 
 
-def pair_index(n: int, i: int, j: int) -> int:
-    """Condensed index of the pair (i, j), i < j, among n items."""
-    if not 0 <= i < j < n:
-        raise ValueError(f"bad pair ({i}, {j}) for n={n}")
-    return n * i - i * (i + 1) // 2 + (j - i - 1)
-
-
 @functools.lru_cache(maxsize=32)
 def square_index(n: int) -> np.ndarray:
     """The n x n matrix of condensed pair indices (lexicographic pair

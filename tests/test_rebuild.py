@@ -9,18 +9,19 @@ import itertools
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tree_walks as walk
 from troptree import (DEFAULT_TOL, NotEquidistantError, SampleConfig, Topology,
                       TreeSegment, Ultrametric, check_nni_conjecture, parse_newick,
                       random_equidistant_tree, sample_rng, structurally_equal,
-                      topology_of, topology_sequence, tree_segment, tropical_segment,
-                      write_newick)
+                      topology_of, topology_sequence, tree_segment, tropical_segment)
 from troptree import trees, treespace
 from troptree.cli import main
-from troptree.newick import RootedTree, TreeNode
-from troptree.trees import (_merge_lengths, _newick_of_merges, _single_linkage,
+from troptree.newick import RootedTree, TreeNode, _newick_of_merges
+from troptree.trees import (_merge_lengths, _require_equidistant_merges, _single_linkage,
                             _topology_of_merges, _tree_of_merges, agglomerate)
 from troptree.util import natural_key, sorted_labels
 
@@ -333,7 +334,26 @@ def test_newick_of_merges_matches_tree_route(case, height):
     lengths = _merge_lengths(n, merges)
     for precision in (3, 10, 17):
         assert _newick_of_merges(labels, merges, lengths, precision) == \
-            write_newick(_tree_of_merges(labels, merges), precision)
+            walk.write_newick(_tree_of_merges(labels, merges), precision)
+
+
+def test_schedule_equidistance_checks_the_lengths_it_is_given():
+    # heights that telescope, branch lengths that do not: leaf 2's depth is
+    # 0.8, not 1, so the schedule is not equidistant whatever its heights say
+    labels = ("1", "2", "3")
+    merges = [(0.5, [0, 1]), (1.0, [2, 3])]
+    lengths = [0.5, 0.3, 1.0, 0.5, 0.0]
+    tree = RootedTree(TreeNode(children=[
+        TreeNode(length=0.5, children=[TreeNode("1", 0.5), TreeNode("2", 0.3)]),
+        TreeNode("3", 1.0)]))
+    with pytest.raises(NotEquidistantError) as want:
+        walk.require_equidistant(tree, TOL)
+    for check in (_require_equidistant_merges, _topology_of_merges):
+        with pytest.raises(NotEquidistantError) as got:
+            check(labels, merges, lengths, TOL)
+        assert str(got.value) == str(want.value) == \
+            "tree is not equidistant: leaf '2' has depth 0.8, expected 1"
+        assert got.value.leaf == want.value.leaf == "2"
 
 
 def reference_canonical_str(tree):

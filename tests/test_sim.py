@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tree_walks as walk
 import troptree as tt
 from troptree.cli import main
 from troptree import (SampleConfig, check_nni_conjecture,
@@ -183,9 +184,10 @@ def test_ultrametric_row_matches_tree_route(height):
         for seed in range(3):
             for index in range(4):
                 merges = tt.sim._schedule(n, height, sample_rng(seed, index))
-                row = np.array(tt.sim._ultrametric_row(n, merges))
+                lengths = tt.trees._merge_lengths(n, merges)
+                row = np.array(tt.trees._distances_of_merges(n, merges, lengths))
                 tree = random_equidistant_tree(n, height, sample_rng(seed, index))
-                assert row.tobytes() == tt.ultrametric_of(tree).entries.tobytes()
+                assert row.tobytes() == walk.pairwise_distances(tree)[1].tobytes()
 
 
 def _crosses_star(n, seed, index):

@@ -7,7 +7,7 @@ stdout, diagnostics to stderr.  Exit codes are stable:
 * 1 - bad usage or configuration (missing file, bad flag values)
 * 2 - Newick parse error (diagnostic includes the byte offset)
 * 3 - semantic tree error (not equidistant, three-point violation, height
-      mismatch, fewer than 2 leaves)
+      mismatch, fewer than 2 leaves; segment, topologies and dist need 3)
 * 4 - leaf-set mismatch between the two input trees
 """
 
@@ -136,6 +136,8 @@ def cmd_dist(args) -> int:
     u = ultrametric_of(_load_tree(args.tree1), args.tol)
     v = ultrametric_of(_load_tree(args.tree2), args.tol)
     require_same_leaves(u.labels, v.labels)
+    if u.n < 3:
+        raise TropTreeError(f"the tropical distance needs at least 3 leaves, got {u.n}")
     print(format(trop_dist(u.entries, v.entries), f".{args.precision}g"))
     return EXIT_OK
 

@@ -13,6 +13,7 @@ order or parallelism.
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 from dataclasses import dataclass, field
@@ -112,6 +113,15 @@ def sample_rng(seed: int, index: int) -> np.random.Generator:
         np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(index,))))
 
 
+@functools.lru_cache(maxsize=32)
+def _pair_bounds(n: int) -> np.ndarray:
+    """The inclusive bounds of :func:`_schedule`'s pair draws at n leaves:
+    (k-2, k-1, 1) for each k = n, n-1, ..., 2."""
+    bounds = np.array([(k - 2, k - 1, 1) for k in range(n, 1, -1)]).ravel()
+    bounds.flags.writeable = False
+    return bounds
+
+
 def _schedule(n: int, height: float, rng: np.random.Generator,
               ) -> list[tuple[float, list[int]]]:
     """The sampling model's merge schedule, and the only code that draws
@@ -119,16 +129,33 @@ def _schedule(n: int, height: float, rng: np.random.Generator,
     then one pair per merge: lineages i < j of the current k are merged at
     height h into a new last lineage.  The schedule has the form of
     :func:`~troptree.trees._single_linkages`: (h, [node of i, node of j])
-    per merge, leaves are nodes 0..n-1 and the m-th merge makes node n + m."""
+    per merge, leaves are nodes 0..n-1 and the m-th merge makes node n + m.
+
+    All the pairs come from one bounded-integer draw, three values per
+    merge, and are the pairs ``sorted(rng.choice(k, 2, replace=False))``
+    would give, leaving the stream where those calls would.  For a
+    population of at most 10 000 without weights, ``choice`` runs Floyd's
+    algorithm: a in [0, k-2], then b in [0, k-1], replaced by k-1 if it
+    equals a, each from numpy's ``random_bounded_uint64``, and then one
+    draw in [0, 1] that shuffles the two.  ``integers`` with an array of
+    bounds makes those draws in that order from the same routine, which
+    draws nothing for a bound of 0 (a at k = 2), as Floyd's does; the
+    shuffle draw is spent and its value dropped, as the pair is sorted.
+    ``tests/test_sim.py::test_schedule_matches_choice_oracle`` pins this
+    against ``choice`` itself."""
     if n < 2:
         raise ValueError("need at least 2 leaves")
     if not height > 0:
         raise ValueError("height must be positive")
     heights = np.sort(rng.uniform(0.0, height, n - 2)).tolist() if n > 2 else []
+    draws = rng.integers(0, _pair_bounds(n), endpoint=True).tolist()
     lineages = list(range(n))
     merges: list[tuple[float, list[int]]] = []
-    for k, h in zip(range(n, 1, -1), heights + [height]):
-        i, j = sorted(rng.choice(k, size=2, replace=False).tolist())
+    for k, h, i, j in zip(range(n, 1, -1), heights + [height], draws[::3], draws[1::3]):
+        if j == i:
+            j = k - 1
+        elif j < i:
+            i, j = j, i
         b = lineages.pop(j)
         a = lineages.pop(i)
         lineages.append(n + len(merges))

@@ -140,8 +140,8 @@ def is_ultrametric(entries, tol: float = DEFAULT_TOL) -> bool:
 def ultrametric_of(tree: RootedTree, tol: float = DEFAULT_TOL) -> Ultrametric:
     """Cophenetic distance vector of an equidistant tree."""
     require_equidistant(tree, tol)
-    labels, dists = _trees.pairwise_distances(tree)
-    return Ultrametric(labels, dists)
+    # a tree's labels are natural-sorted and unique already
+    return Ultrametric._of_sorted(*_trees.pairwise_distances(tree))
 
 
 def require_ultrametric(u: Ultrametric, tol: float = DEFAULT_TOL) -> None:
@@ -377,6 +377,8 @@ def tree_segment(t1: RootedTree, t2: RootedTree, tol: float = DEFAULT_TOL) -> Tr
     v = ultrametric_of(t2, tol)
     require_ultrametric(u, tol)
     require_ultrametric(v, tol)
+    if u.n < 3:
+        raise TropTreeError(f"a tree segment needs at least 3 leaves, got {u.n}")
     seg = tropical_segment(u.entries, v.entries, tol)
     return TreeSegment(u, v, seg, tol)
 

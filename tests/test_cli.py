@@ -250,16 +250,17 @@ def test_cli_golden(case, output, capsys):
     assert out.encode() == expected
 
 
-def test_python_dash_m_runs_the_cli():
-    # `python -m troptree` is the CLI: stdout, exit codes and all
+def python_m(*argv):
+    # `python -m troptree` in a fresh process, on this checkout's sources
     src = str(Path(__file__).parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    return subprocess.run([sys.executable, "-m", "troptree", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
 
-    def python_m(*argv):
-        return subprocess.run([sys.executable, "-m", "troptree", *argv], env=env,
-                              capture_output=True, text=True, timeout=120)
 
+def test_python_dash_m_runs_the_cli():
+    # `python -m troptree` is the CLI: stdout, exit codes and all
     done = python_m("simulate", "nni-conjecture", "--n", "6", "--samples", "100",
                     "--seed", "1")
     assert done.returncode == 0
@@ -270,3 +271,17 @@ def test_python_dash_m_runs_the_cli():
     assert (done.returncode, done.stdout) == (3, "")
     assert done.stderr.startswith("error: tree is not equidistant")
     assert python_m().returncode == 1
+
+
+def test_two_leaf_trees_exit_three(files):
+    # a two-leaf tree is valid, but its ultrametric has one coordinate and
+    # spans no segment: one diagnostic line and exit 3, no traceback
+    pair = files("pair.nwk", "(a:1,b:1);")
+    done = python_m("validate", pair)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "valid: 2 leaves, height 1\n", "")
+    for command, message in (("segment", "a tree segment"), ("topologies", "a tree segment"),
+                             ("dist", "the tropical distance")):
+        done = python_m(command, pair, pair)
+        assert (done.returncode, done.stdout) == (3, ""), command
+        assert done.stderr == f"error: {message} needs at least 3 leaves, got 2\n"
+        assert "Traceback" not in done.stderr

@@ -190,6 +190,37 @@ def test_ultrametric_row_matches_tree_route(height):
                 assert row.tobytes() == walk.pairwise_distances(tree)[1].tobytes()
 
 
+def _choice_schedule(n, height, rng):
+    # the sampling model drawn with one Generator.choice call per merge
+    heights = np.sort(rng.uniform(0.0, height, n - 2)).tolist() if n > 2 else []
+    lineages = list(range(n))
+    merges = []
+    for k, h in zip(range(n, 1, -1), heights + [height]):
+        i, j = sorted(rng.choice(k, size=2, replace=False).tolist())
+        b = lineages.pop(j)
+        a = lineages.pop(i)
+        lineages.append(n + len(merges))
+        merges.append((h, [a, b]))
+    return merges
+
+
+def test_schedule_matches_choice_oracle():
+    # bit for bit, stream position included: the seeded goldens and every
+    # seeded report rest on this, and a numpy release that changes how
+    # choice draws breaks it here first
+    sizes = [*range(2, 81), 400]
+    heights = (1e-3, 1.0, 1e3)
+    for seed in range(2 * len(sizes) * len(heights)):
+        n = sizes[seed % len(sizes)]
+        height = heights[seed // len(sizes) % len(heights)]
+        ours, oracle = sample_rng(seed, n), sample_rng(seed, n)
+        for _ in range(4):
+            got, want = tt.sim._schedule(n, height, ours), _choice_schedule(n, height, oracle)
+            assert [(h.hex(), p) for h, p in got] == [(h.hex(), p) for h, p in want], (n, seed)
+        assert ours.random() == oracle.random()
+        assert ours.integers(2**32) == oracle.integers(2**32)
+
+
 def _crosses_star(n, seed, index):
     # the per-sample route: two trees, then star_on_segment
     rng = sample_rng(seed, index)

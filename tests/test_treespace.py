@@ -40,6 +40,15 @@ def test_ultrametric_of_star():
     assert u.height == pytest.approx(0.75)
 
 
+def test_ultrametric_of_sorts_no_labels(monkeypatch):
+    # the tree sorted and checked its labels when it was built
+    tree = parse_newick("((S10:1,S2:1):1,(S1:1.5,S9:1.5):0.5);")
+    calls = []
+    monkeypatch.setattr(tt.util, "natural_key", lambda label: calls.append(label))
+    u = ultrametric_of(tree)
+    assert u.labels == ("S1", "S2", "S9", "S10") and calls == []
+
+
 def test_tree_of_golden_caterpillar():
     tree = tree_of(Ultrametric(("1", "2", "3", "4"), U_A))
     assert topology_of(tree) == topo({"1", "2"}, {"1", "2", "3"}, leaves="1234")

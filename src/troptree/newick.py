@@ -310,13 +310,18 @@ def _newick_of_merges(labels: Sequence[str], merges: list[tuple[float, list[int]
     its nodes: each node's children in the order of their smallest leaf
     rank, as :func:`write_newick` writes them."""
     fmt = f".{precision}g"
+    return _newick_text(labels, merges, [format(x, fmt) for x in lengths])
+
+
+def _newick_text(labels: Sequence[str], merges: list[tuple[float, list[int]]],
+                 lengths: list[str]) -> str:
+    """:func:`_newick_of_merges` with the branch `lengths` already written."""
     first = list(range(len(labels)))        # smallest leaf rank below each node
     text = list(labels)
     for _, children in merges:
         children = sorted(children, key=first.__getitem__)
         first.append(first[children[0]])
-        text.append("(" + ",".join([text[c] + ":" + format(lengths[c], fmt)
-                                    for c in children]) + ")")
+        text.append("(" + ",".join([text[c] + ":" + lengths[c] for c in children]) + ")")
     return text[-1] + ";"
 
 

@@ -471,23 +471,30 @@ def agglomerate(labels: Sequence[str], dists: np.ndarray,
 def _tree_of_clades(labels: Sequence[str], heights: dict[int, float]) -> RootedTree:
     """The tree of a laminar clade mask -> height map over natural-sorted
     `labels` that includes the full set, built by :func:`_tree_of_merges`
-    from its merge schedule, each node's children in the order of their
-    smallest leaf rank."""
-    n = len(labels)
+    from its merge schedule (:func:`_clade_merges`)."""
+    return _tree_of_merges(labels, _clade_merges(
+        len(labels), [(mask, heights[mask]) for mask in sorted(heights, key=int.bit_count)]))
+
+
+def _clade_merges(n: int, clades: Iterable[tuple[int, float]]) -> list[tuple[float, list[int]]]:
+    """The merge schedule of a laminar family of (clade mask, height) over
+    n leaves that ends with the full set, listed so that every clade comes
+    after the clades inside it: one node per clade, in that order, each
+    node's children in the order of their smallest leaf rank."""
     top = list(range(n))        # node of the largest clade so far, at its smallest rank
     masks = [1 << (n - 1 - r) for r in range(n)]
     merges: list[tuple[float, list[int]]] = []
-    for mask in sorted(heights, key=int.bit_count):
+    for mask, height in clades:
         children = []           # the largest clades so far that make up this one
         rest = mask
         while rest:
             child = top[n - rest.bit_length()]
             children.append(child)
-            rest &= ~masks[child]
+            rest ^= masks[child]
         top[n - mask.bit_length()] = len(masks)
         masks.append(mask)
-        merges.append((heights[mask], children))
-    return _tree_of_merges(labels, merges)
+        merges.append((height, children))
+    return merges
 
 
 # --------------------------------------------------------------------------

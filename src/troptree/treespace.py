@@ -14,21 +14,22 @@ crossings, clade preservation, segments between NNI neighbors).
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import trees as _trees
-from .errors import NotUltrametricError, TropTreeError
-from .newick import RootedTree, _newick_of_merges
-from .tropical import TropicalSegment, tropical_segment
+from .errors import NotEquidistantError, NotUltrametricError, TropTreeError
+from .newick import RootedTree, _newick_text
+from .tropical import TropicalSegment, _shifted_max, tropical_segment
 from .trees import (Topology, require_equidistant, require_same_leaves,
                     speciation_times, topology_of)
 from .util import DEFAULT_TOL, sorted_labels, square_form, square_index
+
+if TYPE_CHECKING:
+    from ._meets import Merges, MeetTable
 
 
 class Ultrametric:
@@ -199,40 +200,115 @@ _RUN_WIDTH = 0.25
 _RUN_GAP = 8.0
 
 
+def _is_clean(widths: np.ndarray, gaps: np.ndarray, tol: float) -> list[bool]:
+    """The clean rule of :class:`TreeSegment` for each bend, from the width
+    of its widest run of distance values and its narrowest gap between runs."""
+    return ((widths <= _RUN_WIDTH * tol) & (gaps > _RUN_GAP * tol)).tolist()
+
+
 def _segment_topologies(labels: tuple[str, ...], segments: Sequence[TropicalSegment],
                         tol: float) -> Iterator[tuple[list, list, list[Topology], list[Topology]]]:
     """The bend merges, their branch lengths, the bend topologies and the
     piece topologies of each of a sequence of segments between ultrametrics
-    over `labels`, as :class:`TreeSegment` holds them, segment by segment:
-    one batched single-linkage pass over the bend points of all the
-    segments, then each piece from its two bends, or from a pass at its
-    midpoint where the tolerance needs one (see :class:`TreeSegment`)."""
+    over `labels`, as :class:`TreeSegment` holds them, segment by segment,
+    all from single linkage: one batched pass over the bend points of all
+    the segments, then :func:`_topologies` with a pass at the midpoint of
+    each piece that the clean rule flags."""
     n = len(labels)
     points = [p for segment in segments for p in segment.bend_points]
     merges, widths, gaps = _trees._single_linkages(points, n, tol)
-    clean = ((widths <= _RUN_WIDTH * tol) & (gaps > _RUN_GAP * tol)).tolist()
+    clean = _is_clean(widths, gaps, tol)
     first = 0
     for segment in segments:
         last = first + len(segment.bend_points)
-        bend_merges = merges[first:last]
-        lengths = [_trees._merge_lengths(n, m) for m in bend_merges]
-        bends = [_trees._topology_of_merges(labels, m, ls, tol)
-                 for m, ls in zip(bend_merges, lengths)]
-        pieces = [Topology._of_masks(labels, a.masks | b.masks)
-                  if clean[first + k] and clean[first + k + 1]
-                  else _midpoint_topology(labels, segment, k, tol)
-                  for k, (a, b) in enumerate(zip(bends, bends[1:]))]
-        yield bend_merges, lengths, bends, pieces
+        yield _topologies(labels, segment, merges[first:last], clean[first:last], None, tol)
         first = last
 
 
-def _midpoint_topology(labels: tuple[str, ...], segment: TropicalSegment, k: int,
-                       tol: float) -> Topology:
-    """Topology of piece k of a segment, read from the single-linkage
-    merges of its midpoint."""
+def _topologies(labels: tuple[str, ...], segment: TropicalSegment, bend_merges: list[Merges],
+                clean: list[bool], table: "MeetTable | None",
+                tol: float) -> tuple[list, list, list[Topology], list[Topology]]:
+    """The bend merges, their branch lengths, the bend topologies and the
+    piece topologies of a segment from the merges of its bends and the
+    clean rule at each: every piece from its two bends, or from the merges
+    of its midpoint where the tolerance needs them (see :class:`TreeSegment`),
+    read from `table`, or by single linkage without one."""
     n = len(labels)
-    merges = _trees._single_linkage(segment.piece_midpoint(k), n, tol)
+    lengths = [_trees._merge_lengths(n, m) for m in bend_merges]
+    bends = [_trees._topology_of_merges(labels, m, ls, tol)
+             for m, ls in zip(bend_merges, lengths)]
+    pieces = [Topology._of_masks(labels, a.masks | b.masks)
+              if clean[k] and clean[k + 1]
+              else _midpoint_topology(labels, segment, k, table, tol)
+              for k, (a, b) in enumerate(zip(bends, bends[1:]))]
+    return bend_merges, lengths, bends, pieces
+
+
+def _table_topologies(u: Ultrametric, v: Ultrametric, segment: TropicalSegment,
+                      tol: float) -> tuple[list, list, list[Topology], list[Topology]] | None:
+    """What :func:`_segment_topologies` yields for the segment from v to u,
+    read from its candidate table.  None when u and v fail the table's
+    guard, and when a bend or a piece fails the equidistance check: single
+    linkage fails at the same place, and names the leaf that its own
+    schedule's preorder names."""
+    # imported here, so that only large segments load it
+    from ._meets import MeetTable
+    table = MeetTable.of(u, v)
+    if table is None:
+        return None
+    merges, widths, gaps = table.linkages(*_bend_shifts(segment), tol)
+    try:
+        return _topologies(u.labels, segment, merges, _is_clean(widths, gaps, tol), table, tol)
+    except NotEquidistantError:
+        return None
+
+
+def _midpoint_topology(labels: tuple[str, ...], segment: TropicalSegment, k: int,
+                       table: "MeetTable | None", tol: float) -> Topology:
+    """Topology of piece k of a segment, read from the merges of its
+    midpoint: from `table` at the midpoint's parameter, or by single
+    linkage of the midpoint without one."""
+    n = len(labels)
+    if table is None:
+        merges = _trees._single_linkage(segment.piece_midpoint(k), n, tol)
+    else:
+        params = segment.bend_parameters
+        merges = table.linkages(*_shifts(np.array([0.5 * (params[k] + params[k + 1])])), tol)[0][0]
     return _trees._topology_of_merges(labels, merges, _trees._merge_lengths(n, merges), tol)
+
+
+def _quoted(field: str) -> str:
+    """A csv field in quotes, as csv's minimal quoting writes one that
+    holds a comma."""
+    return '"' + field.replace('"', '""') + '"'
+
+
+def _shifts(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The shifts (a, b) = (min(d, 0), -max(d, 0)) of each parameter d, with
+    which the point at d is max(u + a, v + b) (:meth:`TropicalSegment.point_at`:
+    u + a is u + d or u + 0, v + b is v - d or v - 0, bit for bit)."""
+    return np.minimum(params, 0.0), -np.maximum(params, 0.0)
+
+
+def _bend_shifts(segment: TropicalSegment) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_shifts` of the bend parameters, with which the bend points of
+    :attr:`TropicalSegment.bend_points` are max(u + a, v + b) bit for bit:
+    the ends are v and u exactly, so there a is -inf at the v end and b is
+    -inf at the u end."""
+    a, b = _shifts(segment.bend_parameters)
+    a[0], b[0] = -np.inf, 0.0
+    if len(a) > 1:
+        a[-1], b[-1] = 0.0, -np.inf
+    return a, b
+
+
+#: The fewest distance entries, bends times pairs, at which a segment reads
+#: its bends from a :class:`~troptree._meets.MeetTable`; smaller ones take
+#: the batched single-linkage pass.  The table costs about 30 numpy calls
+#: per segment whatever its size, which single linkage saves on small
+#: segments: over pairs at n 4-40 the table was the slower below about
+#: 2,500 entries and the faster above about 5,000.
+_TABLE_MIN_ENTRIES = 1 << 12
 
 
 class TreeSegment:
@@ -247,8 +323,31 @@ class TreeSegment:
     condition, so `u` and `v` must already have passed
     :func:`require_ultrametric` (as in :func:`tree_segment`).
 
-    The bend topologies are read from the single-linkage merges of the bend
-    points, one batched pass over all of them, without building a tree.
+    The bend topologies are read from merge schedules, without building a
+    tree: the schedule of a bend is the single-linkage dendrogram of its
+    point, on which runs of distance values within tol merge at half their
+    largest value.  It is read from the candidate table of the segment
+    (:class:`~troptree._meets.MeetTable`).  A bend point is
+    w = max(u + a, v + b) with a = min(d, 0) and b = -max(d, 0), so two
+    leaves are joined in w at level t exactly when they are joined in u at
+    t - a and in v at t - b, and every cluster of every bend is a meet
+    A ∩ B of a cluster A of u and a cluster B of v (Develin & Sturmfels
+    2004).  The candidates are the
+    distinct meets of two or more leaves, about one per bend.  A meet's
+    value at a bend, max(diam_u(A) + a, diam_v(B) + b) for the smallest
+    such A and B, is the entry of the bend point on every pair whose lca
+    nodes are A and B: the same float operations as
+    :attr:`TropicalSegment.bend_points`, so the values are bit for bit
+    the bend's distinct entries, its runs and its merge heights.  That
+    needs each cluster of u and of v to have one distance value, which
+    holds when they meet the three-point condition exactly, in floats; it
+    is checked once per segment, and fails when root-to-leaf sums differ
+    in their last bits.  A segment that fails it, and one whose bend
+    points hold fewer than ``_TABLE_MIN_ENTRIES`` distance entries, for
+    which the table's fixed cost exceeds the saving, is read by single
+    linkage of its bend points instead (:func:`_segment_topologies`, one
+    batched pass over all of them), with the same result.
+
     Each piece topology follows from its two bends.  On an open piece no
     coordinate changes side between ``u + d`` and ``v``, so every
     coordinate is affine in d; the tree's shape is constant there (tropical
@@ -272,14 +371,15 @@ class TreeSegment:
     each side and is at most tol + tol/2 wide.  It moves a node height by
     at most 3 tol / 4: a branch longer than 2 tol at the midpoint keeps
     more than tol, and one short at both bends stays at most 7 tol / 8.
-    Elsewhere a piece gets its topology from a single-linkage pass at its
-    midpoint.
+    Elsewhere a piece gets its topology from the merges of its midpoint,
+    read from the table at the midpoint's parameter, or by single linkage
+    of the midpoint on that route.
 
     The trees at the bends are built only on first use of
     :attr:`bend_trees`; :meth:`bend_newicks` writes their Newick strings
-    straight from the merges.  The topologies are read by
-    :func:`_segment_topologies`, which the NNI survey runs on many segments
-    at once.
+    straight from the merges, and :meth:`to_csv` writes the distinct
+    entries of the segment once each.  The NNI survey reads its many small
+    segments by :func:`_segment_topologies`, batched over a block of them.
     """
 
     def __init__(self, u: Ultrametric, v: Ultrametric, segment: TropicalSegment,
@@ -288,8 +388,12 @@ class TreeSegment:
         self.v = v
         self.segment = segment
         self.tol = tol
-        ((self._bend_merges, self._bend_lengths, self.bend_topologies,
-          self.piece_topologies),) = _segment_topologies(u.labels, [segment], tol)
+        found = None
+        if len(segment.bend_parameters) * u.e >= _TABLE_MIN_ENTRIES:
+            found = _table_topologies(u, v, segment, tol)
+        if found is None:
+            (found,) = _segment_topologies(u.labels, [segment], tol)
+        self._bend_merges, self._bend_lengths, self.bend_topologies, self.piece_topologies = found
 
     @cached_property
     def bend_ultrametrics(self) -> list[Ultrametric]:
@@ -311,8 +415,19 @@ class TreeSegment:
         its merges by the writer of :func:`~troptree.newick.write_newick`."""
         if precision < 1:
             raise ValueError("precision must be >= 1")
-        return [_newick_of_merges(self.u.labels, m, lengths, precision)
-                for m, lengths in zip(self._bend_merges, self._bend_lengths)]
+        # about a fifth of the branch lengths of a segment are distinct:
+        # write each once
+        fmt = f".{precision}g"
+        lengths = np.concatenate(self._bend_lengths)
+        values, inverse = np.unique(lengths, return_inverse=True)
+        text = np.array([format(x, fmt) for x in values.tolist()], dtype=object)[inverse].tolist()
+        out = []
+        first = 0
+        for merges in self._bend_merges:
+            stop = first + self.u.n + len(merges)
+            out.append(_newick_text(self.u.labels, merges, text[first:stop]))
+            first = stop
+        return out
 
     @property
     def n_bends(self) -> int:
@@ -343,26 +458,31 @@ class TreeSegment:
 
     def to_csv(self, precision: int = 10) -> str:
         """One row per bend point: index, the bend's lambda parameter, the
-        ultrametric entries, the Newick string, and the topology id."""
+        ultrametric entries, the Newick string, and the topology id.
+
+        A bend entry is max(u + a, v + b) of the endpoint entries, so it
+        is fixed by the pair (u, v) of its column: the values of the
+        distinct pairs at every bend are the distinct entries of the
+        segment, and each is written once.  Numbers need no csv quoting;
+        a Newick string, a canonical topology and a d(a,b) header always
+        hold a comma, which csv's minimal quoting always quotes."""
         fmt = f".{precision}g"
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        header = ["index", "lambda"]
-        header += [f"d({a},{b})" for a, b in self.u.pairs()]
-        header += ["newick", "topology"]
-        writer.writerow(header)
+        pairs, columns = np.unique(np.stack((self.u.entries, self.v.entries), axis=1),
+                                   axis=0, return_inverse=True)
+        a, b = _bend_shifts(self.segment)
+        values, inverse = np.unique(_shifted_max(pairs[:, 0], pairs[:, 1], a, b),
+                                    return_inverse=True)
+        text = np.array([format(x, fmt) for x in values.tolist()],
+                        dtype=object)[inverse.reshape(len(a), -1)]
+        columns = columns.reshape(-1)
         newicks = self.bend_newicks(precision)
         topologies = _trees._canonical_strs(self.bend_topologies)
-        for k, point in enumerate(self.segment.bend_points):
-            # a bend point is an ultrametric, with at most n-1 distinct
-            # entries: format each once
-            values, inverse = np.unique(point, return_inverse=True)
-            text = np.array([format(x, fmt) for x in values.tolist()], dtype=object)
-            # numbers need no csv quoting, so they are joined directly
-            buf.write(",".join([str(k), format(self.segment.bend_parameters[k], fmt),
-                                *text[inverse].tolist()]) + ",")
-            writer.writerow([newicks[k], topologies[k]])
-        return buf.getvalue()
+        lines = ["index,lambda," + ",".join([_quoted(f"d({x},{y})") for x, y in self.u.pairs()])
+                 + ",newick,topology\n"]
+        for k, lam in enumerate(self.segment.bend_parameters.tolist()):
+            lines.append(",".join([str(k), format(lam, fmt), *text[k, columns].tolist(),
+                                   _quoted(newicks[k]), _quoted(topologies[k])]) + "\n")
+        return "".join(lines)
 
     def __repr__(self) -> str:
         return (f"TreeSegment(n={self.u.n}, bends={self.n_bends}, "

@@ -147,6 +147,13 @@ class TropicalSegment:
                 f"length={self.length:.6g})")
 
 
+def _shifted_max(u: np.ndarray, v: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """max(u + a[k], v + b[k]) for every k, as rows, shape (len(a), len(u)):
+    with the shifts of :meth:`TropicalSegment.point_at` (a = min(d, 0),
+    b = -max(d, 0)), the point at d, made with the same float operations."""
+    return np.maximum(u + a[:, None], v + b[:, None])
+
+
 def tropical_segment(u, v, tol: float = DEFAULT_TOL) -> TropicalSegment:
     """Tropical line segment between u and v (path from v to u)."""
     return TropicalSegment(u, v, tol)

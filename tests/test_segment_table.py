@@ -1,0 +1,300 @@
+"""The candidate table of a segment against single linkage of its points.
+
+Every bend of a segment, and the midpoint of every piece, is read twice:
+from the table of meets of the endpoints' clusters (`_meets.MeetTable`), and by
+single linkage of the point itself (`_single_linkages`, the route the table
+replaced for large segments).  The two must agree bit for bit: the clades
+with their node heights, the widest run and the narrowest gap of every
+point, and then the topologies, Newick strings and CSV bytes of the whole
+segment.  `TreeSegment` takes the table route from `_TABLE_MIN_ENTRIES`
+distance entries up; the tests move that bound to force one route or the
+other.
+"""
+
+import csv
+import importlib.util
+import io
+import itertools
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from troptree import (DEFAULT_TOL, NotEquidistantError, TreeSegment, Ultrametric,
+                      parse_newick, random_equidistant_tree, sample_rng, tree_segment,
+                      tropical_segment, ultrametric_of)
+from troptree import _meets, treespace, trees
+from troptree.newick import _merge_masks, _newick_of_merges
+from troptree.util import sorted_labels, square_form
+
+TOL = DEFAULT_TOL
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN_CLI = ROOT / "tests" / "golden" / "cli"
+
+
+def clades(n, merges):
+    """The clades of a merge schedule with their node heights, as bits."""
+    masks = _merge_masks([1 << (n - 1 - r) for r in range(n)], merges)
+    return sorted((masks[n + m], height.hex()) for m, (height, _) in enumerate(merges))
+
+
+def disagreements(u, v, tol=TOL, midpoints=True):
+    """The bends, and the piece midpoints unless told not to, of the segment
+    from v to u at which the table and single linkage differ, and the
+    number of points compared.  The table must exist: both endpoints pass
+    its guard."""
+    n = u.n
+    seg = tropical_segment(u.entries, v.entries, tol)
+    table = _meets.MeetTable.of(u, v)
+    assert table is not None
+    merges, widths, gaps = table.linkages(*treespace._bend_shifts(seg), tol)
+    oracle, oracle_widths, oracle_gaps = trees._single_linkages(seg.bend_points, n, tol)
+    bad = [("bend", k) for k, (a, b) in enumerate(zip(merges, oracle))
+           if clades(n, a) != clades(n, b)]
+    bad += [("width", k) for k in np.flatnonzero(widths != oracle_widths).tolist()]
+    bad += [("gap", k) for k in np.flatnonzero(gaps != oracle_gaps).tolist()]
+    params = seg.bend_parameters
+    middle = 0.5 * (params[:-1] + params[1:])
+    if midpoints and len(middle):
+        merges, widths, gaps = table.linkages(*treespace._shifts(middle), tol)
+        points = [seg.piece_midpoint(k) for k in range(len(middle))]
+        oracle, oracle_widths, oracle_gaps = trees._single_linkages(points, n, tol)
+        bad += [("midpoint", k) for k, (a, b) in enumerate(zip(merges, oracle))
+                if clades(n, a) != clades(n, b)]
+        bad += [("midpoint width", k) for k in np.flatnonzero(widths != oracle_widths).tolist()]
+        bad += [("midpoint gap", k) for k in np.flatnonzero(gaps != oracle_gaps).tolist()]
+    return bad, len(params) + (len(middle) if midpoints else 0)
+
+
+def oracle_csv(seg, precision):
+    """TreeSegment.to_csv as csv.writer writes it, with every entry and
+    every branch length formatted where it stands."""
+    fmt = f".{precision}g"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["index", "lambda"] + [f"d({a},{b})" for a, b in seg.u.pairs()]
+                    + ["newick", "topology"])
+    for k, point in enumerate(seg.segment.bend_points):
+        writer.writerow([str(k), format(seg.segment.bend_parameters[k], fmt),
+                         *[format(x, fmt) for x in point.tolist()],
+                         _newick_of_merges(seg.u.labels, seg._bend_merges[k],
+                                           seg._bend_lengths[k], precision),
+                         seg.bend_topologies[k].canonical_str()])
+    return buf.getvalue()
+
+
+def both_routes(monkeypatch, u, v, tol=TOL):
+    """The TreeSegment of u and v on the table route, where the guard lets
+    it, and on the single-linkage route."""
+    seg = tropical_segment(u.entries, v.entries, tol)
+    monkeypatch.setattr(treespace, "_TABLE_MIN_ENTRIES", 0)
+    table = TreeSegment(u, v, seg, tol)
+    monkeypatch.setattr(treespace, "_TABLE_MIN_ENTRIES", float("inf"))
+    linkage = TreeSegment(u, v, seg, tol)
+    return table, linkage
+
+
+def assert_same_segments(table, linkage):
+    n = table.u.n
+    assert [clades(n, m) for m in table._bend_merges] == \
+        [clades(n, m) for m in linkage._bend_merges]
+    assert table.bend_topologies == linkage.bend_topologies
+    assert table.piece_topologies == linkage.piece_topologies
+    for precision in (3, 10, 17):
+        assert table.bend_newicks(precision) == linkage.bend_newicks(precision)
+        assert table.to_csv(precision) == linkage.to_csv(precision) == \
+            oracle_csv(linkage, precision)
+
+
+def sampled_pairs(ns, heights, seeds):
+    for n, height, seed in itertools.product(ns, heights, seeds):
+        rng = sample_rng(seed, n)
+        yield (ultrametric_of(random_equidistant_tree(n, height, rng)),
+               ultrametric_of(random_equidistant_tree(n, height, rng)))
+
+
+@pytest.mark.parametrize("height", [1e-3, 1.0, 1e3])
+def test_table_matches_single_linkage_on_sampled_pairs(height, monkeypatch):
+    checked = 0
+    pairs = itertools.chain(sampled_pairs(range(3, 13), [height], range(3)),
+                            sampled_pairs([32, 80], [height], range(1)))
+    for u, v in pairs:
+        if _meets.MeetTable.of(u, v) is None:
+            continue
+        bad, points = disagreements(u, v)
+        assert bad == []
+        checked += points
+        if u.n <= 12:
+            assert_same_segments(*both_routes(monkeypatch, u, v))
+    # most sampled pairs pass the guard
+    assert checked > 500
+
+
+def test_table_matches_single_linkage_on_the_segment_benchmark_pairs(monkeypatch):
+    # the four seed-1 pairs of the segment-n80 benchmark workload, drawn by
+    # the benchmark's own generator and read from their Newick text
+    spec = importlib.util.spec_from_file_location("bench_gen", ROOT / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, gen)
+    spec.loader.exec_module(gen)
+    bends = 0
+    for k in range(4):
+        rng = gen.input_stream(1, "segment-n80", k)
+        u, v = (ultrametric_of(parse_newick(gen.draw_tree(80, 1.0, rng).newick()))
+                for _ in range(2))
+        bad, points = disagreements(u, v, midpoints=False)
+        assert bad == []
+        bends += points
+    assert bends == 1439
+
+
+@pytest.mark.parametrize("name", ["ties_n8", "tolgaps_dist_n8", "tolgaps_height_n8",
+                                  "random_n6_seed11", "random_n12_seed12",
+                                  "random_n32_seed32"])
+def test_table_matches_single_linkage_on_cli_goldens(name, monkeypatch):
+    u, v = (ultrametric_of(parse_newick((GOLDEN_CLI / name / f"t{k}.nwk").read_text()))
+            for k in (1, 2))
+    assert disagreements(u, v)[0] == []
+    assert_same_segments(*both_routes(monkeypatch, u, v))
+
+
+@st.composite
+def grid_pairs(draw):
+    """Two ultrametrics on n leaves whose node heights come from a coarse
+    grid (ties and polytomies), scaled by 1e-3, 1 or 1e3, in half the pairs
+    plus offsets near tol that are not scaled."""
+    n = draw(st.integers(3, 12))
+    scale = draw(st.sampled_from((1e-3, 1.0, 1e3)))
+    offsets = draw(st.sampled_from(((0.0, 0.25 * TOL, 0.5 * TOL, TOL, 1.5 * TOL, 3 * TOL),
+                                    (0.0,))))
+    labels = tuple(str(k) for k in range(1, n + 1))
+    pair = []
+    for _ in range(2):
+        members = [[k] for k in range(n)]
+        heights = [0.0] * n
+        D = np.zeros((n, n))
+        while len(members) > 1:
+            size = draw(st.integers(2, min(3, len(members))))
+            picked = sorted(draw(st.lists(st.integers(0, len(members) - 1),
+                                          min_size=size, max_size=size, unique=True)))
+            h = max(max(heights[k] for k in picked),
+                    scale * draw(st.sampled_from((0.1, 0.2, 0.3, 0.5, 0.8))))
+            h += draw(st.sampled_from(offsets))
+            for x, y in itertools.combinations(picked, 2):
+                for a in members[x]:
+                    for b in members[y]:
+                        D[a, b] = D[b, a] = 2 * h
+            members = [m for k, m in enumerate(members) if k not in picked] + \
+                [[m for k in picked for m in members[k]]]
+            heights = [hk for k, hk in enumerate(heights) if k not in picked] + [h]
+        pair.append(Ultrametric(labels, D[np.triu_indices(n, k=1)]))
+    return pair
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair=grid_pairs())
+def test_table_matches_single_linkage_on_grid_ties(pair):
+    u, v = pair
+    assert disagreements(u, v)[0] == []
+
+
+def test_table_route_matches_on_grid_ties_end_to_end(monkeypatch):
+    # a fixed handful of grid pairs through TreeSegment on both routes
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(pair=grid_pairs())
+    def check(pair):
+        assert_same_segments(*both_routes(monkeypatch, *pair))
+    check()
+
+
+def test_guard_sends_last_bit_variants_to_single_linkage(monkeypatch):
+    # root-to-leaf sums that differ in their last bits give a cluster two
+    # distance values; the guard refuses the table, and the segment is read
+    # by single linkage
+    refused = 0
+    for u, v in sampled_pairs([12, 32], [1e-3, 1e3], range(6)):
+        if all(_meets.clusters(w.n, w.entries) is not None for w in (u, v)):
+            continue
+        refused += 1
+        assert _meets.MeetTable.of(u, v) is None
+        calls = {"of": 0}
+        real = _meets.MeetTable.of
+
+        def counted(*args):
+            calls["of"] += 1
+            return real(*args)
+
+        monkeypatch.setattr(_meets.MeetTable, "of", counted)
+        table, linkage = both_routes(monkeypatch, u, v)
+        monkeypatch.setattr(_meets.MeetTable, "of", real)
+        assert calls["of"] == 1
+        assert_same_segments(table, linkage)
+        # the endpoints fail the three-point condition only without a
+        # tolerance: by rounding, not by shape
+        squares = np.stack([square_form(w.entries, w.n) for w in (u, v)])
+        assert treespace._violating_triple(squares, 0.0) is not None
+        assert treespace._violating_triple(squares, TOL) is None
+        if refused == 3:
+            break
+    assert refused == 3
+
+
+def test_large_segment_runs_no_single_linkage(monkeypatch):
+    calls = dict.fromkeys(("_single_linkages", "_single_linkage"), 0)
+    for name in calls:
+        real = getattr(trees, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(trees, name, counted)
+    t1, t2 = (parse_newick((GOLDEN_CLI / "random_n32_seed32" / f"t{k}.nwk").read_text())
+              for k in (1, 2))
+    seg = tree_segment(t1, t2)
+    assert seg.n_bends * seg.u.e >= treespace._TABLE_MIN_ENTRIES
+    seg.to_csv()
+    assert calls == {"_single_linkages": 0, "_single_linkage": 0}
+    # pieces next to runs near tol read their midpoints from the table too
+    midpoints = dict(count=0)
+    real_midpoint = treespace._midpoint_topology
+
+    def counted_midpoint(*args):
+        midpoints["count"] += 1
+        return real_midpoint(*args)
+
+    monkeypatch.setattr(treespace, "_midpoint_topology", counted_midpoint)
+    monkeypatch.setattr(treespace, "_TABLE_MIN_ENTRIES", 0)
+    t1, t2 = (parse_newick((GOLDEN_CLI / "tolgaps_height_n8" / f"t{k}.nwk").read_text())
+              for k in (1, 2))
+    tree_segment(t1, t2).to_csv()
+    assert midpoints["count"] > 0
+    assert calls == {"_single_linkages": 0, "_single_linkage": 0}
+
+
+def test_failing_bend_raises_what_single_linkage_raises(monkeypatch):
+    # at height 1e9 the root-to-leaf sums of a bend's branch lengths round
+    # apart by more than tol; both routes stop at the same bend, and name
+    # the leaf that the single-linkage schedule's preorder names
+    t1, t2 = (random_equidistant_tree(10, 1.0, sample_rng(0, k)) for k in range(2))
+    u, v = (Ultrametric(t.leaf_labels, ultrametric_of(t).entries * 1e9) for t in (t1, t2))
+    assert _meets.MeetTable.of(u, v) is not None
+    messages = []
+    for bound in (0, float("inf")):
+        monkeypatch.setattr(treespace, "_TABLE_MIN_ENTRIES", bound)
+        with pytest.raises(NotEquidistantError) as err:
+            TreeSegment(u, v, tropical_segment(u.entries, v.entries, TOL), TOL)
+        messages.append((str(err.value), err.value.leaf))
+    assert messages[0] == messages[1]
+
+
+def test_csv_quotes_labels_with_quote_marks(monkeypatch):
+    labels = sorted_labels(('a"1', 'a"2', 'a"3', 'b,1', 'b"2'))
+    rng = sample_rng(3, 5)
+    u, v = (Ultrametric(labels, ultrametric_of(random_equidistant_tree(5, 1.0, rng)).entries)
+            for _ in range(2))
+    table, linkage = both_routes(monkeypatch, u, v)
+    assert_same_segments(table, linkage)
+    assert '"d(a""1,a""2)"' in table.to_csv()

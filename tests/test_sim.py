@@ -1,7 +1,9 @@
 import gzip
+import itertools
 import json
 import math
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -129,6 +131,49 @@ def test_star_probability_small_runs():
     assert abs(three.rate - 2 / 3) <= 4 * sigma
     four = estimate_star_probability(SampleConfig(n=4, samples=400, seed=1))
     assert four.rate > 0
+
+
+def root_split_probabilities(n):
+    """The probability of every root split of a coalescent-uniform-heights
+    draw on leaves 0..n-1, in exact arithmetic, from its ranked histories:
+    at each step a uniformly random pair of the current lineages merges."""
+    splits = {}
+
+    def merge(lineages, p):
+        if len(lineages) == 2:
+            split = frozenset(lineages)
+            splits[split] = splits.get(split, 0) + p
+            return
+        pairs = list(itertools.combinations(range(len(lineages)), 2))
+        for i, j in pairs:
+            rest = [x for k, x in enumerate(lineages) if k not in (i, j)]
+            merge(rest + [lineages[i] | lineages[j]], p / len(pairs))
+
+    merge([frozenset([k]) for k in range(n)], Fraction(1))
+    return splits
+
+
+def exact_star_rate(n):
+    """The probability that the segment between two independent draws
+    passes through the star tree.  Both trees have height h and every other
+    node lies below h (with probability 1), so a pair's distance is 2h
+    exactly when its tree's root splits it.  The coordinate-wise maximum is
+    constant, 2h, exactly when no pair is joined below the root in both."""
+    splits = root_split_probabilities(n)
+    assert sum(splits.values()) == 1
+
+    def joined(split):
+        return {pair for side in split for pair in itertools.combinations(sorted(side), 2)}
+
+    return sum(p * q for a, p in splits.items() for b, q in splits.items()
+               if not joined(a) & joined(b))
+
+
+def test_star_rate_in_exact_arithmetic():
+    # a root side of three leaves keeps two of them together in any split
+    # of the other tree, so only splits into sides of at most two cross
+    assert [exact_star_rate(n) for n in range(3, 7)] == \
+        [Fraction(2, 3), Fraction(2, 27), 0, 0]
 
 
 def test_star_hits_match_brute_force_on_three_leaves():

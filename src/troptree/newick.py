@@ -4,7 +4,8 @@ Dialect rules:
 
 * exactly one tree per string, terminated by ``;``;
 * every non-root node carries ``:<length>`` with a non-negative decimal
-  length; the root may omit it (a root length is parsed but stored as 0);
+  length that a float holds without overflow; the root may omit it (a root
+  length is parsed but stored as 0);
 * leaf labels are non-empty, unique, and unquoted (any characters except
   ``( ) , : ;`` and whitespace);
 * internal-node labels are tolerated and dropped;
@@ -16,16 +17,20 @@ byte offset of the offending character.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+import math
+import re
+from typing import Sequence
 
 from .errors import NewickParseError
 from .util import sorted_labels
 
-_SPECIAL = set("(),:;")
+_SPACE = re.compile(r"\s*")             # \s is what str.isspace accepts
+_LABEL = re.compile(r"[^(),:;\s]*")
+_NUMBER = re.compile(r"[0-9+\-.eE]*")
 
 
 class TreeNode:
-    """A node of a rooted tree.
+    """A node of a rooted tree, used only as input to ``RootedTree(root)``.
 
     ``length`` is the length of the branch to the parent; it is 0.0 at the
     root.  Leaves carry a ``label``; internal nodes have ``label is None``
@@ -43,57 +48,113 @@ class TreeNode:
     def is_leaf(self) -> bool:
         return not self.children
 
-    def __repr__(self) -> str:
-        if self.is_leaf():
-            return f"TreeNode({self.label!r}, length={self.length})"
-        return f"TreeNode(<{len(self.children)} children>, length={self.length})"
-
 
 class RootedTree:
-    """A rooted phylogenetic tree with branch lengths and unique leaf labels.
+    """A rooted phylogenetic tree with branch lengths and unique leaf labels,
+    held as its merge schedule, and never changed.
 
-    Instances are treated as immutable: all operations in this package build
-    new trees instead of mutating inputs.  Every question about a tree (its
-    Newick string, depths, distances, topology, cluster table) is answered
-    from its merge schedule, which :func:`_read_tree` reads from the nodes
-    on first use and keeps.
+    Leaf k is node k, the k-th of `leaf_labels` in natural order.  Internal
+    node n + m is the m-th in the left-to-right postorder of the tree's
+    child order (the root is the last), and ``merges[m]`` is its (height,
+    children), the height the largest child height plus branch.  `lengths`
+    holds every node's branch length as given (the root's is 0).  Every
+    question about a tree is answered from this schedule.  ``RootedTree(root)``
+    reads it from a graph of :class:`TreeNode` in one walk and keeps no
+    reference to the nodes.
     """
 
-    __slots__ = ("root", "leaf_labels", "_schedule")
+    __slots__ = ("leaf_labels", "merges", "lengths")
 
     def __init__(self, root: TreeNode):
-        self.root = root
-        labels = [node.label for node in _walk(root) if node.is_leaf()]
-        seen = set()
-        for lab in labels:
-            if not lab:
-                raise ValueError("every leaf needs a non-empty label")
-            if lab in seen:
-                raise ValueError(f"duplicate leaf label {lab!r}")
-            seen.add(lab)
-        for node in _walk(root):
-            if node is not root and node.length < 0:
-                raise ValueError(f"negative branch length {node.length}")
-            if not node.is_leaf() and len(node.children) < 2:
-                raise ValueError("internal nodes need at least 2 children")
-        self.leaf_labels = sorted_labels(labels)
-        self._schedule = None
+        labels = []
+        internal = []                   # in preorder, the last child first
+        number = {}                     # of each node, the leaves in walk order
+        fault = None                    # a node's, raised after the labels' own
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            if fault is None and node is not root and node.length < 0:
+                fault = f"negative branch length {node.length}"
+            if node.children:
+                if fault is None and len(node.children) < 2:
+                    fault = "internal nodes need at least 2 children"
+                internal.append(node)
+                stack += node.children
+            else:
+                number[id(node)] = len(labels)
+                labels.append(node.label)
+        internal.reverse()              # the root last
+        number.update((id(node), len(labels) + m) for m, node in enumerate(internal))
+        self._set(labels, [[number[id(c)] for c in node.children] for node in internal],
+                  {number[id(c)]: c.length for node in internal for c in node.children})
+        if fault is not None:
+            raise ValueError(fault)
+
+    @classmethod
+    def _of_schedule(cls, labels: Sequence[str], children: list[list[int]],
+                     lengths: Sequence[float] | dict[int, float],
+                     ranked: bool = False) -> "RootedTree":
+        """The tree of a schedule, by :meth:`_set`."""
+        tree = object.__new__(cls)
+        tree._set(labels, children, lengths, ranked)
+        return tree
+
+    def _set(self, labels: Sequence[str], children: list[list[int]],
+             lengths: Sequence[float] | dict[int, float], ranked: bool = False) -> None:
+        """Hold the tree in which leaf k is ``labels[k]``, internal node
+        n + m has ``children[m]`` below it, the root is the last, and node c
+        has branch ``lengths[c]``, in the form above: leaves renumbered by
+        natural rank (unless `ranked` says `labels` are natural-sorted and
+        unique already), internal nodes into postorder, heights derived."""
+        n = len(labels)
+        if ranked:
+            self.leaf_labels = tuple(labels)
+            number = list(range(n + len(children)))
+        else:
+            seen = set()
+            for lab in labels:
+                if not lab:
+                    raise ValueError("every leaf needs a non-empty label")
+                if lab in seen:
+                    raise ValueError(f"duplicate leaf label {lab!r}")
+                seen.add(lab)
+            self.leaf_labels = sorted_labels(labels)
+            rank = {lab: r for r, lab in enumerate(self.leaf_labels)}
+            number = [rank[lab] for lab in labels] + [0] * len(children)
+        preorder = []                   # the internal nodes, the last child first
+        stack = [n + len(children) - 1] if children else []
+        while stack:
+            node = stack.pop()
+            preorder.append(node)
+            stack += [c for c in children[node - n] if c >= n]
+        heights = [0.0] * n
+        self.lengths = [0.0] * len(number)
+        self.merges = []
+        for node in reversed(preorder):
+            height = 0.0
+            below = []
+            for c in children[node - n]:
+                length = lengths[c]
+                c = number[c]
+                self.lengths[c] = length
+                h = heights[c] + length
+                if h > height:
+                    height = h
+                below.append(c)
+            number[node] = len(heights)
+            heights.append(height)
+            self.merges.append((height, below))
 
     @property
     def n_leaves(self) -> int:
         return len(self.leaf_labels)
 
-    def nodes(self) -> Iterator[TreeNode]:
-        """Preorder iteration over all nodes."""
-        return _walk(self.root)
-
     def leaf_depths(self) -> dict[str, float]:
-        """Total branch length from the root down to each leaf, in
-        :meth:`nodes` order."""
+        """Total branch length from the root down to each leaf, in the
+        preorder of the schedule that takes the last child first."""
         labels = self.leaf_labels
-        merges, lengths = _read_tree(self)
-        depths = _node_depths(len(labels), merges, lengths)
-        return {labels[k]: depths[k] for k in _preorder_leaves(len(labels), merges)}
+        depths = _node_depths(len(labels), self.merges, self.lengths)
+        return {labels[k]: depths[k] for k in _preorder_leaves(len(labels), self.merges)}
 
     def height(self) -> float:
         """Largest root-to-leaf distance (the tree height when equidistant)."""
@@ -101,55 +162,6 @@ class RootedTree:
 
     def __repr__(self) -> str:
         return f"RootedTree({write_newick(self, precision=6)!r})"
-
-
-def _walk(root: TreeNode) -> Iterator[TreeNode]:
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(node.children)
-
-
-def _read_tree(tree: RootedTree) -> tuple[list[tuple[float, list[int]]], list[float]]:
-    """The tree's merge schedule and the branch length of every node, by
-    node number, read in one walk on first use and kept on the tree.
-
-    Leaves are numbered by the natural rank of their labels
-    (``tree.leaf_labels``).  Internal nodes are numbered in reverse
-    :meth:`RootedTree.nodes` order, so that the preorder, and with it the
-    order of :meth:`RootedTree.leaf_depths`, is the schedule's walked from
-    the root, and each keeps its children in the tree's order.  The lengths
-    are the nodes' own (the root's is 0); a node's height is the largest
-    child height plus branch length."""
-    if tree._schedule is None:
-        rank = {lab: r for r, lab in enumerate(tree.leaf_labels)}
-        internal = []                   # in preorder
-        stack = [tree.root]
-        while stack:
-            node = stack.pop()
-            if node.children:
-                internal.append(node)
-                stack += node.children
-        number: dict[int, int] = {}
-        heights = [0.0] * len(rank)
-        lengths = [0.0] * (len(rank) + len(internal))
-        merges: list[tuple[float, list[int]]] = []
-        for node in reversed(internal):
-            height = 0.0
-            children = []
-            for child in node.children:
-                c = number[id(child)] if child.children else rank[child.label]
-                lengths[c] = child.length
-                h = heights[c] + child.length
-                if h > height:
-                    height = h
-                children.append(c)
-            number[id(node)] = len(heights)
-            heights.append(height)
-            merges.append((height, children))
-        tree._schedule = (merges, lengths)
-    return tree._schedule
 
 
 def _node_depths(n: int, merges: list[tuple[float, list[int]]],
@@ -165,8 +177,8 @@ def _node_depths(n: int, merges: list[tuple[float, list[int]]],
 
 
 def _preorder_leaves(n: int, merges: list[tuple[float, list[int]]]) -> list[int]:
-    """The leaves of a schedule over n leaves in the :meth:`RootedTree.nodes`
-    order of its tree."""
+    """The leaves of a schedule over n leaves in its preorder from the root
+    that takes the last child first."""
     leaves = []
     stack = [n + len(merges) - 1]
     while stack:
@@ -190,36 +202,13 @@ def _merge_masks(leaves: list[int], merges: list[tuple[float, list[int]]]) -> li
     return masks
 
 
-class _Scanner:
-    __slots__ = ("text", "pos")
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take_label(self) -> str:
-        start = self.pos
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch in _SPECIAL or ch.isspace():
-                break
-            self.pos += 1
-        return self.text[start:self.pos]
-
-
-def _parse_length(s: _Scanner) -> float:
-    s.skip_ws()
-    start = s.pos
-    while s.pos < len(s.text) and (s.text[s.pos].isdigit() or s.text[s.pos] in "+-.eE"):
-        s.pos += 1
-    token = s.text[start:s.pos]
+def _parse_length(text: str, pos: int) -> tuple[float, int]:
+    """The branch length after the ':' before `pos`, and the offset past it."""
+    start = _SPACE.match(text, pos).end()
+    end = _NUMBER.match(text, start).end()    # then any digits, like '²', that isdigit takes
+    while end < len(text) and (text[end].isdigit() or text[end] in "+-.eE"):
+        end += 1
+    token = text[start:end]
     if not token:
         raise NewickParseError("expected a branch length after ':'", start)
     try:
@@ -228,66 +217,67 @@ def _parse_length(s: _Scanner) -> float:
         raise NewickParseError(f"invalid branch length {token!r}", start) from None
     if value < 0:
         raise NewickParseError(f"negative branch length {token}", start)
-    return value
-
-
-def _parse_subtree(s: _Scanner, seen: dict[str, int], is_root: bool) -> TreeNode:
-    s.skip_ws()
-    if s.peek() == "(":
-        open_pos = s.pos
-        s.pos += 1
-        children = [_parse_subtree(s, seen, is_root=False)]
-        s.skip_ws()
-        while s.peek() == ",":
-            s.pos += 1
-            children.append(_parse_subtree(s, seen, is_root=False))
-            s.skip_ws()
-        if s.peek() != ")":
-            raise NewickParseError(
-                "expected ',' or ')' (unbalanced parentheses?)",
-                s.pos if s.pos < len(s.text) else open_pos)
-        s.pos += 1
-        if len(children) < 2:
-            raise NewickParseError("internal node needs at least 2 children", open_pos)
-        s.skip_ws()
-        s.take_label()  # internal label: tolerated, dropped
-        node = TreeNode(children=children)
-    else:
-        label_pos = s.pos
-        label = s.take_label()
-        if not label:
-            raise NewickParseError("expected a leaf label or '('", label_pos)
-        if label in seen:
-            raise NewickParseError(f"duplicate leaf label {label!r}", label_pos)
-        seen[label] = label_pos
-        node = TreeNode(label=label)
-
-    s.skip_ws()
-    if s.peek() == ":":
-        s.pos += 1
-        length = _parse_length(s)
-        node.length = 0.0 if is_root else length
-    elif not is_root:
-        raise NewickParseError("missing branch length on a non-root node", s.pos)
-    return node
+    if value == math.inf:
+        raise NewickParseError(f"branch length {token} overflows", start)
+    return value, end
 
 
 def parse_newick(text: str) -> RootedTree:
     """Parse one Newick expression into a :class:`RootedTree`.
 
-    Raises :class:`NewickParseError` (with a byte offset) on any input that
+    The parse writes the tree's merge schedule as it goes: internal nodes
+    close in left-to-right postorder, and a tree of n leaves has n - 1
+    commas, so the m-th to close is node n + m.  Raises
+    :class:`NewickParseError` (with a byte offset) on any input that
     violates the dialect.
     """
-    s = _Scanner(text)
-    root = _parse_subtree(s, seen={}, is_root=True)
-    s.skip_ws()
-    if s.peek() != ";":
-        raise NewickParseError("expected ';' terminating the tree", s.pos)
-    s.pos += 1
-    s.skip_ws()
-    if s.pos < len(s.text):
-        raise NewickParseError("trailing content after ';'", s.pos)
-    return RootedTree(root)
+    n = text.count(",") + 1
+    leaves: dict[str, int] = {}         # label -> k, for the k-th leaf to appear
+    children: list[list[int]] = []      # of node n + m
+    lengths: dict[int, float] = {}      # of every node but a root without one
+    open_nodes: list[tuple[int, list[int]]] = []    # offset of '(' and children so far
+    pos = _SPACE.match(text).end()
+    while True:
+        if text.startswith("(", pos):
+            open_nodes.append((pos, []))
+            pos = _SPACE.match(text, pos + 1).end()
+            continue
+        label = _LABEL.match(text, pos).group()
+        if not label:
+            raise NewickParseError("expected a leaf label or '('", pos)
+        if label in leaves:
+            raise NewickParseError(f"duplicate leaf label {label!r}", pos)
+        node = leaves[label] = len(leaves)
+        pos += len(label)
+        while True:                     # a node is complete: read what follows it
+            pos = _SPACE.match(text, pos).end()
+            if text.startswith(":", pos):
+                lengths[node], pos = _parse_length(text, pos + 1)   # the root's is not read
+            elif open_nodes:
+                raise NewickParseError("missing branch length on a non-root node", pos)
+            pos = _SPACE.match(text, pos).end()
+            if not open_nodes:
+                if not text.startswith(";", pos):
+                    raise NewickParseError("expected ';' terminating the tree", pos)
+                pos = _SPACE.match(text, pos + 1).end()
+                if pos < len(text):
+                    raise NewickParseError("trailing content after ';'", pos)
+                return RootedTree._of_schedule(list(leaves), children, lengths)
+            open_pos, below = open_nodes[-1]
+            below.append(node)
+            if text.startswith(",", pos):
+                pos = _SPACE.match(text, pos + 1).end()
+                break
+            if not text.startswith(")", pos):
+                raise NewickParseError("expected ',' or ')' (unbalanced parentheses?)",
+                                       pos if pos < len(text) else open_pos)
+            if len(below) < 2:
+                raise NewickParseError("internal node needs at least 2 children", open_pos)
+            open_nodes.pop()
+            # an internal label is tolerated and dropped
+            pos = _LABEL.match(text, _SPACE.match(text, pos + 1).end()).end()
+            node = n + len(children)
+            children.append(below)
 
 
 def write_newick(tree: RootedTree, precision: int = 10) -> str:
@@ -300,7 +290,7 @@ def write_newick(tree: RootedTree, precision: int = 10) -> str:
     """
     if precision < 1:
         raise ValueError("precision must be >= 1")
-    return _newick_of_merges(tree.leaf_labels, *_read_tree(tree), precision)
+    return _newick_of_merges(tree.leaf_labels, tree.merges, tree.lengths, precision)
 
 
 def _newick_of_merges(labels: Sequence[str], merges: list[tuple[float, list[int]]],
@@ -335,8 +325,7 @@ def structurally_equal(a: RootedTree, b: RootedTree, tol: float = 0.0) -> bool:
 
     def branches(tree: RootedTree) -> dict[int, float]:
         """Clade mask -> branch length, for every node but the root."""
-        merges, lengths = _read_tree(tree)
-        return dict(zip(_merge_masks(leaves, merges), lengths[:-1]))
+        return dict(zip(_merge_masks(leaves, tree.merges), tree.lengths[:-1]))
 
     x, y = branches(a), branches(b)
     return x.keys() == y.keys() and all(abs(x[m] - y[m]) <= tol for m in x)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -26,7 +27,7 @@ from .newick import RootedTree, _newick_of_merges
 from .trees import (Topology, _clade_table, _distances_of_merges, _merge_lengths,
                     _require_equidistant_merges, _tree_of_clades, _tree_of_merges,
                     nni_neighbors)
-from .treespace import (_require_ultrametric_rows, _segment_topologies,
+from .treespace import (_invalid_distances, _require_ultrametric_rows, _segment_topologies,
                         _topology_sequence, star_crossings, tree_segment)
 from .tropical import tropical_segment
 from .util import DEFAULT_TOL
@@ -51,6 +52,8 @@ class SampleConfig:
             raise ValueError("need at least 1 sample")
         if not self.height > 0:
             raise ValueError("height must be positive")
+        if self.height == math.inf:
+            raise ValueError("height must be finite")
         if self.model != MODEL_TAG:
             raise ValueError(f"unknown sampling model {self.model!r}")
 
@@ -168,15 +171,18 @@ def random_equidistant_tree(n: int, height: float, rng: np.random.Generator,
     """One draw from the sampling model: a binary equidistant tree with the
     given height.  Default labels are "1" ... "n"."""
     if labels is None:
-        labels = [str(i) for i in range(1, n + 1)]
-    elif len(labels) != n:
+        return _tree_of_merges([str(i) for i in range(1, n + 1)], _schedule(n, height, rng))
+    if len(labels) != n:
         raise ValueError(f"{len(labels)} labels for n={n}")
-    return _tree_of_merges(list(labels), _schedule(n, height, rng))
+    merges = _schedule(n, height, rng)
+    return RootedTree._of_schedule(labels, [c for _, c in merges], _merge_lengths(n, merges))
 
 
 def random_one_nni_pair(n: int, height: float, rng: np.random.Generator,
                         tol: float = DEFAULT_TOL) -> tuple[RootedTree, RootedTree]:
     """A random tree and a uniformly chosen NNI neighbor of it."""
+    if n < 3:
+        raise ValueError("need at least 3 leaves for an NNI move")
     t1 = random_equidistant_tree(n, height, rng)
     nbrs = nni_neighbors(t1, tol)
     return t1, nbrs[int(rng.integers(len(nbrs)))]
@@ -202,7 +208,7 @@ def random_shared_clade_pair(n: int, height: float, rng: np.random.Generator,
     stub = 1 << (clade.bit_length() - 1)
     inside = [lab for r, lab in enumerate(labels) if clade >> (n - 1 - r) & 1]
     rest = [lab for r, lab in enumerate(labels) if not (clade ^ stub) >> (n - 1 - r) & 1]
-    skeleton = random_equidistant_tree(len(rest), height, rng, labels=rest)
+    skeleton = _tree_of_merges(rest, _schedule(len(rest), height, rng))
     new_map = {(c | clade if c & stub else c): h
                for c, (h, _) in _clade_table(skeleton, labels).items()}
 
@@ -270,7 +276,7 @@ def estimate_star_probability(cfg: SampleConfig) -> ExperimentReport:
     them passes through the star tree (the origin of the coordinates).
 
     The pairs are drawn straight into ultrametric rows and tested a block
-    at a time, with the positivity and height checks and the star test of
+    at a time, with the distance and height checks and the star test of
     :func:`star_on_segment`, raising what it raises.  The trees are
     equidistant by construction, so their depths are not re-checked."""
     start = time.perf_counter()
@@ -286,13 +292,14 @@ def estimate_star_probability(cfg: SampleConfig) -> ExperimentReport:
             for side in (u, v):
                 merges = _schedule(cfg.n, cfg.height, rng)
                 side[r] = _distances_of_merges(cfg.n, merges, _merge_lengths(cfg.n, merges))
-        positive = (u > 0).all(axis=1) & (v > 0).all(axis=1)
-        valid = rows if positive.all() else int(np.argmin(positive))
-        # rows before the first non-positive one are height-checked first,
-        # as the per-sample loop would have reached them first
+        # the per-sample loop checks a sample's u before its v, and would
+        # have height-checked every sample before the first invalid one
+        faults = [f for f in (_invalid_distances(u), _invalid_distances(v)) if f is not None]
+        bad = min(faults, key=lambda f: f[0], default=None)
+        valid = rows if bad is None else bad[0]
         hits += int(np.count_nonzero(star_crossings(u[:valid], v[:valid])))
-        if valid < rows:
-            raise TropTreeError("all pairwise distances must be positive")
+        if bad is not None:
+            raise TropTreeError(bad[1])
     return ExperimentReport(
         experiment="star-prob", config=cfg, hits=hits,
         rate=hits / cfg.samples, wall_clock_sec=time.perf_counter() - start)

@@ -15,8 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import LeafSetMismatchError, NotEquidistantError
-from .newick import (RootedTree, TreeNode, _merge_masks, _node_depths, _preorder_leaves,
-                     _read_tree)
+from .newick import RootedTree, _merge_masks, _node_depths, _preorder_leaves
 from .util import DEFAULT_TOL, sorted_labels, square_form, square_index
 
 
@@ -36,18 +35,15 @@ def is_equidistant(tree: RootedTree, tol: float = DEFAULT_TOL) -> bool:
 def require_equidistant(tree: RootedTree, tol: float = DEFAULT_TOL) -> None:
     """Raise :class:`NotEquidistantError` naming a deviant leaf: one whose
     root-to-leaf path length is more than tol from the median."""
-    _require_equidistant_merges(tree.leaf_labels, *_read_tree(tree), tol)
+    _require_equidistant_merges(tree.leaf_labels, tree.merges, tree.lengths, tol)
 
 
 def pairwise_distances(tree: RootedTree) -> tuple[tuple[str, ...], np.ndarray]:
     """Cophenetic path distances between all leaf pairs, written from the
-    tree's merge schedule by :func:`_distances_of_merges`.
-
-    Returns the natural-sorted labels and the condensed vector in
-    lexicographic pair order over those labels.
-    """
+    tree's merge schedule by :func:`_distances_of_merges`: the natural-sorted
+    labels and the condensed vector in lexicographic pair order over them."""
     labels = tree.leaf_labels
-    return labels, np.array(_distances_of_merges(len(labels), *_read_tree(tree)))
+    return labels, np.array(_distances_of_merges(len(labels), tree.merges, tree.lengths))
 
 
 def _distances_of_merges(n: int, merges: list[tuple[float, list[int]]],
@@ -210,24 +206,23 @@ def _canonical_strs(topologies: Sequence[Topology]) -> list[str]:
 def topology_of(tree: RootedTree, tol: float = DEFAULT_TOL) -> Topology:
     """Clade set of an equidistant tree after collapsing every internal edge
     of length <= tol into its parent, read from its merge schedule."""
-    return _topology_of_merges(tree.leaf_labels, *_read_tree(tree), tol)
+    return _topology_of_merges(tree.leaf_labels, tree.merges, tree.lengths, tol)
 
 
 def _clade_table(tree: RootedTree, labels: Sequence[str] | None = None,
                  ) -> dict[int, tuple[float, list[int]]]:
     """The tree's cluster table (Day 1985), read from its merge schedule:
-    each internal node's clade mask -> (height, its children's masks), in
-    :meth:`RootedTree.nodes` order.  Masks are over natural-sorted `labels`
-    (default the tree's own) in the bit convention of :class:`Topology`.
-    Heights are those of :func:`~troptree.newick._read_tree`, the largest
-    child height plus branch."""
+    each internal node's clade mask -> (height, its children's masks), from
+    the root down, in reverse schedule order.  Masks are over natural-sorted
+    `labels` (default the tree's own) in the bit convention of
+    :class:`Topology`.  Heights are the schedule's, the largest child height
+    plus branch."""
     labels = tree.leaf_labels if labels is None else labels
     bit = {lab: 1 << k for k, lab in enumerate(reversed(labels))}
-    merges, _ = _read_tree(tree)
     n = tree.n_leaves
-    masks = _merge_masks([bit[lab] for lab in tree.leaf_labels], merges)
+    masks = _merge_masks([bit[lab] for lab in tree.leaf_labels], tree.merges)
     return {masks[n + m]: (height, [masks[c] for c in children])
-            for m, (height, children) in reversed(list(enumerate(merges)))}
+            for m, (height, children) in reversed(list(enumerate(tree.merges)))}
 
 
 def speciation_times(tree: RootedTree, tol: float = DEFAULT_TOL) -> tuple[float, ...]:
@@ -236,7 +231,7 @@ def speciation_times(tree: RootedTree, tol: float = DEFAULT_TOL) -> tuple[float,
     tol, is represented by its largest member, so the last entry is exactly
     the tree height)."""
     require_equidistant(tree, tol)
-    internal = sorted([h for h, _ in _read_tree(tree)[0]])
+    internal = sorted([h for h, _ in tree.merges])
     return tuple(h for h, up in zip(internal, internal[1:] + [math.inf]) if up - h > tol)
 
 
@@ -402,15 +397,10 @@ def _merge_lengths(n: int, merges: list[tuple[float, list[int]]]) -> list[float]
 
 def _tree_of_merges(labels: Sequence[str],
                     merges: list[tuple[float, list[int]]]) -> RootedTree:
-    """The tree of a merge schedule over `labels`, as :func:`_single_linkages`
-    and :func:`_tree_of_clades` make them."""
-    lengths = _merge_lengths(len(labels), merges)
-    nodes = [TreeNode(label=lab) for lab in labels]
-    for _, children in merges:
-        for c in children:
-            nodes[c].length = lengths[c]
-        nodes.append(TreeNode(children=[nodes[c] for c in children]))
-    return RootedTree(nodes[-1])
+    """The tree of a merge schedule over natural-sorted `labels`, as single
+    linkage, :func:`_clade_merges` and the sampler make them."""
+    return RootedTree._of_schedule(labels, [children for _, children in merges],
+                                   _merge_lengths(len(labels), merges), ranked=True)
 
 
 def _require_equidistant_merges(labels: Sequence[str],
@@ -420,7 +410,7 @@ def _require_equidistant_merges(labels: Sequence[str],
     schedule over `labels` with the branch `lengths` of its nodes: one
     whose root-to-leaf sum (:func:`~troptree.newick._node_depths`) is more
     than tol from the median of all; of several that deviate most, the
-    first in :meth:`RootedTree.nodes` order of its tree."""
+    first in the schedule's preorder (:func:`~troptree.newick._preorder_leaves`)."""
     n = len(labels)
     if n < 2:
         return

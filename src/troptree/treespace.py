@@ -36,7 +36,8 @@ class Ultrametric:
     """Condensed pairwise-distance vector of an equidistant tree.
 
     `labels` must be natural-sorted; `entries` has length n(n-1)/2 in
-    lexicographic pair order over the labels, with every entry positive.
+    lexicographic pair order over the labels, with every entry positive
+    and finite.
     """
 
     __slots__ = ("labels", "entries")
@@ -65,8 +66,9 @@ class Ultrametric:
             raise ValueError(
                 f"expected {n * (n - 1) // 2} entries for {n} leaves, "
                 f"got {self.entries.shape}")
-        if not np.all(self.entries > 0):
-            raise TropTreeError("all pairwise distances must be positive")
+        bad = _invalid_distances(self.entries[None])
+        if bad is not None:
+            raise TropTreeError(bad[1])
 
     @property
     def n(self) -> int:
@@ -106,6 +108,18 @@ class Ultrametric:
         if self.e > 6:
             vals += ", ..."
         return f"Ultrametric(n={self.n}, [{vals}])"
+
+
+def _invalid_distances(rows: np.ndarray) -> tuple[int, str] | None:
+    """The first row of a stack of condensed distance rows, shape (rows, e),
+    with an entry that is not positive (NaN included) or not finite, and
+    the message naming its fault; None if every row passes."""
+    positive = (rows > 0).all(axis=1)
+    valid = positive & np.isfinite(rows).all(axis=1)
+    if valid.all():
+        return None
+    r = int(np.argmin(valid))
+    return r, "all pairwise distances must be " + ("finite" if positive[r] else "positive")
 
 
 def _violating_triple(D: np.ndarray, tol: float) -> tuple[int, int, int, int] | None:
@@ -165,16 +179,15 @@ def require_ultrametric(u: Ultrametric, tol: float = DEFAULT_TOL) -> None:
 def _require_ultrametric_rows(labels: tuple[str, ...], rows: np.ndarray,
                               tol: float) -> None:
     """``require_ultrametric(Ultrametric(labels, row), tol)`` for every row
-    of a stack of condensed vectors, shape (rows, e), with the positivity
-    and three-point checks batched: raises what those raise for the first
-    row that fails."""
-    bad = ~(rows > 0).all(axis=1)
+    of a stack of condensed vectors, shape (rows, e), with the distance and
+    three-point checks batched: raises what those raise for the first row
+    that fails."""
+    bad = _invalid_distances(rows)
     squares = np.concatenate((rows, np.zeros((len(rows), 1))), axis=1)[:, square_index(len(labels))]
     triple = _violating_triple(squares, tol)
-    if triple is not None:
-        bad[triple[0]] = True
-    if bad.any():
-        require_ultrametric(Ultrametric._of_sorted(labels, rows[np.argmax(bad)]), tol)
+    first = min([len(rows)] + [fault[0] for fault in (bad, triple) if fault is not None])
+    if first < len(rows):
+        require_ultrametric(Ultrametric._of_sorted(labels, rows[first]), tol)
 
 
 def tree_of(u: Ultrametric, tol: float = DEFAULT_TOL) -> RootedTree:

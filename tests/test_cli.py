@@ -170,6 +170,34 @@ def test_exit_codes(files, capsys):
         assert out == "" and err == "error: all pairwise distances must be positive\n"
 
 
+def test_non_finite_lengths_and_distances_exit_with_a_diagnostic(files, capsys):
+    # a branch length that overflows a float is a parse error at its token
+    text = "((a:1e400,b:1e400):1,c:1e400);"
+    huge = files("huge.nwk", text)
+    for argv in (["validate", huge], ["segment", huge, huge], ["dist", huge, huge],
+                 ["topologies", huge, huge]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == "" and err.startswith(f"parse error: {huge}: branch length 1e400 "
+                                            f"overflows (at byte {text.index('1e400')})")
+    # finite lengths whose sums overflow: every input check rejects them
+    overflow = files("overflow.nwk", "((a:1,b:1):1e308,c:1e308);")
+    for argv in (["validate", overflow], ["segment", overflow, overflow],
+                 ["dist", overflow, overflow], ["topologies", overflow, overflow]):
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == "" and err == "error: all pairwise distances must be finite\n"
+    # an odd n, whose median depth is one leaf's
+    for kind, n in (("star-prob", "4"), ("nni-conjecture", "3")):
+        code, out, err = run(capsys, "simulate", kind, "--n", n, "--samples", "5",
+                             "--height", "1e308")
+        assert code == 3
+        assert out == "" and err == "error: all pairwise distances must be finite\n"
+        code, out, err = run(capsys, "simulate", kind, "--n", "4", "--height", "inf")
+        assert code == 1
+        assert out == "" and err.startswith("error: height must be finite\n")
+
+
 def test_dist_not_equidistant(files, capsys):
     bad = files("bad.nwk", "(1:1,(2:0.5,3:0.5):0.2);")
     a = files("a.nwk", "((1:0.5,2:0.5):0.5,3:1);")

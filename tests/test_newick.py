@@ -18,15 +18,16 @@ def test_parse_keeps_structure():
     tree = parse_newick("(((1:0.2,2:0.2):0.2,3:0.4):0.6,4:1.0);")
     depths = tree.leaf_depths()
     assert all(abs(d - 1.0) < 1e-12 for d in depths.values())
-    # the cherry {1,2} hangs two levels below the root
-    root = tree.root
-    assert len(root.children) == 2
+    # the cherry {1,2} hangs two levels below the root, which has two
+    # children; internal nodes are numbered in postorder
+    assert [children for _, children in tree.merges] == [[0, 1], [4, 2], [5, 3]]
+    assert len(tree.merges[-1][1]) == 2
 
 
 def test_parse_single_leaf():
     tree = parse_newick("A:0;")
     assert tree.leaf_labels == ("A",)
-    assert tree.root.is_leaf()
+    assert tree.merges == [] and tree.lengths == [0.0]
     assert parse_newick("A;").leaf_labels == ("A",)
 
 
@@ -53,6 +54,7 @@ def test_parse_whitespace_insignificant():
     ("(1:0.5,2:1.2.3);", "invalid branch length"),
     ("(1:0.5,2:x);", "expected a branch length"),
     ("", "expected a leaf label"),
+    ("((a:1e400,b:1):1,c:1);", "branch length 1e400 overflows"),
 ])
 def test_parse_errors_carry_offsets(text, fragment):
     with pytest.raises(NewickParseError) as err:
@@ -65,6 +67,9 @@ def test_parse_error_offset_points_at_problem():
     with pytest.raises(NewickParseError) as err:
         parse_newick("((1:0.2,2:-0.2):0.8,3:1.0);")
     assert err.value.offset == "((1:0.2,2:".__len__()
+    with pytest.raises(NewickParseError) as err:
+        parse_newick("((1:0.2,2:0.2):0.8,3: 2e308);")
+    assert err.value.offset == "((1:0.2,2:0.2):0.8,3: ".__len__()
 
 
 def test_write_golden_three_leaf():

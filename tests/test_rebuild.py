@@ -22,7 +22,7 @@ from troptree import trees, treespace
 from troptree.cli import main
 from troptree.newick import RootedTree, TreeNode, _newick_of_merges
 from troptree.trees import (_merge_lengths, _require_equidistant_merges, _single_linkage,
-                            _topology_of_merges, _tree_of_merges, agglomerate)
+                            _topology_of_merges, agglomerate)
 from troptree.util import natural_key, sorted_labels
 
 TOL = DEFAULT_TOL
@@ -334,7 +334,7 @@ def test_newick_of_merges_matches_tree_route(case, height):
     lengths = _merge_lengths(n, merges)
     for precision in (3, 10, 17):
         assert _newick_of_merges(labels, merges, lengths, precision) == \
-            walk.write_newick(_tree_of_merges(labels, merges), precision)
+            walk.write_newick(walk.nodes_of_merges(labels, merges), precision)
 
 
 def test_schedule_equidistance_checks_the_lengths_it_is_given():
@@ -343,11 +343,11 @@ def test_schedule_equidistance_checks_the_lengths_it_is_given():
     labels = ("1", "2", "3")
     merges = [(0.5, [0, 1]), (1.0, [2, 3])]
     lengths = [0.5, 0.3, 1.0, 0.5, 0.0]
-    tree = RootedTree(TreeNode(children=[
+    root = TreeNode(children=[
         TreeNode(length=0.5, children=[TreeNode("1", 0.5), TreeNode("2", 0.3)]),
-        TreeNode("3", 1.0)]))
+        TreeNode("3", 1.0)])
     with pytest.raises(NotEquidistantError) as want:
-        walk.require_equidistant(tree, TOL)
+        walk.require_equidistant(root, TOL)
     for check in (_require_equidistant_merges, _topology_of_merges):
         with pytest.raises(NotEquidistantError) as got:
             check(labels, merges, lengths, TOL)
@@ -357,19 +357,15 @@ def test_schedule_equidistance_checks_the_lengths_it_is_given():
 
 
 def reference_canonical_str(tree):
-    """Clades as label sets, sorted by size and then by their members'
-    natural keys."""
-    sets = {}
-
-    def visit(node):
-        if node.is_leaf():
-            return frozenset([node.label])
-        s = frozenset().union(*(visit(c) for c in node.children))
-        if node is tree.root or node.length > TOL:
-            sets[s] = None
-        return s
-
-    visit(tree.root)
+    """Clades as label sets, read from the tree's schedule: the root and
+    every internal node whose branch exceeds tol, sorted by size and then by
+    their members' natural keys."""
+    nodes = [frozenset([lab]) for lab in tree.leaf_labels]
+    for _, children in tree.merges:
+        nodes.append(frozenset().union(*(nodes[c] for c in children)))
+    root = len(nodes) - 1
+    sets = {nodes[k] for k in range(tree.n_leaves, root + 1)
+            if k == root or tree.lengths[k] > TOL}
     ordered = sorted((sorted(c, key=natural_key) for c in sets),
                      key=lambda c: (len(c), [natural_key(x) for x in c]))
     return "|".join("{" + ",".join(c) + "}" for c in ordered)

@@ -232,7 +232,9 @@ def test_ultrametric_row_matches_tree_route(height):
                 lengths = tt.trees._merge_lengths(n, merges)
                 row = np.array(tt.trees._distances_of_merges(n, merges, lengths))
                 tree = random_equidistant_tree(n, height, sample_rng(seed, index))
-                assert row.tobytes() == walk.pairwise_distances(tree)[1].tobytes()
+                # 17 digits write every length exactly
+                root = walk.parse_newick(write_newick(tree, 17))
+                assert row.tobytes() == walk.pairwise_distances(root)[1].tobytes()
 
 
 def _choice_schedule(n, height, rng):
@@ -378,3 +380,20 @@ def seeded_draws() -> str:
 
 def test_seeded_draws_golden():
     assert seeded_draws().encode() == gzip.decompress(DRAWS_GOLDEN.read_bytes())
+
+
+def test_one_nni_pair_needs_three_leaves():
+    rng = sample_rng(5, 0)
+    for n in (0, 1, 2):
+        with pytest.raises(ValueError, match="need at least 3 leaves for an NNI move"):
+            tt.random_one_nni_pair(n, 1.0, rng)
+    assert rng.random() == sample_rng(5, 0).random()
+    # from three leaves up the check draws nothing: the pair is a sampler
+    # tree and the neighbour that the next draw picks
+    rng, again = sample_rng(5, 1), sample_rng(5, 1)
+    t1, t2 = tt.random_one_nni_pair(3, 1.0, rng)
+    want = random_equidistant_tree(3, 1.0, again)
+    neighbors = tt.nni_neighbors(want)
+    assert write_newick(t1, 17) == write_newick(want, 17)
+    assert write_newick(t2, 17) == write_newick(neighbors[int(again.integers(len(neighbors)))], 17)
+    assert rng.random() == again.random()

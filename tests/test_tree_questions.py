@@ -3,7 +3,8 @@ the node walks kept in `tree_walks`: Newick strings, leaf depths, distances,
 the equidistance check and its message, topologies, cluster tables,
 speciation times, clade tests and structural equality.
 
-The trees are built and parsed here: polytomies, zero-length branches,
+The trees are built and parsed here, each as a graph of nodes for the
+walks and as a `RootedTree`: polytomies, zero-length branches,
 labels whose natural order differs from their string order, lengths that do
 not telescope (written at precision 6, then parsed), and trees that are not
 equidistant, with lengths on a grid so that several leaves often deviate
@@ -27,7 +28,7 @@ LABELS = ("1", "01", "001", "2", "02", "9", "10", "100", "S1", "S01", "S2", "S9"
 
 
 def random_tree(rnd, labels, scale, kind):
-    """A tree over `labels` merged from random groups of 2-4 nodes, each
+    """The root of a tree over `labels` merged from random groups of 2-4 nodes, each
     group's children in random order.  `kind` "equidistant" gives each
     child the height difference to its parent (0 for about a fifth of the
     merges), "noisy" adds up to 2e-9 to or from that, and "grid" draws every
@@ -51,22 +52,26 @@ def random_tree(rnd, labels, scale, kind):
             del nodes[k], heights[k]
         nodes.append(parent)
         heights.append(top)
-    return RootedTree(nodes[0])
+    return nodes[0]
 
 
 @st.composite
 def tree_cases(draw):
-    """A tree, the same tree written at precision 6 and 17 and parsed, and
-    another tree over the same labels; a scale and a superset of the
-    labels."""
+    """A tree and the root it was read from, the same tree written at
+    precision 6 and 17 and parsed, both by `parse_newick` and into nodes,
+    and another tree and its root over the same labels; a scale and a
+    superset of the labels."""
     rnd = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
     n = draw(st.integers(1, 12))
     labels = rnd.sample(LABELS, n)
     scale = draw(st.sampled_from((1e-3, 1.0, 1e3)))
     kind = draw(st.sampled_from(("equidistant", "noisy", "grid")))
-    tree = random_tree(rnd, labels, scale, kind)
+    root = random_tree(rnd, labels, scale, kind)
     other = random_tree(rnd, labels, scale, kind)
-    variants = [tree] + [parse_newick(walk.write_newick(tree, p)) for p in (6, 17)]
+    texts = [walk.write_newick(root, p) for p in (6, 17)]
+    variants = [(RootedTree(root), root)] + [(parse_newick(t), walk.parse_newick(t))
+                                             for t in texts]
+    other = (RootedTree(other), other)
     superset = sorted_labels(labels + rnd.sample([x for x in LABELS if x not in labels],
                                                  min(3, len(LABELS) - n)))
     return variants, other, scale, superset, rnd
@@ -84,35 +89,37 @@ def outcome(f, *args):
 @given(case=tree_cases())
 def test_schedule_answers_match_node_walks(case):
     variants, other, scale, superset, rnd = case
-    for tree in variants:
+    for tree, root in variants:
         for precision in (1, 6, 10, 17):
-            assert write_newick(tree, precision) == walk.write_newick(tree, precision)
-        assert list(tree.leaf_depths().items()) == list(walk.leaf_depths(tree).items())
+            assert write_newick(tree, precision) == walk.write_newick(root, precision)
+        assert list(tree.leaf_depths().items()) == list(walk.leaf_depths(root).items())
         labels, dists = pairwise_distances(tree)
-        want_labels, want = walk.pairwise_distances(tree)
+        want_labels, want = walk.pairwise_distances(root)
         assert labels == want_labels and dists.tobytes() == want.tobytes()
-        assert list(_clade_table(tree).items()) == list(walk.clade_table(tree).items())
+        assert list(_clade_table(tree).items()) == list(walk.clade_table(root).items())
         assert list(_clade_table(tree, superset).items()) == \
-            list(walk.clade_table(tree, superset).items())
+            list(walk.clade_table(root, superset).items())
         for tol in (0.0, DEFAULT_TOL, 0.3 * scale):
             assert outcome(require_equidistant, tree, tol) == \
-                outcome(walk.require_equidistant, tree, tol)
-            assert outcome(topology_of, tree, tol) == outcome(walk.topology_of, tree, tol)
+                outcome(walk.require_equidistant, root, tol)
+            assert outcome(topology_of, tree, tol) == outcome(walk.topology_of, root, tol)
             assert outcome(speciation_times, tree, tol) == \
-                outcome(walk.speciation_times, tree, tol)
+                outcome(walk.speciation_times, root, tol)
             for _ in range(3):
                 leaves = rnd.sample(labels, rnd.randint(1, len(labels)))
-                assert is_clade(tree, leaves, tol) == walk.is_clade(tree, leaves, tol)
-        for b in variants + [other]:
+                assert is_clade(tree, leaves, tol) == walk.is_clade(root, leaves, tol)
+        for b, b_root in variants + [other]:
             for tol in (0.0, 1e-12 * scale, 1e-6 * scale):
-                assert structurally_equal(tree, b, tol) == walk.structurally_equal(tree, b, tol)
+                assert structurally_equal(tree, b, tol) == \
+                    walk.structurally_equal(root, b_root, tol)
 
 
 def test_equidistance_ties_name_the_first_leaf_in_preorder():
     # leaves 3 and 1 both deviate most from the median depth 1; preorder
     # takes the last child first, so 3 is named
-    tree = parse_newick("((1:0.5,2:1):0,3:1.5,4:1);")
-    want = outcome(walk.require_equidistant, tree, DEFAULT_TOL)
+    text = "((1:0.5,2:1):0,3:1.5,4:1);"
+    tree = parse_newick(text)
+    want = outcome(walk.require_equidistant, walk.parse_newick(text), DEFAULT_TOL)
     assert want[2] == "tree is not equidistant: leaf '3' has depth 1.5, expected 1"
     assert outcome(require_equidistant, tree, DEFAULT_TOL) == want
     assert outcome(topology_of, tree, DEFAULT_TOL) == want

@@ -2,10 +2,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tree_walks as walk
 import troptree as tt
 from troptree import (Topology, is_clade, is_equidistant, nni_neighbors,
                       one_nni_apart, parse_newick, speciation_times,
                       topology_of, write_newick)
+from troptree.newick import _newick_of_merges
 from troptree.trees import _clade_table, _tree_of_clades, require_equidistant
 from troptree.util import sorted_labels
 
@@ -97,10 +99,8 @@ def test_topology_collapses_short_edges():
 
 
 def test_topology_scaling_invariance(quartet_a):
-    scaled = parse_newick(write_newick(quartet_a))
-    for node in scaled.nodes():
-        node.length *= 7.5
-    scaled = tt.RootedTree(scaled.root)
+    scaled = parse_newick(_newick_of_merges(quartet_a.leaf_labels, quartet_a.merges,
+                                            [7.5 * x for x in quartet_a.lengths], 17))
     assert topology_of(scaled) == topology_of(quartet_a)
 
 
@@ -223,10 +223,16 @@ def test_nni_count_caterpillar(n):
     parts = "1:0.1"
     for k in range(2, n + 1):
         parts = f"({parts},{k}:{0.1 * (k - 1):.1f}):0.1"
-    tree = parse_newick(parts[:-4] + ";")
-    internal_edges = sum(
-        1 for node in tree.nodes()
-        if not node.is_leaf() and node is not tree.root)
+    text = parts[:-4] + ";"
+    tree = parse_newick(text)
+    root = walk.parse_newick(text)
+    internal_edges = 0
+    stack = list(root.children)
+    while stack:
+        node = stack.pop()
+        if not node.is_leaf():
+            internal_edges += 1
+            stack += node.children
     assert internal_edges == n - 2
     neighbors = nni_neighbors(tree)
     assert len(neighbors) == 2 * internal_edges

@@ -1,7 +1,10 @@
-"""Reference answers to the tree questions, by walking the nodes.
+"""Reference answers to the tree questions, by walking graphs of nodes.
 
-These are the recursive walks that answered each question before trees
-were read into merge schedules (`troptree.newick._read_tree`).  The tests
+A tree used to be a graph of `TreeNode`s, built by a Newick parser and by
+the tree builders, and read into its merge schedule by a walk.  That
+parser, that builder, that walk, and the recursive walks that answered
+each question before trees were read into merge schedules, are kept here.
+They take roots that the tests build or parse themselves, and the tests
 compare the schedule routes against them, so that no test compares a
 function with itself."""
 
@@ -9,14 +12,175 @@ import statistics
 
 import numpy as np
 
-from troptree import NotEquidistantError, Topology
-from troptree.util import natural_key
+from troptree import NewickParseError, NotEquidistantError, Topology, TreeNode
+from troptree.util import natural_key, sorted_labels
 
 
-def leaf_depths(tree):
+def leaf_labels(root):
+    """The labels of the leaves below a node, in natural order."""
+    labels = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node.children:
+            stack += node.children
+        else:
+            labels.append(node.label)
+    return sorted_labels(labels)
+
+
+def read_tree(root):
+    """The merge schedule of a graph of nodes: the natural-sorted labels,
+    (height, children) per internal node and the branch length of every
+    node, by node number.  Leaves are numbered by natural rank and internal
+    nodes in reverse preorder, the preorder taking the last child first;
+    a node's height is the largest child height plus branch length."""
+    labels = leaf_labels(root)
+    rank = {lab: r for r, lab in enumerate(labels)}
+    internal = []                       # in preorder
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node.children:
+            internal.append(node)
+            stack += node.children
+    number = {}
+    heights = [0.0] * len(rank)
+    lengths = [0.0] * (len(rank) + len(internal))
+    merges = []
+    for node in reversed(internal):
+        height = 0.0
+        children = []
+        for child in node.children:
+            c = number[id(child)] if child.children else rank[child.label]
+            lengths[c] = child.length
+            h = heights[c] + child.length
+            if h > height:
+                height = h
+            children.append(c)
+        number[id(node)] = len(heights)
+        heights.append(height)
+        merges.append((height, children))
+    return labels, merges, lengths
+
+
+def nodes_of_merges(labels, merges):
+    """The root of the graph of nodes of a merge schedule over `labels`
+    (leaf k is labels[k], internal node n + m is merges[m]): each node's
+    children in the schedule's order, each branch the parent's height minus
+    the child's, clamped at 0."""
+    n = len(labels)
+    heights = [0.0] * n
+    nodes = [TreeNode(label=lab) for lab in labels]
+    for height, children in merges:
+        for c in children:
+            length = height - heights[c]
+            nodes[c].length = 0.0 if length < 0.0 else length
+        heights.append(height)
+        nodes.append(TreeNode(children=[nodes[c] for c in children]))
+    return nodes[-1]
+
+
+class _Scanner:
+    def __init__(self, text):
+        self.text = text
+        self.pos = 0
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self):
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def take_label(self):
+        start = self.pos
+        while self.pos < len(self.text):
+            ch = self.text[self.pos]
+            if ch in "(),:;" or ch.isspace():
+                break
+            self.pos += 1
+        return self.text[start:self.pos]
+
+
+def _parse_length(s):
+    s.skip_ws()
+    start = s.pos
+    while s.pos < len(s.text) and (s.text[s.pos].isdigit() or s.text[s.pos] in "+-.eE"):
+        s.pos += 1
+    token = s.text[start:s.pos]
+    if not token:
+        raise NewickParseError("expected a branch length after ':'", start)
+    try:
+        value = float(token)
+    except ValueError:
+        raise NewickParseError(f"invalid branch length {token!r}", start) from None
+    if value < 0:
+        raise NewickParseError(f"negative branch length {token}", start)
+    return value
+
+
+def _parse_subtree(s, seen, is_root):
+    s.skip_ws()
+    if s.peek() == "(":
+        open_pos = s.pos
+        s.pos += 1
+        children = [_parse_subtree(s, seen, is_root=False)]
+        s.skip_ws()
+        while s.peek() == ",":
+            s.pos += 1
+            children.append(_parse_subtree(s, seen, is_root=False))
+            s.skip_ws()
+        if s.peek() != ")":
+            raise NewickParseError(
+                "expected ',' or ')' (unbalanced parentheses?)",
+                s.pos if s.pos < len(s.text) else open_pos)
+        s.pos += 1
+        if len(children) < 2:
+            raise NewickParseError("internal node needs at least 2 children", open_pos)
+        s.skip_ws()
+        s.take_label()
+        node = TreeNode(children=children)
+    else:
+        label_pos = s.pos
+        label = s.take_label()
+        if not label:
+            raise NewickParseError("expected a leaf label or '('", label_pos)
+        if label in seen:
+            raise NewickParseError(f"duplicate leaf label {label!r}", label_pos)
+        seen.add(label)
+        node = TreeNode(label=label)
+    s.skip_ws()
+    if s.peek() == ":":
+        s.pos += 1
+        length = _parse_length(s)
+        node.length = 0.0 if is_root else length
+    elif not is_root:
+        raise NewickParseError("missing branch length on a non-root node", s.pos)
+    return node
+
+
+def parse_newick(text):
+    """The root of the graph of nodes of a Newick string, parsed by
+    recursive descent into nodes, with the errors and offsets of
+    `troptree.parse_newick`, apart from branch lengths that overflow a
+    float, which it keeps as inf."""
+    s = _Scanner(text)
+    root = _parse_subtree(s, set(), is_root=True)
+    s.skip_ws()
+    if s.peek() != ";":
+        raise NewickParseError("expected ';' terminating the tree", s.pos)
+    s.pos += 1
+    s.skip_ws()
+    if s.pos < len(s.text):
+        raise NewickParseError("trailing content after ';'", s.pos)
+    return root
+
+
+def leaf_depths(root):
     """Root-to-leaf path lengths, added from the root down, in preorder."""
     depths = {}
-    stack = [(tree.root, 0.0)]
+    stack = [(root, 0.0)]
     while stack:
         node, acc = stack.pop()
         if node.is_leaf():
@@ -27,8 +191,8 @@ def leaf_depths(tree):
     return depths
 
 
-def require_equidistant(tree, tol):
-    depths = leaf_depths(tree)
+def require_equidistant(root, tol):
+    depths = leaf_depths(root)
     if len(depths) < 2:
         return
     ref = statistics.median(depths.values())
@@ -39,8 +203,8 @@ def require_equidistant(tree, tol):
             f"{depths[worst]:.12g}, expected {ref:.12g}", leaf=worst)
 
 
-def write_newick(tree, precision=10):
-    rank = {lab: r for r, lab in enumerate(tree.leaf_labels)}
+def write_newick(root, precision=10):
+    rank = {lab: r for r, lab in enumerate(leaf_labels(root))}
     fmt = f".{precision}g"
 
     def render(node):
@@ -50,15 +214,15 @@ def write_newick(tree, precision=10):
         return parts[0][0], "(" + ",".join(
             f"{text}:{length}" for _, text, length in parts) + ")"
 
-    return render(tree.root)[1] + ";"
+    return render(root)[1] + ";"
 
 
 def pair_index(n, i, j):
     return n * i - i * (i + 1) // 2 + (j - i - 1)
 
 
-def pairwise_distances(tree):
-    labels = tree.leaf_labels
+def pairwise_distances(root):
+    labels = leaf_labels(root)
     n = len(labels)
     pos = {lab: k for k, lab in enumerate(labels)}
     out = np.zeros(n * (n - 1) // 2)
@@ -80,13 +244,13 @@ def pairwise_distances(tree):
             merged.update(m)
         return merged
 
-    visit(tree.root)
+    visit(root)
     return labels, out
 
 
-def topology_of(tree, tol):
-    require_equidistant(tree, tol)
-    labels = tree.leaf_labels
+def topology_of(root, tol):
+    require_equidistant(root, tol)
+    labels = leaf_labels(root)
     bit = {lab: 1 << k for k, lab in enumerate(reversed(labels))}
     masks = []
 
@@ -100,18 +264,18 @@ def topology_of(tree, tol):
             masks.append(mask)
         return mask
 
-    visit(tree.root)
+    visit(root)
     return Topology._of_masks(labels, masks)
 
 
-def clade_table(tree, labels=None):
-    labels = tree.leaf_labels if labels is None else labels
+def clade_table(root, labels=None):
+    labels = leaf_labels(root) if labels is None else labels
     bit = {lab: 1 << k for k, lab in enumerate(reversed(labels))}
     rows = []
 
     def visit(node):
         slot = len(rows)
-        rows.append(None)               # preorder slot; nodes() takes the last child first
+        rows.append(None)               # preorder slot, the last child first
         mask = 0
         height = 0.0
         kids = []
@@ -126,23 +290,23 @@ def clade_table(tree, labels=None):
         rows[slot] = (mask, (height, kids))
         return mask, height
 
-    if tree.root.children:
-        visit(tree.root)
+    if root.children:
+        visit(root)
     return dict(rows)
 
 
-def speciation_times(tree, tol):
-    require_equidistant(tree, tol)
-    internal = sorted([h for h, _ in clade_table(tree).values()])
+def speciation_times(root, tol):
+    require_equidistant(root, tol)
+    internal = sorted([h for h, _ in clade_table(root).values()])
     return tuple(h for h, up in zip(internal, internal[1:] + [float("inf")]) if up - h > tol)
 
 
-def is_clade(tree, leaves, tol):
+def is_clade(root, leaves, tol):
     keep = set(leaves)
-    full = set(tree.leaf_labels)
+    labels, dists = pairwise_distances(root)
+    full = set(labels)
     if len(keep) <= 1 or keep == full:
         return True
-    labels, dists = pairwise_distances(tree)
     n = len(labels)
     pos = {lab: k for k, lab in enumerate(labels)}
     inside = sorted(pos[lab] for lab in keep)
@@ -173,4 +337,4 @@ def structurally_equal(a, b, tol=0.0):
         ys = sorted(y.children, key=lambda c: natural_key(smallest(c)))
         return all(eq(cx, cy, False) for cx, cy in zip(xs, ys))
 
-    return eq(a.root, b.root, True)
+    return eq(a, b, True)

@@ -7,14 +7,14 @@ simulations, small segments) do not load it.
 
 from __future__ import annotations
 
-import functools
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import trees as _trees
+from .newick import _merge_masks
 from .tropical import _shifted_max
-from .util import square_form
+from .util import square_index
 
 if TYPE_CHECKING:
     from .treespace import Ultrametric
@@ -22,58 +22,46 @@ if TYPE_CHECKING:
 Merges = list[tuple[float, list[int]]]
 
 
-@functools.lru_cache(maxsize=32)
-def pair_ends(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The two leaf ranks of every pair over n leaves, in lexicographic
-    pair order (``np.triu_indices(n, k=1)``)."""
-    ends = np.triu_indices(n, k=1)
-    for side in ends:
-        side.setflags(write=False)      # shared by every caller of this n
-    return ends
-
-
-#: Entries of the (pairs, n) ball arrays that one block of :func:`clusters`
-#: builds, so that memory stays flat at any n.
-BALL_BLOCK_ENTRIES = 1 << 17
-
-
 def clusters(n: int, entries: np.ndarray,
              ) -> tuple[list[int], list[int], np.ndarray, np.ndarray] | None:
-    """The clusters of an ultrametric over n leaves, by size: each one's
-    leaf mask, its parent (the full set is its own), its distance value,
-    and the cluster of every pair's most recent common ancestor (lca).
+    """The clusters of an ultrametric over n leaves, by size and then by
+    mask: each one's leaf mask, its parent (the full set is its own), its
+    distance value, and the cluster of every pair's most recent common
+    ancestor (lca).
 
-    The lca of a pair (i, j) is the ball of the leaves within d(i, j) of i.
-    None unless that is the ball of radius d(i, j) around j as well, for
-    every pair: that is the three-point condition with no tolerance, in
-    floats, so it fails when root-to-leaf sums differ in their last bits.
-    Where it holds, every pair whose lca is a cluster has one value, the
-    cluster's largest."""
-    D = square_form(entries, n)
-    left, right = pair_ends(n)
-    step = max(1, BALL_BLOCK_ENTRIES // n)
-    balls = []
-    for first in range(0, len(entries), step):
-        radius = entries[first:first + step, None]
-        ball = D[left[first:first + step]] <= radius
-        if (ball != (D[right[first:first + step]] <= radius)).any():
-            return None
-        balls.append(np.packbits(ball, axis=1))
-    balls = np.concatenate(balls)
-    width = balls.shape[1]
-    _, first, lca = np.unique(balls.view(f"V{width}").ravel(), return_index=True,
-                              return_inverse=True)
-    masks = [int.from_bytes(balls[p].tobytes(), "big") >> (8 * width - n) for p in first.tolist()]
-    order = sorted(range(len(masks)), key=lambda c: masks[c].bit_count())
-    rank = np.empty(len(order), dtype=np.intp)
-    rank[order] = np.arange(len(order))
-    masks = [masks[c] for c in order]
-    parent = [len(masks) - 1] * len(masks)
-    for node, (_, children) in enumerate(_trees._clade_merges(n, [(m, 0.0) for m in masks])):
+    The clusters are the nodes of the single-linkage schedule of the
+    entries with no tolerance, and each pair's lca is written by one walk
+    of that schedule.  None unless every pair's entry is its lca's value:
+    a vector equals its single-linkage (subdominant) ultrametric exactly
+    when it meets the three-point condition, here with no tolerance, in
+    floats, so this fails when root-to-leaf sums differ in their last
+    bits."""
+    merges = _trees._single_linkage(entries, n, 0.0)
+    index = square_index(n).tolist()
+    lca = [0] * len(entries)
+    up = [len(merges) - 1] * len(merges)    # the parent of every node; the root's is itself
+    members = [[k] for k in range(n)]
+    for node, (_, children) in enumerate(merges):
+        below: list[int] = []
         for c in children:
             if c >= n:
-                parent[c - n] = node
-    return masks, parent, entries[first[order]], rank[lca.reshape(-1)]
+                up[c - n] = node
+            group = members[c]
+            for x in group:
+                at = index[x]
+                for y in below:
+                    lca[at[y]] = node
+            below += group
+        members.append(below)
+    lca = np.array(lca)
+    value = np.empty(len(merges))
+    value[lca] = entries                    # the entry of one of its pairs
+    if (value[lca] != entries).any():
+        return None
+    masks = _merge_masks([1 << (n - 1 - r) for r in range(n)], merges)[n:]
+    order = sorted(range(len(masks)), key=lambda c: (masks[c].bit_count(), masks[c]))
+    rank = np.argsort(order)
+    return [masks[c] for c in order], rank[up][order].tolist(), value[order], rank[lca]
 
 
 class MeetTable:
@@ -82,8 +70,10 @@ class MeetTable:
     and a cluster B of v with at least two leaves, ordered by size.  Each
     is held as its leaf mask, the distance values diam_u(A) and diam_v(B)
     of the smallest such A and B, and the smallest meets strictly above it
-    (`above`, from `starts`).  Made by :meth:`of`, which returns None
-    unless u and v meet the three-point condition exactly (:func:`clusters`)."""
+    (`above`, from `starts`).  Made by :meth:`of` from the clusters of u
+    and of v, read by single linkage (:func:`clusters`); None unless every
+    pair's entry of each is its lca's value, the three-point condition
+    with no tolerance."""
 
     __slots__ = ("n", "masks", "du", "dv", "above", "starts")
 
@@ -136,31 +126,18 @@ class MeetTable:
         on every pair whose lca nodes are A and B, that is the entry of the
         point, the same floats.  So the distinct entries of a point are the
         values of the meets, and its runs, widths and gaps are read from
-        those, with no sort of all its entries.  The component that
-        holds a meet C among the pairs at or below the top T of C's run is
-        A* ∩ B*, with A* the highest u-ancestor of A whose diam_u + a is at
-        most T and B* likewise.  That is a meet with a value in C's run, so
-        C is a cluster of the point, C = A* ∩ B*, exactly when every meet
-        strictly above C has a value above T.  Values grow with the meet,
-        so the smallest meets above C decide it.  Each cluster is a node
-        at T/2, as in single linkage."""
+        those by the run reader of single linkage
+        (:func:`~troptree.trees._runs`), with no sort of all its entries.
+        The component that holds a meet C among the pairs at or below the
+        top T of C's run is A* ∩ B*, with A* the highest u-ancestor of A
+        whose diam_u + a is at most T and B* likewise.  That is a meet with
+        a value in C's run, so C is a cluster of the point, C = A* ∩ B*,
+        exactly when every meet strictly above C has a value above T.
+        Values grow with the meet, so the smallest meets above C decide it.
+        Each cluster is a node at T/2, as in single linkage."""
         values = _shifted_max(self.du, self.dv, a, b)
-        rows, m = values.shape
-        order = np.argsort(values, axis=1)
-        svals = np.take_along_axis(values, order, axis=1)
-        step = np.diff(svals, axis=1)
-        start = np.ones((rows, m), dtype=bool)
-        start[:, 1:] = step > tol
-        end = np.ones((rows, m), dtype=bool)
-        end[:, :-1] = start[:, 1:]
-        # the top and the bottom of every sorted value's run: the values
-        # ascend, so they are the nearest run end after it and the nearest
-        # run start before it
-        tops = np.minimum.accumulate(np.where(end, svals, np.inf)[:, ::-1], axis=1)[:, ::-1]
-        widths = (tops - np.maximum.accumulate(np.where(start, svals, -np.inf), axis=1)).max(axis=1)
-        gaps = np.where(start[:, 1:], step, np.inf).min(axis=1, initial=np.inf)
-        top = np.empty_like(values)
-        np.put_along_axis(top, order, tops, axis=1)
+        rows = len(values)
+        top, widths, gaps = _trees._runs(values, tol)
         # meets by rows, so that each reduces contiguous rows
         reach = np.concatenate((values, np.full((rows, 1), np.inf)), axis=1).T.copy()[self.above]
         is_cluster = np.minimum.reduceat(reach, self.starts, axis=0).T > top

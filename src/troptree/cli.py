@@ -53,7 +53,8 @@ def _load_tree(path: str) -> RootedTree:
     try:
         return parse_newick(text)
     except NewickParseError as exc:
-        raise NewickParseError(f"{path}: {exc.args[0]}", exc.offset) from None
+        exc.args = (f"{path}: {exc}",)     # the message already ends in its offset
+        raise
 
 
 def _build_parser() -> _Parser:

@@ -245,10 +245,10 @@ def speciation_times(tree: RootedTree, tol: float = DEFAULT_TOL) -> tuple[float,
 _LINKAGE_BLOCK_ENTRIES = 1 << 17
 
 
-def _mst_edges(stack: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The n-1 edges (near, far, weight) of a minimum spanning tree of the
-    complete graph on n vertices for every row of a stack of condensed edge
-    weights, shape (rows, n(n-1)/2): three (rows, n-1) arrays, in the order
+def _mst_edges(stack: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-1 edges (near, far) of a minimum spanning tree of the complete
+    graph on n vertices for every row of a stack of condensed edge
+    weights, shape (rows, n(n-1)/2): two (rows, n-1) arrays, in the order
     Prim's algorithm adds the edges (numpy updates of all rows at once,
     O(n^2) per row)."""
     rows = stack.shape[0]
@@ -259,18 +259,44 @@ def _mst_edges(stack: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.nd
     D[:, :, 0] = np.inf
     near = np.empty((rows, n - 1), dtype=np.intp)
     far = np.empty((rows, n - 1), dtype=np.intp)
-    weight = np.empty((rows, n - 1))
     for k in range(n - 1):
         j = best.argmin(axis=1)
         near[:, k] = closest[at, j]
         far[:, k] = j
-        weight[:, k] = best[at, j]
         D[at, :, j] = np.inf                    # j joins the tree: no row may lower best[j]
         best[at, j] = np.inf
         row = D[at, j]
         np.copyto(closest, j[:, None], where=row < best)
         np.minimum(best, row, out=best)
-    return near, far, weight
+    return near, far
+
+
+def _runs(values: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The runs of each row of a (rows, m) stack of values: sorted, the
+    values split into runs wherever consecutive ones differ by more than
+    tol.  Returns the top (largest value) of each value's run, in the row's
+    own order, the width of each row's widest run (largest minus smallest
+    value, 0 for a single value) and its narrowest gap between two
+    consecutive runs (inf with one run).  Single linkage and the candidate
+    table (:meth:`~troptree._meets.MeetTable.linkages`) both split by it."""
+    rows, m = values.shape
+    order = np.argsort(values, axis=1)
+    svals = np.take_along_axis(values, order, axis=1)
+    step = np.diff(svals, axis=1)
+    start = np.ones((rows, m), dtype=bool)
+    start[:, 1:] = step > tol
+    end = np.ones((rows, m), dtype=bool)
+    end[:, :-1] = start[:, 1:]
+    # the top and the bottom of every sorted value's run: the values
+    # ascend, so they are the nearest run end after it and the nearest run
+    # start before it
+    tops = np.minimum.accumulate(np.where(end, svals, np.inf)[:, ::-1], axis=1)[:, ::-1]
+    bottoms = np.maximum.accumulate(np.where(start, svals, -np.inf), axis=1)
+    widths = (tops - bottoms).max(axis=1, initial=0.0)
+    gaps = np.where(start[:, 1:], step, np.inf).min(axis=1, initial=np.inf)
+    top = np.empty_like(values)
+    np.put_along_axis(top, order, tops, axis=1)
+    return top, widths, gaps
 
 
 def _single_linkages(points: Sequence[np.ndarray], n: int, tol: float,
@@ -281,63 +307,42 @@ def _single_linkages(points: Sequence[np.ndarray], n: int, tol: float,
     Leaves are nodes 0..n-1 and the m-th internal node is node n + m, so
     the last one is the root.
 
-    The sorted distance values are split into runs wherever consecutive
-    values differ by more than tol; the pairs of a run merge simultaneously
-    at half the run's largest value, so values within tol of each other
-    produce polytomies.  Only the edges of a minimum spanning tree are
-    merged: for every threshold, those at or below it connect the same
-    leaves as all pairs at or below it (Gower & Ross 1969), so this takes
-    O(n^2) per vector.  The vectors are stacked in blocks of
-    `_LINKAGE_BLOCK_ENTRIES` square entries; the sort, the run split,
-    Prim's algorithm and the run of every spanning-tree edge are computed
-    for a whole block, and only the union-find runs per vector.
+    The distance values are split into runs by :func:`_runs`; the pairs of
+    a run merge simultaneously at half the run's top, so values within tol
+    of each other produce polytomies.  Only the edges of a minimum spanning
+    tree are merged: for every threshold, those at or below it connect the
+    same leaves as all pairs at or below it (Gower & Ross 1969), so this
+    takes O(n^2) per vector.  The vectors are stacked in blocks of
+    `_LINKAGE_BLOCK_ENTRIES` square entries; the run split and Prim's
+    algorithm are computed for a whole block, and only the union-find runs
+    per vector.
 
-    Also returns, per vector, the width of its widest run (largest minus
-    smallest value, 0 for a single value) and the narrowest gap between
-    two consecutive runs (inf with one run)."""
+    Also returns, per vector, the width of its widest run and its narrowest
+    gap between runs, as :func:`_runs` gives them."""
     schedules: list[list[tuple[float, list[int]]]] = []
     widths, gaps = [np.empty(0)], [np.empty(0)]
     step = max(1, _LINKAGE_BLOCK_ENTRIES // (n * n))
     for first in range(0, len(points), step):
         block = np.stack(points[first:first + step])
-        svals = np.sort(block, axis=1)
-        run_start = np.ones(svals.shape, dtype=bool)
-        run_start[:, 1:] = np.diff(svals, axis=1) > tol
-        run_end = np.ones(svals.shape, dtype=bool)
-        run_end[:, :-1] = run_start[:, 1:]
-        # the runs of all vectors, flat: their vector, smallest and largest
-        # values; each vector's largest values, padded with inf to the
-        # block's most runs; the widest run of each vector and the narrowest
-        # gap between two of its consecutive runs
-        runs = np.count_nonzero(run_end, axis=1)
-        vector = np.repeat(np.arange(len(block)), runs)
-        bottom, top = svals[run_start], svals[run_end]
-        run_max = np.full((len(block), runs.max()), np.inf)
-        run_max[vector, np.arange(len(top)) - (np.cumsum(runs) - runs)[vector]] = top
-        width = np.zeros(len(block))
-        np.maximum.at(width, vector, top - bottom)
+        top, width, gap = _runs(block, tol)
         widths.append(width)
-        inner = vector[1:] == vector[:-1]
-        narrowest = np.full(len(block), np.inf)
-        np.minimum.at(narrowest, vector[1:][inner], (bottom[1:] - top[:-1])[inner])
-        gaps.append(narrowest)
-        near, far, weight = _mst_edges(block, n)
-        # the run of an edge: the number of runs whose largest value is below its weight
-        edge_run = np.count_nonzero(run_max[:, None, :] < weight[:, :, None], axis=2)
-        at = np.arange(len(block))[:, None]
-        by_run = np.argsort(edge_run, axis=1, kind="stable")
-        near, far, edge_run = near[at, by_run], far[at, by_run], edge_run[at, by_run]
-        near, far, tops = near.tolist(), far.tolist(), run_max[at, edge_run].tolist()
-        for r, run in enumerate(edge_run.tolist()):
-            schedules.append(_merge_runs(n, near[r], far[r], run, tops[r]))
+        gaps.append(gap)
+        near, far = _mst_edges(block, n)
+        # the run top of every spanning-tree edge, by which its edges merge
+        tops = np.take_along_axis(top, square_index(n)[near, far], axis=1)
+        by_top = np.argsort(tops, axis=1, kind="stable")
+        near, far, tops = (np.take_along_axis(x, by_top, axis=1).tolist()
+                           for x in (near, far, tops))
+        for r in range(len(block)):
+            schedules.append(_merge_runs(n, near[r], far[r], tops[r]))
     return schedules, np.concatenate(widths), np.concatenate(gaps)
 
 
-def _merge_runs(n: int, near: list[int], far: list[int], run: list[int],
+def _merge_runs(n: int, near: list[int], far: list[int],
                 top_value: list[float]) -> list[tuple[float, list[int]]]:
     """The merge schedule of spanning-tree edges (near[k], far[k]) sorted by
-    run[k]: the edges of one run join their components into one node each,
-    at half the run's largest value, `top_value[k]`."""
+    the top of their run, `top_value[k]`: the edges of one run, those with
+    one top, join their components into one node each, at half that top."""
     parent = list(range(n))                 # union-find over components
 
     def find(x: int) -> int:
@@ -351,7 +356,7 @@ def _merge_runs(n: int, near: list[int], far: list[int], run: list[int],
     while first < n - 1:
         height = top_value[first] / 2.0
         last = first + 1
-        while last < n - 1 and run[last] == run[first]:
+        while last < n - 1 and top_value[last] == top_value[first]:
             last += 1
         if last == first + 1:
             # a run of one edge (no tie): a binary merge
@@ -416,8 +421,10 @@ def _require_equidistant_merges(labels: Sequence[str],
         return
     depths = _node_depths(n, merges, lengths)
     ordered = sorted(depths[:n])
-    half = n // 2                   # their median, as statistics.median takes it
-    ref = ordered[half] if n % 2 else (ordered[half - 1] + ordered[half]) / 2
+    # their median, as statistics.median takes it; halved before the sum,
+    # which then cannot overflow
+    half = n // 2
+    ref = ordered[half] if n % 2 else ordered[half - 1] / 2 + ordered[half] / 2
     # the largest deviation is at one end of the sorted depths
     if ordered[-1] - ref <= tol and ref - ordered[0] <= tol:
         return

@@ -351,15 +351,18 @@ class TreeSegment:
     such A and B, is the entry of the bend point on every pair whose lca
     nodes are A and B: the same float operations as
     :attr:`TropicalSegment.bend_points`, so the values are bit for bit
-    the bend's distinct entries, its runs and its merge heights.  That
-    needs each cluster of u and of v to have one distance value, which
-    holds when they meet the three-point condition exactly, in floats; it
-    is checked once per segment, and fails when root-to-leaf sums differ
-    in their last bits.  A segment that fails it, and one whose bend
-    points hold fewer than ``_TABLE_MIN_ENTRIES`` distance entries, for
-    which the table's fixed cost exceeds the saving, is read by single
-    linkage of its bend points instead (:func:`_segment_topologies`, one
-    batched pass over all of them), with the same result.
+    the bend's distinct entries, and one run reader
+    (:func:`~troptree.trees._runs`) splits them into the same runs and
+    merge heights as single linkage.  The clusters of u and of v are read
+    by single linkage with no tolerance, once per segment, and the table
+    needs every pair's entry to be its lca's value: that holds when they
+    meet the three-point condition exactly, in floats, and fails when
+    root-to-leaf sums differ in their last bits.  A segment that fails
+    it, and one whose bend points hold fewer than ``_TABLE_MIN_ENTRIES``
+    distance entries, for which the table's fixed cost exceeds the saving,
+    is read by single linkage of its bend points instead
+    (:func:`_segment_topologies`, one batched pass over all of them), with
+    the same result.
 
     Each piece topology follows from its two bends.  On an open piece no
     coordinate changes side between ``u + d`` and ``v``, so every

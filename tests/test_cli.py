@@ -178,8 +178,8 @@ def test_non_finite_lengths_and_distances_exit_with_a_diagnostic(files, capsys):
                  ["topologies", huge, huge]):
         code, out, err = run(capsys, *argv)
         assert code == 2
-        assert out == "" and err.startswith(f"parse error: {huge}: branch length 1e400 "
-                                            f"overflows (at byte {text.index('1e400')})")
+        assert out == "" and err == (f"parse error: {huge}: branch length 1e400 "
+                                     f"overflows (at byte {text.index('1e400')})\n")
     # finite lengths whose sums overflow: every input check rejects them
     overflow = files("overflow.nwk", "((a:1,b:1):1e308,c:1e308);")
     for argv in (["validate", overflow], ["segment", overflow, overflow],
@@ -187,8 +187,9 @@ def test_non_finite_lengths_and_distances_exit_with_a_diagnostic(files, capsys):
         code, out, err = run(capsys, *argv)
         assert code == 3
         assert out == "" and err == "error: all pairwise distances must be finite\n"
-    # an odd n, whose median depth is one leaf's
-    for kind, n in (("star-prob", "4"), ("nni-conjecture", "3")):
+    # an odd n, whose median depth is one leaf's, and an even n, whose
+    # median is the mean of two depths near the largest float
+    for kind, n in (("star-prob", "4"), ("nni-conjecture", "3"), ("nni-conjecture", "4")):
         code, out, err = run(capsys, "simulate", kind, "--n", n, "--samples", "5",
                              "--height", "1e308")
         assert code == 3

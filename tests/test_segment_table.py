@@ -9,6 +9,12 @@ point, and then the topologies, Newick strings and CSV bytes of the whole
 segment.  `TreeSegment` takes the table route from `_TABLE_MIN_ENTRIES`
 distance entries up; the tests move that bound to force one route or the
 other.
+
+Both routes split distance values into runs by the same `trees._runs`, and
+the table reads the clusters of its endpoints by single linkage.  So those
+two decisions are checked against oracles of their own in `tree_walks`: a
+run split in plain Python, and the clusters read from balls around the
+leaves, the guard the table used before.
 """
 
 import csv
@@ -23,6 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tree_walks as walk
 from troptree import (DEFAULT_TOL, NotEquidistantError, TreeSegment, Ultrametric,
                       parse_newick, random_equidistant_tree, sample_rng, tree_segment,
                       tropical_segment, ultrametric_of)
@@ -133,18 +140,22 @@ def test_table_matches_single_linkage_on_sampled_pairs(height, monkeypatch):
     assert checked > 500
 
 
-def test_table_matches_single_linkage_on_the_segment_benchmark_pairs(monkeypatch):
-    # the four seed-1 pairs of the segment-n80 benchmark workload, drawn by
-    # the benchmark's own generator and read from their Newick text
+def benchmark_pairs(monkeypatch, seeds):
+    """The four pairs of the segment-n80 benchmark workload at each seed,
+    drawn by the benchmark's own generator and read from their Newick text."""
     spec = importlib.util.spec_from_file_location("bench_gen", ROOT / "perfbench" / "gen.py")
     gen = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, gen)
     spec.loader.exec_module(gen)
+    for seed, k in itertools.product(seeds, range(4)):
+        rng = gen.input_stream(seed, "segment-n80", k)
+        yield tuple(ultrametric_of(parse_newick(gen.draw_tree(80, 1.0, rng).newick()))
+                    for _ in range(2))
+
+
+def test_table_matches_single_linkage_on_the_segment_benchmark_pairs(monkeypatch):
     bends = 0
-    for k in range(4):
-        rng = gen.input_stream(1, "segment-n80", k)
-        u, v = (ultrametric_of(parse_newick(gen.draw_tree(80, 1.0, rng).newick()))
-                for _ in range(2))
+    for u, v in benchmark_pairs(monkeypatch, [1]):
         bad, points = disagreements(u, v, midpoints=False)
         assert bad == []
         bends += points
@@ -210,6 +221,64 @@ def test_table_route_matches_on_grid_ties_end_to_end(monkeypatch):
     check()
 
 
+@st.composite
+def run_rows(draw):
+    """A (rows, m) stack of values from a coarse grid (ties), scaled by
+    1e-3, 1 or 1e3, plus offsets in steps of tol/2 that are not scaled
+    (gaps of 0.5, 1 and 1.5 tol), and a tol of 0 or TOL."""
+    m = draw(st.integers(1, 12))
+    rows = draw(st.integers(1, 4))
+    scale = draw(st.sampled_from((1e-3, 1.0, 1e3)))
+    value = st.builds(lambda grid, steps: scale * grid + steps * 0.5 * TOL,
+                      st.sampled_from((0.1, 0.2, 0.3, 0.5, 0.8)), st.integers(0, 6))
+    stack = draw(st.lists(st.lists(value, min_size=m, max_size=m),
+                          min_size=rows, max_size=rows))
+    return np.array(stack), draw(st.sampled_from((0.0, TOL)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=run_rows())
+def test_run_split_matches_plain_python(case):
+    stack, tol = case
+    top, widths, gaps = trees._runs(stack, tol)
+    for row, row_top, width, gap in zip(stack.tolist(), top.tolist(), widths.tolist(),
+                                        gaps.tolist()):
+        want_top, want_width, want_gap = walk.runs(row, tol)
+        assert [x.hex() for x in row_top] == [x.hex() for x in want_top]
+        assert (width.hex(), gap.hex()) == (want_width.hex(), want_gap.hex())
+
+
+def guard_disagreement(w):
+    """The table's clusters of an ultrametric against the clusters read
+    from balls: None when they agree on refusing it, or on accepting it
+    with the same clusters, parents, values and lca of every pair."""
+    found, want = _meets.clusters(w.n, w.entries), walk.ball_clusters(w.n, w.entries)
+    if found is None or want is None:
+        return None if found is want else ("guard", found is None)
+    masks, parent, values, lca = found
+    table = {mask: (masks[up], value.hex())
+             for mask, up, value in zip(masks, parent, values.tolist())}
+    want_table, want_lca = want
+    if table != {mask: (up, value.hex()) for mask, (up, value) in want_table.items()}:
+        return "clusters"
+    return None if [masks[c] for c in lca.tolist()] == want_lca else "lca"
+
+
+def test_cluster_guard_matches_balls_on_the_segment_benchmark_trees(monkeypatch):
+    ends = [w for pair in benchmark_pairs(monkeypatch, range(1, 21)) for w in pair]
+    assert len(ends) == 160
+    assert [guard_disagreement(w) for w in ends] == [None] * len(ends)
+
+
+@pytest.mark.parametrize("n, refused", [(6, 0), (12, 1), (32, 10)])
+def test_cluster_guard_matches_balls_on_sampled_trees(n, refused):
+    # 42 trees at each n; at heights 1e-3 and 1e3 some fail the three-point
+    # condition in their last bits, and both guards must refuse those
+    ends = [w for pair in sampled_pairs([n], [1e-3, 1.0, 1e3], range(7)) for w in pair]
+    assert [guard_disagreement(w) for w in ends] == [None] * len(ends)
+    assert sum(walk.ball_clusters(w.n, w.entries) is None for w in ends) == refused
+
+
 def test_guard_sends_last_bit_variants_to_single_linkage(monkeypatch):
     # root-to-leaf sums that differ in their last bits give a cluster two
     # distance values; the guard refuses the table, and the segment is read
@@ -242,21 +311,35 @@ def test_guard_sends_last_bit_variants_to_single_linkage(monkeypatch):
     assert refused == 3
 
 
-def test_large_segment_runs_no_single_linkage(monkeypatch):
-    calls = dict.fromkeys(("_single_linkages", "_single_linkage"), 0)
-    for name in calls:
+def test_large_segment_runs_single_linkage_only_on_its_endpoints(monkeypatch):
+    # the table reads the clusters of each endpoint by single linkage with
+    # no tolerance, and no bend point or midpoint by single linkage
+    calls = {"_single_linkages": [], "_single_linkage": []}
+    for name, seen in calls.items():
         real = getattr(trees, name)
 
-        def counted(*args, _name=name, _real=real, **kwargs):
-            calls[_name] += 1
-            return _real(*args, **kwargs)
+        def counted(*args, _seen=seen, _real=real):
+            _seen.append(args)
+            return _real(*args)
         monkeypatch.setattr(trees, name, counted)
+
+    def assert_endpoint_calls(seg):
+        # one call of each per endpoint, u then v, at tol 0 on its entries
+        assert len(calls["_single_linkage"]) == len(calls["_single_linkages"]) == 2
+        for w, (dists, n, tol), (points, m, batch_tol) in zip(
+                (seg.u, seg.v), calls["_single_linkage"], calls["_single_linkages"]):
+            assert dists is w.entries and n == w.n and tol == 0.0
+            assert len(points) == 1 and points[0] is w.entries
+            assert m == w.n and batch_tol == 0.0
+        for seen in calls.values():
+            seen.clear()
+
     t1, t2 = (parse_newick((GOLDEN_CLI / "random_n32_seed32" / f"t{k}.nwk").read_text())
               for k in (1, 2))
     seg = tree_segment(t1, t2)
     assert seg.n_bends * seg.u.e >= treespace._TABLE_MIN_ENTRIES
     seg.to_csv()
-    assert calls == {"_single_linkages": 0, "_single_linkage": 0}
+    assert_endpoint_calls(seg)
     # pieces next to runs near tol read their midpoints from the table too
     midpoints = dict(count=0)
     real_midpoint = treespace._midpoint_topology
@@ -269,9 +352,10 @@ def test_large_segment_runs_no_single_linkage(monkeypatch):
     monkeypatch.setattr(treespace, "_TABLE_MIN_ENTRIES", 0)
     t1, t2 = (parse_newick((GOLDEN_CLI / "tolgaps_height_n8" / f"t{k}.nwk").read_text())
               for k in (1, 2))
-    tree_segment(t1, t2).to_csv()
+    seg = tree_segment(t1, t2)
+    seg.to_csv()
     assert midpoints["count"] > 0
-    assert calls == {"_single_linkages": 0, "_single_linkage": 0}
+    assert_endpoint_calls(seg)
 
 
 def test_failing_bend_raises_what_single_linkage_raises(monkeypatch):

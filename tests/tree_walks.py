@@ -6,14 +6,21 @@ parser, that builder, that walk, and the recursive walks that answered
 each question before trees were read into merge schedules, are kept here.
 They take roots that the tests build or parse themselves, and the tests
 compare the schedule routes against them, so that no test compares a
-function with itself."""
+function with itself.
 
+Two decisions that single linkage and the candidate table of a segment
+share are kept here the same way: the split of sorted values into runs
+(`runs`), in plain Python, and the clusters of an ultrametric read from
+balls around its leaves (`ball_clusters`), as the table read them before
+it read them by single linkage."""
+
+import math
 import statistics
 
 import numpy as np
 
 from troptree import NewickParseError, NotEquidistantError, Topology, TreeNode
-from troptree.util import natural_key, sorted_labels
+from troptree.util import natural_key, sorted_labels, square_form
 
 
 def leaf_labels(root):
@@ -338,3 +345,48 @@ def structurally_equal(a, b, tol=0.0):
         return all(eq(cx, cy, False) for cx, cy in zip(xs, ys))
 
     return eq(a, b, True)
+
+
+def runs(values, tol):
+    """The runs of a list of values: sorted, split wherever consecutive
+    values differ by more than tol.  The top (largest value) of each
+    value's run, in the list's order, the width of the widest run (0 for
+    no values) and the narrowest gap between consecutive runs (inf with
+    fewer than two)."""
+    groups = []
+    for x in sorted(values):
+        if groups and x - groups[-1][-1] <= tol:
+            groups[-1].append(x)
+        else:
+            groups.append([x])
+    top = {x: group[-1] for group in groups for x in group}
+    width = max((group[-1] - group[0] for group in groups), default=0.0)
+    gap = min((b[0] - a[-1] for a, b in zip(groups, groups[1:])), default=math.inf)
+    return [top[x] for x in values], width, gap
+
+
+def ball_clusters(n, entries):
+    """The clusters of a condensed distance vector over n leaves, from the
+    ball of radius d(i, j) around i, which is the cluster of the most recent
+    common ancestor (lca) of i and j.  None unless it is the ball of that
+    radius around j as well, for every pair: the three-point condition with
+    no tolerance.  Otherwise each cluster's mask -> (its parent's mask, the
+    full set's its own; its value, the entry of its first pair), and the lca
+    mask of every pair, in pair order."""
+    D = square_form(entries, n)
+    left, right = np.triu_indices(n, k=1)
+    radius = entries[:, None]
+    ball = D[left] <= radius
+    if (ball != (D[right] <= radius)).any():
+        return None
+    pad = 8 * ((n + 7) // 8) - n
+    lca = [int.from_bytes(row, "big") >> pad for row in map(bytes, np.packbits(ball, axis=1))]
+    value = {}
+    for mask, entry in zip(lca, entries.tolist()):
+        value.setdefault(mask, entry)
+    masks = sorted(value, key=lambda m: (m.bit_count(), m))
+    table = {}
+    for k, mask in enumerate(masks):
+        parent = next((up for up in masks[k + 1:] if up & mask == mask), mask)
+        table[mask] = (parent, value[mask])
+    return table, lca

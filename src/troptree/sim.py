@@ -8,7 +8,8 @@ exactly h.
 
 Each sample gets its own counter-based random stream keyed by
 (seed, sample index), so runs are reproducible regardless of execution
-order or parallelism.
+order or parallelism.  The star-probability experiment draws the same
+numbers for a block of samples at once (:mod:`troptree._streams`).
 """
 
 from __future__ import annotations
@@ -54,6 +55,8 @@ class SampleConfig:
             raise ValueError("height must be positive")
         if self.height == math.inf:
             raise ValueError("height must be finite")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.model != MODEL_TAG:
             raise ValueError(f"unknown sampling model {self.model!r}")
 
@@ -127,12 +130,14 @@ def _pair_bounds(n: int) -> np.ndarray:
 
 def _schedule(n: int, height: float, rng: np.random.Generator,
               ) -> list[tuple[float, list[int]]]:
-    """The sampling model's merge schedule, and the only code that draws
-    its random numbers.  The n-2 non-root heights are drawn first, sorted;
-    then one pair per merge: lineages i < j of the current k are merged at
-    height h into a new last lineage.  The schedule has the form of
-    :func:`~troptree.trees._single_linkages`: (h, [node of i, node of j])
-    per merge, leaves are nodes 0..n-1 and the m-th merge makes node n + m.
+    """The sampling model's merge schedule, drawn from `rng`.  The block
+    route of :mod:`troptree._streams` draws the same numbers from the same
+    streams, and is checked against this.  The n-2 non-root heights are
+    drawn first, sorted; then one pair per merge: lineages i < j of the
+    current k are merged at height h into a new last lineage.  The schedule
+    has the form of :func:`~troptree.trees._single_linkages`: (h, [node of
+    i, node of j]) per merge, leaves are nodes 0..n-1 and the m-th merge
+    makes node n + m.
 
     All the pairs come from one bounded-integer draw, three values per
     merge, and are the pairs ``sorted(rng.choice(k, 2, replace=False))``
@@ -152,9 +157,18 @@ def _schedule(n: int, height: float, rng: np.random.Generator,
         raise ValueError("height must be positive")
     heights = np.sort(rng.uniform(0.0, height, n - 2)).tolist() if n > 2 else []
     draws = rng.integers(0, _pair_bounds(n), endpoint=True).tolist()
+    return _merges_of(n, heights + [height], draws[::3], draws[1::3])
+
+
+def _merges_of(n: int, heights: Sequence[float], first: Sequence[int],
+               second: Sequence[int]) -> list[tuple[float, list[int]]]:
+    """The merge schedule of :func:`_schedule`'s draws at n leaves: each
+    merge's height, and the lineages i and j of the current k that it
+    merges, into a new last lineage.  If j equals i, j is k-1 (Floyd's
+    algorithm); i and j are then taken in increasing order."""
     lineages = list(range(n))
     merges: list[tuple[float, list[int]]] = []
-    for k, h, i, j in zip(range(n, 1, -1), heights + [height], draws[::3], draws[1::3]):
+    for k, h, i, j in zip(range(n, 1, -1), heights, first, second):
         if j == i:
             j = k - 1
         elif j < i:
@@ -265,38 +279,39 @@ def _subtree_heights(n: int, merges: list[tuple[float, list[int]]],
 #: per side, so memory stays flat at any sample count and any n.
 _STAR_BLOCK_ENTRIES = 1 << 15
 
+#: Samples per block at most.  The block draw holds about ten times its rows
+#: in numpy arrays (0.6 MiB for 512 samples at n = 4), so at small n, where
+#: the entries bound allows thousands of samples, this keeps a block under
+#: 1 MiB; from n = 12 on the entries bound is the smaller.
+_STAR_BLOCK_SAMPLES = 1 << 9
+
 
 def _star_block_rows(n: int) -> int:
     """Samples per block of :func:`estimate_star_probability` at n leaves."""
-    return max(1, _STAR_BLOCK_ENTRIES // (n * (n - 1) // 2))
+    return max(1, min(_STAR_BLOCK_SAMPLES, _STAR_BLOCK_ENTRIES // (n * (n - 1) // 2)))
 
 
 def estimate_star_probability(cfg: SampleConfig) -> ExperimentReport:
     """Draw pairs of random trees and count how often the segment between
     them passes through the star tree (the origin of the coordinates).
 
-    The pairs are drawn straight into ultrametric rows and tested a block
-    at a time, with the distance and height checks and the star test of
+    The pairs are drawn straight into ultrametric rows a block of samples
+    at a time (:func:`troptree._streams.star_rows`) and tested with the
+    distance and height checks and the star test of
     :func:`star_on_segment`, raising what it raises.  The trees are
     equidistant by construction, so their depths are not re-checked."""
+    # imported here, so that only star-probability runs load it
+    from ._streams import star_rows
     start = time.perf_counter()
-    e = cfg.n * (cfg.n - 1) // 2
     block = _star_block_rows(cfg.n)
     hits = 0
     for first in range(0, cfg.samples, block):
-        rows = min(block, cfg.samples - first)
-        u = np.empty((rows, e))
-        v = np.empty((rows, e))
-        for r in range(rows):
-            rng = sample_rng(cfg.seed, first + r)
-            for side in (u, v):
-                merges = _schedule(cfg.n, cfg.height, rng)
-                side[r] = _distances_of_merges(cfg.n, merges, _merge_lengths(cfg.n, merges))
+        u, v = star_rows(cfg, first, min(block, cfg.samples - first))
         # the per-sample loop checks a sample's u before its v, and would
         # have height-checked every sample before the first invalid one
         faults = [f for f in (_invalid_distances(u), _invalid_distances(v)) if f is not None]
         bad = min(faults, key=lambda f: f[0], default=None)
-        valid = rows if bad is None else bad[0]
+        valid = len(u) if bad is None else bad[0]
         hits += int(np.count_nonzero(star_crossings(u[:valid], v[:valid])))
         if bad is not None:
             raise TropTreeError(bad[1])

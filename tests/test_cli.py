@@ -235,6 +235,15 @@ def test_usage_error_exit_one(capsys):
     assert "usage" in captured.err
 
 
+def test_negative_seed_is_a_usage_error(capsys):
+    for kind in ("star-prob", "nni-conjecture"):
+        code, out, err = run(capsys, "simulate", kind, "--n", "4", "--samples", "3",
+                             "--seed", "-1")
+        assert (code, out) == (1, "")
+        assert err.splitlines()[0] == "error: seed must be non-negative"
+        assert err.splitlines()[1].startswith("usage:")
+
+
 def test_outputs_are_byte_deterministic(files, capsys):
     a = files("a.nwk", QUARTET_A)
     b = files("b.nwk", QUARTET_B)
@@ -279,13 +288,18 @@ def test_cli_golden(case, output, capsys):
     assert out.encode() == expected
 
 
-def python_m(*argv):
-    # `python -m troptree` in a fresh process, on this checkout's sources
+def python(*argv):
+    # a fresh interpreter, on this checkout's sources
     src = str(Path(__file__).parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    return subprocess.run([sys.executable, "-m", "troptree", *argv], env=env,
+    return subprocess.run([sys.executable, *argv], env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+def python_m(*argv):
+    # `python -m troptree` in a fresh process
+    return python("-m", "troptree", *argv)
 
 
 def test_python_dash_m_runs_the_cli():
@@ -300,6 +314,20 @@ def test_python_dash_m_runs_the_cli():
     assert (done.returncode, done.stdout) == (3, "")
     assert done.stderr.startswith("error: tree is not equidistant")
     assert python_m().returncode == 1
+
+
+def test_cli_import_loads_no_lazy_module():
+    # the candidate table and the block sampler are imported by their first
+    # caller, so that start-up does not pay for them
+    done = python("-c", "import contextlib, io, sys, troptree.cli\n"
+                  "print(sorted(m for m in sys.modules if m.startswith('troptree')))\n"
+                  "with contextlib.redirect_stdout(io.StringIO()):\n"
+                  "    troptree.cli.main(['simulate', 'star-prob', '--n', '4'])\n"
+                  "print('troptree._streams' in sys.modules)\n")
+    loaded, streams = done.stdout.splitlines()
+    assert "troptree.cli" in loaded
+    assert "troptree._meets" not in loaded and "troptree._streams" not in loaded
+    assert streams == "True"
 
 
 def test_two_leaf_trees_exit_three(files):

@@ -74,6 +74,8 @@ def test_sample_config_validation():
         SampleConfig(n=3, height=0.0)
     with pytest.raises(ValueError):
         SampleConfig(n=3, model="other")
+    with pytest.raises(ValueError, match="^seed must be non-negative$"):
+        SampleConfig(n=3, seed=-1)
 
 
 def test_random_tree_is_binary_equidistant_with_exact_height():

@@ -1,0 +1,212 @@
+"""The star-probability sampler's block route (troptree._streams) against
+the one-sample-at-a-time route: the same keys, words, draws and rows bit
+for bit, the same reports and the same errors."""
+
+import re
+import warnings
+
+import numpy as np
+import pytest
+
+import star_loop
+import troptree as tt
+from troptree import SampleConfig, _streams, estimate_star_probability, sample_rng
+from troptree.cli import main
+from troptree.sim import _merges_of, _schedule
+from troptree.trees import _distances_of_merges, _merge_lengths
+
+#: Seeds of one, two and five uint32 words.
+SEEDS = (7, 2**32 + 5, 10**44)
+
+
+def outcome(experiment, cfg):
+    """A run's report, or the error it stops with."""
+    try:
+        return experiment(cfg).to_json()
+    except tt.TropTreeError as exc:
+        return f"error: {exc}"
+
+
+@pytest.mark.parametrize("seed", [0, *SEEDS, 2**200 + 3])
+def test_keys_and_words_match_numpy(seed):
+    indices = np.array([0, 1, 5, 2**31, 2**32 - 1], dtype=np.uint64)
+    keys = _streams.keys(seed, indices)
+    words = _streams.philox(keys, 3)
+    for k, index in enumerate(indices.tolist()):
+        bits = np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+        assert keys[k].tolist() == bits.state["state"]["key"].tolist()
+        assert words[k].tolist() == bits.random_raw(12).tolist()
+
+
+def test_block_draws_match_scalar_draws():
+    # 79 sizes x 3 seeds x 3 heights x 2 streams = 1,422 streams, both
+    # parities of n: merge heights by float.hex, pairs, rows bit for bit,
+    # and the stream position after the two draws
+    heights = (1e-3, 1.0, 1e3)
+    streams = 0
+    for n in range(2, 81):
+        spent = _streams.words_per_sample(n)
+        for seed in SEEDS:
+            indices = np.array([n, 2**32 - 1 - n], dtype=np.uint64)
+            words = _streams.philox(_streams.keys(seed, indices), spent // 4 + 1)
+            for height in heights:
+                h, i, j, rejected = _streams.draws(words, n, height)
+                assert not rejected.any()
+                rows = _streams.rows(n, *(a.reshape(-1, n - 1) for a in (h, i, j)))
+                rows = rows.reshape(len(indices), 2, -1)
+                for k, index in enumerate(indices.tolist()):
+                    rng = sample_rng(seed, index)
+                    for t in range(2):
+                        want = _schedule(n, height, rng)
+                        got = _merges_of(n, h[k, t].tolist(), i[k, t].tolist(), j[k, t].tolist())
+                        assert [(x.hex(), p) for x, p in got] == \
+                            [(x.hex(), p) for x, p in want], (n, seed, index, t)
+                        row = _distances_of_merges(n, want, _merge_lengths(n, want))
+                        assert rows[k, t].tobytes() == np.array(row).tobytes()
+                    assert rng.bit_generator.random_raw() == words[k, spent]
+                    streams += 1
+    assert streams >= 1000
+
+
+def test_two_word_spawn_keys_are_flagged():
+    # indices from 2**32 on have a two-word spawn key, which keys() does
+    # not derive; the samples below it are drawn as usual
+    n, first = 5, 2**32 - 2
+    h, i, j, redraw = _streams.sample_draws(3, first, 4, n, 1.0)
+    assert redraw.tolist() == [False, False, True, True]
+    for k in range(2):
+        rng = sample_rng(3, first + k)
+        for t in range(2):
+            want = _schedule(n, 1.0, rng)
+            assert _merges_of(n, h[k, t].tolist(), i[k, t].tolist(), j[k, t].tolist()) == want
+
+
+def test_lemire_rejections_are_flagged():
+    # n = 4: the first pair draw of each tree has bound 2, whose rejection
+    # threshold is 2**32 mod 3 = 1, so a zero half is rejected; bounds 3 and
+    # 1 reject nothing
+    n = 4
+    uniforms, halves, drawn, threshold = _streams._layout(n)
+    assert drawn.tolist() == [2, 3, 1, 1, 2, 1, 1, 1]
+    assert threshold.tolist() == [1, 0, 0, 0, 1, 0, 0, 0]
+    # at odd n the second tree's first pair draw is the high half that the
+    # first tree's last draw left: n = 3 spends words 0-6
+    assert _streams._layout(3)[0].tolist() == [[0], [4]]
+    assert _streams._layout(3)[1].tolist() == [[2, 3, 4, 5, 6], [7, 10, 11, 12, 13]]
+    words = np.random.default_rng(3).integers(1, 2**63, (6, _streams.words_per_sample(n)),
+                                              dtype=np.uint64)
+    # a zero half for a bound of 3, and one with a low product of 1 for a
+    # bound of 2, are kept; zero halves for a bound of 2 are rejected
+    for sample, tree, draw, value in ((1, 0, 1, 0), (2, 1, 0, 0xAAAAAAAB), (3, 0, 0, 0),
+                                      (4, 1, 4, 0), (5, 1, 0, 0)):
+        half = halves[tree, draw]
+        word = int(words[sample, half // 2])
+        shift = 32 * (half % 2)
+        words[sample, half // 2] = word & ~(0xFFFFFFFF << shift) | value << shift
+    assert _streams.draws(words, n, 1.0)[3].tolist() == [False, False, False, True, True, True]
+
+
+def spy_on_scalar_rows(monkeypatch):
+    """The sample indices that the star experiment draws one at a time."""
+    drawn = []
+    scalar = _streams.sample_rows
+
+    def spy(cfg, index):
+        drawn.append(index)
+        return scalar(cfg, index)
+
+    monkeypatch.setattr(_streams, "sample_rows", spy)
+    return drawn
+
+
+def test_block_route_draws_nothing_one_at_a_time(monkeypatch):
+    drawn = spy_on_scalar_rows(monkeypatch)
+    cfg = SampleConfig(n=4, samples=2000, seed=1)
+    assert outcome(estimate_star_probability, cfg) == outcome(star_loop.star_report, cfg)
+    assert drawn == []
+
+
+def test_rejected_samples_are_drawn_one_at_a_time(monkeypatch):
+    # zero words give every sample a rejected draw at n = 4; samples 0, 5
+    # and 12 get them, in blocks of 7, so the first sample of a block is
+    # among them and the guard is skipped there
+    keys, philox = _streams.keys, _streams.philox
+    crafted = {0, 5, 12}
+    indices = []
+
+    def seen(seed, block):
+        indices[:] = block.tolist()
+        return keys(seed, block)
+
+    def zeroed(key, blocks):
+        words = philox(key, blocks)
+        words[[k for k, index in enumerate(indices) if index in crafted]] = 0
+        return words
+
+    monkeypatch.setattr(_streams, "keys", seen)
+    monkeypatch.setattr(_streams, "philox", zeroed)
+    monkeypatch.setattr(tt.sim, "_star_block_rows", lambda n: 7)
+    drawn = spy_on_scalar_rows(monkeypatch)
+    cfg = SampleConfig(n=4, samples=20, seed=1)
+    assert outcome(estimate_star_probability, cfg) == outcome(star_loop.star_report, cfg)
+    assert drawn == sorted(crafted)
+
+
+def test_guard_mismatch_draws_the_block_one_at_a_time(monkeypatch):
+    # draws that differ in the last bit of every merge height, as a numpy
+    # whose internals moved might give: every block fails its guard
+    draws = _streams.draws
+
+    def drifted(words, n, height):
+        h, i, j, rejected = draws(words, n, height)
+        return np.nextafter(h, np.inf), i, j, rejected
+
+    monkeypatch.setattr(_streams, "draws", drifted)
+    monkeypatch.setattr(tt.sim, "_star_block_rows", lambda n: 7)
+    drawn = spy_on_scalar_rows(monkeypatch)
+    cfg = SampleConfig(n=5, samples=20, seed=3)
+    assert outcome(estimate_star_probability, cfg) == outcome(star_loop.star_report, cfg)
+    assert drawn == list(range(20))
+
+
+@pytest.mark.parametrize("height", [1e-3, 1.0, 1e3, 1e6, 1e9])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 9, 20])
+def test_star_reports_match_per_sample_loop(n, height, monkeypatch):
+    # blocks of 7 samples, so that 40 samples cross five block boundaries
+    monkeypatch.setattr(tt.sim, "_star_block_rows", lambda n: 7)
+    for seed in (0, 2):
+        cfg = SampleConfig(n=n, height=height, samples=40, seed=seed)
+        assert outcome(estimate_star_probability, cfg) == outcome(star_loop.star_report, cfg)
+
+
+@pytest.mark.parametrize("n", [3, 4, 8, 20])
+def test_star_reports_match_per_sample_loop_across_a_natural_block(n):
+    block = tt.sim._star_block_rows(n)
+    assert block > 1
+    cfg = SampleConfig(n=n, samples=block + 3, seed=11)
+    assert outcome(estimate_star_probability, cfg) == outcome(star_loop.star_report, cfg)
+
+
+@pytest.mark.parametrize("n, height, samples, seed, message", [
+    # the absolute tolerance of 1e-9 lies below the rounding of the heights
+    (20, 1e9, 300, 2, "height mismatch: 1000000000 vs 1000000000"),
+    (4, 5e-324, 10, 1, "all pairwise distances must be positive"),
+    # sums past the largest float are inf, with no warning on the way
+    (4, 1e308, 5, 1, "all pairwise distances must be finite"),
+])
+def test_star_errors_match_per_sample_loop(n, height, samples, seed, message, capsys,
+                                          monkeypatch):
+    cfg = SampleConfig(n=n, height=height, samples=samples, seed=seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for experiment in (estimate_star_probability, star_loop.star_report):
+            with pytest.raises(tt.TropTreeError, match="^" + re.escape(message) + "$"):
+                experiment(cfg)
+        with monkeypatch.context() as patch:
+            patch.setattr(tt.sim, "_star_block_rows", lambda n: 7)
+            with pytest.raises(tt.TropTreeError, match="^" + re.escape(message) + "$"):
+                estimate_star_probability(cfg)
+    code = main(["simulate", "star-prob", "--n", str(n), "--height", repr(height),
+                 "--samples", str(samples), "--seed", str(seed)])
+    out, err = capsys.readouterr()
+    assert (code, out, err.splitlines()[0]) == (3, "", f"error: {message}")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -62,24 +63,37 @@ def _build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, two_trees=True):
+    def tolerance(text: str) -> float:
+        tol = float(text)
+        if not 0.0 <= tol < math.inf:
+            raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {text!r}")
+        return tol
+
+    def precision(text: str) -> int:
+        digits = int(text)
+        if digits < 1:
+            raise argparse.ArgumentTypeError(f"precision must be >= 1, got {text!r}")
+        return digits
+
+    def add_common(p, two_trees=True, digits=False):
         p.add_argument("tree1", help="Newick file (one tree)")
         if two_trees:
             p.add_argument("tree2", help="Newick file (one tree)")
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+        p.add_argument("--tol", type=tolerance, default=DEFAULT_TOL,
                        help="absolute tolerance (default 1e-9)")
-        p.add_argument("--precision", type=int, default=10,
-                       help="significant digits on output (default 10)")
+        if digits:
+            p.add_argument("--precision", type=precision, default=10,
+                           help="significant digits on output (default 10)")
 
     p = sub.add_parser("segment", help="bend points of the tropical segment")
-    add_common(p)
+    add_common(p, digits=True)
     p.add_argument("--format", choices=["csv", "newick", "json"], default="csv")
 
     p = sub.add_parser("topologies", help="topology changes along the segment")
     add_common(p)
 
     p = sub.add_parser("dist", help="tropical distance between the ultrametrics")
-    add_common(p)
+    add_common(p, digits=True)
 
     p = sub.add_parser("validate", help="check a tree file (equidistant + ultrametric)")
     add_common(p, two_trees=False)

@@ -25,13 +25,13 @@ import numpy as np
 
 from .errors import TropTreeError
 from .newick import RootedTree, _newick_of_merges
-from .trees import (Topology, _clade_table, _distances_of_merges, _merge_lengths,
-                    _require_equidistant_merges, _tree_of_clades, _tree_of_merges,
-                    nni_neighbors)
-from .treespace import (_invalid_distances, _require_ultrametric_rows, _segment_topologies,
-                        _topology_sequence, star_crossings, tree_segment)
+from .trees import (Topology, _clade_table, _distances_of_merges, _equidistance_error,
+                    _merge_lengths, _tree_of_clades, _tree_of_merges, nni_neighbors)
+from .treespace import (Ultrametric, _invalid_distances, _segment_topologies,
+                        _topology_sequence, _violating_triple, require_ultrametric,
+                        star_crossings)
 from .tropical import tropical_segment
-from .util import DEFAULT_TOL
+from .util import DEFAULT_TOL, square_index
 
 MODEL_TAG = "coalescent-uniform-heights"
 
@@ -357,14 +357,18 @@ def _survey_block(cfg: SampleConfig, labels: tuple[str, ...], first: int, stop: 
     sample by sample: its index, its two draws' (merges, branch lengths)
     and the deduplicated topology sequence of their segment.
 
-    Every check of the tree route runs, batched where it can be: the
-    equidistance of each draw, positivity and the three-point condition on
-    the stacked rows, the finiteness check of the segment, and the
-    equidistance of every bend inside the shared single-linkage pass.  A
-    failing check raises, but not necessarily for the first failing sample,
-    so the caller replays the block on the tree route."""
+    Every check of the tree route runs, batched where it can be.  The
+    equidistance of each draw, and positivity and the three-point condition
+    on the stacked rows, give their first failing sample without raising.
+    The samples before the earliest are yielded, and the checks of their
+    segments and bends raise in sample order.  Then that sample runs its
+    checks in the tree route's order (each draw's equidistance and then its
+    distances, then the three-point condition on each), so the block raises
+    what :func:`~troptree.treespace.tree_segment` raises for the first
+    sample that fails."""
     n, tol = cfg.n, DEFAULT_TOL
     draws = []
+    errors = []                 # each draw's equidistance error, or None
     rows = []
     for index in range(first, stop):
         rng = sample_rng(cfg.seed, index)
@@ -372,27 +376,26 @@ def _survey_block(cfg: SampleConfig, labels: tuple[str, ...], first: int, stop: 
         for _ in range(2):
             merges = _schedule(n, cfg.height, rng)
             lengths = _merge_lengths(n, merges)
-            _require_equidistant_merges(labels, merges, lengths, tol)
+            errors.append(_equidistance_error(labels, merges, lengths, tol))
             pair.append((merges, lengths))
             rows.append(_distances_of_merges(n, merges, lengths))
         draws.append(pair)
     rows = np.array(rows)
-    _require_ultrametric_rows(labels, rows, tol)
-    segments = [tropical_segment(u, v, tol) for u, v in zip(rows[::2], rows[1::2])]
+    squares = np.concatenate((rows, np.zeros((len(rows), 1))), axis=1)[:, square_index(n)]
+    faults = [_invalid_distances(rows), _violating_triple(squares, tol)]
+    unequal = next((r for r, error in enumerate(errors) if error is not None), len(rows))
+    bad = min([unequal] + [fault[0] for fault in faults if fault is not None]) // 2
+    segments = [tropical_segment(rows[2 * k], rows[2 * k + 1], tol) for k in range(bad)]
     for index, pair, (_, _, bends, pieces) in zip(
             range(first, stop), draws, _segment_topologies(labels, segments, tol)):
         yield index, pair, _topology_sequence(bends, pieces)
-
-
-def _replay(cfg: SampleConfig, first: int, stop: int) -> None:
-    """Samples first..stop-1 of the NNI survey one at a time on the tree
-    route (two trees, then :func:`tree_segment`), which raises the first
-    error in sample order."""
-    for index in range(first, stop):
-        rng = sample_rng(cfg.seed, index)
-        t1 = random_equidistant_tree(cfg.n, cfg.height, rng)
-        t2 = random_equidistant_tree(cfg.n, cfg.height, rng)
-        tree_segment(t1, t2, DEFAULT_TOL)
+    # the failing sample, if there is one
+    for error, row in zip(errors[2 * bad:2 * bad + 2], rows[2 * bad:2 * bad + 2]):
+        if error is not None:
+            raise error
+        Ultrametric._of_sorted(labels, row)     # the distance check of ultrametric_of
+    for row in rows[2 * bad:2 * bad + 2]:
+        require_ultrametric(Ultrametric._of_sorted(labels, row), tol)
 
 
 def check_nni_conjecture(cfg: SampleConfig) -> ExperimentReport:
@@ -405,10 +408,9 @@ def check_nni_conjecture(cfg: SampleConfig) -> ExperimentReport:
     The samples run in blocks of :func:`_survey_block_rows`, from their
     merge schedules: no tree is built, the bend points of all the segments
     of a block share one single-linkage pass, and the Newick strings are
-    written from the schedules, only for samples with a violation.  If
-    anything in a block raises, the block is replayed sample by sample on
-    the tree route, so that the survey stops with the error, and the
-    message, of the first sample that fails."""
+    written from the schedules, only for samples with a violation.  The
+    survey stops with the error, and the message, that the tree route
+    raises for the first sample that fails (see :func:`_survey_block`)."""
     start = time.perf_counter()
     labels = tuple(str(k) for k in range(1, cfg.n + 1))
     total = 0
@@ -420,28 +422,22 @@ def check_nni_conjecture(cfg: SampleConfig) -> ExperimentReport:
     block = _survey_block_rows(cfg.n)
     for first in range(0, cfg.samples, block):
         stop = min(first + block, cfg.samples)
-        try:
-            for index, pair, seq in _survey_block(cfg, labels, first, stop):
-                pairs, degenerate, unresolved = _binary_transitions(seq)
-                histogram[len(seq)] = histogram.get(len(seq), 0) + 1
-                degenerate_total += degenerate
-                unresolved_total += unresolved
-                newicks = None
-                for t_index, (topo_a, topo_b) in enumerate(pairs):
-                    total += 1
-                    if topo_a.one_nni_apart(topo_b):
-                        single += 1
-                        continue
-                    if newicks is None:
-                        newicks = [_newick_of_merges(labels, merges, lengths, 10)
-                                   for merges, lengths in pair]
-                    violations.append({"sample": index, "transition": t_index,
-                                       "t1": newicks[0], "t2": newicks[1]})
-        except Exception:
-            # the survey stops here; the replay raises the first error in
-            # sample order
-            _replay(cfg, first, stop)
-            raise
+        for index, pair, seq in _survey_block(cfg, labels, first, stop):
+            pairs, degenerate, unresolved = _binary_transitions(seq)
+            histogram[len(seq)] = histogram.get(len(seq), 0) + 1
+            degenerate_total += degenerate
+            unresolved_total += unresolved
+            newicks = None
+            for t_index, (topo_a, topo_b) in enumerate(pairs):
+                total += 1
+                if topo_a.one_nni_apart(topo_b):
+                    single += 1
+                    continue
+                if newicks is None:
+                    newicks = [_newick_of_merges(labels, merges, lengths, 10)
+                               for merges, lengths in pair]
+                violations.append({"sample": index, "transition": t_index,
+                                   "t1": newicks[0], "t2": newicks[1]})
     return ExperimentReport(
         experiment="nni-conjecture", config=cfg,
         transitions_total=total, transitions_single_nni=single,

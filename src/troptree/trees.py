@@ -25,17 +25,15 @@ from .util import DEFAULT_TOL, sorted_labels, square_form, square_index
 
 def is_equidistant(tree: RootedTree, tol: float = DEFAULT_TOL) -> bool:
     """True iff :func:`require_equidistant` accepts the tree."""
-    try:
-        require_equidistant(tree, tol)
-    except NotEquidistantError:
-        return False
-    return True
+    return _equidistance_error(tree.leaf_labels, tree.merges, tree.lengths, tol) is None
 
 
 def require_equidistant(tree: RootedTree, tol: float = DEFAULT_TOL) -> None:
     """Raise :class:`NotEquidistantError` naming a deviant leaf: one whose
     root-to-leaf path length is more than tol from the median."""
-    _require_equidistant_merges(tree.leaf_labels, tree.merges, tree.lengths, tol)
+    error = _equidistance_error(tree.leaf_labels, tree.merges, tree.lengths, tol)
+    if error is not None:
+        raise error
 
 
 def pairwise_distances(tree: RootedTree) -> tuple[tuple[str, ...], np.ndarray]:
@@ -408,17 +406,17 @@ def _tree_of_merges(labels: Sequence[str],
                                    _merge_lengths(len(labels), merges), ranked=True)
 
 
-def _require_equidistant_merges(labels: Sequence[str],
-                                merges: list[tuple[float, list[int]]],
-                                lengths: list[float], tol: float) -> None:
-    """Raise :class:`NotEquidistantError` naming a deviant leaf of a merge
-    schedule over `labels` with the branch `lengths` of its nodes: one
-    whose root-to-leaf sum (:func:`~troptree.newick._node_depths`) is more
-    than tol from the median of all; of several that deviate most, the
-    first in the schedule's preorder (:func:`~troptree.newick._preorder_leaves`)."""
+def _equidistance_error(labels: Sequence[str], merges: list[tuple[float, list[int]]],
+                        lengths: list[float], tol: float) -> NotEquidistantError | None:
+    """The :class:`NotEquidistantError` naming a deviant leaf of a merge
+    schedule over `labels` with the branch `lengths` of its nodes, or None
+    if there is none: a deviant leaf is one whose root-to-leaf sum
+    (:func:`~troptree.newick._node_depths`) is more than tol from the median
+    of all; of several that deviate most, the first in the schedule's
+    preorder (:func:`~troptree.newick._preorder_leaves`)."""
     n = len(labels)
     if n < 2:
-        return
+        return None
     depths = _node_depths(n, merges, lengths)
     ordered = sorted(depths[:n])
     # their median, as statistics.median takes it; halved before the sum,
@@ -427,12 +425,13 @@ def _require_equidistant_merges(labels: Sequence[str],
     ref = ordered[half] if n % 2 else ordered[half - 1] / 2 + ordered[half] / 2
     # the largest deviation is at one end of the sorted depths
     if ordered[-1] - ref <= tol and ref - ordered[0] <= tol:
-        return
+        return None
     worst = max(_preorder_leaves(n, merges), key=lambda k: abs(depths[k] - ref))
     if abs(depths[worst] - ref) > tol:
-        raise NotEquidistantError(
+        return NotEquidistantError(
             f"tree is not equidistant: leaf {labels[worst]!r} has depth "
             f"{depths[worst]:.12g}, expected {ref:.12g}", leaf=labels[worst])
+    return None
 
 
 def _topology_of_merges(labels: Sequence[str],
@@ -440,9 +439,11 @@ def _topology_of_merges(labels: Sequence[str],
                         lengths: list[float], tol: float) -> Topology:
     """The topology of a merge schedule over natural-sorted `labels` with
     the branch `lengths` of its nodes: the equidistance check
-    (:func:`_require_equidistant_merges`), then a node's clade is kept when
-    its branch exceeds tol."""
-    _require_equidistant_merges(labels, merges, lengths, tol)
+    (:func:`_equidistance_error`), then a node's clade is kept when its
+    branch exceeds tol."""
+    error = _equidistance_error(labels, merges, lengths, tol)
+    if error is not None:
+        raise error
     n = len(labels)
     masks = _merge_masks([1 << k for k in range(n - 1, -1, -1)], merges)
     return Topology._of_masks(tuple(labels), [masks[k] for k in range(n, len(masks))

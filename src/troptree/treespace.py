@@ -176,20 +176,6 @@ def require_ultrametric(u: Ultrametric, tol: float = DEFAULT_TOL) -> None:
             f"d({names[1]},{names[2]})={D[j, k]:.12g}", triple=names)
 
 
-def _require_ultrametric_rows(labels: tuple[str, ...], rows: np.ndarray,
-                              tol: float) -> None:
-    """``require_ultrametric(Ultrametric(labels, row), tol)`` for every row
-    of a stack of condensed vectors, shape (rows, e), with the distance and
-    three-point checks batched: raises what those raise for the first row
-    that fails."""
-    bad = _invalid_distances(rows)
-    squares = np.concatenate((rows, np.zeros((len(rows), 1))), axis=1)[:, square_index(len(labels))]
-    triple = _violating_triple(squares, tol)
-    first = min([len(rows)] + [fault[0] for fault in (bad, triple) if fault is not None])
-    if first < len(rows):
-        require_ultrametric(Ultrametric._of_sorted(labels, rows[first]), tol)
-
-
 def tree_of(u: Ultrametric, tol: float = DEFAULT_TOL) -> RootedTree:
     """The unique equidistant tree realizing an ultrametric.
 
@@ -482,6 +468,8 @@ class TreeSegment:
         segment, and each is written once.  Numbers need no csv quoting;
         a Newick string, a canonical topology and a d(a,b) header always
         hold a comma, which csv's minimal quoting always quotes."""
+        if precision < 1:
+            raise ValueError("precision must be >= 1")
         fmt = f".{precision}g"
         pairs, columns = np.unique(np.stack((self.u.entries, self.v.entries), axis=1),
                                    axis=0, return_inverse=True)

@@ -244,6 +244,43 @@ def test_negative_seed_is_a_usage_error(capsys):
         assert err.splitlines()[1].startswith("usage:")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["segment", "--precision", "0"], "argument --precision: precision must be >= 1, got '0'"),
+    (["segment", "--precision", "-1"], "argument --precision: precision must be >= 1, got '-1'"),
+    (["dist", "--precision", "0"], "argument --precision: precision must be >= 1, got '0'"),
+    (["validate", "--tol", "nan"], "argument --tol: tolerance must be finite and >= 0, got 'nan'"),
+    (["segment", "--tol", "-1"], "argument --tol: tolerance must be finite and >= 0, got '-1'"),
+    (["topologies", "--tol", "inf"], "argument --tol: tolerance must be finite and >= 0, got 'inf'"),
+    (["dist", "--tol=-inf"], "argument --tol: tolerance must be finite and >= 0, got '-inf'"),
+    # the flag that topologies and validate never read is gone
+    (["topologies", "--precision", "3"], "unrecognized arguments: --precision 3"),
+    (["validate", "--precision", "3"], "unrecognized arguments: --precision 3"),
+])
+def test_out_of_range_flags_are_usage_errors(argv, message, files, capsys):
+    a = files("a.nwk", QUARTET_A)
+    bad = files("bad.nwk", "((a:1,b:5):1,c:2);")
+    trees = [bad] if argv[0] == "validate" else [a, a]
+    code, out, err = run(capsys, argv[0], *trees, *argv[1:])
+    assert (code, out) == (1, "")
+    assert err.splitlines()[0] == f"error: {message}"
+    assert err.splitlines()[1].startswith("usage:")
+    assert "Traceback" not in err
+
+
+def test_zero_tolerance_is_valid(files, capsys):
+    a = files("a.nwk", QUARTET_A)
+    b = files("b.nwk", QUARTET_B)
+    for command in ("segment", "topologies", "dist"):
+        assert run(capsys, command, a, b, "--tol", "0")[0] == 0
+    assert run(capsys, "validate", a, "--tol", "0")[0] == 0
+    # at the default tolerance, and at zero, a tree that is not equidistant fails
+    bad = files("bad.nwk", "((a:1,b:5):1,c:2);")
+    for tol in ([], ["--tol", "0"]):
+        code, out, err = run(capsys, "validate", bad, *tol)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: tree is not equidistant")
+
+
 def test_outputs_are_byte_deterministic(files, capsys):
     a = files("a.nwk", QUARTET_A)
     b = files("b.nwk", QUARTET_B)

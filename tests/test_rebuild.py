@@ -21,7 +21,7 @@ from troptree import (DEFAULT_TOL, NotEquidistantError, SampleConfig, Topology,
 from troptree import trees, treespace
 from troptree.cli import main
 from troptree.newick import RootedTree, TreeNode, _newick_of_merges
-from troptree.trees import (_merge_lengths, _require_equidistant_merges, _single_linkage,
+from troptree.trees import (_equidistance_error, _merge_lengths, _single_linkage,
                             _topology_of_merges, agglomerate)
 from troptree.util import natural_key, sorted_labels
 
@@ -348,12 +348,12 @@ def test_schedule_equidistance_checks_the_lengths_it_is_given():
         TreeNode("3", 1.0)])
     with pytest.raises(NotEquidistantError) as want:
         walk.require_equidistant(root, TOL)
-    for check in (_require_equidistant_merges, _topology_of_merges):
-        with pytest.raises(NotEquidistantError) as got:
-            check(labels, merges, lengths, TOL)
-        assert str(got.value) == str(want.value) == \
+    with pytest.raises(NotEquidistantError) as got:
+        _topology_of_merges(labels, merges, lengths, TOL)
+    for error in (_equidistance_error(labels, merges, lengths, TOL), got.value):
+        assert str(error) == str(want.value) == \
             "tree is not equidistant: leaf '2' has depth 0.8, expected 1"
-        assert got.value.leaf == want.value.leaf == "2"
+        assert error.leaf == want.value.leaf == "2"
 
 
 def reference_canonical_str(tree):

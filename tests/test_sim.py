@@ -322,6 +322,15 @@ def test_survey_matches_tree_route_across_a_natural_block():
     # only the equidistance check of a draw fails, or only the three-point
     # condition
     (6, 1e8, 4, 1), (7, 1e7, 4, 1),
+    # the first draw's distances are not finite, and the second draw is not
+    # equidistant: the tree route checks the first draw's distances first
+    (6, 1e308, 2, 1),
+    # the first failing sample names leaf '8'; a later one in its block fails
+    # earlier in the order of the checks and names leaf '7'
+    (8, 1e9, 5, 60),
+    # the first sample fails at a bend of a segment large enough that the
+    # tree route tries its candidate table first
+    (16, 1e7, 5, 20),
 ])
 def test_survey_errors_match_tree_route(n, height, seed, samples, capsys):
     cfg = SampleConfig(n=n, height=height, samples=samples, seed=seed)

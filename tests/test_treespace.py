@@ -200,6 +200,14 @@ def test_to_csv_matches_per_entry_format(n):
         assert seg.to_csv(precision) == per_entry_csv(seg, precision)
 
 
+def test_output_precision_below_one_is_rejected(quartet_a, quartet_b):
+    seg = tree_segment(quartet_a, quartet_b)
+    for precision in (0, -1):
+        for write in (seg.to_csv, seg.bend_newicks):
+            with pytest.raises(ValueError, match=r"^precision must be >= 1$"):
+                write(precision)
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(3, 9), s1=st.integers(0, 2**31), s2=st.integers(0, 2**31))
 def test_segment_closure_and_geodesic(n, s1, s2):

@@ -118,9 +118,10 @@ class MeetTable:
 
     def linkages(self, a: np.ndarray, b: np.ndarray, tol: float,
                  ) -> tuple[list[Merges], np.ndarray, np.ndarray]:
-        """What :func:`~troptree.trees._single_linkages` returns for the
-        points max(u + a, v + b): the merge schedule of each point, the
-        width of its widest run and its narrowest gap between runs.
+        """What single linkage reads of the points max(u + a, v + b): the
+        merge schedule of each point (with the clusters and heights of
+        :func:`~troptree.trees._single_linkage`), the width of its widest
+        run and its narrowest gap between runs.
 
         A meet's value at shifts (a, b) is max(diam_u(A) + a, diam_v(B) + b):
         on every pair whose lca nodes are A and B, that is the entry of the

@@ -23,14 +23,11 @@ four words of block c of a stream are a pure function of its key and c
 * :func:`rows` writes the ultrametric row of every draw with the float
   additions of :func:`~troptree.trees._distances_of_merges`.
 
-:func:`sample_draws` chains the first three for a block of sample indices,
-and :func:`star_rows` writes a block's rows from them.
-
-Lemire's method redraws when the low word of its product falls below
-2**32 mod (bound + 1), with probability about bound / 2**32 per draw; a
-sample with such a draw is flagged and drawn again one sample at a time
-(:func:`sample_rows`).  This module is imported by
-:func:`~troptree.sim.estimate_star_probability`, so that the other callers
+:func:`block_draws` chains the first three for a block of samples of either
+experiment.  Lemire's method redraws when the low word of its product falls
+below 2**32 mod (bound + 1), with probability about bound / 2**32 per draw;
+a sample with such a draw is drawn again one sample at a time.  The first
+block of either experiment imports this module, so that the other callers
 of :mod:`troptree.sim` do not load it.
 """
 
@@ -40,8 +37,7 @@ import functools
 
 import numpy as np
 
-from .sim import SampleConfig, _merges_of, _pair_bounds, _schedule, sample_rng
-from .trees import _distances_of_merges, _merge_lengths
+from .sim import SampleConfig, _draws, _merges_of, _pair_bounds, _schedule, sample_rng
 
 _MASK32 = 0xFFFFFFFF
 
@@ -201,15 +197,28 @@ def draws(words: np.ndarray, n: int, height: float,
     rejected = ((product & _MASK32) < threshold).any(axis=(1, 2))
     values = np.zeros((samples, 2, 3 * (n - 1)), dtype=np.intp)
     values[..., _pair_bounds(n) > 0] = product >> _32
-    i, j = values[..., 0::3], values[..., 1::3]
+    return (heights, *_pair_positions(n, values[..., 0::3], values[..., 1::3]), rejected)
+
+
+def _pair_positions(n: int, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The positions i < j that :func:`~troptree.sim._merges_of` reads from
+    the draws i and j of each merge (last axis): if j is i, j is k-1."""
     j = np.where(j == i, np.arange(n - 1, 0, -1), j)
-    return heights, np.minimum(i, j), np.maximum(i, j), rejected
+    return np.minimum(i, j), np.maximum(i, j)
 
 
-def rows(n: int, heights: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+def draw_merges(n: int, heights: np.ndarray, i: np.ndarray, j: np.ndarray) -> list:
+    """The merge schedule (:func:`~troptree.sim._merges_of`) of one draw as
+    :func:`draws` gives it."""
+    return _merges_of(n, heights.tolist(), i.tolist(), j.tolist())
+
+
+def rows(n: int, heights: np.ndarray, first: np.ndarray, second: np.ndarray,
+         members: np.ndarray | None = None) -> np.ndarray:
     """The condensed ultrametric rows, shape (draws, n(n-1)/2), of merge
     schedules given one per row as :func:`draws` gives them: the merge
     heights and the lineage positions i < j merged at each step.
+    `members`, if given, gets the leaves below each step's node.
 
     The entries are the floats of :func:`~troptree.trees._distances_of_merges`:
     a leaf's depth gains its lineage's branch at each merge of that
@@ -230,7 +239,7 @@ def rows(n: int, heights: np.ndarray, first: np.ndarray, second: np.ndarray) -> 
         i, j, h = first[:, m, None], second[:, m, None], heights[:, m, None]
         in_i = lineage == i
         in_j = np.equal(lineage, j, out=seconds[:, m])
-        joined = in_i | in_j
+        joined = np.logical_or(in_i, in_j, out=None if members is None else members[:, m])
         # heights never fall along a schedule, so no branch is clamped at 0
         np.add(depth, h - top, out=depth, where=joined)
         depths[:, m] = depth
@@ -272,40 +281,40 @@ def sample_draws(seed: int, first: int, count: int, n: int, height: float,
     return heights, i, j, redraw | (indices > _MASK32)
 
 
-def sample_rows(cfg: SampleConfig, index: int) -> list[list[float]]:
-    """Sample `index`'s two ultrametric rows, drawn one sample at a time
-    with :func:`~troptree.sim.sample_rng` and
-    :func:`~troptree.sim._schedule`."""
+def sample_draw(cfg: SampleConfig, index: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sample `index`'s two draws as :func:`draws` gives them, from
+    :func:`~troptree.sim.sample_rng` and :func:`~troptree.sim._draws`."""
     rng = sample_rng(cfg.seed, index)
-    rows = []
-    for _ in range(2):
-        merges = _schedule(cfg.n, cfg.height, rng)
-        rows.append(_distances_of_merges(cfg.n, merges, _merge_lengths(cfg.n, merges)))
-    return rows
+    heights, i, j = (np.array(x) for x in zip(*(_draws(cfg.n, cfg.height, rng)
+                                                 for _ in range(2))))
+    return (heights, *_pair_positions(cfg.n, i, j))
 
 
-def star_rows(cfg: SampleConfig, first: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The u and v rows of samples first..first+count-1, drawn for the whole
-    block at once.  A sample with a Lemire rejection is drawn again one
-    sample at a time (:func:`sample_rows`).  So is the whole block if its
-    first sample's merge schedules differ from
-    :func:`~troptree.sim._schedule`'s: the block draw mirrors numpy's
-    internals, and this catches a numpy that draws differently.  Both
-    routes write rows from schedules with the same float additions, which
-    the tests pin."""
+def block_draws(cfg: SampleConfig, first: int, count: int,
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`sample_draws` for samples first..first+count-1, with each
+    flagged sample drawn again by :func:`sample_draw`, and every sample if
+    the first one's schedules differ from :func:`~troptree.sim._schedule`'s,
+    as a numpy that draws differently would make them."""
     n = cfg.n
     heights, i, j, redraw = sample_draws(cfg.seed, first, count, n, cfg.height)
     rng = sample_rng(cfg.seed, first)
     if not redraw[0] and any(
             _schedule(n, cfg.height, rng)
-            != _merges_of(n, heights[0, t].tolist(), i[0, t].tolist(), j[0, t].tolist())
+            != draw_merges(n, heights[0, t], i[0, t], j[0, t])
             for t in range(2)):
         redraw[:] = True
+    for r in np.flatnonzero(redraw).tolist():
+        heights[r], i[r], j[r] = sample_draw(cfg, first + r)
+    return heights, i, j
+
+
+def star_rows(cfg: SampleConfig, first: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The u and v rows of samples first..first+count-1 (:func:`block_draws`)."""
+    n = cfg.n
     # sums past the float range are inf, as in Python floats, and the
     # distance check names them
     with np.errstate(over="ignore"):
-        out = rows(n, *(a.reshape(2 * count, n - 1) for a in (heights, i, j)))
+        out = rows(n, *(a.reshape(2 * count, n - 1) for a in block_draws(cfg, first, count)))
     out = out.reshape(count, 2, -1)
-    for r in np.flatnonzero(redraw).tolist():
-        out[r] = sample_rows(cfg, first + r)
     return out[:, 0], out[:, 1]

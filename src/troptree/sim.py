@@ -8,8 +8,8 @@ exactly h.
 
 Each sample gets its own counter-based random stream keyed by
 (seed, sample index), so runs are reproducible regardless of execution
-order or parallelism.  The star-probability experiment draws the same
-numbers for a block of samples at once (:mod:`troptree._streams`).
+order or parallelism.  Both experiments draw the same numbers for a block
+of samples at once (:mod:`troptree._streams`).
 """
 
 from __future__ import annotations
@@ -24,14 +24,11 @@ from typing import Sequence
 import numpy as np
 
 from .errors import TropTreeError
-from .newick import RootedTree, _newick_of_merges
-from .trees import (Topology, _clade_table, _distances_of_merges, _equidistance_error,
-                    _merge_lengths, _tree_of_clades, _tree_of_merges, nni_neighbors)
-from .treespace import (Ultrametric, _invalid_distances, _segment_topologies,
-                        _topology_sequence, _violating_triple, require_ultrametric,
-                        star_crossings)
-from .tropical import tropical_segment
-from .util import DEFAULT_TOL, square_index
+from .newick import RootedTree
+from .trees import (_clade_table, _merge_lengths, _tree_of_clades, _tree_of_merges,
+                    nni_neighbors)
+from .treespace import _invalid_distances, star_crossings
+from .util import DEFAULT_TOL
 
 MODEL_TAG = "coalescent-uniform-heights"
 
@@ -135,7 +132,7 @@ def _schedule(n: int, height: float, rng: np.random.Generator,
     streams, and is checked against this.  The n-2 non-root heights are
     drawn first, sorted; then one pair per merge: lineages i < j of the
     current k are merged at height h into a new last lineage.  The schedule
-    has the form of :func:`~troptree.trees._single_linkages`: (h, [node of
+    has the form of :func:`~troptree.trees._single_linkage`: (h, [node of
     i, node of j]) per merge, leaves are nodes 0..n-1 and the m-th merge
     makes node n + m.
 
@@ -155,9 +152,16 @@ def _schedule(n: int, height: float, rng: np.random.Generator,
         raise ValueError("need at least 2 leaves")
     if not height > 0:
         raise ValueError("height must be positive")
+    return _merges_of(n, *_draws(n, height, rng))
+
+
+def _draws(n: int, height: float, rng: np.random.Generator,
+           ) -> tuple[list[float], list[int], list[int]]:
+    """The draws of :func:`_schedule` from `rng`: the merge heights, and
+    the lineages i and j of each merge as drawn (see :func:`_merges_of`)."""
     heights = np.sort(rng.uniform(0.0, height, n - 2)).tolist() if n > 2 else []
     draws = rng.integers(0, _pair_bounds(n), endpoint=True).tolist()
-    return _merges_of(n, heights + [height], draws[::3], draws[1::3])
+    return heights + [height], draws[::3], draws[1::3]
 
 
 def _merges_of(n: int, heights: Sequence[float], first: Sequence[int],
@@ -320,82 +324,17 @@ def estimate_star_probability(cfg: SampleConfig) -> ExperimentReport:
         rate=hits / cfg.samples, wall_clock_sec=time.perf_counter() - start)
 
 
-def _binary_transitions(seq: list[Topology]):
-    """Consecutive pairs of distinct binary topologies along a segment's
-    deduplicated topology sequence.  Degenerate (polytomy) topologies bound
-    the binary runs and are not transition endpoints themselves; each must
-    resolve against (be a contraction of) its binary neighbors."""
-    binary: list[Topology] = []
-    degenerate = 0
-    unresolved = 0
-    for k, topo in enumerate(seq):
-        if not topo.is_binary:
-            degenerate += 1
-            for nb in seq[k - 1:k] + seq[k + 1:k + 2]:
-                if nb.is_binary and not topo.is_contraction_of(nb):
-                    unresolved += 1
-        elif not binary or binary[-1] != topo:
-            binary.append(topo)
-    return list(zip(binary, binary[1:])), degenerate, unresolved
-
-
 #: Bends per block of the NNI survey, counting n(n-1)/2 per segment, the
-#: most a segment has.  A block's merge schedules and topologies take about
-#: 2 KiB of Python objects per bend at small n, far more than its floats,
-#: so this keeps a block near 1 MiB, while one batched single-linkage pass
-#: still spreads numpy's per-call cost over hundreds of bends.
-_SURVEY_BLOCK_BENDS = 1 << 9
+#: most a segment has.  A block is a fixed number of numpy passes, so the
+#: larger it is, the more samples share each pass; its arrays peak at
+#: about 0.7 KiB per bend counted (0.7 MiB traced for the 68 samples of a
+#: block at n = 6), so memory stays flat at any sample count.
+_SURVEY_BLOCK_BENDS = 1 << 10
 
 
 def _survey_block_rows(n: int) -> int:
     """Samples per block of :func:`check_nni_conjecture` at n leaves."""
     return max(1, _SURVEY_BLOCK_BENDS // (n * (n - 1) // 2))
-
-
-def _survey_block(cfg: SampleConfig, labels: tuple[str, ...], first: int, stop: int):
-    """Samples first..stop-1 of the NNI survey, from their merge schedules,
-    sample by sample: its index, its two draws' (merges, branch lengths)
-    and the deduplicated topology sequence of their segment.
-
-    Every check of the tree route runs, batched where it can be.  The
-    equidistance of each draw, and positivity and the three-point condition
-    on the stacked rows, give their first failing sample without raising.
-    The samples before the earliest are yielded, and the checks of their
-    segments and bends raise in sample order.  Then that sample runs its
-    checks in the tree route's order (each draw's equidistance and then its
-    distances, then the three-point condition on each), so the block raises
-    what :func:`~troptree.treespace.tree_segment` raises for the first
-    sample that fails."""
-    n, tol = cfg.n, DEFAULT_TOL
-    draws = []
-    errors = []                 # each draw's equidistance error, or None
-    rows = []
-    for index in range(first, stop):
-        rng = sample_rng(cfg.seed, index)
-        pair = []
-        for _ in range(2):
-            merges = _schedule(n, cfg.height, rng)
-            lengths = _merge_lengths(n, merges)
-            errors.append(_equidistance_error(labels, merges, lengths, tol))
-            pair.append((merges, lengths))
-            rows.append(_distances_of_merges(n, merges, lengths))
-        draws.append(pair)
-    rows = np.array(rows)
-    squares = np.concatenate((rows, np.zeros((len(rows), 1))), axis=1)[:, square_index(n)]
-    faults = [_invalid_distances(rows), _violating_triple(squares, tol)]
-    unequal = next((r for r, error in enumerate(errors) if error is not None), len(rows))
-    bad = min([unequal] + [fault[0] for fault in faults if fault is not None]) // 2
-    segments = [tropical_segment(rows[2 * k], rows[2 * k + 1], tol) for k in range(bad)]
-    for index, pair, (_, _, bends, pieces) in zip(
-            range(first, stop), draws, _segment_topologies(labels, segments, tol)):
-        yield index, pair, _topology_sequence(bends, pieces)
-    # the failing sample, if there is one
-    for error, row in zip(errors[2 * bad:2 * bad + 2], rows[2 * bad:2 * bad + 2]):
-        if error is not None:
-            raise error
-        Ultrametric._of_sorted(labels, row)     # the distance check of ultrametric_of
-    for row in rows[2 * bad:2 * bad + 2]:
-        require_ultrametric(Ultrametric._of_sorted(labels, row), tol)
 
 
 def check_nni_conjecture(cfg: SampleConfig) -> ExperimentReport:
@@ -405,12 +344,16 @@ def check_nni_conjecture(cfg: SampleConfig) -> ExperimentReport:
     fails the test is reported as a violation, with the Newick strings of
     the sample's two trees.
 
-    The samples run in blocks of :func:`_survey_block_rows`, from their
-    merge schedules: no tree is built, the bend points of all the segments
-    of a block share one single-linkage pass, and the Newick strings are
-    written from the schedules, only for samples with a violation.  The
+    The samples run in blocks of :func:`_survey_block_rows`, each a fixed
+    number of numpy passes (:func:`troptree._survey._survey_block`): the
+    draws of the whole block, the bend clusters of all its segments and
+    its transitions, compared as sets of clade masks.  No tree and no
+    :class:`~troptree.trees.Topology` is built, and the Newick strings are
+    written from merge schedules, only for samples with a violation.  The
     survey stops with the error, and the message, that the tree route
-    raises for the first sample that fails (see :func:`_survey_block`)."""
+    raises for the first sample that fails."""
+    # imported here, so that only survey runs load it
+    from ._survey import _survey_block
     start = time.perf_counter()
     labels = tuple(str(k) for k in range(1, cfg.n + 1))
     total = 0
@@ -422,22 +365,15 @@ def check_nni_conjecture(cfg: SampleConfig) -> ExperimentReport:
     block = _survey_block_rows(cfg.n)
     for first in range(0, cfg.samples, block):
         stop = min(first + block, cfg.samples)
-        for index, pair, seq in _survey_block(cfg, labels, first, stop):
-            pairs, degenerate, unresolved = _binary_transitions(seq)
-            histogram[len(seq)] = histogram.get(len(seq), 0) + 1
-            degenerate_total += degenerate
-            unresolved_total += unresolved
-            newicks = None
-            for t_index, (topo_a, topo_b) in enumerate(pairs):
-                total += 1
-                if topo_a.one_nni_apart(topo_b):
-                    single += 1
-                    continue
-                if newicks is None:
-                    newicks = [_newick_of_merges(labels, merges, lengths, 10)
-                               for merges, lengths in pair]
-                violations.append({"sample": index, "transition": t_index,
-                                   "t1": newicks[0], "t2": newicks[1]})
+        counts, transitions, singles, degenerate, unresolved, found = _survey_block(
+            cfg, labels, first, stop)
+        for size, times in zip(*(x.tolist() for x in np.unique(counts, return_counts=True))):
+            histogram[size] = histogram.get(size, 0) + times
+        total += transitions
+        single += singles
+        degenerate_total += degenerate
+        unresolved_total += unresolved
+        violations += found
     return ExperimentReport(
         experiment="nni-conjecture", config=cfg,
         transitions_total=total, transitions_single_nni=single,

@@ -10,13 +10,16 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
 from .errors import LeafSetMismatchError, NotEquidistantError
 from .newick import RootedTree, _merge_masks, _node_depths, _preorder_leaves
 from .util import DEFAULT_TOL, sorted_labels, square_form, square_index
+
+if TYPE_CHECKING:
+    from ._linkages import Linkage
 
 
 # --------------------------------------------------------------------------
@@ -278,32 +281,48 @@ def _runs(values: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.nd
     consecutive runs (inf with one run).  Single linkage and the candidate
     table (:meth:`~troptree._meets.MeetTable.linkages`) both split by it."""
     rows, m = values.shape
-    order = np.argsort(values, axis=1)
-    svals = np.take_along_axis(values, order, axis=1)
+    order = np.arange(rows)[:, None], np.argsort(values, axis=1)
+    svals = values[order]
     step = np.diff(svals, axis=1)
     start = np.ones((rows, m), dtype=bool)
-    start[:, 1:] = step > tol
-    end = np.ones((rows, m), dtype=bool)
-    end[:, :-1] = start[:, 1:]
+    np.greater(step, tol, out=start[:, 1:])
+    gaps = np.where(start[:, 1:], step, np.inf).min(axis=1, initial=np.inf)
+    del step
     # the top and the bottom of every sorted value's run: the values
     # ascend, so they are the nearest run end after it and the nearest run
     # start before it
-    tops = np.minimum.accumulate(np.where(end, svals, np.inf)[:, ::-1], axis=1)[:, ::-1]
-    bottoms = np.maximum.accumulate(np.where(start, svals, -np.inf), axis=1)
-    widths = (tops - bottoms).max(axis=1, initial=0.0)
-    gaps = np.where(start[:, 1:], step, np.inf).min(axis=1, initial=np.inf)
+    bottoms = np.where(start, svals, -np.inf)
+    np.maximum.accumulate(bottoms, axis=1, out=bottoms)
+    tops = svals[:, ::-1]                   # the run ends hold their own tops
+    np.copyto(tops[:, 1:], np.inf, where=~start[:, :0:-1])
+    np.minimum.accumulate(tops, axis=1, out=tops)
+    widths = np.subtract(svals, bottoms, out=bottoms).max(axis=1, initial=0.0)
     top = np.empty_like(values)
-    np.put_along_axis(top, order, tops, axis=1)
+    top[order] = svals
     return top, widths, gaps
 
 
-def _single_linkages(points: Sequence[np.ndarray], n: int, tol: float,
-                     ) -> tuple[list[list[tuple[float, list[int]]]], np.ndarray, np.ndarray]:
-    """The merge schedule of the single-linkage dendrogram of each of a
-    sequence of condensed distance vectors over n leaves: one
-    (height, children) per internal node, in the order the nodes are made.
-    Leaves are nodes 0..n-1 and the m-th internal node is node n + m, so
-    the last one is the root.
+def _spanning_edges(stack: np.ndarray, n: int, tol: float,
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The n-1 edges (near, far) of a minimum spanning tree of each row of
+    a stack of condensed distance vectors, shape (rows, n(n-1)/2), sorted
+    by the top of their run (:func:`_runs`), by which they merge, stably;
+    those tops, and the widest run and narrowest gap of each row."""
+    top, widths, gaps = _runs(stack, tol)
+    near, far = _mst_edges(stack, n)
+    row = np.arange(len(stack))[:, None]
+    tops = top[row, square_index(n)[near, far]]
+    by_top = row, np.argsort(tops, axis=1, kind="stable")
+    return near[by_top], far[by_top], tops[by_top], widths, gaps
+
+
+def _single_linkages(points: Sequence[np.ndarray] | np.ndarray, n: int,
+                     tol: float) -> tuple[Linkage, np.ndarray, np.ndarray]:
+    """The single-linkage clusters of each of a non-empty sequence of
+    condensed distance vectors over n leaves, as numpy arrays
+    (:class:`~troptree._linkages.Linkage`): the spanning-tree edges of
+    each and the nodes that :func:`_single_linkage` makes of them, with the
+    clade cut at tol and the equidistance check of its schedule.
 
     The distance values are split into runs by :func:`_runs`; the pairs of
     a run merge simultaneously at half the run's top, so values within tol
@@ -312,28 +331,26 @@ def _single_linkages(points: Sequence[np.ndarray], n: int, tol: float,
     same leaves as all pairs at or below it (Gower & Ross 1969), so this
     takes O(n^2) per vector.  The vectors are stacked in blocks of
     `_LINKAGE_BLOCK_ENTRIES` square entries; the run split and Prim's
-    algorithm are computed for a whole block, and only the union-find runs
-    per vector.
+    algorithm run for a whole block at once, and the merging of the edges
+    (:func:`~troptree._linkages.linkage`) for eight blocks at once.
 
     Also returns, per vector, the width of its widest run and its narrowest
     gap between runs, as :func:`_runs` gives them."""
-    schedules: list[list[tuple[float, list[int]]]] = []
-    widths, gaps = [np.empty(0)], [np.empty(0)]
+    # imported here, so that only the callers with many vectors load it
+    from ._linkages import Linkage, linkage
     step = max(1, _LINKAGE_BLOCK_ENTRIES // (n * n))
-    for first in range(0, len(points), step):
-        block = np.stack(points[first:first + step])
-        top, width, gap = _runs(block, tol)
-        widths.append(width)
-        gaps.append(gap)
-        near, far = _mst_edges(block, n)
-        # the run top of every spanning-tree edge, by which its edges merge
-        tops = np.take_along_axis(top, square_index(n)[near, far], axis=1)
-        by_top = np.argsort(tops, axis=1, kind="stable")
-        near, far, tops = (np.take_along_axis(x, by_top, axis=1).tolist()
-                           for x in (near, far, tops))
-        for r in range(len(block)):
-            schedules.append(_merge_runs(n, near[r], far[r], tops[r]))
-    return schedules, np.concatenate(widths), np.concatenate(gaps)
+    near, far, tops, widths, gaps = map(np.concatenate, zip(*(
+        _spanning_edges(np.asarray(points[first:first + step], dtype=float), n, tol)
+        for first in range(0, len(points), step))))
+    # the edges are merged in larger blocks: the pass holds a few bytes per
+    # square entry where Prim's algorithm holds floats, and its cost per
+    # block grows with n whatever the block's size
+    step *= 8
+    parts = [linkage(n, near[k:k + step], far[k:k + step], tops[k:k + step], tol)
+             for k in range(0, len(near), step)]
+    if len(parts) > 1:
+        parts = [Linkage(*map(np.concatenate, zip(*parts)))]
+    return parts[0], widths, gaps
 
 
 def _merge_runs(n: int, near: list[int], far: list[int],
@@ -379,13 +396,24 @@ def _merge_runs(n: int, near: list[int], far: list[int],
 
 def _single_linkage(dists: np.ndarray, n: int,
                     tol: float) -> list[tuple[float, list[int]]]:
-    """The :func:`_single_linkages` merge schedule of one condensed distance
-    vector over n leaves."""
-    return _single_linkages([dists], n, tol)[0][0]
+    """The merge schedule of the single-linkage dendrogram of one condensed
+    distance vector over n leaves: one (height, children) per internal
+    node, in the order the nodes are made.  Leaves are nodes 0..n-1 and the
+    m-th internal node is node n + m, so the last one is the root.  Its
+    nodes are those of :func:`_single_linkages`, made by :func:`_merge_runs`
+    from the same run split and spanning tree."""
+    return _edge_merges(n, *_spanning_edges(np.asarray(dists, dtype=float)[None], n, tol)[:3])[0]
+
+
+def _edge_merges(n: int, near: np.ndarray, far: np.ndarray,
+                 tops: np.ndarray) -> list[list[tuple[float, list[int]]]]:
+    """The :func:`_merge_runs` schedule of each row of spanning-tree edges
+    sorted by the top of their run (:func:`_spanning_edges`)."""
+    return [_merge_runs(n, *edges) for edges in zip(near.tolist(), far.tolist(), tops.tolist())]
 
 
 def _merge_lengths(n: int, merges: list[tuple[float, list[int]]]) -> list[float]:
-    """The branch length of every node of a :func:`_single_linkages`
+    """The branch length of every node of a :func:`_single_linkage`
     schedule over n leaves, by node number: the parent's height minus the
     node's own, clamped at 0.  The root's is 0."""
     heights = [0.0] * n

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -29,7 +29,10 @@ from .trees import (Topology, require_equidistant, require_same_leaves,
 from .util import DEFAULT_TOL, sorted_labels, square_form, square_index
 
 if TYPE_CHECKING:
+    from ._linkages import Linkage
     from ._meets import Merges, MeetTable
+
+    Schedules = tuple[list[Merges], list[list[float]]]
 
 
 class Ultrametric:
@@ -199,80 +202,81 @@ _RUN_WIDTH = 0.25
 _RUN_GAP = 8.0
 
 
-def _is_clean(widths: np.ndarray, gaps: np.ndarray, tol: float) -> list[bool]:
+def _is_clean(widths: np.ndarray, gaps: np.ndarray, tol: float) -> np.ndarray:
     """The clean rule of :class:`TreeSegment` for each bend, from the width
     of its widest run of distance values and its narrowest gap between runs."""
-    return ((widths <= _RUN_WIDTH * tol) & (gaps > _RUN_GAP * tol)).tolist()
+    return (widths <= _RUN_WIDTH * tol) & (gaps > _RUN_GAP * tol)
 
 
-def _segment_topologies(labels: tuple[str, ...], segments: Sequence[TropicalSegment],
-                        tol: float) -> Iterator[tuple[list, list, list[Topology], list[Topology]]]:
-    """The bend merges, their branch lengths, the bend topologies and the
-    piece topologies of each of a sequence of segments between ultrametrics
-    over `labels`, as :class:`TreeSegment` holds them, segment by segment,
-    all from single linkage: one batched pass over the bend points of all
-    the segments, then :func:`_topologies` with a pass at the midpoint of
-    each piece that the clean rule flags."""
+def _linkage_topologies(labels: tuple[str, ...], segment: TropicalSegment, tol: float,
+                        ) -> tuple[Callable[[], Schedules], list[Topology], list[Topology]]:
+    """What :class:`TreeSegment` holds of a segment between ultrametrics over
+    `labels`, read by single linkage with the NNI survey's reader
+    (:func:`troptree._linkages.segment_linkages`) on one segment: a function
+    that makes the bend merges and their branch lengths, from the
+    spanning-tree edges of the bends, the bend topologies, and the piece
+    topologies, each the union of its bends' or its midpoint's."""
+    # imported here, so that ``import troptree.cli`` does not load it
+    from ._linkages import segment_linkages
     n = len(labels)
-    points = [p for segment in segments for p in segment.bend_points]
-    merges, widths, gaps = _trees._single_linkages(points, n, tol)
-    clean = _is_clean(widths, gaps, tol)
-    first = 0
-    for segment in segments:
-        last = first + len(segment.bend_points)
-        yield _topologies(labels, segment, merges[first:last], clean[first:last], None, tol)
-        first = last
+    _, _, unclean, linkage, midlinkage = segment_linkages(labels, segment.u[None],
+                                                          segment.v[None], tol)
+    bends = _topologies(labels, linkage)
+    pieces = [Topology._of_masks(labels, a.masks | b.masks) for a, b in zip(bends, bends[1:])]
+    if midlinkage is not None:
+        for k, topology in zip(unclean.tolist(), _topologies(labels, midlinkage)):
+            pieces[k] = topology
+
+    def schedules() -> Schedules:
+        merges = _trees._edge_merges(n, linkage.near, linkage.far, linkage.tops)
+        return merges, [_trees._merge_lengths(n, m) for m in merges]
+
+    return schedules, bends, pieces
 
 
-def _topologies(labels: tuple[str, ...], segment: TropicalSegment, bend_merges: list[Merges],
-                clean: list[bool], table: "MeetTable | None",
-                tol: float) -> tuple[list, list, list[Topology], list[Topology]]:
-    """The bend merges, their branch lengths, the bend topologies and the
-    piece topologies of a segment from the merges of its bends and the
-    clean rule at each: every piece from its two bends, or from the merges
-    of its midpoint where the tolerance needs them (see :class:`TreeSegment`),
-    read from `table`, or by single linkage without one."""
-    n = len(labels)
-    lengths = [_trees._merge_lengths(n, m) for m in bend_merges]
-    bends = [_trees._topology_of_merges(labels, m, ls, tol)
-             for m, ls in zip(bend_merges, lengths)]
-    pieces = [Topology._of_masks(labels, a.masks | b.masks)
-              if clean[k] and clean[k + 1]
-              else _midpoint_topology(labels, segment, k, table, tol)
-              for k, (a, b) in enumerate(zip(bends, bends[1:]))]
-    return bend_merges, lengths, bends, pieces
+def _topologies(labels: tuple[str, ...], linkage: Linkage) -> list[Topology]:
+    """The topology of each vector of a :class:`~troptree._linkages.Linkage`:
+    its kept clades."""
+    masks = iter(linkage.masks[linkage.kept].tolist())
+    return [Topology._of_masks(labels, itertools.islice(masks, size))
+            for size in np.count_nonzero(linkage.kept, axis=1).tolist()]
 
 
-def _table_topologies(u: Ultrametric, v: Ultrametric, segment: TropicalSegment,
-                      tol: float) -> tuple[list, list, list[Topology], list[Topology]] | None:
-    """What :func:`_segment_topologies` yields for the segment from v to u,
-    read from its candidate table.  None when u and v fail the table's
-    guard, and when a bend or a piece fails the equidistance check: single
-    linkage fails at the same place, and names the leaf that its own
-    schedule's preorder names."""
+def _table_topologies(u: Ultrametric, v: Ultrametric, segment: TropicalSegment, tol: float,
+                      ) -> tuple[Callable[[], Schedules], list[Topology], list[Topology]] | None:
+    """What :func:`_linkage_topologies` gives for the segment from v to u,
+    read from its candidate table: every piece from its two bends, or from
+    the merges of its midpoint where the clean rule fails at either bend.
+    None when u and v fail the table's guard, and when a bend or a piece
+    fails the equidistance check: single linkage fails at the same place,
+    and names the leaf that its own schedule's preorder names."""
     # imported here, so that only large segments load it
     from ._meets import MeetTable
     table = MeetTable.of(u, v)
     if table is None:
         return None
-    merges, widths, gaps = table.linkages(*_bend_shifts(segment), tol)
+    merges, widths, gaps = table.linkages(*_bend_shifts(segment.bend_parameters), tol)
+    lengths = [_trees._merge_lengths(u.n, m) for m in merges]
+    clean = _is_clean(widths, gaps, tol).tolist()
     try:
-        return _topologies(u.labels, segment, merges, _is_clean(widths, gaps, tol), table, tol)
+        bends = [_trees._topology_of_merges(u.labels, m, ls, tol)
+                 for m, ls in zip(merges, lengths)]
+        pieces = [Topology._of_masks(u.labels, a.masks | b.masks)
+                  if clean[k] and clean[k + 1]
+                  else _midpoint_topology(u.labels, segment, k, table, tol)
+                  for k, (a, b) in enumerate(zip(bends, bends[1:]))]
     except NotEquidistantError:
         return None
+    return (lambda: (merges, lengths)), bends, pieces
 
 
 def _midpoint_topology(labels: tuple[str, ...], segment: TropicalSegment, k: int,
-                       table: "MeetTable | None", tol: float) -> Topology:
+                       table: MeetTable, tol: float) -> Topology:
     """Topology of piece k of a segment, read from the merges of its
-    midpoint: from `table` at the midpoint's parameter, or by single
-    linkage of the midpoint without one."""
+    midpoint in `table`, at the midpoint's parameter."""
     n = len(labels)
-    if table is None:
-        merges = _trees._single_linkage(segment.piece_midpoint(k), n, tol)
-    else:
-        params = segment.bend_parameters
-        merges = table.linkages(*_shifts(np.array([0.5 * (params[k] + params[k + 1])])), tol)[0][0]
+    params = segment.bend_parameters
+    merges = table.linkages(*_shifts(np.array([0.5 * (params[k] + params[k + 1])])), tol)[0][0]
     return _trees._topology_of_merges(labels, merges, _trees._merge_lengths(n, merges), tol)
 
 
@@ -289,15 +293,21 @@ def _shifts(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.minimum(params, 0.0), -np.maximum(params, 0.0)
 
 
-def _bend_shifts(segment: TropicalSegment) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_shifts` of the bend parameters, with which the bend points of
-    :attr:`TropicalSegment.bend_points` are max(u + a, v + b) bit for bit:
-    the ends are v and u exactly, so there a is -inf at the v end and b is
-    -inf at the u end."""
-    a, b = _shifts(segment.bend_parameters)
-    a[0], b[0] = -np.inf, 0.0
-    if len(a) > 1:
-        a[-1], b[-1] = 0.0, -np.inf
+def _bend_shifts(params: np.ndarray, last: np.ndarray | None = None,
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_shifts` of the bend parameters of a segment, or of segments
+    laid end to end whose last bends `last` flags, with which the bend
+    points of :attr:`TropicalSegment.bend_points` are max(u + a, v + b) bit
+    for bit: the ends are v and u exactly, so there a is -inf at the v end
+    and b is -inf at the u end."""
+    a, b = _shifts(params)
+    if last is None:
+        last = np.arange(len(params)) == len(params) - 1
+    first = np.ones_like(last)
+    first[1:] = last[:-1]
+    a[first], b[first] = -np.inf, 0.0
+    ends = last & ~first
+    a[ends], b[ends] = 0.0, -np.inf
     return a, b
 
 
@@ -347,7 +357,7 @@ class TreeSegment:
     it, and one whose bend points hold fewer than ``_TABLE_MIN_ENTRIES``
     distance entries, for which the table's fixed cost exceeds the saving,
     is read by single linkage of its bend points instead
-    (:func:`_segment_topologies`, one batched pass over all of them), with
+    (:func:`_linkage_topologies`, one batched pass over all of them), with
     the same result.
 
     Each piece topology follows from its two bends.  On an open piece no
@@ -377,11 +387,13 @@ class TreeSegment:
     read from the table at the midpoint's parameter, or by single linkage
     of the midpoint on that route.
 
-    The trees at the bends are built only on first use of
-    :attr:`bend_trees`; :meth:`bend_newicks` writes their Newick strings
-    straight from the merges, and :meth:`to_csv` writes the distinct
-    entries of the segment once each.  The NNI survey reads its many small
-    segments by :func:`_segment_topologies`, batched over a block of them.
+    The bend merges are made on first use on the single-linkage route, and
+    the trees at the bends on first use of :attr:`bend_trees`;
+    :meth:`bend_newicks` writes their Newick strings straight from the
+    merges, and :meth:`to_csv` writes the distinct entries of the segment
+    once each.  The NNI survey reads its many small segments with the
+    reader of the single-linkage route, a block of them at a time
+    (:mod:`troptree._survey`).
     """
 
     def __init__(self, u: Ultrametric, v: Ultrametric, segment: TropicalSegment,
@@ -394,8 +406,22 @@ class TreeSegment:
         if len(segment.bend_parameters) * u.e >= _TABLE_MIN_ENTRIES:
             found = _table_topologies(u, v, segment, tol)
         if found is None:
-            (found,) = _segment_topologies(u.labels, [segment], tol)
-        self._bend_merges, self._bend_lengths, self.bend_topologies, self.piece_topologies = found
+            found = _linkage_topologies(u.labels, segment, tol)
+        self._schedules, self.bend_topologies, self.piece_topologies = found
+
+    @cached_property
+    def _bend_schedules(self) -> Schedules:
+        """The merge schedule of every bend and the branch lengths of its
+        nodes, made on first use."""
+        return self._schedules()
+
+    @property
+    def _bend_merges(self) -> list[Merges]:
+        return self._bend_schedules[0]
+
+    @property
+    def _bend_lengths(self) -> list[list[float]]:
+        return self._bend_schedules[1]
 
     @cached_property
     def bend_ultrametrics(self) -> list[Ultrametric]:
@@ -473,7 +499,7 @@ class TreeSegment:
         fmt = f".{precision}g"
         pairs, columns = np.unique(np.stack((self.u.entries, self.v.entries), axis=1),
                                    axis=0, return_inverse=True)
-        a, b = _bend_shifts(self.segment)
+        a, b = _bend_shifts(self.segment.bend_parameters)
         values, inverse = np.unique(_shifted_max(pairs[:, 0], pairs[:, 1], a, b),
                                     return_inverse=True)
         text = np.array([format(x, fmt) for x in values.tolist()],

@@ -88,21 +88,13 @@ class TropicalSegment:
         if u.shape != v.shape:
             raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
         self.tol = float(tol)
-        lam = v - u
-        # any non-finite coordinate in u or v leaves a non-finite difference
-        if not np.isfinite(lam).all():
-            raise ValueError("coordinates must be finite")
-        lam.sort()
-        self.lambdas = lam
+        self.lambdas = _lambdas(u, v)
 
     @cached_property
     def bend_parameters(self) -> np.ndarray:
         """One parameter per run of lambda values separated by gaps > tol:
         the locations where the path changes direction."""
-        lam = self.lambdas
-        starts = np.concatenate(
-            ([0], np.flatnonzero(np.diff(lam) > self.tol) + 1))
-        return lam[starts]
+        return self.lambdas[_bend_starts(self.lambdas, self.tol)]
 
     @property
     def n_bends(self) -> int:
@@ -147,11 +139,32 @@ class TropicalSegment:
                 f"length={self.length:.6g})")
 
 
+def _lambdas(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The sorted values of v - u, of each row if u and v are stacked."""
+    lam = v - u
+    # any non-finite coordinate in u or v leaves a non-finite difference
+    if not np.isfinite(lam).all():
+        raise ValueError("coordinates must be finite")
+    lam.sort()
+    return lam
+
+
+def _bend_starts(lam: np.ndarray, tol: float) -> np.ndarray:
+    """Whether each of the sorted lambda values of a segment (of each row,
+    if stacked) starts a run, that is a bend: it is the first, or more
+    than tol above the one before it."""
+    starts = np.ones(lam.shape, dtype=bool)
+    np.greater(np.diff(lam), tol, out=starts[..., 1:])
+    return starts
+
+
 def _shifted_max(u: np.ndarray, v: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """max(u + a[k], v + b[k]) for every k, as rows, shape (len(a), len(u)):
-    with the shifts of :meth:`TropicalSegment.point_at` (a = min(d, 0),
-    b = -max(d, 0)), the point at d, made with the same float operations."""
-    return np.maximum(u + a[:, None], v + b[:, None])
+    """max(u + a[k], v + b[k]) for every k, as rows, shape (len(a), len(u)),
+    with u and v one vector each or one row per k: with the shifts of
+    :meth:`TropicalSegment.point_at` (a = min(d, 0), b = -max(d, 0)), the
+    point at d, made with the same float operations."""
+    out = u + a[:, None]
+    return np.maximum(out, v + b[:, None], out=out)
 
 
 def tropical_segment(u, v, tol: float = DEFAULT_TOL) -> TropicalSegment:

@@ -354,17 +354,23 @@ def test_python_dash_m_runs_the_cli():
 
 
 def test_cli_import_loads_no_lazy_module():
-    # the candidate table and the block sampler are imported by their first
-    # caller, so that start-up does not pay for them
+    # the candidate table, the block sampler, the block single linkage and
+    # the survey's blocks are imported by their first caller, so that
+    # start-up does not pay for them
+    lazy = ["troptree._linkages", "troptree._meets", "troptree._streams", "troptree._survey"]
     done = python("-c", "import contextlib, io, sys, troptree.cli\n"
-                  "print(sorted(m for m in sys.modules if m.startswith('troptree')))\n"
-                  "with contextlib.redirect_stdout(io.StringIO()):\n"
-                  "    troptree.cli.main(['simulate', 'star-prob', '--n', '4'])\n"
-                  "print('troptree._streams' in sys.modules)\n")
-    loaded, streams = done.stdout.splitlines()
-    assert "troptree.cli" in loaded
-    assert "troptree._meets" not in loaded and "troptree._streams" not in loaded
-    assert streams == "True"
+                  "def loaded():\n"
+                  "    print(sorted(m for m in sys.modules if m.startswith('troptree')))\n"
+                  "loaded()\n"
+                  "for argv in (['star-prob', '--n', '4'], ['nni-conjecture', '--n', '5']):\n"
+                  "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                  "        troptree.cli.main(['simulate', *argv])\n"
+                  "    loaded()\n")
+    at_import, star, survey = (eval(line) for line in done.stdout.splitlines())
+    assert "troptree.cli" in at_import
+    assert [m for m in lazy if m in at_import] == []
+    assert [m for m in lazy if m in star] == ["troptree._streams"]
+    assert [m for m in lazy if m in survey] == [m for m in lazy if m != "troptree._meets"]
 
 
 def test_two_leaf_trees_exit_three(files):

@@ -18,7 +18,7 @@ from troptree import (DEFAULT_TOL, NotEquidistantError, SampleConfig, Topology,
                       TreeSegment, Ultrametric, check_nni_conjecture, parse_newick,
                       random_equidistant_tree, sample_rng, structurally_equal,
                       topology_of, topology_sequence, tree_segment, tropical_segment)
-from troptree import trees, treespace
+from troptree import trees
 from troptree.cli import main
 from troptree.newick import RootedTree, TreeNode, _newick_of_merges
 from troptree.trees import (_equidistance_error, _merge_lengths, _single_linkage,
@@ -245,15 +245,14 @@ def test_segment_builds_trees_only_for_output(monkeypatch):
     assert calls["_tree_of_merges"] == seg.n_bends
 
     # a pair with node heights 0.5 and 1.5 tol apart: some pieces need a
-    # midpoint pass (one more single-linkage call each); output builds no tree
+    # midpoint pass (one more batched call, over their midpoints); output
+    # builds no tree
     folder = [str(GOLDEN_CLI / "tolgaps_height_n8" / f"t{k}.nwk") for k in (1, 2)]
     for fmt in ("csv", "newick", "json"):
         calls.update(dict.fromkeys(calls, 0))
         assert main(["segment", *folder, "--format", fmt]) == 0
-        midpoints = calls["_single_linkage"]
-        assert midpoints > 0
-        assert calls == {"agglomerate": 0, "_single_linkages": 1 + midpoints,
-                         "_single_linkage": midpoints, "_tree_of_merges": 0}
+        assert calls == {"agglomerate": 0, "_single_linkages": 2,
+                         "_single_linkage": 0, "_tree_of_merges": 0}
 
 
 def test_fallback_pieces_of_a_pair_with_gaps_near_tol(monkeypatch):
@@ -262,9 +261,18 @@ def test_fallback_pieces_of_a_pair_with_gaps_near_tol(monkeypatch):
     # runs there
     t1, t2 = (parse_newick((GOLDEN_CLI / "tolgaps_height_n8" / f"t{k}.nwk").read_text())
               for k in (1, 2))
-    midpoints = counted_calls(monkeypatch, treespace, ("_midpoint_topology",))
+    passes = []
+    batched = trees._single_linkages
+
+    def spy(points, n, tol):
+        passes.append(len(points))
+        return batched(points, n, tol)
+
+    monkeypatch.setattr(trees, "_single_linkages", spy)
     seg = tree_segment(t1, t2)
-    fallback = midpoints["_midpoint_topology"]
+    # one pass over the bends, one over the midpoints of some pieces
+    bends, fallback = passes
+    assert bends == seg.n_bends
     assert 0 < fallback <= len(seg.piece_topologies)
     reference = [midpoint_topology(seg, k) for k in range(len(seg.piece_topologies))]
     assert seg.piece_topologies == reference

@@ -2,11 +2,11 @@
 
 Every bend of a segment, and the midpoint of every piece, is read twice:
 from the table of meets of the endpoints' clusters (`_meets.MeetTable`), and by
-single linkage of the point itself (`_single_linkages`, the route the table
-replaced for large segments).  The two must agree bit for bit: the clades
-with their node heights, the widest run and the narrowest gap of every
-point, and then the topologies, Newick strings and CSV bytes of the whole
-segment.  `TreeSegment` takes the table route from `_TABLE_MIN_ENTRIES`
+single linkage of the point itself (`_single_linkage`, one point at a time;
+small segments take the batched `_single_linkages`).  The two must agree bit
+for bit: the clades with their node heights, the widest run and the narrowest
+gap of every point, and then the topologies, Newick strings and CSV bytes of
+the whole segment.  `TreeSegment` takes the table route from `_TABLE_MIN_ENTRIES`
 distance entries up; the tests move that bound to force one route or the
 other.
 
@@ -48,6 +48,13 @@ def clades(n, merges):
     return sorted((masks[n + m], height.hex()) for m, (height, _) in enumerate(merges))
 
 
+def single_linkages(points, n, tol):
+    """The single-linkage schedule of each point, one point at a time, and
+    the widest run and narrowest gap of each."""
+    return ([trees._single_linkage(p, n, tol) for p in points],
+            *trees._runs(np.stack(points), tol)[1:])
+
+
 def disagreements(u, v, tol=TOL, midpoints=True):
     """The bends, and the piece midpoints unless told not to, of the segment
     from v to u at which the table and single linkage differ, and the
@@ -57,8 +64,8 @@ def disagreements(u, v, tol=TOL, midpoints=True):
     seg = tropical_segment(u.entries, v.entries, tol)
     table = _meets.MeetTable.of(u, v)
     assert table is not None
-    merges, widths, gaps = table.linkages(*treespace._bend_shifts(seg), tol)
-    oracle, oracle_widths, oracle_gaps = trees._single_linkages(seg.bend_points, n, tol)
+    merges, widths, gaps = table.linkages(*treespace._bend_shifts(seg.bend_parameters), tol)
+    oracle, oracle_widths, oracle_gaps = single_linkages(seg.bend_points, n, tol)
     bad = [("bend", k) for k, (a, b) in enumerate(zip(merges, oracle))
            if clades(n, a) != clades(n, b)]
     bad += [("width", k) for k in np.flatnonzero(widths != oracle_widths).tolist()]
@@ -68,7 +75,7 @@ def disagreements(u, v, tol=TOL, midpoints=True):
     if midpoints and len(middle):
         merges, widths, gaps = table.linkages(*treespace._shifts(middle), tol)
         points = [seg.piece_midpoint(k) for k in range(len(middle))]
-        oracle, oracle_widths, oracle_gaps = trees._single_linkages(points, n, tol)
+        oracle, oracle_widths, oracle_gaps = single_linkages(points, n, tol)
         bad += [("midpoint", k) for k, (a, b) in enumerate(zip(merges, oracle))
                 if clades(n, a) != clades(n, b)]
         bad += [("midpoint width", k) for k in np.flatnonzero(widths != oracle_widths).tolist()]
@@ -324,13 +331,11 @@ def test_large_segment_runs_single_linkage_only_on_its_endpoints(monkeypatch):
         monkeypatch.setattr(trees, name, counted)
 
     def assert_endpoint_calls(seg):
-        # one call of each per endpoint, u then v, at tol 0 on its entries
-        assert len(calls["_single_linkage"]) == len(calls["_single_linkages"]) == 2
-        for w, (dists, n, tol), (points, m, batch_tol) in zip(
-                (seg.u, seg.v), calls["_single_linkage"], calls["_single_linkages"]):
+        # one call per endpoint, u then v, at tol 0 on its entries, and no
+        # batched pass
+        assert len(calls["_single_linkage"]) == 2 and calls["_single_linkages"] == []
+        for w, (dists, n, tol) in zip((seg.u, seg.v), calls["_single_linkage"]):
             assert dists is w.entries and n == w.n and tol == 0.0
-            assert len(points) == 1 and points[0] is w.entries
-            assert m == w.n and batch_tol == 0.0
         for seen in calls.values():
             seen.clear()
 

@@ -109,13 +109,13 @@ def test_lemire_rejections_are_flagged():
 def spy_on_scalar_rows(monkeypatch):
     """The sample indices that the star experiment draws one at a time."""
     drawn = []
-    scalar = _streams.sample_rows
+    scalar = _streams.sample_draw
 
     def spy(cfg, index):
         drawn.append(index)
         return scalar(cfg, index)
 
-    monkeypatch.setattr(_streams, "sample_rows", spy)
+    monkeypatch.setattr(_streams, "sample_draw", spy)
     return drawn
 
 

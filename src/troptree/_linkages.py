@@ -9,11 +9,14 @@ those of :func:`~troptree.trees._merge_runs`: the edges of one run join
 their components into one node each, at half the run's top.  Each node is
 held in the slot of the first edge of its run that lies inside it, so a
 vector over n leaves has n - 1 slots, in an order in which every node
-comes after the nodes inside it.
+comes after the nodes inside it.  The candidate table of a large segment
+(:meth:`troptree._meets.MeetTable.linkages`) fills the same slots.
 
-:func:`leaf_depths` and :func:`unequal` are the equidistance check of
+:func:`leaf_depths` gives each node its parent and branch, and with
+:func:`unequal` it is the equidistance check of
 :func:`~troptree.trees._equidistance_error` on arrays, in its float order;
-the NNI survey runs them on its draws as well.
+the NNI survey runs them on its draws as well.  :func:`newicks` and
+:func:`merges` write each row's tree as Newick text and merge schedule.
 
 :func:`segment_linkages` reads the bends and pieces of a block of tree
 segments by single linkage: the NNI survey's blocks, and the one segment
@@ -25,6 +28,7 @@ pass, so that ``import troptree.cli`` does not load it.
 
 from __future__ import annotations
 
+import itertools
 from typing import NamedTuple
 
 import numpy as np
@@ -36,12 +40,10 @@ from .tropical import _bend_starts, _lambdas, _shifted_max
 
 class Linkage(NamedTuple):
     """The clusters of a block of distance vectors, one row per vector and
-    one column per slot (see the module docstring)."""
+    one column per slot (see the module docstring), and the tree they make:
+    an element is a leaf, by rank, or the slot n + s."""
 
-    #: the spanning-tree edges (near, far) of each vector and the top of
-    #: their run, sorted by it, as :func:`linkage` is given them
-    near: np.ndarray
-    far: np.ndarray
+    #: the top of the run of each slot's node, by which the slots are sorted
     tops: np.ndarray
     #: the leaf mask of the node in each slot, 0 in a slot without one: the
     #: leaf of rank r sets bit ``1 << (n-1-r)``, in uint64 up to 64 leaves
@@ -54,6 +56,12 @@ class Linkage(NamedTuple):
     kept: np.ndarray
     #: per vector, whether the equidistance check fails on its schedule
     unequal: np.ndarray
+    #: per element, the slot of its parent (the number of slots at the root
+    #: and in a slot without a node) and its branch (0 there); per slot, the
+    #: smallest leaf rank of its node
+    parents: np.ndarray
+    lengths: np.ndarray
+    firsts: np.ndarray
 
 
 def leaf_masks(n: int, members: np.ndarray) -> np.ndarray:
@@ -76,35 +84,126 @@ def leaf_masks(n: int, members: np.ndarray) -> np.ndarray:
 
 
 def leaf_depths(heights: np.ndarray, members: np.ndarray, at: np.ndarray | None = None,
-                ) -> tuple[np.ndarray, np.ndarray | None]:
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The root-to-leaf sums of a block of schedules, given per row as the
     height of each step's node, shape (rows, steps), and its leaves, shape
-    (rows, steps, n), with no node in a step without leaves and the last
-    step at the root's height.  Returns the sum of every leaf, shape
-    (rows, n), and, if `at` gives one leaf of each step's node as an index
-    into the flat (rows, n) sums, shape (rows, steps), each node's branch.
-
-    A branch is the height of the node's parent minus its own
-    (:func:`~troptree.trees._merge_lengths`), and the sums add them from
-    the root down (:func:`~troptree.newick._node_depths`), so the floats
-    are theirs: the steps are walked from the root, and a leaf's parent
-    height is the last node above it so far.  Heights never fall from a
-    step to a later one, so no branch is clamped at 0."""
+    (rows, steps, n): no node in a step without leaves, every node after
+    the nodes inside it, the last step at the root's height.  Also the
+    branch and parent of every element, as :class:`Linkage` holds them
+    (garbage in a step without a node); `at` gives one leaf of each step's
+    node, by default its smallest.  Walked from the root, a node's parent
+    is the last step so far that holds its leaf.  A branch is the parent's
+    height minus the node's (:func:`~troptree.trees._merge_lengths`), and
+    the sums add them from the root down as
+    :func:`~troptree.newick._node_depths` does, so the floats are theirs."""
     rows, steps, n = members.shape
-    depth = np.zeros((rows, n))
-    above = np.repeat(heights[:, -1:], n, axis=1)       # the root is its own parent
-    branch = np.empty((rows, n))
-    lengths = None if at is None else np.empty((rows, steps))
+    at = members.argmax(axis=2) if at is None else at
+    small = np.min_scalar_type(steps)
+    parents = np.empty((rows, n + steps), dtype=small)
+    cover = np.full((rows, n), steps, dtype=small)
+    at = np.arange(rows)[:, None] * n + at              # into the flat cover
     for k in range(steps - 1, -1, -1):
-        height, member = heights[:, k, None], members[:, k]
-        np.subtract(above, height, out=branch)
-        if at is not None:
-            lengths[:, k] = branch.take(at[:, k])
-        np.add(depth, branch, out=depth, where=member)
-        np.copyto(above, height, where=member)
-    # every leaf hangs from its lowest node
-    depth += above
-    return depth, lengths
+        parents[:, n + k] = cover.take(at[:, k])
+        np.putmask(cover, members[:, k], k)
+    parents[:, :n] = cover
+    row = np.arange(rows)[:, None] * (steps + 1)
+    lengths = np.append(heights, heights[:, -1:], axis=1).reshape(-1).take(row + parents)
+    lengths[:, n:] -= heights
+    depth, up = np.zeros((rows, steps + 1)), row + parents[:, n:]
+    for k in range(steps - 1, -1, -1):
+        np.add(depth.reshape(-1).take(up[:, k]), lengths[:, n + k], out=depth[:, k])
+    return depth.reshape(-1).take(row + cover) + lengths[:, :n], lengths, parents
+
+
+def linkage_of(tops: np.ndarray, masks: np.ndarray, members: np.ndarray, nodes: np.ndarray,
+               firsts: np.ndarray, tol: float) -> Linkage:
+    """The :class:`Linkage` of slots sorted by `tops`, with their nodes' `masks`, `members`
+    and smallest leaves, and whether they hold one; a clade is kept if its branch exceeds tol."""
+    n, steps = members.shape[2], members.shape[1]
+    depths, lengths, parents = leaf_depths(tops / 2.0, members, firsts)
+    lengths[:, n:][~nodes] = 0.0
+    parents[:, n:][~nodes] = steps
+    return Linkage(tops, masks, nodes, nodes & (lengths[:, n:] > tol), unequal(depths, tol),
+                   parents, lengths, firsts)
+
+
+def merges(n: int, linkage: Linkage) -> list[list[tuple[float, list[int]]]]:
+    """The :func:`~troptree.trees._clade_merges` schedule of each row of a :class:`Linkage`."""
+    clades = zip(linkage.masks[linkage.nodes].tolist(),
+                 (linkage.tops[linkage.nodes] / 2.0).tolist())
+    return [_trees._clade_merges(n, itertools.islice(clades, count))
+            for count in np.count_nonzero(linkage.nodes, axis=1).tolist()]
+
+
+#: Elements, rows times leaves and slots, in one block of :func:`newicks`.
+_NEWICK_BLOCK_ELEMENTS = 1 << 16
+
+
+def newicks(labels: tuple[str, ...], linkage: Linkage, precision: int) -> list[str]:
+    """The Newick string of the tree of each row of a :class:`Linkage` over
+    natural-sorted `labels`, as :func:`~troptree.newick.write_newick` writes
+    it, each distinct branch length formatted once, a block of
+    `_NEWICK_BLOCK_ELEMENTS` at a time.  Siblings go by smallest leaf rank,
+    so an element's first leaf is its parent's plus the leaves of the
+    siblings before it, added from the root down.  Each element is written
+    at its last leaf, after the smaller ones that close there, with a "("
+    before a leaf for each node that opens there; a comma follows it unless
+    its parent closes there too, and ";" follows the root."""
+    n = len(labels)
+    rows, steps = linkage.nodes.shape
+    width = n + steps
+    fmt = f".{precision}g"
+    values, inverse = np.unique(linkage.lengths, return_inverse=True)
+    texts = [":" + format(x, fmt) for x in values.tolist()]
+    # "(" * k, the labels, ")" and "", each length with a comma and without, ";" and ""
+    tokens = np.array(["(" * k for k in range(n)] + [*labels, ")", ""]
+                      + [t + "," for t in texts] + texts + [";", ""], dtype=object)
+    tails = inverse.reshape(rows, width) + 2 * n + 2
+    root = 2 * n + 2 + 2 * len(values)
+    leaves = np.arange(n)
+    out: list[str] = []
+    block = max(1, _NEWICK_BLOCK_ELEMENTS // width)
+    for first in range(0, rows, block):
+        at = slice(first, first + block)
+        nodes = linkage.nodes[at]
+        count = len(nodes)
+        row = np.arange(count)[:, None]
+        parent = n + linkage.parents[at].astype(np.intp)    # an element; `width` above the root
+        up = parent + row * (width + 1)
+        # the leaves below each element, added up from the leaves
+        size = np.bincount(up[:, :n].reshape(-1), minlength=count * (width + 1)).reshape(count, -1)
+        size[:, :n] = 1
+        for k in range(n, width):
+            size.reshape(-1)[up[:, k]] += size[:, k]
+        key = np.append(np.broadcast_to(leaves, (count, n)), linkage.firsts[at], axis=1)
+        order = np.argsort((parent * n + key).astype(np.min_scalar_type((width + 1) * n)),
+                           axis=1, kind="stable")
+        before = np.take_along_axis(size, order, axis=1)
+        before = np.cumsum(before, axis=1) - before
+        start = np.diff(np.take_along_axis(parent, order, axis=1), axis=1, prepend=-1) != 0
+        before -= np.maximum.accumulate(np.where(start, before, 0), axis=1)
+        offset = np.zeros((count, width + 1), dtype=np.intp)
+        np.put_along_axis(offset, order, before, axis=1)
+        flat = offset.reshape(-1)
+        for k in range(width - 1, n - 1, -1):
+            offset[:, k] += flat.take(up[:, k])
+        offset[:, :n] += flat.take(up[:, :n])
+        last = offset + size - 1
+        index = np.zeros((count, width, 3), dtype=np.intp)
+        index[:, :n, 0] = np.bincount((row * n + offset[:, n:width])[nodes],
+                                      minlength=count * n).take(row * n + offset[:, :n])
+        index[:, :n, 1] = leaves + n
+        index[:, n:, 1] = np.where(nodes, 2 * n, 2 * n + 1)
+        shut = last[:, :width] == np.take_along_axis(last, parent, axis=1)
+        index[:, :, 2] = tails[at] + shut * len(values)
+        index[:, n:, 2] = np.where(nodes, np.where(parent[:, n:] == width, root, index[:, n:, 2]),
+                                   root + 1)
+        key = np.where(index[:, :, 1] <= 2 * n, last[:, :width] * (n + 1) + size[:, :width],
+                       width * (n + 1))
+        close = np.argsort(key.astype(np.min_scalar_type(width * (n + 1))), axis=1, kind="stable")
+        index = index.reshape(-1, 3)[close + row * width].reshape(count, -1)
+        out += ["".join(row_tokens) for row_tokens in tokens.take(index).tolist()]
+    return out
 
 
 def unequal(depths: np.ndarray, tol: float) -> np.ndarray:
@@ -154,9 +253,7 @@ def linkage(n: int, near: np.ndarray, far: np.ndarray, tops: np.ndarray,
     twin &= slot[:, None] > slot
     nodes = ~twin.any(axis=2)
     members = (final == node[:, :, None]) & nodes[:, :, None]
-    depths, lengths = leaf_depths(tops / 2.0, members, near_at)
-    return Linkage(near, far, tops, leaf_masks(n, members), nodes, nodes & (lengths > tol),
-                   unequal(depths, tol))
+    return linkage_of(tops, leaf_masks(n, members), members, nodes, node, tol)
 
 
 def within(a: np.ndarray, b: np.ndarray) -> np.ndarray:

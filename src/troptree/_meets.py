@@ -1,6 +1,6 @@
 """The candidate table of a tree segment: the meets of the clusters of its
 two endpoints, from which :class:`~troptree.treespace.TreeSegment` reads the
-merge schedule of every bend of a large segment.  It is imported on the
+clusters and the tree of every bend of a large segment.  It is imported on the
 first such segment, so that the callers that never build one (the
 simulations, small segments) do not load it.
 """
@@ -12,14 +12,18 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import trees as _trees
+from ._linkages import Linkage, leaf_masks, linkage_of
 from .newick import _merge_masks
+from .treespace import _bend_shifts, _is_clean, _shifts
 from .tropical import _shifted_max
 from .util import square_index
 
 if TYPE_CHECKING:
     from .treespace import Ultrametric
 
-Merges = list[tuple[float, list[int]]]
+#: Leaf flags, rows times slots times leaves, in one block of
+#: :meth:`MeetTable.linkages`: 4 MiB, the bends of an 80-leaf segment.
+_BLOCK_ENTRIES = 1 << 22
 
 
 def clusters(n: int, entries: np.ndarray,
@@ -68,14 +72,14 @@ class MeetTable:
     """The candidate table of a segment between ultrametrics u and v (see
     :class:`~troptree.treespace.TreeSegment`): every distinct meet C = A ∩ B of a cluster A of u
     and a cluster B of v with at least two leaves, ordered by size.  Each
-    is held as its leaf mask, the distance values diam_u(A) and diam_v(B)
-    of the smallest such A and B, and the smallest meets strictly above it
-    (`above`, from `starts`).  Made by :meth:`of` from the clusters of u
-    and of v, read by single linkage (:func:`clusters`); None unless every
-    pair's entry of each is its lca's value, the three-point condition
-    with no tolerance."""
+    is held as its leaf mask and flags (then a row without leaves), the
+    values diam_u(A) and diam_v(B) of the smallest such A and B, and the
+    smallest meets strictly above it (`above`, from `starts`).  Made by
+    :meth:`of` from the clusters of u and of v, read by single linkage
+    (:func:`clusters`); None unless every pair's entry of each is its lca's
+    value, the three-point condition with no tolerance."""
 
-    __slots__ = ("n", "masks", "du", "dv", "above", "starts")
+    __slots__ = ("n", "masks", "members", "firsts", "du", "dv", "above", "starts")
 
     @classmethod
     def of(cls, u: Ultrametric, v: Ultrametric) -> "MeetTable | None":
@@ -96,10 +100,15 @@ class MeetTable:
                        key=lambda ab: (um[ab[0]] & vm[ab[1]]).bit_count())
         table = object.__new__(cls)
         table.n = n
-        table.masks = [um[a] & vm[b] for a, b in nodes]
+        masks = [um[a] & vm[b] for a, b in nodes]
+        width = -(-n // 8)
+        raw = np.frombuffer(b"".join(m.to_bytes(width, "big") for m in masks), dtype=np.uint8)
+        table.members = np.zeros((len(masks) + 1, n), dtype=bool)
+        table.members[:-1] = np.unpackbits(raw.reshape(-1, width), axis=1)[:, 8 * width - n:]
+        table.masks, table.firsts = leaf_masks(n, table.members), table.members.argmax(axis=1)
         at = np.array(nodes, dtype=np.intp).reshape(-1, 2)
         table.du, table.dv = du[at[:, 0]], dv[at[:, 1]]
-        index = {mask: k for k, mask in enumerate(table.masks)}
+        index = {mask: k for k, mask in enumerate(masks)}
         chains = []                     # the v-ancestors of every v-node, from it up
         for b in range(len(vm)):
             chain = [b]
@@ -108,7 +117,7 @@ class MeetTable:
             chains.append(chain)
         above: list[int] = []
         starts: list[int] = []
-        for (a, b), mask in zip(nodes, table.masks):
+        for (a, b), mask in zip(nodes, masks):
             starts.append(len(above))
             above += [index[c] for c in meets_above(a, chains[b], mask, um, vm, up_u)]
             if len(above) == starts[-1]:
@@ -117,11 +126,12 @@ class MeetTable:
         return table
 
     def linkages(self, a: np.ndarray, b: np.ndarray, tol: float,
-                 ) -> tuple[list[Merges], np.ndarray, np.ndarray]:
+                 ) -> tuple[Linkage, np.ndarray, np.ndarray]:
         """What single linkage reads of the points max(u + a, v + b): the
-        merge schedule of each point (with the clusters and heights of
-        :func:`~troptree.trees._single_linkage`), the width of its widest
-        run and its narrowest gap between runs.
+        :class:`~troptree._linkages.Linkage` of the points, with the
+        clusters and heights of :func:`~troptree.trees._single_linkage`,
+        the width of each point's widest run and its narrowest gap between
+        runs.  The points are read in blocks of `_BLOCK_ENTRIES` leaf flags.
 
         A meet's value at shifts (a, b) is max(diam_u(A) + a, diam_v(B) + b):
         on every pair whose lca nodes are A and B, that is the entry of the
@@ -135,24 +145,52 @@ class MeetTable:
         a value in C's run, so C is a cluster of the point, C = A* ∩ B*,
         exactly when every meet strictly above C has a value above T.
         Values grow with the meet, so the smallest meets above C decide it.
-        Each cluster is a node at T/2, as in single linkage."""
-        values = _shifted_max(self.du, self.dv, a, b)
-        rows = len(values)
-        top, widths, gaps = _trees._runs(values, tol)
-        # meets by rows, so that each reduces contiguous rows
-        reach = np.concatenate((values, np.full((rows, 1), np.inf)), axis=1).T.copy()[self.above]
-        is_cluster = np.minimum.reduceat(reach, self.starts, axis=0).T > top
-        row, meet = np.nonzero(is_cluster)
-        heights = (top[row, meet] / 2.0).tolist()
-        masks = [self.masks[k] for k in meet.tolist()]
-        schedules = []
-        first_cluster = 0
-        for count in np.count_nonzero(is_cluster, axis=1).tolist():
-            stop = first_cluster + count
-            schedules.append(_trees._clade_merges(
-                self.n, zip(masks[first_cluster:stop], heights[first_cluster:stop])))
-            first_cluster = stop
-        return schedules, widths, gaps
+        Each cluster is a node at T/2, as in single linkage: sorted by T, the
+        clusters of a point fill its last slots, the full set the last."""
+        n, meets = self.n, len(self.du)
+        step = max(1, _BLOCK_ENTRIES // (n * n))
+        parts = []
+        for first in range(0, len(a), step):
+            values = _shifted_max(self.du, self.dv, a[first:first + step], b[first:first + step])
+            rows = len(values)
+            top, width, gap = _trees._runs(values, tol)
+            # meets by rows, so that each reduces contiguous rows
+            reach = np.append(values, np.full((rows, 1), np.inf), axis=1).T.copy()[self.above]
+            row, meet = np.nonzero(np.minimum.reduceat(reach, self.starts, axis=0).T > top)
+            by_top = np.lexsort((top[row, meet], row))
+            row, meet = row[by_top], meet[by_top]
+            slot = np.arange(len(row)) - np.cumsum(np.bincount(row, minlength=rows))[row] + n - 1
+            at = np.full((rows, n - 1), meets)              # the row without leaves
+            at[row, slot] = meet
+            tops = np.zeros((rows, n - 1))
+            tops[row, slot] = top[row, meet]
+            parts.append((linkage_of(tops, self.masks[at], self.members[at], at < meets,
+                                     self.firsts[at], tol), width, gap))
+        linkages, widths, gaps = zip(*parts)
+        return Linkage(*map(np.concatenate, zip(*linkages))), *map(np.concatenate, (widths, gaps))
+
+
+def segment_linkages(u: Ultrametric, v: Ultrametric, params: np.ndarray, tol: float,
+                     ) -> tuple[np.ndarray, Linkage, Linkage | None] | None:
+    """What :func:`troptree._linkages.segment_linkages` reads of the segment
+    from v to u with bend parameters `params`, read from its candidate
+    table: the unclean pieces, the bends' Linkage and that of those pieces'
+    midpoints.  None when u and v fail the table's guard, and when a bend
+    or a midpoint fails the equidistance check: single linkage fails there
+    too, and names the leaf that its own schedule's preorder names."""
+    table = MeetTable.of(u, v)
+    if table is None:
+        return None
+    linkage, widths, gaps = table.linkages(*_bend_shifts(params), tol)
+    clean = _is_clean(widths, gaps, tol)
+    unclean = np.flatnonzero(~(clean[:-1] & clean[1:]))
+    midlinkage = None
+    if unclean.size:
+        midlinkage = table.linkages(*_shifts(0.5 * (params[unclean] + params[unclean + 1])),
+                                    tol)[0]
+    if any(x is not None and x.unequal.any() for x in (linkage, midlinkage)):
+        return None
+    return unclean, linkage, midlinkage
 
 
 def meets_above(a: int, chain: list[int], mask: int, um: list[int], vm: list[int],

@@ -300,12 +300,7 @@ def _newick_of_merges(labels: Sequence[str], merges: list[tuple[float, list[int]
     its nodes: each node's children in the order of their smallest leaf
     rank, as :func:`write_newick` writes them."""
     fmt = f".{precision}g"
-    return _newick_text(labels, merges, [format(x, fmt) for x in lengths])
-
-
-def _newick_text(labels: Sequence[str], merges: list[tuple[float, list[int]]],
-                 lengths: list[str]) -> str:
-    """:func:`_newick_of_merges` with the branch `lengths` already written."""
+    lengths = [format(x, fmt) for x in lengths]
     first = list(range(len(labels)))        # smallest leaf rank below each node
     text = list(labels)
     for _, children in merges:

@@ -320,9 +320,9 @@ def _single_linkages(points: Sequence[np.ndarray] | np.ndarray, n: int,
                      tol: float) -> tuple[Linkage, np.ndarray, np.ndarray]:
     """The single-linkage clusters of each of a non-empty sequence of
     condensed distance vectors over n leaves, as numpy arrays
-    (:class:`~troptree._linkages.Linkage`): the spanning-tree edges of
-    each and the nodes that :func:`_single_linkage` makes of them, with the
-    clade cut at tol and the equidistance check of its schedule.
+    (:class:`~troptree._linkages.Linkage`): the nodes that
+    :func:`_single_linkage` makes of each and their tree, with the clade
+    cut at tol and the equidistance check of its schedule.
 
     The distance values are split into runs by :func:`_runs`; the pairs of
     a run merge simultaneously at half the run's top, so values within tol
@@ -348,9 +348,7 @@ def _single_linkages(points: Sequence[np.ndarray] | np.ndarray, n: int,
     step *= 8
     parts = [linkage(n, near[k:k + step], far[k:k + step], tops[k:k + step], tol)
              for k in range(0, len(near), step)]
-    if len(parts) > 1:
-        parts = [Linkage(*map(np.concatenate, zip(*parts)))]
-    return parts[0], widths, gaps
+    return Linkage(*map(np.concatenate, zip(*parts))), widths, gaps
 
 
 def _merge_runs(n: int, near: list[int], far: list[int],
@@ -402,14 +400,8 @@ def _single_linkage(dists: np.ndarray, n: int,
     m-th internal node is node n + m, so the last one is the root.  Its
     nodes are those of :func:`_single_linkages`, made by :func:`_merge_runs`
     from the same run split and spanning tree."""
-    return _edge_merges(n, *_spanning_edges(np.asarray(dists, dtype=float)[None], n, tol)[:3])[0]
-
-
-def _edge_merges(n: int, near: np.ndarray, far: np.ndarray,
-                 tops: np.ndarray) -> list[list[tuple[float, list[int]]]]:
-    """The :func:`_merge_runs` schedule of each row of spanning-tree edges
-    sorted by the top of their run (:func:`_spanning_edges`)."""
-    return [_merge_runs(n, *edges) for edges in zip(near.tolist(), far.tolist(), tops.tolist())]
+    edges = _spanning_edges(np.asarray(dists, dtype=float)[None], n, tol)[:3]
+    return _merge_runs(n, *(edge[0].tolist() for edge in edges))
 
 
 def _merge_lengths(n: int, merges: list[tuple[float, list[int]]]) -> list[float]:

@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
 from . import trees as _trees
 from .errors import NotEquidistantError, NotUltrametricError, TropTreeError
-from .newick import RootedTree, _newick_text
+from .newick import RootedTree
 from .tropical import TropicalSegment, _shifted_max, tropical_segment
 from .trees import (Topology, require_equidistant, require_same_leaves,
                     speciation_times, topology_of)
@@ -30,9 +30,6 @@ from .util import DEFAULT_TOL, sorted_labels, square_form, square_index
 
 if TYPE_CHECKING:
     from ._linkages import Linkage
-    from ._meets import Merges, MeetTable
-
-    Schedules = tuple[list[Merges], list[list[float]]]
 
 
 class Ultrametric:
@@ -208,76 +205,12 @@ def _is_clean(widths: np.ndarray, gaps: np.ndarray, tol: float) -> np.ndarray:
     return (widths <= _RUN_WIDTH * tol) & (gaps > _RUN_GAP * tol)
 
 
-def _linkage_topologies(labels: tuple[str, ...], segment: TropicalSegment, tol: float,
-                        ) -> tuple[Callable[[], Schedules], list[Topology], list[Topology]]:
-    """What :class:`TreeSegment` holds of a segment between ultrametrics over
-    `labels`, read by single linkage with the NNI survey's reader
-    (:func:`troptree._linkages.segment_linkages`) on one segment: a function
-    that makes the bend merges and their branch lengths, from the
-    spanning-tree edges of the bends, the bend topologies, and the piece
-    topologies, each the union of its bends' or its midpoint's."""
-    # imported here, so that ``import troptree.cli`` does not load it
-    from ._linkages import segment_linkages
-    n = len(labels)
-    _, _, unclean, linkage, midlinkage = segment_linkages(labels, segment.u[None],
-                                                          segment.v[None], tol)
-    bends = _topologies(labels, linkage)
-    pieces = [Topology._of_masks(labels, a.masks | b.masks) for a, b in zip(bends, bends[1:])]
-    if midlinkage is not None:
-        for k, topology in zip(unclean.tolist(), _topologies(labels, midlinkage)):
-            pieces[k] = topology
-
-    def schedules() -> Schedules:
-        merges = _trees._edge_merges(n, linkage.near, linkage.far, linkage.tops)
-        return merges, [_trees._merge_lengths(n, m) for m in merges]
-
-    return schedules, bends, pieces
-
-
 def _topologies(labels: tuple[str, ...], linkage: Linkage) -> list[Topology]:
     """The topology of each vector of a :class:`~troptree._linkages.Linkage`:
     its kept clades."""
     masks = iter(linkage.masks[linkage.kept].tolist())
     return [Topology._of_masks(labels, itertools.islice(masks, size))
             for size in np.count_nonzero(linkage.kept, axis=1).tolist()]
-
-
-def _table_topologies(u: Ultrametric, v: Ultrametric, segment: TropicalSegment, tol: float,
-                      ) -> tuple[Callable[[], Schedules], list[Topology], list[Topology]] | None:
-    """What :func:`_linkage_topologies` gives for the segment from v to u,
-    read from its candidate table: every piece from its two bends, or from
-    the merges of its midpoint where the clean rule fails at either bend.
-    None when u and v fail the table's guard, and when a bend or a piece
-    fails the equidistance check: single linkage fails at the same place,
-    and names the leaf that its own schedule's preorder names."""
-    # imported here, so that only large segments load it
-    from ._meets import MeetTable
-    table = MeetTable.of(u, v)
-    if table is None:
-        return None
-    merges, widths, gaps = table.linkages(*_bend_shifts(segment.bend_parameters), tol)
-    lengths = [_trees._merge_lengths(u.n, m) for m in merges]
-    clean = _is_clean(widths, gaps, tol).tolist()
-    try:
-        bends = [_trees._topology_of_merges(u.labels, m, ls, tol)
-                 for m, ls in zip(merges, lengths)]
-        pieces = [Topology._of_masks(u.labels, a.masks | b.masks)
-                  if clean[k] and clean[k + 1]
-                  else _midpoint_topology(u.labels, segment, k, table, tol)
-                  for k, (a, b) in enumerate(zip(bends, bends[1:]))]
-    except NotEquidistantError:
-        return None
-    return (lambda: (merges, lengths)), bends, pieces
-
-
-def _midpoint_topology(labels: tuple[str, ...], segment: TropicalSegment, k: int,
-                       table: MeetTable, tol: float) -> Topology:
-    """Topology of piece k of a segment, read from the merges of its
-    midpoint in `table`, at the midpoint's parameter."""
-    n = len(labels)
-    params = segment.bend_parameters
-    merges = table.linkages(*_shifts(np.array([0.5 * (params[k] + params[k + 1])])), tol)[0][0]
-    return _trees._topology_of_merges(labels, merges, _trees._merge_lengths(n, merges), tol)
 
 
 def _quoted(field: str) -> str:
@@ -332,10 +265,10 @@ class TreeSegment:
     condition, so `u` and `v` must already have passed
     :func:`require_ultrametric` (as in :func:`tree_segment`).
 
-    The bend topologies are read from merge schedules, without building a
-    tree: the schedule of a bend is the single-linkage dendrogram of its
+    The bend topologies are read from the clusters of each bend, without
+    building a tree: the nodes of the single-linkage dendrogram of its
     point, on which runs of distance values within tol merge at half their
-    largest value.  It is read from the candidate table of the segment
+    largest value.  They are read from the candidate table of the segment
     (:class:`~troptree._meets.MeetTable`).  A bend point is
     w = max(u + a, v + b) with a = min(d, 0) and b = -max(d, 0), so two
     leaves are joined in w at level t exactly when they are joined in u at
@@ -356,9 +289,8 @@ class TreeSegment:
     root-to-leaf sums differ in their last bits.  A segment that fails
     it, and one whose bend points hold fewer than ``_TABLE_MIN_ENTRIES``
     distance entries, for which the table's fixed cost exceeds the saving,
-    is read by single linkage of its bend points instead
-    (:func:`_linkage_topologies`, one batched pass over all of them), with
-    the same result.
+    is read by single linkage of its bend points instead, in one batched
+    pass (:func:`troptree._linkages.segment_linkages`), with the same result.
 
     Each piece topology follows from its two bends.  On an open piece no
     coordinate changes side between ``u + d`` and ``v``, so every
@@ -383,17 +315,16 @@ class TreeSegment:
     each side and is at most tol + tol/2 wide.  It moves a node height by
     at most 3 tol / 4: a branch longer than 2 tol at the midpoint keeps
     more than tol, and one short at both bends stays at most 7 tol / 8.
-    Elsewhere a piece gets its topology from the merges of its midpoint,
-    read from the table at the midpoint's parameter, or by single linkage
-    of the midpoint on that route.
+    Elsewhere a piece gets its topology from the clusters of its midpoint,
+    read in one more pass over all such midpoints on either route.
 
-    The bend merges are made on first use on the single-linkage route, and
-    the trees at the bends on first use of :attr:`bend_trees`;
-    :meth:`bend_newicks` writes their Newick strings straight from the
-    merges, and :meth:`to_csv` writes the distinct entries of the segment
-    once each.  The NNI survey reads its many small segments with the
-    reader of the single-linkage route, a block of them at a time
-    (:mod:`troptree._survey`).
+    Both routes hold each bend's clusters in arrays
+    (:class:`~troptree._linkages.Linkage`) with the parent and branch of
+    every node and leaf, from which :meth:`bend_newicks` writes the Newick
+    strings in block passes.  Merges and trees are made on first use of
+    :attr:`bend_trees`; :meth:`to_csv` writes each distinct entry once.
+    The NNI survey reads its many small segments with the reader of the
+    single-linkage route, a block of them at a time (:mod:`troptree._survey`).
     """
 
     def __init__(self, u: Ultrametric, v: Ultrametric, segment: TropicalSegment,
@@ -402,26 +333,22 @@ class TreeSegment:
         self.v = v
         self.segment = segment
         self.tol = tol
+        # imported here: ``import troptree.cli`` loads neither, small segments no table
         found = None
         if len(segment.bend_parameters) * u.e >= _TABLE_MIN_ENTRIES:
-            found = _table_topologies(u, v, segment, tol)
+            from . import _meets
+            found = _meets.segment_linkages(u, v, segment.bend_parameters, tol)
         if found is None:
-            found = _linkage_topologies(u.labels, segment, tol)
-        self._schedules, self.bend_topologies, self.piece_topologies = found
-
-    @cached_property
-    def _bend_schedules(self) -> Schedules:
-        """The merge schedule of every bend and the branch lengths of its
-        nodes, made on first use."""
-        return self._schedules()
-
-    @property
-    def _bend_merges(self) -> list[Merges]:
-        return self._bend_schedules[0]
-
-    @property
-    def _bend_lengths(self) -> list[list[float]]:
-        return self._bend_schedules[1]
+            from . import _linkages
+            found = _linkages.segment_linkages(u.labels, segment.u[None], segment.v[None],
+                                               tol)[2:]
+        unclean, self._linkage, midlinkage = found
+        self.bend_topologies = bends = _topologies(u.labels, self._linkage)
+        self.piece_topologies = [Topology._of_masks(u.labels, a.masks | b.masks)
+                                 for a, b in zip(bends, bends[1:])]
+        if midlinkage is not None:
+            for k, topology in zip(unclean.tolist(), _topologies(u.labels, midlinkage)):
+                self.piece_topologies[k] = topology
 
     @cached_property
     def bend_ultrametrics(self) -> list[Ultrametric]:
@@ -434,28 +361,19 @@ class TreeSegment:
 
     @cached_property
     def bend_trees(self) -> list[RootedTree]:
-        """The tree at every bend point, built from the merges its topology
-        was read from."""
-        return [_trees._tree_of_merges(self.u.labels, m) for m in self._bend_merges]
+        """The tree at every bend point, built from the merges of the
+        clusters its topology was read from."""
+        from ._linkages import merges
+        return [_trees._tree_of_merges(self.u.labels, m) for m in merges(self.u.n, self._linkage)]
 
     def bend_newicks(self, precision: int = 10) -> list[str]:
-        """The Newick string of the tree at every bend point, written from
-        its merges by the writer of :func:`~troptree.newick.write_newick`."""
+        """The Newick string of the tree at every bend point, as
+        :func:`~troptree.newick.write_newick` writes it, from the bends'
+        arrays (:func:`troptree._linkages.newicks`)."""
         if precision < 1:
             raise ValueError("precision must be >= 1")
-        # about a fifth of the branch lengths of a segment are distinct:
-        # write each once
-        fmt = f".{precision}g"
-        lengths = np.concatenate(self._bend_lengths)
-        values, inverse = np.unique(lengths, return_inverse=True)
-        text = np.array([format(x, fmt) for x in values.tolist()], dtype=object)[inverse].tolist()
-        out = []
-        first = 0
-        for merges in self._bend_merges:
-            stop = first + self.u.n + len(merges)
-            out.append(_newick_text(self.u.labels, merges, text[first:stop]))
-            first = stop
-        return out
+        from ._linkages import newicks
+        return newicks(self.u.labels, self._linkage, precision)
 
     @property
     def n_bends(self) -> int:

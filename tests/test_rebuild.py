@@ -224,12 +224,13 @@ def counted_calls(monkeypatch, module, names):
 
 def test_segment_builds_trees_only_for_output(monkeypatch):
     calls = counted_calls(monkeypatch, trees, ("agglomerate", "_single_linkages",
-                                               "_single_linkage", "_tree_of_merges"))
+                                               "_single_linkage", "_tree_of_merges",
+                                               "_clade_merges"))
     check_nni_conjecture(SampleConfig(n=6, samples=20, seed=1))
     # one batched single-linkage pass per block of samples (20 samples fit
     # in one) and no tree
     assert calls == {"agglomerate": 0, "_single_linkages": 1, "_single_linkage": 0,
-                     "_tree_of_merges": 0}
+                     "_tree_of_merges": 0, "_clade_merges": 0}
     calls.update(dict.fromkeys(calls, 0))
     rng = sample_rng(5, 0)
     seg = tree_segment(random_equidistant_tree(12, 1.0, rng),
@@ -239,10 +240,10 @@ def test_segment_builds_trees_only_for_output(monkeypatch):
     seg.bend_newicks(10)
     # no distance values near tol apart: no piece needs a midpoint pass
     assert calls == {"agglomerate": 0, "_single_linkages": 1, "_single_linkage": 0,
-                     "_tree_of_merges": 0}
+                     "_tree_of_merges": 0, "_clade_merges": 0}
     assert len(seg.bend_trees) == seg.n_bends
-    # one tree per bend, from the merges already computed
-    assert calls["_tree_of_merges"] == seg.n_bends
+    # one tree per bend, from a merge schedule made for it then
+    assert calls["_tree_of_merges"] == calls["_clade_merges"] == seg.n_bends
 
     # a pair with node heights 0.5 and 1.5 tol apart: some pieces need a
     # midpoint pass (one more batched call, over their midpoints); output
@@ -252,7 +253,7 @@ def test_segment_builds_trees_only_for_output(monkeypatch):
         calls.update(dict.fromkeys(calls, 0))
         assert main(["segment", *folder, "--format", fmt]) == 0
         assert calls == {"agglomerate": 0, "_single_linkages": 2,
-                         "_single_linkage": 0, "_tree_of_merges": 0}
+                         "_single_linkage": 0, "_tree_of_merges": 0, "_clade_merges": 0}
 
 
 def test_fallback_pieces_of_a_pair_with_gaps_near_tol(monkeypatch):

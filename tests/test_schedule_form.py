@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 import tree_walks as walk
 from troptree import (NewickParseError, parse_newick, random_equidistant_tree, sample_rng,
                       tree_segment, ultrametric_of)
-from troptree import _meets, treespace
+from troptree import _linkages, _meets, treespace
 from troptree.newick import RootedTree, TreeNode
 from troptree.sim import _schedule
 from troptree.trees import _clade_merges, _tree_of_clades, _tree_of_merges
@@ -157,7 +157,7 @@ def test_bend_trees_match_node_route(route, monkeypatch):
                 continue            # a pair that the table's guard sends to single linkage
             seg = tree_segment(t1, t2)
             labels = list(u.labels)
-            for merges, tree in zip(seg._bend_merges, seg.bend_trees):
+            for merges, tree in zip(_linkages.merges(seg.u.n, seg._linkage), seg.bend_trees):
                 assert form(tree) == oracle(walk.nodes_of_merges(labels, merges))
             bends += seg.n_bends
     assert bends > 300

@@ -33,7 +33,7 @@ import tree_walks as walk
 from troptree import (DEFAULT_TOL, NotEquidistantError, TreeSegment, Ultrametric,
                       parse_newick, random_equidistant_tree, sample_rng, tree_segment,
                       tropical_segment, ultrametric_of)
-from troptree import _meets, treespace, trees
+from troptree import _linkages, _meets, treespace, trees
 from troptree.newick import _merge_masks, _newick_of_merges
 from troptree.util import sorted_labels, square_form
 
@@ -46,6 +46,21 @@ def clades(n, merges):
     """The clades of a merge schedule with their node heights, as bits."""
     masks = _merge_masks([1 << (n - 1 - r) for r in range(n)], merges)
     return sorted((masks[n + m], height.hex()) for m, (height, _) in enumerate(merges))
+
+
+def linkage_clades(linkage):
+    """What `clades` reads, for every row of a Linkage: the nodes of its
+    slots, each at half its run's top."""
+    return [sorted((m, h.hex()) for m, h, node in zip(masks, heights, nodes) if node)
+            for masks, heights, nodes in zip(linkage.masks.tolist(),
+                                              (linkage.tops / 2.0).tolist(),
+                                              linkage.nodes.tolist())]
+
+
+def bend_merges(seg):
+    """The merge schedule of every bend of a TreeSegment, as its bend trees
+    are built from them."""
+    return _linkages.merges(seg.u.n, seg._linkage)
 
 
 def single_linkages(points, n, tol):
@@ -64,28 +79,29 @@ def disagreements(u, v, tol=TOL, midpoints=True):
     seg = tropical_segment(u.entries, v.entries, tol)
     table = _meets.MeetTable.of(u, v)
     assert table is not None
-    merges, widths, gaps = table.linkages(*treespace._bend_shifts(seg.bend_parameters), tol)
+    linkage, widths, gaps = table.linkages(*treespace._bend_shifts(seg.bend_parameters), tol)
     oracle, oracle_widths, oracle_gaps = single_linkages(seg.bend_points, n, tol)
-    bad = [("bend", k) for k, (a, b) in enumerate(zip(merges, oracle))
-           if clades(n, a) != clades(n, b)]
+    bad = [("bend", k) for k, (a, b) in enumerate(zip(linkage_clades(linkage), oracle))
+           if a != clades(n, b)]
     bad += [("width", k) for k in np.flatnonzero(widths != oracle_widths).tolist()]
     bad += [("gap", k) for k in np.flatnonzero(gaps != oracle_gaps).tolist()]
     params = seg.bend_parameters
     middle = 0.5 * (params[:-1] + params[1:])
     if midpoints and len(middle):
-        merges, widths, gaps = table.linkages(*treespace._shifts(middle), tol)
+        linkage, widths, gaps = table.linkages(*treespace._shifts(middle), tol)
         points = [seg.piece_midpoint(k) for k in range(len(middle))]
         oracle, oracle_widths, oracle_gaps = single_linkages(points, n, tol)
-        bad += [("midpoint", k) for k, (a, b) in enumerate(zip(merges, oracle))
-                if clades(n, a) != clades(n, b)]
+        bad += [("midpoint", k) for k, (a, b) in enumerate(zip(linkage_clades(linkage), oracle))
+                if a != clades(n, b)]
         bad += [("midpoint width", k) for k in np.flatnonzero(widths != oracle_widths).tolist()]
         bad += [("midpoint gap", k) for k in np.flatnonzero(gaps != oracle_gaps).tolist()]
     return bad, len(params) + (len(middle) if midpoints else 0)
 
 
-def oracle_csv(seg, precision):
+def oracle_csv(seg, precision, merges):
     """TreeSegment.to_csv as csv.writer writes it, with every entry and
-    every branch length formatted where it stands."""
+    every branch length of the bends' merge schedules formatted where it
+    stands."""
     fmt = f".{precision}g"
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -94,8 +110,8 @@ def oracle_csv(seg, precision):
     for k, point in enumerate(seg.segment.bend_points):
         writer.writerow([str(k), format(seg.segment.bend_parameters[k], fmt),
                          *[format(x, fmt) for x in point.tolist()],
-                         _newick_of_merges(seg.u.labels, seg._bend_merges[k],
-                                           seg._bend_lengths[k], precision),
+                         _newick_of_merges(seg.u.labels, merges[k],
+                                           trees._merge_lengths(seg.u.n, merges[k]), precision),
                          seg.bend_topologies[k].canonical_str()])
     return buf.getvalue()
 
@@ -111,16 +127,16 @@ def both_routes(monkeypatch, u, v, tol=TOL):
     return table, linkage
 
 
-def assert_same_segments(table, linkage):
+def assert_same_segments(table, linkage, precisions=(3, 10, 17)):
     n = table.u.n
-    assert [clades(n, m) for m in table._bend_merges] == \
-        [clades(n, m) for m in linkage._bend_merges]
+    merges = bend_merges(linkage)
+    assert [clades(n, m) for m in bend_merges(table)] == [clades(n, m) for m in merges]
     assert table.bend_topologies == linkage.bend_topologies
     assert table.piece_topologies == linkage.piece_topologies
-    for precision in (3, 10, 17):
+    for precision in precisions:
         assert table.bend_newicks(precision) == linkage.bend_newicks(precision)
         assert table.to_csv(precision) == linkage.to_csv(precision) == \
-            oracle_csv(linkage, precision)
+            oracle_csv(linkage, precision, merges)
 
 
 def sampled_pairs(ns, heights, seeds):
@@ -320,8 +336,9 @@ def test_guard_sends_last_bit_variants_to_single_linkage(monkeypatch):
 
 def test_large_segment_runs_single_linkage_only_on_its_endpoints(monkeypatch):
     # the table reads the clusters of each endpoint by single linkage with
-    # no tolerance, and no bend point or midpoint by single linkage
-    calls = {"_single_linkages": [], "_single_linkage": []}
+    # no tolerance, no bend point or midpoint by single linkage, and writes
+    # its output with no merge schedule
+    calls = {"_single_linkages": [], "_single_linkage": [], "_clade_merges": []}
     for name, seen in calls.items():
         real = getattr(trees, name)
 
@@ -334,6 +351,7 @@ def test_large_segment_runs_single_linkage_only_on_its_endpoints(monkeypatch):
         # one call per endpoint, u then v, at tol 0 on its entries, and no
         # batched pass
         assert len(calls["_single_linkage"]) == 2 and calls["_single_linkages"] == []
+        assert calls["_clade_merges"] == []
         for w, (dists, n, tol) in zip((seg.u, seg.v), calls["_single_linkage"]):
             assert dists is w.entries and n == w.n and tol == 0.0
         for seen in calls.values():
@@ -345,21 +363,22 @@ def test_large_segment_runs_single_linkage_only_on_its_endpoints(monkeypatch):
     assert seg.n_bends * seg.u.e >= treespace._TABLE_MIN_ENTRIES
     seg.to_csv()
     assert_endpoint_calls(seg)
-    # pieces next to runs near tol read their midpoints from the table too
-    midpoints = dict(count=0)
-    real_midpoint = treespace._midpoint_topology
+    # pieces next to runs near tol read their midpoints from the table too,
+    # all of them in one more pass
+    passes = []
+    real_linkages = _meets.MeetTable.linkages
 
-    def counted_midpoint(*args):
-        midpoints["count"] += 1
-        return real_midpoint(*args)
+    def counted_linkages(table, a, b, tol):
+        passes.append(len(a))
+        return real_linkages(table, a, b, tol)
 
-    monkeypatch.setattr(treespace, "_midpoint_topology", counted_midpoint)
+    monkeypatch.setattr(_meets.MeetTable, "linkages", counted_linkages)
     monkeypatch.setattr(treespace, "_TABLE_MIN_ENTRIES", 0)
     t1, t2 = (parse_newick((GOLDEN_CLI / "tolgaps_height_n8" / f"t{k}.nwk").read_text())
               for k in (1, 2))
     seg = tree_segment(t1, t2)
     seg.to_csv()
-    assert midpoints["count"] > 0
+    assert len(passes) == 2 and passes[0] == seg.n_bends and passes[1] > 1
     assert_endpoint_calls(seg)
 
 
@@ -387,3 +406,54 @@ def test_csv_quotes_labels_with_quote_marks(monkeypatch):
     table, linkage = both_routes(monkeypatch, u, v)
     assert_same_segments(table, linkage)
     assert '"d(a""1,a""2)"' in table.to_csv()
+
+
+def test_wide_masks_match_byte_for_byte(monkeypatch):
+    # above 64 leaves the masks are Python ints in object arrays: a pair of
+    # the segment-n80 benchmark and a sampled pair at n = 70, on both routes
+    (bench,) = itertools.islice(benchmark_pairs(monkeypatch, [1]), 1)
+    (sampled,) = sampled_pairs([70], [1.0], [0])
+    for u, v in (bench, sampled):
+        assert _meets.MeetTable.of(u, v) is not None
+        table, linkage = both_routes(monkeypatch, u, v)
+        assert table._linkage.masks.dtype == linkage._linkage.masks.dtype == object
+        assert_same_segments(table, linkage, precisions=(10,))
+
+
+def merge_newicks(labels, schedules, precision):
+    """The Newick string of each merge schedule, by the writer behind
+    write_newick."""
+    n = len(labels)
+    return [_newick_of_merges(labels, m, trees._merge_lengths(n, m), precision)
+            for m in schedules]
+
+
+@pytest.mark.parametrize("route", ["single linkage", "candidate table"])
+def test_newick_writer_matches_merge_writer(route, monkeypatch):
+    # the block writer against the writer behind write_newick on the merges
+    # of every bend, n 3-120 at heights 1e-3, 1 and 1e3 (the table route
+    # reads the pairs that pass its guard); on the single-linkage route also
+    # against the union-find schedule of each bend point
+    table = route == "candidate table"
+    monkeypatch.setattr(treespace, "_TABLE_MIN_ENTRIES", 0 if table else float("inf"))
+    cases = [(3, 1e-3), (4, 1.0), (5, 1e3), (8, 1e-3), (13, 1.0), (21, 1e3), (21, 1e-3),
+             (40, 1.0), (40, 1e3)] + [(120, 1.0)] * table
+    bends = 0
+    for n, height in cases:
+        (u, v), = sampled_pairs([n], [height], [7])
+        seg = TreeSegment(u, v, tropical_segment(u.entries, v.entries, TOL), TOL)
+        for precision in (3, 17) if n < 100 else (17,):
+            assert seg.bend_newicks(precision) == merge_newicks(u.labels, bend_merges(seg),
+                                                                precision)
+        if not table and n <= 21:
+            assert seg.bend_newicks(10) == merge_newicks(
+                u.labels, [trees._single_linkage(p, n, TOL) for p in seg.segment.bend_points], 10)
+        bends += seg.n_bends
+    assert bends > (1000 if table else 400)
+    if not table:
+        # 120 leaves: 40 bends read in one batched single-linkage pass
+        (u, v), = sampled_pairs([120], [1e3], [7])
+        points = tropical_segment(u.entries, v.entries, TOL).bend_points[:40]
+        linkage = trees._single_linkages(points, 120, TOL)[0]
+        assert _linkages.newicks(u.labels, linkage, 10) == merge_newicks(
+            u.labels, [trees._single_linkage(p, 120, TOL) for p in points], 10)

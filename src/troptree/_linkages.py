@@ -29,7 +29,7 @@ pass, so that ``import troptree.cli`` does not load it.
 from __future__ import annotations
 
 import itertools
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -135,15 +135,16 @@ def merges(n: int, linkage: Linkage) -> list[list[tuple[float, list[int]]]]:
             for count in np.count_nonzero(linkage.nodes, axis=1).tolist()]
 
 
-#: Elements, rows times leaves and slots, in one block of :func:`newicks`.
-_NEWICK_BLOCK_ELEMENTS = 1 << 16
+#: Elements in one block of :func:`newicks` (rows times leaves and slots)
+#: and of the segment writers (bends times entries).
+_BLOCK_ELEMENTS = 1 << 16
 
 
-def newicks(labels: tuple[str, ...], linkage: Linkage, precision: int) -> list[str]:
+def newicks(labels: tuple[str, ...], linkage: Linkage, precision: int) -> Iterator[list[str]]:
     """The Newick string of the tree of each row of a :class:`Linkage` over
     natural-sorted `labels`, as :func:`~troptree.newick.write_newick` writes
-    it, each distinct branch length formatted once, a block of
-    `_NEWICK_BLOCK_ELEMENTS` at a time.  Siblings go by smallest leaf rank,
+    it, each distinct branch length formatted once, in lists of a block of
+    `_BLOCK_ELEMENTS` at a time.  Siblings go by smallest leaf rank,
     so an element's first leaf is its parent's plus the leaves of the
     siblings before it, added from the root down.  Each element is written
     at its last leaf, after the smaller ones that close there, with a "("
@@ -161,8 +162,7 @@ def newicks(labels: tuple[str, ...], linkage: Linkage, precision: int) -> list[s
     tails = inverse.reshape(rows, width) + 2 * n + 2
     root = 2 * n + 2 + 2 * len(values)
     leaves = np.arange(n)
-    out: list[str] = []
-    block = max(1, _NEWICK_BLOCK_ELEMENTS // width)
+    block = max(1, _BLOCK_ELEMENTS // width)
     for first in range(0, rows, block):
         at = slice(first, first + block)
         nodes = linkage.nodes[at]
@@ -202,8 +202,7 @@ def newicks(labels: tuple[str, ...], linkage: Linkage, precision: int) -> list[s
                        width * (n + 1))
         close = np.argsort(key.astype(np.min_scalar_type(width * (n + 1))), axis=1, kind="stable")
         index = index.reshape(-1, 3)[close + row * width].reshape(count, -1)
-        out += ["".join(row_tokens) for row_tokens in tokens.take(index).tolist()]
-    return out
+        yield ["".join(row_tokens) for row_tokens in tokens.take(index).tolist()]
 
 
 def unequal(depths: np.ndarray, tol: float) -> np.ndarray:

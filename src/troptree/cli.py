@@ -9,13 +9,15 @@ stdout, diagnostics to stderr.  Exit codes are stable:
 * 3 - semantic tree error (not equidistant, three-point violation, height
       mismatch, fewer than 2 leaves; segment, topologies and dist need 3)
 * 4 - leaf-set mismatch between the two input trees
+* 141 - a write found stdout closed by its reader (``| head``), as a
+        shell reports a writer stopped by SIGPIPE; nothing on stderr
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
+import os
 import sys
 import time
 
@@ -34,6 +36,7 @@ EXIT_USAGE = 1
 EXIT_PARSE = 2
 EXIT_INVALID = 3
 EXIT_LEAVES = 4
+EXIT_PIPE = 141
 
 
 class _UsageError(Exception):
@@ -111,21 +114,8 @@ def cmd_segment(args) -> int:
     t1 = _load_tree(args.tree1)
     t2 = _load_tree(args.tree2)
     seg = tree_segment(t1, t2, args.tol)
-    if args.format == "csv":
-        sys.stdout.write(seg.to_csv(args.precision))
-    elif args.format == "newick":
-        for newick in seg.bend_newicks(args.precision):
-            print(newick)
-    else:
-        newicks = seg.bend_newicks(args.precision)
-        rows = [{
-            "index": k,
-            "lambda": float(seg.segment.bend_parameters[k]),
-            "ultrametric": [float(x) for x in bu.entries],
-            "newick": newicks[k],
-            "topology": seg.bend_topologies[k].canonical_str(),
-        } for k, bu in enumerate(seg.bend_ultrametrics)]
-        print(json.dumps(rows, indent=2, sort_keys=True))
+    write = {"csv": seg.to_csv, "newick": seg.to_newick, "json": seg.to_json}[args.format]
+    write(args.precision, sys.stdout)
     return EXIT_OK
 
 
@@ -192,7 +182,14 @@ def main(argv=None) -> int:
             "validate": cmd_validate,
             "simulate": cmd_simulate,
         }[args.command]
-        return handler(args)
+        code = handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull, so that the flush at
+        # exit raises no second error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

@@ -182,12 +182,14 @@ class Topology:
         return f"Topology({self.canonical_str()})"
 
 
-def _canonical_strs(topologies: Sequence[Topology]) -> list[str]:
+def _canonical_strs(topologies: Sequence[Topology],
+                    written: dict[int, tuple[int, str]] | None = None) -> list[str]:
     """The canonical string of each of a sequence of topologies over one
     label tuple: its clades in canonical order, by (popcount, -mask), each
     written as its members in braces.  A clade that several of the
-    topologies share is written once."""
-    written: dict[int, tuple[int, str]] = {}     # mask -> (sort key, text)
+    topologies share is written once, and kept in `written` by mask with
+    its sort key for the next call."""
+    written = {} if written is None else written
     out = []
     for topo in topologies:
         n = len(topo.labels)

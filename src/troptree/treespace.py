@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -219,6 +219,17 @@ def _quoted(field: str) -> str:
     return '"' + field.replace('"', '""') + '"'
 
 
+def _emit(out: TextIO | None, head: str, blocks: Iterable[str], tail: str) -> str | None:
+    """Write the text to `out` as it is made, or return it as one string."""
+    if out is None:
+        return "".join([head, *blocks, tail])
+    out.write(head)
+    for text in blocks:
+        out.write(text)
+    out.write(tail)
+    return None
+
+
 def _shifts(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The shifts (a, b) = (min(d, 0), -max(d, 0)) of each parameter d, with
     which the point at d is max(u + a, v + b) (:meth:`TropicalSegment.point_at`:
@@ -370,6 +381,9 @@ class TreeSegment:
         """The Newick string of the tree at every bend point, as
         :func:`~troptree.newick.write_newick` writes it, from the bends'
         arrays (:func:`troptree._linkages.newicks`)."""
+        return list(itertools.chain.from_iterable(self._newicks(precision)))
+
+    def _newicks(self, precision: int) -> Iterator[list[str]]:
         if precision < 1:
             raise ValueError("precision must be >= 1")
         from ._linkages import newicks
@@ -402,35 +416,73 @@ class TreeSegment:
                 runs.append((topo, pos, pos))
         return runs
 
-    def to_csv(self, precision: int = 10) -> str:
+    def to_csv(self, precision: int = 10, out: TextIO | None = None) -> str | None:
         """One row per bend point: index, the bend's lambda parameter, the
         ultrametric entries, the Newick string, and the topology id.
-
-        A bend entry is max(u + a, v + b) of the endpoint entries, so it
-        is fixed by the pair (u, v) of its column: the values of the
-        distinct pairs at every bend are the distinct entries of the
-        segment, and each is written once.  Numbers need no csv quoting;
-        a Newick string, a canonical topology and a d(a,b) header always
-        hold a comma, which csv's minimal quoting always quotes."""
-        if precision < 1:
-            raise ValueError("precision must be >= 1")
+        Written to `out` a block of bends at a time, or returned as one
+        string without it.  Numbers need no csv quoting; a Newick string,
+        a canonical topology and a d(a,b) header always hold a comma,
+        which csv's minimal quoting always quotes."""
         fmt = f".{precision}g"
+
+        def row(k: int, lam: float, entries: list[str], newick: str, topology: str) -> str:
+            return ",".join([str(k), format(lam, fmt), *entries, _quoted(newick),
+                             _quoted(topology)]) + "\n"
+        head = ("index,lambda," + ",".join([_quoted(f"d({x},{y})") for x, y in self.u.pairs()])
+                + ",newick,topology\n")
+        return _emit(out, head, self._rows(precision, lambda x: format(x, fmt), row, ""), "")
+
+    def to_json(self, precision: int = 10, out: TextIO | None = None) -> str | None:
+        """The bends as ``json.dumps`` writes a list of dicts with indent 2
+        and sorted keys, and a newline: index, lambda, the ultrametric
+        entries, the Newick string and the topology id of each.  Written
+        or returned as by :meth:`to_csv`."""
+        from json import dumps
+
+        def row(k: int, lam: float, entries: list[str], newick: str, topology: str) -> str:
+            return (f'  {{\n    "index": {k},\n    "lambda": {lam!r},\n    "newick": '
+                    f'{dumps(newick)},\n    "topology": {dumps(topology)},\n    "ultrametric": '
+                    '[\n      ' + ",\n      ".join(entries) + "\n    ]\n  }")
+        return _emit(out, "[\n", self._rows(precision, repr, row, ",\n"), "\n]\n")
+
+    def to_newick(self, precision: int = 10, out: TextIO | None = None) -> str | None:
+        """The Newick string of every bend, one per line, written or
+        returned as by :meth:`to_csv`."""
+        return _emit(out, "", ("\n".join(block) + "\n" for block in self._newicks(precision)), "")
+
+    def _rows(self, precision: int, entry: Callable[[float], str], row: Callable[..., str],
+              sep: str) -> Iterator[str]:
+        """The text of the bends, a block of ``_BLOCK_ELEMENTS`` entries at
+        a time, rows made by `row` and parted by `sep`.  A bend entry is
+        max(u + a, v + b) of the endpoint entries, so it is fixed by the
+        pair (u, v) of its column: the values of the distinct pairs at
+        every bend are the distinct entries of the segment, and `entry`
+        writes each once, before the first block.  They are computed a
+        block at a time, so no array spans every bend and pair."""
+        from ._linkages import _BLOCK_ELEMENTS
+        newicks = itertools.chain.from_iterable(self._newicks(precision))
         pairs, columns = np.unique(np.stack((self.u.entries, self.v.entries), axis=1),
                                    axis=0, return_inverse=True)
-        a, b = _bend_shifts(self.segment.bend_parameters)
-        values, inverse = np.unique(_shifted_max(pairs[:, 0], pairs[:, 1], a, b),
-                                    return_inverse=True)
-        text = np.array([format(x, fmt) for x in values.tolist()],
-                        dtype=object)[inverse.reshape(len(a), -1)]
         columns = columns.reshape(-1)
-        newicks = self.bend_newicks(precision)
-        topologies = _trees._canonical_strs(self.bend_topologies)
-        lines = ["index,lambda," + ",".join([_quoted(f"d({x},{y})") for x, y in self.u.pairs()])
-                 + ",newick,topology\n"]
-        for k, lam in enumerate(self.segment.bend_parameters.tolist()):
-            lines.append(",".join([str(k), format(lam, fmt), *text[k, columns].tolist(),
-                                   _quoted(newicks[k]), _quoted(topologies[k])]) + "\n")
-        return "".join(lines)
+        a, b = _bend_shifts(self.segment.bend_parameters)
+        lams = self.segment.bend_parameters.tolist()
+        block = max(1, _BLOCK_ELEMENTS // self.u.e)
+        starts = range(0, len(lams), block)
+
+        def points(first: int) -> np.ndarray:
+            return _shifted_max(pairs[:, 0], pairs[:, 1], a[first:first + block],
+                                b[first:first + block])
+        values = np.unique(np.concatenate([np.unique(points(first)) for first in starts]))
+        texts = np.array([entry(x) for x in values.tolist()], dtype=object)
+        clades: dict[int, tuple[int, str]] = {}
+
+        def rows(first: int) -> str:
+            at = slice(first, first + block)
+            entries = texts.take(np.searchsorted(values, points(first))[:, columns]).tolist()
+            topologies = _trees._canonical_strs(self.bend_topologies[at], clades)
+            return (sep if first else "") + sep.join(itertools.starmap(
+                row, zip(itertools.count(first), lams[at], entries, newicks, topologies)))
+        return map(rows, starts)
 
     def __repr__(self) -> str:
         return (f"TreeSegment(n={self.u.n}, bends={self.n_bends}, "

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from troptree.cli import main
+from troptree.cli import EXIT_PIPE, main
 from tests.conftest import CLADE_A, QUARTET_A, QUARTET_B
 
 #: equidistant within tol, but the three-point condition fails by more
@@ -325,12 +325,15 @@ def test_cli_golden(case, output, capsys):
     assert out.encode() == expected
 
 
-def python(*argv):
-    # a fresh interpreter, on this checkout's sources
+def source_env():
+    # the environment of a fresh interpreter on this checkout's sources
     src = str(Path(__file__).parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    return subprocess.run([sys.executable, *argv], env=env,
+
+
+def python(*argv):
+    return subprocess.run([sys.executable, *argv], env=source_env(),
                           capture_output=True, text=True, timeout=120)
 
 
@@ -385,3 +388,26 @@ def test_two_leaf_trees_exit_three(files):
         assert (done.returncode, done.stdout) == (3, ""), command
         assert done.stderr == f"error: {message} needs at least 3 leaves, got 2\n"
         assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "newick"])
+def test_closed_pipe_exits_quietly(fmt):
+    # `segment ... | head -c 1000`: the reader leaves after 1000 bytes of
+    # 114 KB to 1.3 MB, written in blocks of at most 22 KB; the writer
+    # stops with EXIT_PIPE at its next write, with nothing on stderr
+    folder = CLI_GOLDEN / "random_n32_seed32"
+    launch = ("import sys\nfrom troptree import _linkages, cli\n_linkages._BLOCK_ELEMENTS = 1000\n"
+              "raise SystemExit(cli.main(sys.argv[1:]))")
+    proc = subprocess.Popen([sys.executable, "-c", launch, "segment", str(folder / "t1.nwk"),
+                             str(folder / "t2.nwk"), "--format", fmt],
+                            env=source_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            bufsize=0)
+    head = b""
+    while len(head) < 1000:     # unbuffered: read no more than head would
+        head += proc.stdout.read(1000 - len(head))
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=120), err) == (EXIT_PIPE, b"")
+    expected = gzip.decompress((folder / f"segment.{fmt}.gz").read_bytes())
+    assert head == expected[:1000]

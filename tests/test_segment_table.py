@@ -18,9 +18,11 @@ leaves, the guard the table used before.
 """
 
 import csv
+import gzip
 import importlib.util
 import io
 import itertools
+import json
 import sys
 from pathlib import Path
 
@@ -32,8 +34,8 @@ from hypothesis import strategies as st
 import tree_walks as walk
 from troptree import (DEFAULT_TOL, NotEquidistantError, TreeSegment, Ultrametric,
                       parse_newick, random_equidistant_tree, sample_rng, tree_segment,
-                      tropical_segment, ultrametric_of)
-from troptree import _linkages, _meets, treespace, trees
+                      tropical_segment, ultrametric_of, write_newick)
+from troptree import _linkages, _meets, cli, treespace, trees
 from troptree.newick import _merge_masks, _newick_of_merges
 from troptree.util import sorted_labels, square_form
 
@@ -127,16 +129,33 @@ def both_routes(monkeypatch, u, v, tol=TOL):
     return table, linkage
 
 
+def assert_same(first, *others):
+    """Fail unless every one of `others` equals `first`, naming the first
+    line of a text, or item of a list, at which one differs: pytest's own
+    diff of two multi-MB texts runs for minutes."""
+    for other in others:
+        if other == first:
+            continue
+        a, b = (x.splitlines(keepends=True) if isinstance(x, str) else list(x)
+                for x in (first, other))
+        k = next((k for k, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+        x, y = (repr(z[k]) if k < len(z) else "" for z in (a, b))
+        c = next((c for c, (p, q) in enumerate(zip(x, y)) if p != q), min(len(x), len(y)))
+        at = slice(max(c - 40, 0), c + 80)
+        pytest.fail(f"line or item {k} of {len(a)} against {len(b)}, from character {c} of "
+                    f"its repr: {x[at]} != {y[at]}")
+
+
 def assert_same_segments(table, linkage, precisions=(3, 10, 17)):
     n = table.u.n
     merges = bend_merges(linkage)
-    assert [clades(n, m) for m in bend_merges(table)] == [clades(n, m) for m in merges]
-    assert table.bend_topologies == linkage.bend_topologies
-    assert table.piece_topologies == linkage.piece_topologies
+    assert_same([clades(n, m) for m in bend_merges(table)], [clades(n, m) for m in merges])
+    assert_same(table.bend_topologies, linkage.bend_topologies)
+    assert_same(table.piece_topologies, linkage.piece_topologies)
     for precision in precisions:
-        assert table.bend_newicks(precision) == linkage.bend_newicks(precision)
-        assert table.to_csv(precision) == linkage.to_csv(precision) == \
-            oracle_csv(linkage, precision, merges)
+        assert_same(table.bend_newicks(precision), linkage.bend_newicks(precision))
+        assert_same(table.to_csv(precision), linkage.to_csv(precision),
+                    oracle_csv(linkage, precision, merges))
 
 
 def sampled_pairs(ns, heights, seeds):
@@ -408,6 +427,98 @@ def test_csv_quotes_labels_with_quote_marks(monkeypatch):
     assert '"d(a""1,a""2)"' in table.to_csv()
 
 
+class Sink:
+    """A text stream that keeps its writes apart."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
+def oracle_json(seg, precision):
+    """`segment --format json` as it was built before it was streamed:
+    every row as Python objects, then one json.dumps."""
+    newicks = seg.bend_newicks(precision)
+    rows = [{
+        "index": k,
+        "lambda": float(seg.segment.bend_parameters[k]),
+        "ultrametric": [float(x) for x in bu.entries],
+        "newick": newicks[k],
+        "topology": seg.bend_topologies[k].canonical_str(),
+    } for k, bu in enumerate(seg.bend_ultrametrics)]
+    return json.dumps(rows, indent=2, sort_keys=True) + "\n"
+
+
+def streamed_pairs():
+    """CLI golden pairs, and sampled pairs whose labels hold a non-ASCII
+    character, a quote mark and a comma."""
+    for name in ("ties_n8", "tolgaps_height_n8", "random_n12_seed12", "random_n32_seed32"):
+        yield tuple(ultrametric_of(parse_newick((GOLDEN_CLI / name / f"t{k}.nwk").read_text()))
+                    for k in (1, 2))
+    labels = sorted_labels(("é1", 'a"2', "b,3", "Ω4", "5", "6", "7"))
+    for u, v in sampled_pairs([7], [1e-3, 1.0], [3]):
+        yield Ultrametric(labels, u.entries), Ultrametric(labels, v.entries)
+
+
+def test_streamed_output_matches_returned_text(monkeypatch):
+    # on both routes, to_csv, to_json and to_newick write to a stream the
+    # text they return without one, and to_json is what json.dumps made of
+    # the rows
+    for u, v in streamed_pairs():
+        for seg in both_routes(monkeypatch, u, v):
+            for precision in (3, 10, 17):
+                for write in (seg.to_csv, seg.to_json, seg.to_newick):
+                    sink = Sink()
+                    assert write(precision, out=sink) is None
+                    assert_same("".join(sink.writes), write(precision))
+                assert_same(seg.to_json(precision), oracle_json(seg, precision))
+                assert_same(seg.to_newick(precision), "".join(
+                    s + "\n" for s in seg.bend_newicks(precision)))
+    assert "\\u00e9" in seg.to_json() and '\\"' in seg.to_json()
+
+
+def test_writes_hold_at_most_one_block_of_bends(monkeypatch):
+    # with three bends of entries to a block, each write holds at most
+    # three CSV or JSON rows, and at most a block of Newick strings, on
+    # both routes; the blocks end where the Newick writer's blocks do not
+    folder = GOLDEN_CLI / "random_n32_seed32"
+    u, v = (ultrametric_of(parse_newick((folder / f"t{k}.nwk").read_text())) for k in (1, 2))
+    segs = both_routes(monkeypatch, u, v)
+    monkeypatch.setattr(_linkages, "_BLOCK_ELEMENTS", 3 * u.e)
+    newick_rows = 3 * u.e // (2 * u.n - 1)
+    for seg in segs:
+        for write, name, rows, most in ((seg.to_csv, "segment.csv", "\n", 3),
+                                        (seg.to_json, "segment.json", '"index"', 3),
+                                        (seg.to_newick, "segment.newick", "\n", newick_rows)):
+            sink = Sink()
+            write(10, out=sink)
+            counts = [text.count(rows) for text in sink.writes]
+            assert max(counts) <= most and len(counts) > seg.n_bends // most
+            assert_same("".join(sink.writes),
+                        gzip.decompress((folder / (name + ".gz")).read_bytes()).decode())
+
+
+def test_segment_failing_at_a_bend_writes_nothing(monkeypatch, tmp_path, capsys):
+    # both endpoints pass, a bend fails the equidistance check: exit 3 and
+    # not one byte on stdout, in every format, on both routes
+    paths = [tmp_path / f"t{k}.nwk" for k in range(2)]
+    for k, path in enumerate(paths):
+        path.write_text(write_newick(random_equidistant_tree(8, 1e8, sample_rng(7, k)), 17))
+    ends = [parse_newick(p.read_text()) for p in paths]
+    for tree in ends:
+        treespace.require_ultrametric(ultrametric_of(tree))
+    for bound in (0, float("inf")):
+        monkeypatch.setattr(treespace, "_TABLE_MIN_ENTRIES", bound)
+        with pytest.raises(NotEquidistantError):
+            tree_segment(*ends)
+        for fmt in ("csv", "json", "newick"):
+            assert cli.main(["segment", *map(str, paths), "--format", fmt]) == 3
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: tree is not equidistant")
+
+
 def test_wide_masks_match_byte_for_byte(monkeypatch):
     # above 64 leaves the masks are Python ints in object arrays: a pair of
     # the segment-n80 benchmark and a sampled pair at n = 70, on both routes
@@ -455,5 +566,5 @@ def test_newick_writer_matches_merge_writer(route, monkeypatch):
         (u, v), = sampled_pairs([120], [1e3], [7])
         points = tropical_segment(u.entries, v.entries, TOL).bend_points[:40]
         linkage = trees._single_linkages(points, 120, TOL)[0]
-        assert _linkages.newicks(u.labels, linkage, 10) == merge_newicks(
+        assert [*itertools.chain(*_linkages.newicks(u.labels, linkage, 10))] == merge_newicks(
             u.labels, [trees._single_linkage(p, 120, TOL) for p in points], 10)

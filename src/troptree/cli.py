@@ -5,7 +5,8 @@ stdout, diagnostics to stderr.  Exit codes are stable:
 
 * 0 - success
 * 1 - bad usage or configuration (missing file, bad flag values)
-* 2 - Newick parse error (diagnostic includes the byte offset)
+* 2 - Newick parse error (diagnostic includes the byte offset in the file),
+      or a file that is not UTF-8
 * 3 - semantic tree error (not equidistant, three-point violation, height
       mismatch, fewer than 2 leaves; segment, topologies and dist need 3)
 * 4 - leaf-set mismatch between the two input trees
@@ -16,6 +17,7 @@ stdout, diagnostics to stderr.  Exit codes are stable:
 from __future__ import annotations
 
 import argparse
+import errno
 import math
 import os
 import sys
@@ -50,15 +52,33 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_tree(path: str) -> RootedTree:
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
     try:
+        text = data.decode("utf-8")
         return parse_newick(text)
-    except NewickParseError as exc:
-        exc.args = (f"{path}: {exc}",)     # the message already ends in its offset
-        raise
+    except UnicodeDecodeError as exc:
+        raise NewickParseError(f"{path}: not UTF-8 ({exc.reason})", exc.start) from None
+    except NewickParseError as exc:     # its offset indexes the text, not the file's bytes
+        raise NewickParseError(f"{path}: {exc.message}",
+                               len(text[:exc.offset].encode("utf-8"))) from None
+
+
+class _Stdout:
+    """``sys.stdout`` as it is when made, written through its byte buffer:
+    a write that a closed pipe cuts short raises BrokenPipeError, where
+    ``TextIOWrapper`` drops the short count that its buffer returns."""
+
+    def __init__(self):
+        self.stream = sys.stdout
+        self.stream.flush()
+
+    def write(self, text: str) -> None:
+        data = text.encode(self.stream.encoding, self.stream.errors)
+        if self.stream.buffer.write(data) < len(data):
+            raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
 
 
 def _build_parser() -> _Parser:
@@ -115,7 +135,7 @@ def cmd_segment(args) -> int:
     t2 = _load_tree(args.tree2)
     seg = tree_segment(t1, t2, args.tol)
     write = {"csv": seg.to_csv, "newick": seg.to_newick, "json": seg.to_json}[args.format]
-    write(args.precision, sys.stdout)
+    write(args.precision, _Stdout() if hasattr(sys.stdout, "buffer") else sys.stdout)
     return EXIT_OK
 
 

@@ -8,10 +8,12 @@ class TropTreeError(ValueError):
 
 
 class NewickParseError(TropTreeError):
-    """Malformed Newick input.  `offset` is the byte offset of the problem."""
+    """Malformed Newick input.  `offset` is the index of the problem into
+    the string parsed, its byte offset if the text is ASCII."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (at byte {offset})")
+        self.message = message
         self.offset = offset
 
 

@@ -12,7 +12,7 @@ Dialect rules:
 * whitespace is insignificant.
 
 Errors are reported as :class:`~troptree.errors.NewickParseError` with the
-byte offset of the offending character.
+offset of the offending character, an index into the string.
 """
 
 from __future__ import annotations
@@ -24,9 +24,8 @@ from typing import Sequence
 from .errors import NewickParseError
 from .util import sorted_labels
 
-_SPACE = re.compile(r"\s*")             # \s is what str.isspace accepts
-_LABEL = re.compile(r"[^(),:;\s]*")
-_NUMBER = re.compile(r"[0-9+\-.eE]*")
+# a node: the '(' before it, label, length, separator (\s is isspace, \d isdecimal)
+_NODE = re.compile(r"((?:\(\s*)*)([^(),:;\s]*)\s*(?::\s*([\d+\-.eE]*))?\s*([,);]?)\s*")
 
 
 class TreeNode:
@@ -92,24 +91,35 @@ class RootedTree:
 
     @classmethod
     def _of_schedule(cls, labels: Sequence[str], children: list[list[int]],
-                     lengths: Sequence[float] | dict[int, float],
-                     ranked: bool = False) -> "RootedTree":
-        """The tree of a schedule, by :meth:`_set`."""
+                     lengths: Sequence[float], ranked: bool = False) -> "RootedTree":
+        """The tree of a schedule whose internal nodes come in any order
+        that puts each after those below it: :meth:`_set` of it in postorder."""
+        n = len(labels)
+        preorder = []                   # the internal nodes, the last child first
+        stack = [n + len(children) - 1] if children else []
+        while stack:
+            node = stack.pop()
+            preorder.append(node)
+            stack += [c for c in children[node - n] if c >= n]
+        number = list(range(n + len(children)))
+        for m, node in enumerate(reversed(preorder), n):
+            number[node] = m
         tree = object.__new__(cls)
-        tree._set(labels, children, lengths, ranked)
+        tree._set(labels, [[number[c] for c in children[node - n]] for node in reversed(preorder)],
+                  {number[c]: length for c, length in enumerate(lengths)}, ranked)
         return tree
 
     def _set(self, labels: Sequence[str], children: list[list[int]],
              lengths: Sequence[float] | dict[int, float], ranked: bool = False) -> None:
         """Hold the tree in which leaf k is ``labels[k]``, internal node
-        n + m has ``children[m]`` below it, the root is the last, and node c
-        has branch ``lengths[c]``, in the form above: leaves renumbered by
+        n + m, in postorder, has ``children[m]`` below it, and node c has
+        branch ``lengths[c]``, in the form above: leaves renumbered by
         natural rank (unless `ranked` says `labels` are natural-sorted and
-        unique already), internal nodes into postorder, heights derived."""
+        unique already), heights derived."""
         n = len(labels)
         if ranked:
             self.leaf_labels = tuple(labels)
-            number = list(range(n + len(children)))
+            number = range(n + len(children))
         else:
             seen = set()
             for lab in labels:
@@ -120,30 +130,20 @@ class RootedTree:
                 seen.add(lab)
             self.leaf_labels = sorted_labels(labels)
             rank = {lab: r for r, lab in enumerate(self.leaf_labels)}
-            number = [rank[lab] for lab in labels] + [0] * len(children)
-        preorder = []                   # the internal nodes, the last child first
-        stack = [n + len(children) - 1] if children else []
-        while stack:
-            node = stack.pop()
-            preorder.append(node)
-            stack += [c for c in children[node - n] if c >= n]
-        heights = [0.0] * n
+            number = [rank[lab] for lab in labels] + list(range(n, n + len(children)))
+        heights = [0.0] * n             # by input number, as internal nodes keep theirs
         self.lengths = [0.0] * len(number)
         self.merges = []
-        for node in reversed(preorder):
+        for below in children:
             height = 0.0
-            below = []
-            for c in children[node - n]:
+            for c in below:
                 length = lengths[c]
-                c = number[c]
-                self.lengths[c] = length
+                self.lengths[number[c]] = length
                 h = heights[c] + length
                 if h > height:
                     height = h
-                below.append(c)
-            number[node] = len(heights)
             heights.append(height)
-            self.merges.append((height, below))
+            self.merges.append((height, [number[c] for c in below]))
 
     @property
     def n_leaves(self) -> int:
@@ -202,82 +202,76 @@ def _merge_masks(leaves: list[int], merges: list[tuple[float, list[int]]]) -> li
     return masks
 
 
-def _parse_length(text: str, pos: int) -> tuple[float, int]:
-    """The branch length after the ':' before `pos`, and the offset past it."""
-    start = _SPACE.match(text, pos).end()
-    end = _NUMBER.match(text, start).end()    # then any digits, like '²', that isdigit takes
-    while end < len(text) and (text[end].isdigit() or text[end] in "+-.eE"):
-        end += 1
-    token = text[start:end]
-    if not token:
-        raise NewickParseError("expected a branch length after ':'", start)
-    try:
-        value = float(token)
-    except ValueError:
-        raise NewickParseError(f"invalid branch length {token!r}", start) from None
-    if value < 0:
-        raise NewickParseError(f"negative branch length {token}", start)
-    if value == math.inf:
-        raise NewickParseError(f"branch length {token} overflows", start)
-    return value, end
-
-
 def parse_newick(text: str) -> RootedTree:
     """Parse one Newick expression into a :class:`RootedTree`.
 
-    The parse writes the tree's merge schedule as it goes: internal nodes
-    close in left-to-right postorder, and a tree of n leaves has n - 1
-    commas, so the m-th to close is node n + m.  Raises
-    :class:`NewickParseError` (with a byte offset) on any input that
-    violates the dialect.
+    One match of ``_NODE`` reads each node.  Internal nodes close in
+    left-to-right postorder, and n leaves have n - 1 commas, so the m-th to
+    close is node n + m: the tree's form but for the leaves' ranks.  Raises
+    :class:`NewickParseError`, its offset an index into `text`, on any
+    input that violates the dialect.
     """
     n = text.count(",") + 1
-    leaves: dict[str, int] = {}         # label -> k, for the k-th leaf to appear
-    children: list[list[int]] = []      # of node n + m
-    lengths: dict[int, float] = {}      # of every node but a root without one
-    open_nodes: list[tuple[int, list[int]]] = []    # offset of '(' and children so far
-    pos = _SPACE.match(text).end()
-    while True:
-        if text.startswith("(", pos):
-            open_nodes.append((pos, []))
-            pos = _SPACE.match(text, pos + 1).end()
-            continue
-        label = _LABEL.match(text, pos).group()
-        if not label:
-            raise NewickParseError("expected a leaf label or '('", pos)
-        if label in leaves:
-            raise NewickParseError(f"duplicate leaf label {label!r}", pos)
-        node = leaves[label] = len(leaves)
-        pos += len(label)
-        while True:                     # a node is complete: read what follows it
-            pos = _SPACE.match(text, pos).end()
-            if text.startswith(":", pos):
-                lengths[node], pos = _parse_length(text, pos + 1)   # the root's is not read
-            elif open_nodes:
-                raise NewickParseError("missing branch length on a non-root node", pos)
-            pos = _SPACE.match(text, pos).end()
-            if not open_nodes:
-                if not text.startswith(";", pos):
-                    raise NewickParseError("expected ';' terminating the tree", pos)
-                pos = _SPACE.match(text, pos + 1).end()
-                if pos < len(text):
-                    raise NewickParseError("trailing content after ';'", pos)
-                return RootedTree._of_schedule(list(leaves), children, lengths)
-            open_pos, below = open_nodes[-1]
-            below.append(node)
-            if text.startswith(",", pos):
-                pos = _SPACE.match(text, pos + 1).end()
-                break
-            if not text.startswith(")", pos):
-                raise NewickParseError("expected ',' or ')' (unbalanced parentheses?)",
-                                       pos if pos < len(text) else open_pos)
+    leaves = {}                         # label -> k, for the k-th leaf to appear
+    children = []                       # of node n + m
+    lengths = {}                        # of every node; the root's is read and dropped
+    stack = []                          # per open node: its '(', its parent's children
+    below = []                          # the children so far of the innermost open node
+    node = None                         # None before a leaf, else the node a ')' closed
+    for m in _NODE.finditer(text, len(text) - len(text.lstrip())):  # each where the last ends
+        opens, label, token, sep = m.groups()
+        if node is None:
+            if opens:
+                for at, ch in enumerate(opens, m.start()):
+                    if ch == "(":
+                        stack.append((at, below))
+                        below = []
+            if not label:
+                raise NewickParseError("expected a leaf label or '('", m.start(2))
+            if label in leaves:
+                raise NewickParseError(f"duplicate leaf label {label!r}", m.start(2))
+            node = leaves[label] = len(leaves)
+        elif opens:                     # an internal label never starts with '('
+            raise NewickParseError("missing branch length on a non-root node" if stack
+                                   else "expected ';' terminating the tree", m.start())
+        if token is not None:
+            if not sep:                 # then any digits, like '²', that isdigit takes
+                end = m.end(3)
+                while end < len(text) and (text[end].isdigit() or text[end] in "+-.eE"):
+                    end += 1
+                token = text[m.start(3):end]
+            if not token:
+                raise NewickParseError("expected a branch length after ':'", m.start(3))
+            try:
+                length = float(token)
+            except ValueError:
+                raise NewickParseError(f"invalid branch length {token!r}", m.start(3)) from None
+            if not 0 <= length < math.inf:
+                raise NewickParseError(f"negative branch length {token}" if length < 0
+                                       else f"branch length {token} overflows", m.start(3))
+            lengths[node] = length
+        elif stack:
+            raise NewickParseError("missing branch length on a non-root node", m.start(4))
+        if not stack:
+            if sep != ";":
+                raise NewickParseError("expected ';' terminating the tree", m.start(4))
+            if m.end() < len(text):
+                raise NewickParseError("trailing content after ';'", m.end())
+            tree = object.__new__(RootedTree)
+            tree._set(list(leaves), children, lengths)
+            return tree
+        below.append(node)
+        if sep == ",":
+            node = None
+        elif sep == ")":
             if len(below) < 2:
-                raise NewickParseError("internal node needs at least 2 children", open_pos)
-            open_nodes.pop()
-            # an internal label is tolerated and dropped
-            pos = _LABEL.match(text, _SPACE.match(text, pos + 1).end()).end()
+                raise NewickParseError("internal node needs at least 2 children", stack[-1][0])
             node = n + len(children)
             children.append(below)
+            below = stack.pop()[1]
+        else:
+            raise NewickParseError("expected ',' or ')' (unbalanced parentheses?)",
+                                   m.start(4) if m.start(4) < len(text) else stack[-1][0])
 
 
 def write_newick(tree: RootedTree, precision: int = 10) -> str:

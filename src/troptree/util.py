@@ -18,12 +18,12 @@ _DIGIT_RUN = re.compile(r"(\d+)")
 
 
 def natural_key(label: str) -> tuple:
-    """Sort key that orders digit runs numerically, so 'S2' < 'S10'.  Labels
-    whose digit runs differ only in leading zeros, such as '01' and '1',
-    are ordered by the raw label, so the order never depends on the input's."""
-    parts = tuple([(0, int(part)) if part.isdigit() else (1, part)
-                   for part in _DIGIT_RUN.split(label)])
-    return parts, label
+    """Sort key that orders digit runs numerically, so 'S2' < 'S10', and labels
+    tied but for leading zeros ('01', '1') by the raw label, not the input order."""
+    if label.isdecimal():               # the key that the split below gives
+        return ((1, ""), (0, int(label)), (1, "")), label
+    parts = _DIGIT_RUN.split(label)     # digit runs at odd k
+    return tuple([(0, int(part)) if k % 2 else (1, part) for k, part in enumerate(parts)]), label
 
 
 def sorted_labels(labels: Iterable[str]) -> tuple[str, ...]:

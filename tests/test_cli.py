@@ -199,6 +199,30 @@ def test_non_finite_lengths_and_distances_exit_with_a_diagnostic(files, capsys):
         assert out == "" and err.startswith("error: height must be finite\n")
 
 
+def test_parse_errors_name_the_byte_of_the_file(tmp_path, capsys):
+    # 'é' is two bytes in UTF-8, so the '-' is character 7 but byte 8
+    path = tmp_path / "e.nwk"
+    path.write_bytes("(é:1,b:-1);".encode("utf-8"))
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"parse error: {path}: negative branch length -1 (at byte 8)\n"
+
+
+def test_a_file_that_is_not_utf8_is_a_parse_error(tmp_path):
+    path = tmp_path / "bad.nwk"
+    path.write_bytes(b"(a:1,b:1);\xff\n")
+    done = python_m("validate", str(path))
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == f"parse error: {path}: not UTF-8 (invalid start byte) (at byte 10)\n"
+
+
+def test_digit_like_labels_validate(files):
+    # '²' is a digit to str.isdigit but not a decimal digit; it once
+    # crashed the natural sort
+    done = python_m("validate", files("sq.nwk", "(²:1,(1²:0.5,①:0.5):0.5);"))
+    assert (done.returncode, done.stdout, done.stderr) == (0, "valid: 3 leaves, height 1\n", "")
+
+
 def test_dist_not_equidistant(files, capsys):
     bad = files("bad.nwk", "(1:1,(2:0.5,3:0.5):0.2);")
     a = files("a.nwk", "((1:0.5,2:0.5):0.5,3:1);")
@@ -411,3 +435,21 @@ def test_closed_pipe_exits_quietly(fmt):
     assert (proc.wait(timeout=120), err) == (EXIT_PIPE, b"")
     expected = gzip.decompress((folder / f"segment.{fmt}.gz").read_bytes())
     assert head == expected[:1000]
+
+
+def test_closed_pipe_in_one_write_exits_quietly():
+    # the 114 KB of Newick text are one block and one write, which the
+    # reader cuts short; the short count is the only sign of the closed pipe
+    folder = CLI_GOLDEN / "random_n32_seed32"
+    proc = subprocess.Popen([sys.executable, "-m", "troptree", "segment", str(folder / "t1.nwk"),
+                             str(folder / "t2.nwk"), "--format", "newick"],
+                            env=source_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            bufsize=0)
+    head = b""
+    while len(head) < 1000:
+        head += proc.stdout.read(1000 - len(head))
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=120), err) == (EXIT_PIPE, b"")
+    assert head == gzip.decompress((folder / "segment.newick.gz").read_bytes())[:1000]

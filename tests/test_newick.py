@@ -115,6 +115,26 @@ def test_tied_natural_keys_ordered_by_label():
     assert ultrametric_of(a).entries.tolist() == ultrametric_of(b).entries.tolist()
 
 
+def test_digit_like_labels_and_lengths():
+    # '²' and '①' are digits to str.isdigit but not decimal digits: in a
+    # label they sort as text, and in a branch length they are invalid;
+    # '٣' is a decimal digit, and float reads it
+    tree = parse_newick("((²:1,1²:1):1,(①:1,2:1):1);")
+    assert tree.leaf_labels == ("1²", "2", "²", "①")
+    assert write_newick(tree) == "((1²:1,²:1):1,(2:1,①:1):1);"
+    assert parse_newick("(²:1,b:1);").leaf_labels == ("b", "²")
+    with pytest.raises(NewickParseError) as err:
+        parse_newick("(a:1²,b:1);")
+    assert (str(err.value), err.value.offset) == ("invalid branch length '1²' (at byte 3)", 3)
+    assert parse_newick("(a:1٣,b:13);").lengths == [13.0, 13.0, 0.0]
+
+
+def test_parse_error_offsets_index_the_string():
+    with pytest.raises(NewickParseError) as err:
+        parse_newick("(é:1,b:-1);")
+    assert err.value.offset == 7 and "(é:1,b:-1);"[7] == "-"
+
+
 @settings(max_examples=100, deadline=None)
 @given(n=st.integers(3, 20), seed=st.integers(0, 2**32 - 1))
 def test_roundtrip_random_trees(n, seed):

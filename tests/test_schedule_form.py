@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import tree_walks as walk
 from troptree import (NewickParseError, parse_newick, random_equidistant_tree, sample_rng,
-                      tree_segment, ultrametric_of)
+                      tree_segment, ultrametric_of, write_newick)
 from troptree import _linkages, _meets, treespace
 from troptree.newick import RootedTree, TreeNode
 from troptree.sim import _schedule
@@ -105,7 +105,7 @@ def parse_outcome(parse, text):
 
 
 @settings(max_examples=1000, deadline=None)
-@given(text=st.one_of(st.text(alphabet="ab12(),.:;-+eE \t", max_size=60),
+@given(text=st.one_of(st.text(alphabet="ab12(),.:;-+eE \t²٣é", max_size=60),
                       broken_newick_texts()))
 def test_parse_errors_match_node_parser(text):
     got = parse_outcome(parse_newick, text)
@@ -113,10 +113,21 @@ def test_parse_errors_match_node_parser(text):
     if got[0] == "raised" and "overflows" in got[1]:
         # the node parser keeps inf, and parses on from there
         offset = got[2]
-        assert float(re.match(r"[0-9+\-.eE]*", text[offset:]).group()) == float("inf")
+        assert float(re.match(r"[\d+\-.eE]*", text[offset:]).group()) == float("inf")
         assert want[0] == "parsed" or want[2] > offset
     else:
         assert got == want
+
+
+@pytest.mark.parametrize("n", [12, 32, 80])
+@pytest.mark.parametrize("height", [1e-3, 1.0, 1e3])
+def test_parse_newick_matches_node_route_at_benchmark_scale(n, height):
+    # the written trees of the benchmark's sizes and heights
+    for k in range(3):
+        tree = random_equidistant_tree(n, height, sample_rng(n, k))
+        for precision in (10, 17):
+            text = write_newick(tree, precision)
+            assert form(parse_newick(text)) == oracle(walk.parse_newick(text))
 
 
 def test_single_leaf_and_tied_labels():

@@ -4,13 +4,14 @@ topologies along a block of tree segments read from it.
 :func:`~troptree.trees._single_linkages` splits the values of each vector
 into runs and finds its minimum spanning tree; :func:`linkage` turns the
 spanning-tree edges of the whole block, sorted by the top of their run,
-into every vector's clusters with one pass per edge rank.  Its nodes are
-those of :func:`~troptree.trees._merge_runs`: the edges of one run join
-their components into one node each, at half the run's top.  Each node is
-held in the slot of the first edge of its run that lies inside it, so a
-vector over n leaves has n - 1 slots, in an order in which every node
-comes after the nodes inside it.  The candidate table of a large segment
-(:meth:`troptree._meets.MeetTable.linkages`) fills the same slots.
+into every vector's clusters with one pass per edge rank: the edges of one
+run join their components into one node each, at half the run's top.
+This is the library's one reader from distances to clusters, for one
+vector or many.  Each node is held in the slot of the first edge of its
+run that lies inside it, so a vector over n leaves has n - 1 slots, in an
+order in which every node comes after the nodes inside it.  The candidate
+table of a large segment (:meth:`troptree._meets.MeetTable.linkages`)
+fills the same slots.
 
 :func:`leaf_depths` gives each node its parent and branch, and with
 :func:`unequal` it is the equidistance check of
@@ -285,13 +286,13 @@ def topology_rows(n: int, linkage: Linkage) -> np.ndarray:
     return rows
 
 
-def _raise_at(labels: tuple[str, ...], point: np.ndarray, tol: float) -> None:
-    """Read a point whose schedule the array check flags by single linkage
-    one point at a time, which raises what the tree route raises there: the
-    leaf named is the first in its own schedule's preorder."""
+def _raise_at(labels: tuple[str, ...], linkage: Linkage, row: int, tol: float) -> None:
+    """Raise what the tree route raises at a row of a :class:`Linkage`
+    whose schedule the array check flags: the leaf named is the first in
+    the preorder of the row's :func:`merges` schedule."""
     n = len(labels)
-    merges = _trees._single_linkage(point, n, tol)
-    _trees._topology_of_merges(labels, merges, _trees._merge_lengths(n, merges), tol)
+    schedule, = merges(n, Linkage(*(field[row:row + 1] for field in linkage)))
+    _trees._topology_of_merges(labels, schedule, _trees._merge_lengths(n, schedule), tol)
 
 
 def segment_linkages(labels: tuple[str, ...], u: np.ndarray, v: np.ndarray, tol: float,
@@ -315,16 +316,16 @@ def segment_linkages(labels: tuple[str, ...], u: np.ndarray, v: np.ndarray, tol:
     left = np.flatnonzero(~last)
     unclean = left[~(clean[left] & clean[left + 1])]
     midlinkage = None
-    flagged = [(segment[k], 0, points[k]) for k in np.flatnonzero(linkage.unequal)[:1]]
+    flagged = [(segment[k], 0, linkage, k) for k in np.flatnonzero(linkage.unequal)[:1]]
     if unclean.size:
         mids = _shifted_max(u[segment[unclean]], v[segment[unclean]],
                             *_shifts(0.5 * (params[unclean] + params[unclean + 1])))
         midlinkage = _trees._single_linkages(mids, n, tol)[0]
-        flagged += [(segment[unclean[k]], 1, mids[k])
+        flagged += [(segment[unclean[k]], 1, midlinkage, k)
                     for k in np.flatnonzero(midlinkage.unequal)[:1]]
     # the tree route reads every bend of a segment before its pieces
     if flagged:
-        _raise_at(labels, min(flagged, key=lambda f: f[:2])[2], tol)
+        _raise_at(labels, *min(flagged, key=lambda f: f[:2])[2:], tol)
     return segment, left, unclean, linkage, midlinkage
 
 

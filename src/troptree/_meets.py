@@ -13,10 +13,8 @@ import numpy as np
 
 from . import trees as _trees
 from ._linkages import Linkage, leaf_masks, linkage_of
-from .newick import _merge_masks
 from .treespace import _bend_shifts, _is_clean, _shifts
 from .tropical import _shifted_max
-from .util import square_index
 
 if TYPE_CHECKING:
     from .treespace import Ultrametric
@@ -27,45 +25,70 @@ _BLOCK_ENTRIES = 1 << 22
 
 
 def clusters(n: int, entries: np.ndarray,
-             ) -> tuple[list[int], list[int], np.ndarray, np.ndarray] | None:
-    """The clusters of an ultrametric over n leaves, by size and then by
-    mask: each one's leaf mask, its parent (the full set is its own), its
-    distance value, and the cluster of every pair's most recent common
-    ancestor (lca).
+             ) -> list[tuple[list[int], list[int], np.ndarray, np.ndarray] | None]:
+    """The clusters of each row of a stack of ultrametrics over n leaves,
+    by size and then by mask: each one's leaf mask, its parent (the full
+    set is its own), its distance value, and the cluster of every pair's
+    most recent common ancestor (lca).
 
-    The clusters are the nodes of the single-linkage schedule of the
-    entries with no tolerance, and each pair's lca is written by one walk
-    of that schedule.  None unless every pair's entry is its lca's value:
-    a vector equals its single-linkage (subdominant) ultrametric exactly
-    when it meets the three-point condition, here with no tolerance, in
-    floats, so this fails when root-to-leaf sums differ in their last
-    bits."""
-    merges = _trees._single_linkage(entries, n, 0.0)
-    index = square_index(n).tolist()
-    lca = [0] * len(entries)
-    up = [len(merges) - 1] * len(merges)    # the parent of every node; the root's is itself
-    members = [[k] for k in range(n)]
-    for node, (_, children) in enumerate(merges):
-        below: list[int] = []
-        for c in children:
-            if c >= n:
-                up[c - n] = node
-            group = members[c]
-            for x in group:
-                at = index[x]
-                for y in below:
-                    lca[at[y]] = node
-            below += group
-        members.append(below)
-    lca = np.array(lca)
-    value = np.empty(len(merges))
-    value[lca] = entries                    # the entry of one of its pairs
-    if (value[lca] != entries).any():
-        return None
-    masks = _merge_masks([1 << (n - 1 - r) for r in range(n)], merges)[n:]
-    order = sorted(range(len(masks)), key=lambda c: (masks[c].bit_count(), masks[c]))
-    rank = np.argsort(order)
-    return [masks[c] for c in order], rank[up][order].tolist(), value[order], rank[lca]
+    The clusters are the nodes of one single-linkage pass over the rows
+    with no tolerance (:func:`~troptree.trees._single_linkages`), and a
+    pair's lca is the first node slot that holds both its leaves
+    (:func:`lcas`).  A row gives None unless every pair's entry is its
+    lca's value, the top of its run: a vector equals its single-linkage
+    (subdominant) ultrametric exactly when it meets the three-point
+    condition, here with no tolerance, in floats, so this fails when
+    root-to-leaf sums differ in their last bits."""
+    linkage = _trees._single_linkages(entries, n, 0.0)[0]
+    out = []
+    for row, nodes, masks, tops, parents in zip(entries, linkage.nodes, linkage.masks,
+                                                linkage.tops, linkage.parents):
+        lca = lcas(n, parents)
+        if (tops[lca] != row).any():
+            out.append(None)
+            continue
+        slots = np.flatnonzero(nodes)
+        masks = masks[slots].tolist()
+        order = sorted(range(len(slots)), key=lambda c: (masks[c].bit_count(), masks[c]))
+        slots = slots[order]
+        rank = np.empty(len(tops) + 1, dtype=np.intp)   # by slot; the root's parent is the root
+        rank[slots] = np.arange(len(slots))
+        rank[-1] = len(slots) - 1
+        out.append(([masks[c] for c in order], rank[parents[n + slots]].tolist(), tops[slots],
+                    rank[lca]))
+    return out
+
+
+def lcas(n: int, parents: np.ndarray) -> np.ndarray:
+    """The slot of the lca of every pair of leaves, in pair order, from the
+    parent slot of every element of one row of a
+    :class:`~troptree._linkages.Linkage`.
+
+    A node's slot comes after the slots of the nodes inside it, so a pair's
+    lca is the first slot above both leaves.  Sorted by the slots above
+    them, from the highest down, the leaves of every node are consecutive,
+    and the lca of two leaves is the highest of the lcas of the neighbours
+    from one to the other."""
+    parents = parents.astype(np.intp)
+    steps = len(parents) - n
+    above = np.zeros((n, steps), dtype=bool)        # whether a slot's node holds a leaf
+    leaves, at = np.arange(n), parents[:n]
+    while leaves.size:
+        above[leaves, at] = True
+        at = parents[n + at]
+        inner = at < steps                          # not above the root
+        leaves, at = leaves[inner], at[inner]
+    order = np.lexsort(above.T)
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    ordered = above[order]
+    meet = (ordered[:-1] & ordered[1:]).argmax(axis=1)
+    # the highest meet from each leaf on, by rank
+    span = np.maximum.accumulate(np.where(np.arange(n - 1) >= np.arange(n)[:, None], meet, -1),
+                                 axis=1)
+    first, second = np.triu_indices(n, k=1)
+    a, b = rank[first], rank[second]
+    return span[np.minimum(a, b), np.maximum(a, b) - 1]
 
 
 class MeetTable:
@@ -84,12 +107,9 @@ class MeetTable:
     @classmethod
     def of(cls, u: Ultrametric, v: Ultrametric) -> "MeetTable | None":
         n = u.n
-        sides = []
-        for w in (u, v):
-            side = clusters(n, w.entries)
-            if side is None:
-                return None
-            sides.append(side)
+        sides = clusters(n, np.stack((u.entries, v.entries)))
+        if None in sides:
+            return None
         (um, up_u, du, lca_u), (vm, up_v, dv, lca_v) = sides
         # a pair lies in the meet of its two lca nodes, and those are the
         # smallest clusters that hold that meet; every meet of two or more
@@ -129,7 +149,7 @@ class MeetTable:
                  ) -> tuple[Linkage, np.ndarray, np.ndarray]:
         """What single linkage reads of the points max(u + a, v + b): the
         :class:`~troptree._linkages.Linkage` of the points, with the
-        clusters and heights of :func:`~troptree.trees._single_linkage`,
+        clusters and heights of :func:`~troptree.trees._single_linkages`,
         the width of each point's widest run and its narrowest gap between
         runs.  The points are read in blocks of `_BLOCK_ENTRIES` leaf flags.
 

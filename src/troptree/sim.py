@@ -132,9 +132,9 @@ def _schedule(n: int, height: float, rng: np.random.Generator,
     streams, and is checked against this.  The n-2 non-root heights are
     drawn first, sorted; then one pair per merge: lineages i < j of the
     current k are merged at height h into a new last lineage.  The schedule
-    has the form of :func:`~troptree.trees._single_linkage`: (h, [node of
-    i, node of j]) per merge, leaves are nodes 0..n-1 and the m-th merge
-    makes node n + m.
+    has the form that :func:`~troptree.trees._tree_of_merges` reads: (h,
+    [node of i, node of j]) per merge, leaves are nodes 0..n-1 and the m-th
+    merge makes node n + m.
 
     All the pairs come from one bounded-integer draw, three values per
     merge, and are the pairs ``sorted(rng.choice(k, 2, replace=False))``

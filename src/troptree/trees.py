@@ -8,7 +8,6 @@ height of their most recent common ancestor.
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -322,9 +321,11 @@ def _single_linkages(points: Sequence[np.ndarray] | np.ndarray, n: int,
                      tol: float) -> tuple[Linkage, np.ndarray, np.ndarray]:
     """The single-linkage clusters of each of a non-empty sequence of
     condensed distance vectors over n leaves, as numpy arrays
-    (:class:`~troptree._linkages.Linkage`): the nodes that
-    :func:`_single_linkage` makes of each and their tree, with the clade
-    cut at tol and the equidistance check of its schedule.
+    (:class:`~troptree._linkages.Linkage`): the nodes of each and their
+    tree, with the clade cut at tol and the equidistance check of its
+    schedule.  Every distance vector that the library turns into clusters
+    is read here; :func:`~troptree._linkages.merges` writes a row's merge
+    schedule.
 
     The distance values are split into runs by :func:`_runs`; the pairs of
     a run merge simultaneously at half the run's top, so values within tol
@@ -338,7 +339,7 @@ def _single_linkages(points: Sequence[np.ndarray] | np.ndarray, n: int,
 
     Also returns, per vector, the width of its widest run and its narrowest
     gap between runs, as :func:`_runs` gives them."""
-    # imported here, so that only the callers with many vectors load it
+    # imported here, so that importing the package does not load it
     from ._linkages import Linkage, linkage
     step = max(1, _LINKAGE_BLOCK_ENTRIES // (n * n))
     near, far, tops, widths, gaps = map(np.concatenate, zip(*(
@@ -353,63 +354,10 @@ def _single_linkages(points: Sequence[np.ndarray] | np.ndarray, n: int,
     return Linkage(*map(np.concatenate, zip(*parts))), widths, gaps
 
 
-def _merge_runs(n: int, near: list[int], far: list[int],
-                top_value: list[float]) -> list[tuple[float, list[int]]]:
-    """The merge schedule of spanning-tree edges (near[k], far[k]) sorted by
-    the top of their run, `top_value[k]`: the edges of one run, those with
-    one top, join their components into one node each, at half that top."""
-    parent = list(range(n))                 # union-find over components
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
-    top = list(range(n))                    # node of each component, by its root
-    merges: list[tuple[float, list[int]]] = []
-    first = 0
-    while first < n - 1:
-        height = top_value[first] / 2.0
-        last = first + 1
-        while last < n - 1 and top_value[last] == top_value[first]:
-            last += 1
-        if last == first + 1:
-            # a run of one edge (no tie): a binary merge
-            ra, rb = find(near[first]), find(far[first])
-            parent[rb] = ra
-            merges.append((height, [top[ra], top[rb]]))
-            top[ra] = n + len(merges) - 1
-            first = last
-            continue
-        ends = [(find(near[k]), find(far[k])) for k in range(first, last)]
-        for ra, rb in ends:
-            parent[find(rb)] = find(ra)
-        merged: dict[int, list[int]] = {}
-        for r in dict.fromkeys(itertools.chain.from_iterable(ends)):
-            merged.setdefault(find(r), []).append(top[r])
-        for root, children in merged.items():
-            top[root] = n + len(merges)
-            merges.append((height, children))
-        first = last
-    return merges
-
-
-def _single_linkage(dists: np.ndarray, n: int,
-                    tol: float) -> list[tuple[float, list[int]]]:
-    """The merge schedule of the single-linkage dendrogram of one condensed
-    distance vector over n leaves: one (height, children) per internal
-    node, in the order the nodes are made.  Leaves are nodes 0..n-1 and the
-    m-th internal node is node n + m, so the last one is the root.  Its
-    nodes are those of :func:`_single_linkages`, made by :func:`_merge_runs`
-    from the same run split and spanning tree."""
-    edges = _spanning_edges(np.asarray(dists, dtype=float)[None], n, tol)[:3]
-    return _merge_runs(n, *(edge[0].tolist() for edge in edges))
-
-
 def _merge_lengths(n: int, merges: list[tuple[float, list[int]]]) -> list[float]:
-    """The branch length of every node of a :func:`_single_linkage`
-    schedule over n leaves, by node number: the parent's height minus the
-    node's own, clamped at 0.  The root's is 0."""
+    """The branch length of every node of a merge schedule over n leaves,
+    by node number: the parent's height minus the node's own, clamped at
+    0.  The root's is 0."""
     heights = [0.0] * n
     lengths = [0.0] * (n + len(merges))
     for height, children in merges:
@@ -485,7 +433,10 @@ def agglomerate(labels: Sequence[str], dists: np.ndarray,
     dists = np.asarray(dists, dtype=float)
     if dists.shape != (n * (n - 1) // 2,):
         raise ValueError("distance vector length does not match the labels")
-    return _tree_of_merges(labels, _single_linkage(dists, n, tol))
+    from ._linkages import merges
+    # a single leaf merges nothing
+    schedule = merges(n, _single_linkages(dists[None], n, tol)[0])[0] if n > 1 else []
+    return _tree_of_merges(labels, schedule)
 
 
 def _tree_of_clades(labels: Sequence[str], heights: dict[int, float]) -> RootedTree:

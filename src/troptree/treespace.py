@@ -536,9 +536,10 @@ def segment_to_star(tree: RootedTree, tol: float = DEFAULT_TOL) -> list[RootedTr
     """
     u = ultrametric_of(tree, tol)
     require_ultrametric(u, tol)
-    times = speciation_times(tree, tol)
-    return [_trees.agglomerate(u.labels, np.maximum(u.entries, 2.0 * t), tol)
-            for t in times]
+    from ._linkages import merges
+    points = np.maximum(u.entries, 2.0 * np.array(speciation_times(tree, tol))[:, None])
+    linkage = _trees._single_linkages(points, u.n, tol)[0]
+    return [_trees._tree_of_merges(u.labels, m) for m in merges(u.n, linkage)]
 
 
 def star_crossings(u: np.ndarray, v: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:

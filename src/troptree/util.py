@@ -19,11 +19,14 @@ _DIGIT_RUN = re.compile(r"(\d+)")
 
 def natural_key(label: str) -> tuple:
     """Sort key that orders digit runs numerically, so 'S2' < 'S10', and labels
-    tied but for leading zeros ('01', '1') by the raw label, not the input order."""
+    tied but for leading zeros ('01', '1') by the raw label, not the input order.
+    Text and digit runs alternate in the key, so keys compare str with str and
+    int with int; a -1 ends the runs, below any digit run, so a prefix sorts first."""
     if label.isdecimal():               # the key that the split below gives
-        return ((1, ""), (0, int(label)), (1, "")), label
+        return "", int(label), "", -1, label
     parts = _DIGIT_RUN.split(label)     # digit runs at odd k
-    return tuple([(0, int(part)) if k % 2 else (1, part) for k, part in enumerate(parts)]), label
+    parts[1::2] = map(int, parts[1::2])
+    return *parts, -1, label
 
 
 def sorted_labels(labels: Iterable[str]) -> tuple[str, ...]:

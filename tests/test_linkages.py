@@ -2,14 +2,15 @@
 routes that read one point, or draw one sample, at a time.
 
 `trees._single_linkages` reads the clusters of a block of points in numpy
-arrays (`_linkages.linkage`); `trees._single_linkage` reads one point with
-the union-find of `_merge_runs`.  Both split the values by the same run
-reader and merge the same spanning tree, and must agree bit for bit: the
-clusters with their heights (by `float.hex`), the clade cut and the
-equidistance check.  The arrays' equidistance check on the survey's draws
-must be that of `_equidistance_error`, and the survey's block draws those of
-`sample_rng` and `_schedule`, also where a Lemire rejection or a failed
-guard sends a sample to the scalar route.
+arrays (`_linkages.linkage`), and is the library's one reader from
+distances to clusters.  The reference reads one point with the union-find
+of `tree_walks.merge_runs` over the same run split and spanning tree, and
+the two must agree bit for bit: the clusters with their heights (by
+`float.hex`), the clade cut and the equidistance check.  The arrays'
+equidistance check on the survey's draws must be that of
+`_equidistance_error`, and the survey's block draws those of `sample_rng`
+and `_schedule`, also where a Lemire rejection or a failed guard sends a
+sample to the scalar route.
 """
 
 import itertools
@@ -18,6 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tree_walks as walk
 import troptree as tt
 from troptree import (DEFAULT_TOL, SampleConfig, Ultrametric, _linkages, _streams,
                       check_nni_conjecture, parse_newick, random_equidistant_tree, sample_rng,
@@ -35,7 +37,7 @@ def point_oracle(labels, point, tol):
     clusters that the clade cut keeps, and the equidistance error of its
     schedule, or None."""
     n = len(labels)
-    merges = trees._single_linkage(point, n, tol)
+    merges = walk.single_linkage(point, n, tol)
     lengths = trees._merge_lengths(n, merges)
     masks = _merge_masks([1 << (n - 1 - r) for r in range(n)], merges)
     clusters = sorted((masks[n + m], h.hex()) for m, (h, _) in enumerate(merges))

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from troptree import (NewickParseError, parse_newick, random_equidistant_tree,
                       sample_rng, structurally_equal, topology_of, ultrametric_of,
                       write_newick)
+from troptree.util import natural_key
 
 
 def test_parse_three_leaf_depths():
@@ -127,6 +130,27 @@ def test_digit_like_labels_and_lengths():
         parse_newick("(a:1²,b:1);")
     assert (str(err.value), err.value.offset) == ("invalid branch length '1²' (at byte 3)", 3)
     assert parse_newick("(a:1٣,b:13);").lengths == [13.0, 13.0, 0.0]
+
+
+def nested_natural_key(label):
+    """The natural sort key as it was, each part tagged (1, text) or (0, int)."""
+    if label.isdecimal():
+        return ((1, ""), (0, int(label)), (1, "")), label
+    parts = re.split(r"(\d+)", label)
+    return tuple([(0, int(part)) if k % 2 else (1, part) for k, part in enumerate(parts)]), label
+
+
+def test_flat_natural_key_sorts_as_the_nested_key():
+    # leading zeros, digit runs of different lengths, digit-like text
+    # ('²', '①'), a decimal digit that is not ASCII ('٣'), labels that
+    # start with a digit run (an empty text prefix) and pure digits
+    texts = ["", "S", "a", "b", "²", "①", "x²"]
+    runs = ["0", "1", "01", "001", "2", "10", "٣", "12"]
+    pieces = [t + r for t in texts for r in runs + [""]]
+    corpus = {a + b for a in pieces for b in pieces} | {"S2", "S10", "01", "1", "001"}
+    labels = sorted(corpus)
+    assert sorted(labels, key=natural_key) == sorted(labels, key=nested_natural_key)
+    assert len(labels) > 3000
 
 
 def test_parse_error_offsets_index_the_string():

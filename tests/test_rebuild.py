@@ -21,8 +21,8 @@ from troptree import (DEFAULT_TOL, NotEquidistantError, SampleConfig, Topology,
 from troptree import trees
 from troptree.cli import main
 from troptree.newick import RootedTree, TreeNode, _newick_of_merges
-from troptree.trees import (_equidistance_error, _merge_lengths, _single_linkage,
-                            _topology_of_merges, agglomerate)
+from troptree.trees import (_equidistance_error, _merge_lengths, _topology_of_merges,
+                            agglomerate)
 from troptree.util import natural_key, sorted_labels
 
 TOL = DEFAULT_TOL
@@ -151,8 +151,9 @@ def outcome(build):
 
 
 def merge_topology(labels, dists, tol=TOL):
-    """The topology read from the single-linkage merges of `dists`."""
-    merges = _single_linkage(dists, len(labels), tol)
+    """The topology read from the single-linkage merges of `dists`, one
+    vector at a time (`tree_walks.merge_runs`)."""
+    merges = walk.single_linkage(dists, len(labels), tol)
     return _topology_of_merges(tuple(labels), merges, _merge_lengths(len(labels), merges), tol)
 
 
@@ -224,13 +225,12 @@ def counted_calls(monkeypatch, module, names):
 
 def test_segment_builds_trees_only_for_output(monkeypatch):
     calls = counted_calls(monkeypatch, trees, ("agglomerate", "_single_linkages",
-                                               "_single_linkage", "_tree_of_merges",
-                                               "_clade_merges"))
+                                               "_tree_of_merges", "_clade_merges"))
     check_nni_conjecture(SampleConfig(n=6, samples=20, seed=1))
     # one batched single-linkage pass per block of samples (20 samples fit
     # in one) and no tree
-    assert calls == {"agglomerate": 0, "_single_linkages": 1, "_single_linkage": 0,
-                     "_tree_of_merges": 0, "_clade_merges": 0}
+    assert calls == {"agglomerate": 0, "_single_linkages": 1, "_tree_of_merges": 0,
+                     "_clade_merges": 0}
     calls.update(dict.fromkeys(calls, 0))
     rng = sample_rng(5, 0)
     seg = tree_segment(random_equidistant_tree(12, 1.0, rng),
@@ -239,8 +239,8 @@ def test_segment_builds_trees_only_for_output(monkeypatch):
     seg.to_csv()
     seg.bend_newicks(10)
     # no distance values near tol apart: no piece needs a midpoint pass
-    assert calls == {"agglomerate": 0, "_single_linkages": 1, "_single_linkage": 0,
-                     "_tree_of_merges": 0, "_clade_merges": 0}
+    assert calls == {"agglomerate": 0, "_single_linkages": 1, "_tree_of_merges": 0,
+                     "_clade_merges": 0}
     assert len(seg.bend_trees) == seg.n_bends
     # one tree per bend, from a merge schedule made for it then
     assert calls["_tree_of_merges"] == calls["_clade_merges"] == seg.n_bends
@@ -252,8 +252,8 @@ def test_segment_builds_trees_only_for_output(monkeypatch):
     for fmt in ("csv", "newick", "json"):
         calls.update(dict.fromkeys(calls, 0))
         assert main(["segment", *folder, "--format", fmt]) == 0
-        assert calls == {"agglomerate": 0, "_single_linkages": 2,
-                         "_single_linkage": 0, "_tree_of_merges": 0, "_clade_merges": 0}
+        assert calls == {"agglomerate": 0, "_single_linkages": 2, "_tree_of_merges": 0,
+                         "_clade_merges": 0}
 
 
 def test_fallback_pieces_of_a_pair_with_gaps_near_tol(monkeypatch):
@@ -339,7 +339,7 @@ def test_newick_of_merges_matches_tree_route(case, height):
     # labels whose natural order differs from their string order
     n, dists = case
     labels = tuple(f"t{k}" for k in range(1, n + 1))
-    merges = _single_linkage(dists * height, n, TOL)
+    merges = walk.single_linkage(dists * height, n, TOL)
     lengths = _merge_lengths(n, merges)
     for precision in (3, 10, 17):
         assert _newick_of_merges(labels, merges, lengths, precision) == \

@@ -2,8 +2,9 @@
 
 Every bend of a segment, and the midpoint of every piece, is read twice:
 from the table of meets of the endpoints' clusters (`_meets.MeetTable`), and by
-single linkage of the point itself (`_single_linkage`, one point at a time;
-small segments take the batched `_single_linkages`).  The two must agree bit
+single linkage of the point itself, one point at a time with the union-find of
+`tree_walks.merge_runs` (small segments take the batched `_single_linkages`,
+the library's one reader from distances to clusters).  The two must agree bit
 for bit: the clades with their node heights, the widest run and the narrowest
 gap of every point, and then the topologies, Newick strings and CSV bytes of
 the whole segment.  `TreeSegment` takes the table route from `_TABLE_MIN_ENTRIES`
@@ -11,7 +12,8 @@ distance entries up; the tests move that bound to force one route or the
 other.
 
 Both routes split distance values into runs by the same `trees._runs`, and
-the table reads the clusters of its endpoints by single linkage.  So those
+the table reads the clusters of both its endpoints in one `_single_linkages`
+pass with no tolerance.  So those
 two decisions are checked against oracles of their own in `tree_walks`: a
 run split in plain Python, and the clusters read from balls around the
 leaves, the guard the table used before.
@@ -68,7 +70,7 @@ def bend_merges(seg):
 def single_linkages(points, n, tol):
     """The single-linkage schedule of each point, one point at a time, and
     the widest run and narrowest gap of each."""
-    return ([trees._single_linkage(p, n, tol) for p in points],
+    return ([walk.single_linkage(p, n, tol) for p in points],
             *trees._runs(np.stack(points), tol)[1:])
 
 
@@ -294,7 +296,7 @@ def guard_disagreement(w):
     """The table's clusters of an ultrametric against the clusters read
     from balls: None when they agree on refusing it, or on accepting it
     with the same clusters, parents, values and lca of every pair."""
-    found, want = _meets.clusters(w.n, w.entries), walk.ball_clusters(w.n, w.entries)
+    (found,), want = _meets.clusters(w.n, w.entries[None]), walk.ball_clusters(w.n, w.entries)
     if found is None or want is None:
         return None if found is want else ("guard", found is None)
     masks, parent, values, lca = found
@@ -327,7 +329,7 @@ def test_guard_sends_last_bit_variants_to_single_linkage(monkeypatch):
     # by single linkage
     refused = 0
     for u, v in sampled_pairs([12, 32], [1e-3, 1e3], range(6)):
-        if all(_meets.clusters(w.n, w.entries) is not None for w in (u, v)):
+        if None not in _meets.clusters(u.n, np.stack((u.entries, v.entries))):
             continue
         refused += 1
         assert _meets.MeetTable.of(u, v) is None
@@ -354,10 +356,10 @@ def test_guard_sends_last_bit_variants_to_single_linkage(monkeypatch):
 
 
 def test_large_segment_runs_single_linkage_only_on_its_endpoints(monkeypatch):
-    # the table reads the clusters of each endpoint by single linkage with
-    # no tolerance, no bend point or midpoint by single linkage, and writes
-    # its output with no merge schedule
-    calls = {"_single_linkages": [], "_single_linkage": [], "_clade_merges": []}
+    # the table reads the clusters of both endpoints in one single-linkage
+    # pass with no tolerance, no bend point or midpoint by single linkage,
+    # and writes its output with no merge schedule
+    calls = {"_single_linkages": [], "_clade_merges": []}
     for name, seen in calls.items():
         real = getattr(trees, name)
 
@@ -367,12 +369,11 @@ def test_large_segment_runs_single_linkage_only_on_its_endpoints(monkeypatch):
         monkeypatch.setattr(trees, name, counted)
 
     def assert_endpoint_calls(seg):
-        # one call per endpoint, u then v, at tol 0 on its entries, and no
-        # batched pass
-        assert len(calls["_single_linkage"]) == 2 and calls["_single_linkages"] == []
-        assert calls["_clade_merges"] == []
-        for w, (dists, n, tol) in zip((seg.u, seg.v), calls["_single_linkage"]):
-            assert dists is w.entries and n == w.n and tol == 0.0
+        # one call on the entries of both endpoints, u then v, at tol 0
+        assert len(calls["_single_linkages"]) == 1 and calls["_clade_merges"] == []
+        (points, n, tol), = calls["_single_linkages"]
+        assert points.tobytes() == np.stack((seg.u.entries, seg.v.entries)).tobytes()
+        assert n == seg.u.n and tol == 0.0
         for seen in calls.values():
             seen.clear()
 
@@ -558,7 +559,7 @@ def test_newick_writer_matches_merge_writer(route, monkeypatch):
                                                                 precision)
         if not table and n <= 21:
             assert seg.bend_newicks(10) == merge_newicks(
-                u.labels, [trees._single_linkage(p, n, TOL) for p in seg.segment.bend_points], 10)
+                u.labels, [walk.single_linkage(p, n, TOL) for p in seg.segment.bend_points], 10)
         bends += seg.n_bends
     assert bends > (1000 if table else 400)
     if not table:
@@ -567,4 +568,4 @@ def test_newick_writer_matches_merge_writer(route, monkeypatch):
         points = tropical_segment(u.entries, v.entries, TOL).bend_points[:40]
         linkage = trees._single_linkages(points, 120, TOL)[0]
         assert [*itertools.chain(*_linkages.newicks(u.labels, linkage, 10))] == merge_newicks(
-            u.labels, [trees._single_linkage(p, 120, TOL) for p in points], 10)
+            u.labels, [walk.single_linkage(p, 120, TOL) for p in points], 10)

@@ -142,6 +142,19 @@ def test_segment_properties(data):
         assert np.array_equal(b, seg.point_at(d))
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the absolute tol chains lambdas "
+                   "1e-9 apart into one run")
+def test_segment_recovers_an_endpoint_two_tol_away():
+    # a falsifying example of test_segment_properties: the lambdas -1e-9, 0
+    # and 1e-9 are each tol apart, so one run holds all three and the only
+    # bend is v, although u lies 2e-9 > tol away
+    u, v = np.array([1e-9, 0.0, 0.0]), np.array([0.0, 1e-9, 0.0])
+    assert trop_dist(u, v) > 1e-9
+    bends = tropical_segment(u, v).bend_points
+    assert same_point(bends[0], v, tol=1e-9)
+    assert same_point(bends[-1], u, tol=1e-9)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_combinations_lie_on_the_path(data):

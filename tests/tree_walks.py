@@ -12,14 +12,18 @@ Two decisions that single linkage and the candidate table of a segment
 share are kept here the same way: the split of sorted values into runs
 (`runs`), in plain Python, and the clusters of an ultrametric read from
 balls around its leaves (`ball_clusters`), as the table read them before
-it read them by single linkage."""
+it read them by single linkage.  So is the union-find that merged the
+spanning tree of one distance vector at a time (`merge_runs`, through
+`single_linkage`), before every vector went through the batched pass of
+`trees._single_linkages`."""
 
+import itertools
 import math
 import statistics
 
 import numpy as np
 
-from troptree import NewickParseError, NotEquidistantError, Topology, TreeNode
+from troptree import NewickParseError, NotEquidistantError, Topology, TreeNode, trees
 from troptree.util import natural_key, sorted_labels, square_form
 
 
@@ -390,3 +394,53 @@ def ball_clusters(n, entries):
         parent = next((up for up in masks[k + 1:] if up & mask == mask), mask)
         table[mask] = (parent, value[mask])
     return table, lca
+
+
+def merge_runs(n: int, near: list[int], far: list[int],
+               top_value: list[float]) -> list[tuple[float, list[int]]]:
+    """The merge schedule of spanning-tree edges (near[k], far[k]) sorted by
+    the top of their run, `top_value[k]`: the edges of one run, those with
+    one top, join their components into one node each, at half that top."""
+    parent = list(range(n))                 # union-find over components
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    top = list(range(n))                    # node of each component, by its root
+    merges: list[tuple[float, list[int]]] = []
+    first = 0
+    while first < n - 1:
+        height = top_value[first] / 2.0
+        last = first + 1
+        while last < n - 1 and top_value[last] == top_value[first]:
+            last += 1
+        if last == first + 1:
+            # a run of one edge (no tie): a binary merge
+            ra, rb = find(near[first]), find(far[first])
+            parent[rb] = ra
+            merges.append((height, [top[ra], top[rb]]))
+            top[ra] = n + len(merges) - 1
+            first = last
+            continue
+        ends = [(find(near[k]), find(far[k])) for k in range(first, last)]
+        for ra, rb in ends:
+            parent[find(rb)] = find(ra)
+        merged: dict[int, list[int]] = {}
+        for r in dict.fromkeys(itertools.chain.from_iterable(ends)):
+            merged.setdefault(find(r), []).append(top[r])
+        for root, children in merged.items():
+            top[root] = n + len(merges)
+            merges.append((height, children))
+        first = last
+    return merges
+
+
+def single_linkage(dists, n, tol):
+    """The merge schedule of one condensed distance vector over n leaves,
+    one (height, children) per internal node in the order the nodes are
+    made, leaves 0..n-1 and the m-th internal node n + m: its spanning-tree
+    edges and run tops (`trees._spanning_edges`) merged by `merge_runs`."""
+    edges = trees._spanning_edges(np.asarray(dists, dtype=float)[None], n, tol)[:3]
+    return merge_runs(n, *(edge[0].tolist() for edge in edges))

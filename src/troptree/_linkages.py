@@ -3,34 +3,27 @@ topologies along a block of tree segments read from it.
 
 :func:`~troptree.trees._single_linkages` splits the values of each vector
 into runs and finds its minimum spanning tree; :func:`linkage` turns the
-spanning-tree edges of the whole block, sorted by the top of their run,
-into every vector's clusters with one pass per edge rank: the edges of one
-run join their components into one node each, at half the run's top.
-This is the library's one reader from distances to clusters, for one
-vector or many.  Each node is held in the slot of the first edge of its
-run that lies inside it, so a vector over n leaves has n - 1 slots, in an
-order in which every node comes after the nodes inside it.  The candidate
-table of a large segment (:meth:`troptree._meets.MeetTable.linkages`)
-fills the same slots.
-
-:func:`leaf_depths` gives each node its parent and branch, and with
-:func:`unequal` it is the equidistance check of
-:func:`~troptree.trees._equidistance_error` on arrays, in its float order;
-the NNI survey runs them on its draws as well.  :func:`newicks` and
-:func:`merges` write each row's tree as Newick text and merge schedule.
-
+edges of the whole block, sorted by the top of their run, into every
+vector's clusters, one pass per edge rank: the edges of one run join their
+components into one node each, at half the run's top.  Each node sits in
+the slot of the first edge of its run inside it: n - 1 slots, each node
+after the nodes inside it, which the candidate table of a large segment
+(:meth:`troptree._meets.MeetTable.linkages`) fills too.
+:func:`leaf_depths` gives each node its parent, :func:`branch_depths` its
+branch, and with :func:`unequal` they are the equidistance check of
+:func:`~troptree.trees._equidistance_error` on arrays, in its float order.
+:func:`newicks` and :func:`merges` write each row's tree.
 :func:`segment_linkages` reads the bends and pieces of a block of tree
-segments by single linkage: the NNI survey's blocks, and the one segment
-of :class:`~troptree.treespace.TreeSegment`'s single-linkage route.
-:func:`segment_rows` writes each of their topologies as a row of clade
-masks, for the survey.  This module is imported by the first batched
-pass, so that ``import troptree.cli`` does not load it.
+segments by single linkage (the NNI survey's blocks, and the single-linkage
+route of :class:`~troptree.treespace.TreeSegment`), and :func:`segment_rows`
+writes their topologies as rows of clade masks for the survey.  Imported by
+the first batched pass, so that ``import troptree.cli`` does not load it.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -86,17 +79,13 @@ def leaf_masks(n: int, members: np.ndarray) -> np.ndarray:
 
 def leaf_depths(heights: np.ndarray, members: np.ndarray, at: np.ndarray | None = None,
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The root-to-leaf sums of a block of schedules, given per row as the
-    height of each step's node, shape (rows, steps), and its leaves, shape
-    (rows, steps, n): no node in a step without leaves, every node after
-    the nodes inside it, the last step at the root's height.  Also the
-    branch and parent of every element, as :class:`Linkage` holds them
-    (garbage in a step without a node); `at` gives one leaf of each step's
-    node, by default its smallest.  Walked from the root, a node's parent
-    is the last step so far that holds its leaf.  A branch is the parent's
-    height minus the node's (:func:`~troptree.trees._merge_lengths`), and
-    the sums add them from the root down as
-    :func:`~troptree.newick._node_depths` does, so the floats are theirs."""
+    """The root-to-leaf sums, branches and parents (:func:`branch_depths`)
+    of a block of schedules, given per row as the height of each step's
+    node, shape (rows, steps), and its leaves, shape (rows, steps, n): no
+    node in a step without leaves, every node after the nodes inside it, the
+    last at the root's height.  `at` gives one leaf of each step's node, by
+    default its smallest.  Walked from the root, a node's parent is the last
+    step so far that holds its leaf."""
     rows, steps, n = members.shape
     at = members.argmax(axis=2) if at is None else at
     small = np.min_scalar_type(steps)
@@ -107,21 +96,32 @@ def leaf_depths(heights: np.ndarray, members: np.ndarray, at: np.ndarray | None 
         parents[:, n + k] = cover.take(at[:, k])
         np.putmask(cover, members[:, k], k)
     parents[:, :n] = cover
+    return (*branch_depths(heights, parents), parents)
+
+
+def branch_depths(heights: np.ndarray, parents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The root-to-leaf sums and the branch of every element of a block of
+    schedules, from each step's node height, shape (rows, steps), and each
+    element's parent step, as :class:`Linkage` holds them: a branch is the
+    parent's height minus the node's, and the sums add them from the root
+    down as :func:`~troptree.newick._node_depths` does, so the floats are theirs."""
+    rows, steps = heights.shape
+    n = parents.shape[1] - steps
     row = np.arange(rows)[:, None] * (steps + 1)
     lengths = np.append(heights, heights[:, -1:], axis=1).reshape(-1).take(row + parents)
     lengths[:, n:] -= heights
     depth, up = np.zeros((rows, steps + 1)), row + parents[:, n:]
     for k in range(steps - 1, -1, -1):
         np.add(depth.reshape(-1).take(up[:, k]), lengths[:, n + k], out=depth[:, k])
-    return depth.reshape(-1).take(row + cover) + lengths[:, :n], lengths, parents
+    return depth.reshape(-1).take(row + parents[:, :n]) + lengths[:, :n], lengths
 
 
-def linkage_of(tops: np.ndarray, masks: np.ndarray, members: np.ndarray, nodes: np.ndarray,
-               firsts: np.ndarray, tol: float) -> Linkage:
-    """The :class:`Linkage` of slots sorted by `tops`, with their nodes' `masks`, `members`
-    and smallest leaves, and whether they hold one; a clade is kept if its branch exceeds tol."""
-    n, steps = members.shape[2], members.shape[1]
-    depths, lengths, parents = leaf_depths(tops / 2.0, members, firsts)
+def linkage_of(tops: np.ndarray, masks: np.ndarray, nodes: np.ndarray, firsts: np.ndarray,
+               depths: np.ndarray, lengths: np.ndarray, parents: np.ndarray, tol: float,
+               ) -> Linkage:
+    """The :class:`Linkage` of slots sorted by `tops`, with their nodes' masks and smallest leaves,
+    whether they hold one, and :func:`branch_depths`; a clade is kept if its branch exceeds tol."""
+    steps, n = tops.shape[1], parents.shape[1] - tops.shape[1]
     lengths[:, n:][~nodes] = 0.0
     parents[:, n:][~nodes] = steps
     return Linkage(tops, masks, nodes, nodes & (lengths[:, n:] > tol), unequal(depths, tol),
@@ -144,8 +144,8 @@ _BLOCK_ELEMENTS = 1 << 16
 def newicks(labels: tuple[str, ...], linkage: Linkage, precision: int) -> Iterator[list[str]]:
     """The Newick string of the tree of each row of a :class:`Linkage` over
     natural-sorted `labels`, as :func:`~troptree.newick.write_newick` writes
-    it, each distinct branch length formatted once, in lists of a block of
-    `_BLOCK_ELEMENTS` at a time.  Siblings go by smallest leaf rank,
+    it, in lists of a block of `_BLOCK_ELEMENTS` at a time, each distinct
+    branch length formatted once.  Siblings go by smallest leaf rank,
     so an element's first leaf is its parent's plus the leaves of the
     siblings before it, added from the root down.  Each element is written
     at its last leaf, after the smaller ones that close there, with a "("
@@ -155,19 +155,20 @@ def newicks(labels: tuple[str, ...], linkage: Linkage, precision: int) -> Iterat
     rows, steps = linkage.nodes.shape
     width = n + steps
     fmt = f".{precision}g"
-    values, inverse = np.unique(linkage.lengths, return_inverse=True)
-    texts = [":" + format(x, fmt) for x in values.tolist()]
-    # "(" * k, the labels, ")" and "", each length with a comma and without, ";" and ""
-    tokens = np.array(["(" * k for k in range(n)] + [*labels, ")", ""]
-                      + [t + "," for t in texts] + texts + [";", ""], dtype=object)
-    tails = inverse.reshape(rows, width) + 2 * n + 2
-    root = 2 * n + 2 + 2 * len(values)
+    written: dict[float, str] = {}
+    # "(" * k, the labels, ")" and "", then the block's lengths with a comma and without, ";" and ""
+    fixed = ["(" * k for k in range(n)] + [*labels, ")", ""]
     leaves = np.arange(n)
     block = max(1, _BLOCK_ELEMENTS // width)
     for first in range(0, rows, block):
         at = slice(first, first + block)
         nodes = linkage.nodes[at]
         count = len(nodes)
+        values, inverse = np.unique(linkage.lengths[at], return_inverse=True)
+        texts = [written[x] if x in written else written.setdefault(x, ":" + format(x, fmt))
+                 for x in values.tolist()]
+        tokens = np.array(fixed + [t + "," for t in texts] + texts + [";", ""], dtype=object)
+        root = 2 * n + 2 + 2 * len(values)
         row = np.arange(count)[:, None]
         parent = n + linkage.parents[at].astype(np.intp)    # an element; `width` above the root
         up = parent + row * (width + 1)
@@ -196,7 +197,7 @@ def newicks(labels: tuple[str, ...], linkage: Linkage, precision: int) -> Iterat
         index[:, :n, 1] = leaves + n
         index[:, n:, 1] = np.where(nodes, 2 * n, 2 * n + 1)
         shut = last[:, :width] == np.take_along_axis(last, parent, axis=1)
-        index[:, :, 2] = tails[at] + shut * len(values)
+        index[:, :, 2] = inverse.reshape(count, width) + 2 * n + 2 + shut * len(values)
         index[:, n:, 2] = np.where(nodes, np.where(parent[:, n:] == width, root, index[:, n:, 2]),
                                    root + 1)
         key = np.where(index[:, :, 1] <= 2 * n, last[:, :width] * (n + 1) + size[:, :width],
@@ -204,6 +205,40 @@ def newicks(labels: tuple[str, ...], linkage: Linkage, precision: int) -> Iterat
         close = np.argsort(key.astype(np.min_scalar_type(width * (n + 1))), axis=1, kind="stable")
         index = index.reshape(-1, 3)[close + row * width].reshape(count, -1)
         yield ["".join(row_tokens) for row_tokens in tokens.take(index).tolist()]
+
+
+def entry_pairs(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct pairs (u_k, v_k), in lexicographic order, as two vectors,
+    and each k's pair: one unique of u + iv, whose sort order is lexicographic."""
+    pairs, columns = np.unique(u + 1j * v, return_inverse=True)     # exact for finite u, v
+    return pairs.real, pairs.imag, columns
+
+
+def canonical_strs(labels: tuple[str, ...], masks: np.ndarray, kept: np.ndarray,
+                    ) -> Callable[[slice], list[str]]:
+    """The canonical strings of rows of clade masks over natural-sorted
+    `labels` (the full set left out), shape (rows, width), of which `kept`
+    flags the clades: each row's clades by (popcount, -mask), in braces,
+    then the full set.  The distinct masks are ranked and written once; the
+    function returned writes a slice of rows from their ranks, sorted by numpy."""
+    flat = masks[kept].tolist()
+    values = sorted(set(flat), key=lambda mask: (mask.bit_count(), -mask))
+    rank = {mask: k for k, mask in enumerate(values)}
+    ranks = np.full(masks.shape, len(values))           # the empty text, after every clade
+    ranks[kept] = np.fromiter(map(rank.__getitem__, flat), dtype=ranks.dtype, count=len(flat))
+    texts = np.array(["{" + ",".join(_trees._members(labels, mask)) + "}|" for mask in values]
+                     + [""], dtype=object)
+    full = "{" + ",".join(labels) + "}"
+    return lambda at: ["".join(row) + full
+                       for row in texts.take(np.sort(ranks[at], axis=1)).tolist()]
+
+
+def topology_strs(topologies: Sequence[_trees.Topology]) -> list[str]:
+    """The canonical strings of topologies over one label tuple, by one writer."""
+    rows = [sorted(t.masks)[:-1] for t in topologies]   # the full set is the largest
+    width = max(map(len, rows))
+    masks = np.array([row + [0] * (width - len(row)) for row in rows], dtype=object)
+    return canonical_strs(topologies[0].labels, masks, masks != 0)(slice(None))
 
 
 def unequal(depths: np.ndarray, tol: float) -> np.ndarray:
@@ -253,7 +288,8 @@ def linkage(n: int, near: np.ndarray, far: np.ndarray, tops: np.ndarray,
     twin &= slot[:, None] > slot
     nodes = ~twin.any(axis=2)
     members = (final == node[:, :, None]) & nodes[:, :, None]
-    return linkage_of(tops, leaf_masks(n, members), members, nodes, node, tol)
+    return linkage_of(tops, leaf_masks(n, members), nodes, node,
+                      *leaf_depths(tops / 2.0, members, node), tol)
 
 
 def within(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -299,16 +335,13 @@ def segment_linkages(labels: tuple[str, ...], u: np.ndarray, v: np.ndarray, tol:
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, Linkage, Linkage | None]:
     """The single linkage of the segments from the rows of v to those of
     u, as :class:`~troptree.treespace.TreeSegment` reads them: the segment
-    of each bend; the first bend of each piece, which lies between it and
-    the next; those of the pieces where the clean rule fails at either
-    bend, which take the topology of their midpoint; the
-    :class:`Linkage` of the bends, and that of those midpoints (None
-    without one).
-
-    The bends come from :func:`bend_points` and share one single-linkage
-    pass (:func:`~troptree.trees._single_linkages`); the midpoints share
-    one more.  Raises what the tree route raises at the first segment with
-    a bend or a piece midpoint that fails the equidistance check."""
+    of each bend; the first bend of each piece; those of the pieces where
+    the clean rule fails at either bend, which take the topology of their
+    midpoint; the :class:`Linkage` of the bends (:func:`bend_points`), and
+    that of those midpoints (None without one), each from one pass of
+    :func:`~troptree.trees._single_linkages`.  Raises what the tree route
+    raises at the first segment with a bend or a piece midpoint that fails
+    the equidistance check."""
     n = len(labels)
     segment, params, points, last = bend_points(u, v, tol)
     linkage, widths, gaps = _trees._single_linkages(points, n, tol)

@@ -7,21 +7,23 @@ simulations, small segments) do not load it.
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import trees as _trees
-from ._linkages import Linkage, leaf_masks, linkage_of
+from ._linkages import Linkage, branch_depths, linkage_of
 from .treespace import _bend_shifts, _is_clean, _shifts
 from .tropical import _shifted_max
+from .util import square_form
 
 if TYPE_CHECKING:
     from .treespace import Ultrametric
 
-#: Leaf flags, rows times slots times leaves, in one block of
-#: :meth:`MeetTable.linkages`: 4 MiB, the bends of an 80-leaf segment.
-_BLOCK_ENTRIES = 1 << 22
+#: Meet values, rows times meets, in one block of :meth:`MeetTable.linkages`:
+#: 4 MiB of floats, the bends of an 80-leaf segment.
+_BLOCK_ENTRIES = 1 << 19
 
 
 def clusters(n: int, entries: np.ndarray,
@@ -29,16 +31,12 @@ def clusters(n: int, entries: np.ndarray,
     """The clusters of each row of a stack of ultrametrics over n leaves,
     by size and then by mask: each one's leaf mask, its parent (the full
     set is its own), its distance value, and the cluster of every pair's
-    most recent common ancestor (lca).
-
-    The clusters are the nodes of one single-linkage pass over the rows
-    with no tolerance (:func:`~troptree.trees._single_linkages`), and a
-    pair's lca is the first node slot that holds both its leaves
-    (:func:`lcas`).  A row gives None unless every pair's entry is its
-    lca's value, the top of its run: a vector equals its single-linkage
-    (subdominant) ultrametric exactly when it meets the three-point
-    condition, here with no tolerance, in floats, so this fails when
-    root-to-leaf sums differ in their last bits."""
+    most recent common ancestor (lca), the first node slot that holds both
+    its leaves (:func:`lcas`) in one single-linkage pass with no tolerance.
+    A row gives None unless every pair's entry is its lca's value, the top
+    of its run: a vector equals its single-linkage (subdominant)
+    ultrametric exactly when it meets the three-point condition, here in
+    floats, so this fails when root-to-leaf sums differ in their last bits."""
     linkage = _trees._single_linkages(entries, n, 0.0)[0]
     out = []
     for row, nodes, masks, tops, parents in zip(entries, linkage.nodes, linkage.masks,
@@ -62,13 +60,10 @@ def clusters(n: int, entries: np.ndarray,
 def lcas(n: int, parents: np.ndarray) -> np.ndarray:
     """The slot of the lca of every pair of leaves, in pair order, from the
     parent slot of every element of one row of a
-    :class:`~troptree._linkages.Linkage`.
-
-    A node's slot comes after the slots of the nodes inside it, so a pair's
-    lca is the first slot above both leaves.  Sorted by the slots above
-    them, from the highest down, the leaves of every node are consecutive,
-    and the lca of two leaves is the highest of the lcas of the neighbours
-    from one to the other."""
+    :class:`~troptree._linkages.Linkage`: the first slot above both leaves.
+    Sorted by the slots above them, from the highest down, the leaves of
+    every node are consecutive, and the lca of two leaves is the highest of
+    the lcas of the neighbours from one to the other."""
     parents = parents.astype(np.intp)
     steps = len(parents) - n
     above = np.zeros((n, steps), dtype=bool)        # whether a slot's node holds a leaf
@@ -93,16 +88,17 @@ def lcas(n: int, parents: np.ndarray) -> np.ndarray:
 
 class MeetTable:
     """The candidate table of a segment between ultrametrics u and v (see
-    :class:`~troptree.treespace.TreeSegment`): every distinct meet C = A ∩ B of a cluster A of u
-    and a cluster B of v with at least two leaves, ordered by size.  Each
-    is held as its leaf mask and flags (then a row without leaves), the
+    :class:`~troptree.treespace.TreeSegment`): every distinct meet C = A ∩ B
+    of a cluster A of u and a cluster B of v with at least two leaves, by
+    size, with its mask and smallest leaf (then a row without leaves), the
     values diam_u(A) and diam_v(B) of the smallest such A and B, and the
-    smallest meets strictly above it (`above`, from `starts`).  Made by
-    :meth:`of` from the clusters of u and of v, read by single linkage
-    (:func:`clusters`); None unless every pair's entry of each is its lca's
-    value, the three-point condition with no tolerance."""
+    smallest meets strictly above it; those that hold each leaf, too; and
+    the meets by level, their longest chain of such meets to the full set.
+    Made by :meth:`of` from the clusters of u and v (:func:`clusters`);
+    None unless every pair's entry of each is its lca's value, the
+    three-point condition with no tolerance."""
 
-    __slots__ = ("n", "masks", "members", "firsts", "du", "dv", "above", "starts")
+    __slots__ = ("n", "masks", "firsts", "du", "dv", "above", "leaf_above", "levels")
 
     @classmethod
     def of(cls, u: Ultrametric, v: Ultrametric) -> "MeetTable | None":
@@ -121,73 +117,97 @@ class MeetTable:
         table = object.__new__(cls)
         table.n = n
         masks = [um[a] & vm[b] for a, b in nodes]
-        width = -(-n // 8)
-        raw = np.frombuffer(b"".join(m.to_bytes(width, "big") for m in masks), dtype=np.uint8)
-        table.members = np.zeros((len(masks) + 1, n), dtype=bool)
-        table.members[:-1] = np.unpackbits(raw.reshape(-1, width), axis=1)[:, 8 * width - n:]
-        table.masks, table.firsts = leaf_masks(n, table.members), table.members.argmax(axis=1)
+        table.masks = np.array(masks + [0], dtype=np.uint64 if n <= 64 else object)
+        table.firsts = np.array([n - mask.bit_length() for mask in masks] + [0])
         at = np.array(nodes, dtype=np.intp).reshape(-1, 2)
         table.du, table.dv = du[at[:, 0]], dv[at[:, 1]]
         index = {mask: k for k, mask in enumerate(masks)}
-        chains = []                     # the v-ancestors of every v-node, from it up
-        for b in range(len(vm)):
-            chain = [b]
-            while up_v[chain[-1]] != chain[-1]:
-                chain.append(up_v[chain[-1]])
-            chains.append(chain)
-        above: list[int] = []
-        starts: list[int] = []
-        for (a, b), mask in zip(nodes, masks):
-            starts.append(len(above))
-            above += [index[c] for c in meets_above(a, chains[b], mask, um, vm, up_u)]
-            if len(above) == starts[-1]:
-                above.append(len(nodes))    # the full set: a column that is never reached
-        table.above, table.starts = np.array(above), np.array(starts)
+        chains = [[b] for b in range(len(vm))]      # the v-ancestors of every v-node, from it up
+        for b in range(len(vm) - 2, -1, -1):            # parents come after their children
+            chains[b] += chains[up_v[b]]
+        # the full set has none above it: a row that is never reached
+        ups = [[index[c] for c in meets_above(a, chains[b], mask, um, vm, up_u)] or [len(nodes)]
+               for (a, b), mask in zip(nodes, masks)]
+        table.above = _padded(ups)
+        # each leaf's smallest clusters are the smallest lca of its pairs
+        leaf_u, leaf_v = (square_form(lca, n, len(side)).min(axis=1).tolist()
+                          for lca, side in ((lca_u, um), (lca_v, vm)))
+        table.leaf_above = _padded([
+            [index[c] for c in meets_above(a, chains[b], 1 << (n - 1 - x), um, vm, up_u, 0)]
+            for x, (a, b) in enumerate(zip(leaf_u, leaf_v))])
+        level = [0] * len(nodes) + [-1]
+        for c in range(len(nodes) - 1, -1, -1):
+            level[c] = 1 + max(level[x] for x in ups[c])
+        levels = [[c for c in range(len(nodes)) if level[c] == k] for k in range(max(level) + 1)]
+        table.levels = [(np.array(ids), _padded([ups[c] for c in ids])) for ids in levels]
         return table
 
     def linkages(self, a: np.ndarray, b: np.ndarray, tol: float,
                  ) -> tuple[Linkage, np.ndarray, np.ndarray]:
-        """What single linkage reads of the points max(u + a, v + b): the
-        :class:`~troptree._linkages.Linkage` of the points, with the
-        clusters and heights of :func:`~troptree.trees._single_linkages`,
-        the width of each point's widest run and its narrowest gap between
-        runs.  The points are read in blocks of `_BLOCK_ENTRIES` leaf flags.
+        """What single linkage reads of the points max(u + a, v + b), in
+        blocks of `_BLOCK_ENTRIES` meet values: their
+        :class:`~troptree._linkages.Linkage`, and the width of each point's
+        widest run and its narrowest gap between runs.
 
-        A meet's value at shifts (a, b) is max(diam_u(A) + a, diam_v(B) + b):
-        on every pair whose lca nodes are A and B, that is the entry of the
-        point, the same floats.  So the distinct entries of a point are the
-        values of the meets, and its runs, widths and gaps are read from
-        those by the run reader of single linkage
-        (:func:`~troptree.trees._runs`), with no sort of all its entries.
-        The component that holds a meet C among the pairs at or below the
-        top T of C's run is A* ∩ B*, with A* the highest u-ancestor of A
-        whose diam_u + a is at most T and B* likewise.  That is a meet with
-        a value in C's run, so C is a cluster of the point, C = A* ∩ B*,
-        exactly when every meet strictly above C has a value above T.
-        Values grow with the meet, so the smallest meets above C decide it.
-        Each cluster is a node at T/2, as in single linkage: sorted by T, the
-        clusters of a point fill its last slots, the full set the last."""
+        A meet's value at shifts (a, b), max(diam_u(A) + a, diam_v(B) + b),
+        is the entry of the point on every pair whose lca nodes are A and
+        B, in the same floats, so the run reader of single linkage
+        (:func:`~troptree.trees._runs`) reads the point's runs from them.
+        The component that holds a meet C at the top T of its run is the
+        meet A* ∩ B* of the highest ancestors of A and B with values at
+        most T, so C is a cluster exactly when every meet strictly above it
+        has a value above T; values grow with the meet, so the smallest
+        meets above C decide it.  Each cluster is a node at T/2 in the slots
+        sorted by T, as in single linkage; every meet above C holds one of
+        those smallest meets, and the clusters that hold C are nested, so its
+        parent is the smallest of the lowest clusters that hold them."""
         n, meets = self.n, len(self.du)
-        step = max(1, _BLOCK_ENTRIES // (n * n))
+        step = max(1, _BLOCK_ENTRIES // (meets + 1))
         parts = []
         for first in range(0, len(a), step):
             values = _shifted_max(self.du, self.dv, a[first:first + step], b[first:first + step])
             rows = len(values)
             top, width, gap = _trees._runs(values, tol)
-            # meets by rows, so that each reduces contiguous rows
-            reach = np.append(values, np.full((rows, 1), np.inf), axis=1).T.copy()[self.above]
-            row, meet = np.nonzero(np.minimum.reduceat(reach, self.starts, axis=0).T > top)
-            by_top = np.lexsort((top[row, meet], row))
-            row, meet = row[by_top], meet[by_top]
-            slot = np.arange(len(row)) - np.cumsum(np.bincount(row, minlength=rows))[row] + n - 1
-            at = np.full((rows, n - 1), meets)              # the row without leaves
-            at[row, slot] = meet
+            # meets by rows, so that each gathers a contiguous row, a column at a time
+            reach = np.append(values, np.full((rows, 1), np.inf), axis=1).T.copy()
+            row, meet = np.nonzero(reduce(np.minimum, map(reach.__getitem__, self.above)).T > top)
+            # each row's clusters by meet, then by top, stably: the slots
+            # without one (top 0, the row without leaves) come first
+            counts = np.bincount(row, minlength=rows)
+            col = np.arange(len(row)) - (np.cumsum(counts) - counts)[row]
             tops = np.zeros((rows, n - 1))
-            tops[row, slot] = top[row, meet]
-            parts.append((linkage_of(tops, self.masks[at], self.members[at], at < meets,
-                                     self.firsts[at], tol), width, gap))
+            tops[row, col] = top[row, meet]
+            at = np.full((rows, n - 1), meets)
+            at[row, col] = meet
+            by_top = np.argsort(tops, axis=1, kind="stable")
+            tops, at = (np.take_along_axis(x, by_top, axis=1) for x in (tops, at))
+            # each meet's and leaf's parent, a meet (the row without leaves above the full set),
+            # level by level from the top: a meet's lowest cluster is itself or its parent
+            cluster = np.zeros((meets + 1, rows), dtype=bool)
+            cluster[meet, row] = True
+            lowest = np.empty((meets + 1, rows), dtype=np.min_scalar_type(meets))
+            up = np.empty_like(lowest)
+            lowest[meets] = up[meets] = meets
+            for ids, above in self.levels:
+                up[ids] = np.minimum.reduce(lowest[above])
+                lowest[ids] = np.where(cluster[ids], ids[:, None], up[ids])
+            leaf_up = np.minimum.reduce(lowest[self.leaf_above]).T
+            slot_of = np.empty((rows, meets + 1), dtype=np.min_scalar_type(n - 1))
+            np.put_along_axis(slot_of, at, np.arange(n - 1, dtype=slot_of.dtype), axis=1)
+            slot_of[:, meets] = n - 1                       # above the root
+            parents = np.take_along_axis(slot_of, np.append(
+                leaf_up, np.take_along_axis(up.T, at, axis=1), axis=1), axis=1)
+            parts.append((linkage_of(tops, self.masks[at], at < meets, self.firsts[at],
+                                     *branch_depths(tops / 2.0, parents), parents, tol),
+                          width, gap))
         linkages, widths, gaps = zip(*parts)
         return Linkage(*map(np.concatenate, zip(*linkages))), *map(np.concatenate, (widths, gaps))
+
+
+def _padded(lists: list[list[int]]) -> np.ndarray:
+    """Non-empty lists as the columns of one array, each padded with its first entry."""
+    width = max(map(len, lists))
+    return np.array([x + x[:1] * (width - len(x)) for x in lists]).T
 
 
 def segment_linkages(u: Ultrametric, v: Ultrametric, params: np.ndarray, tol: float,
@@ -214,17 +234,18 @@ def segment_linkages(u: Ultrametric, v: Ultrametric, params: np.ndarray, tol: fl
 
 
 def meets_above(a: int, chain: list[int], mask: int, um: list[int], vm: list[int],
-                up_u: list[int]) -> list[int]:
+                up_u: list[int], low: int = 1) -> list[int]:
     """The masks of the smallest meets strictly above the meet `mask` of
     u-node `a` and the first v-node of `chain` (its v-ancestors, from it
     up): every meet above it holds one.  For a and each u-ancestor of a,
     the meet with the lowest v-ancestor that adds a leaf, kept while that
     v-ancestor gets lower, since a meet with both nodes higher holds the
-    one before it."""
+    one before it.  The meet of a and chain[0] is `mask` itself, so the
+    search starts at chain[`low`]: at chain[0] for a leaf's `mask`, with a
+    and chain[0] the smallest clusters that hold the leaf."""
     size = mask.bit_count()
     out = []
     limit = len(chain)
-    low = 1                         # the meet of a and chain[0] is `mask` itself
     while True:
         for t in range(low, limit):
             meet = um[a] & vm[chain[t]]

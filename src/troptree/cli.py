@@ -144,8 +144,9 @@ def cmd_topologies(args) -> int:
     t2 = _load_tree(args.tree2)
     seg = tree_segment(t1, t2, args.tol)
     topos = topology_sequence(seg)
-    for topo in topos:
-        print(topo.canonical_str())
+    from ._linkages import topology_strs      # loaded by the segment already
+    for text in topology_strs(topos):
+        print(text)
     star = any(topo.is_star for topo in topos)
     print(f"star-crossing: {'yes' if star else 'no'}")
     for k, (a, b) in enumerate(zip(topos, topos[1:])):

@@ -89,9 +89,7 @@ class Topology:
     """Canonical rooted tree shape: a laminar family of clades over a fixed
     leaf set.  The full leaf set is always a clade; singletons never are.
     Branch lengths are discarded, so tied node heights appear as polytomies
-    (missing clades).
-
-    `labels` holds the leaves in natural order.  Each clade is an int
+    (missing clades).  `labels` holds the leaves in natural order.  Each clade is an int
     bitmask in `masks`, in which the leaf of rank r sets bit
     ``1 << (n-1-r)`` (Day 1985's cluster table, one int per cluster), so
     equality, contraction and the NNI test are set operations on ints.  The
@@ -113,8 +111,8 @@ class Topology:
         for k, a in enumerate(ordered):
             for b in ordered[k + 1:]:
                 if a & b and a & b != a:
-                    raise ValueError(f"clades {self._members(a)} and "
-                                     f"{self._members(b)} are not laminar")
+                    raise ValueError(f"clades {_members(self.labels, a)} and "
+                                     f"{_members(self.labels, b)} are not laminar")
 
     @classmethod
     def _of_masks(cls, labels: tuple[str, ...], masks: Iterable[int]) -> "Topology":
@@ -130,20 +128,9 @@ class Topology:
         self.labels = labels
         self.masks = frozenset(masks).union(((1 << len(labels)) - 1,))
 
-    def _members(self, mask: int) -> list[str]:
-        """Labels of a clade mask, in natural order: its bits from the high
-        end."""
-        labels, top = self.labels, len(self.labels) - 1
-        out = []
-        while mask:
-            high = mask.bit_length() - 1
-            out.append(labels[top - high])
-            mask ^= 1 << high
-        return out
-
     @property
     def clades(self) -> frozenset[frozenset[str]]:
-        return frozenset(frozenset(self._members(m)) for m in self.masks)
+        return frozenset(frozenset(_members(self.labels, m)) for m in self.masks)
 
     @property
     def is_binary(self) -> bool:
@@ -168,7 +155,8 @@ class Topology:
                 and len(self.masks - other.masks) == 1)
 
     def canonical_str(self) -> str:
-        return _canonical_strs([self])[0]
+        from ._linkages import topology_strs
+        return topology_strs([self])[0]
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Topology) and self.masks == other.masks
@@ -181,27 +169,14 @@ class Topology:
         return f"Topology({self.canonical_str()})"
 
 
-def _canonical_strs(topologies: Sequence[Topology],
-                    written: dict[int, tuple[int, str]] | None = None) -> list[str]:
-    """The canonical string of each of a sequence of topologies over one
-    label tuple: its clades in canonical order, by (popcount, -mask), each
-    written as its members in braces.  A clade that several of the
-    topologies share is written once, and kept in `written` by mask with
-    its sort key for the next call."""
-    written = {} if written is None else written
+def _members(labels: Sequence[str], mask: int) -> list[str]:
+    """The labels of a clade mask over natural-sorted `labels`: its bits from the high end."""
+    top = len(labels) - 1
     out = []
-    for topo in topologies:
-        n = len(topo.labels)
-        clades = []
-        for mask in topo.masks:
-            clade = written.get(mask)
-            if clade is None:
-                # (popcount << n) - mask orders as (popcount, -mask) does
-                clade = written[mask] = ((mask.bit_count() << n) - mask,
-                                         "{" + ",".join(topo._members(mask)) + "}")
-            clades.append(clade)
-        clades.sort()
-        out.append("|".join([text for _, text in clades]))
+    while mask:
+        high = mask.bit_length() - 1
+        out.append(labels[top - high])
+        mask ^= 1 << high
     return out
 
 
@@ -321,24 +296,17 @@ def _single_linkages(points: Sequence[np.ndarray] | np.ndarray, n: int,
                      tol: float) -> tuple[Linkage, np.ndarray, np.ndarray]:
     """The single-linkage clusters of each of a non-empty sequence of
     condensed distance vectors over n leaves, as numpy arrays
-    (:class:`~troptree._linkages.Linkage`): the nodes of each and their
-    tree, with the clade cut at tol and the equidistance check of its
-    schedule.  Every distance vector that the library turns into clusters
-    is read here; :func:`~troptree._linkages.merges` writes a row's merge
-    schedule.
-
-    The distance values are split into runs by :func:`_runs`; the pairs of
-    a run merge simultaneously at half the run's top, so values within tol
-    of each other produce polytomies.  Only the edges of a minimum spanning
-    tree are merged: for every threshold, those at or below it connect the
-    same leaves as all pairs at or below it (Gower & Ross 1969), so this
-    takes O(n^2) per vector.  The vectors are stacked in blocks of
-    `_LINKAGE_BLOCK_ENTRIES` square entries; the run split and Prim's
-    algorithm run for a whole block at once, and the merging of the edges
-    (:func:`~troptree._linkages.linkage`) for eight blocks at once.
-
-    Also returns, per vector, the width of its widest run and its narrowest
-    gap between runs, as :func:`_runs` gives them."""
+    (:class:`~troptree._linkages.Linkage`), with the clade cut at tol and
+    the equidistance check of each schedule, and the width of each
+    vector's widest run and its narrowest gap between runs (:func:`_runs`).
+    Every distance vector that the library turns into clusters is read
+    here.  The pairs of a run merge at once, at half the run's top, so
+    values within tol of each other make polytomies.  Only the edges of a
+    minimum spanning tree are merged: for every threshold, those at or
+    below it connect the same leaves as all pairs at or below it (Gower &
+    Ross 1969), O(n^2) per vector.  The run split and Prim's algorithm run
+    on blocks of `_LINKAGE_BLOCK_ENTRIES` square entries, the merging of
+    the edges (:func:`~troptree._linkages.linkage`) on eight at once."""
     # imported here, so that importing the package does not load it
     from ._linkages import Linkage, linkage
     step = max(1, _LINKAGE_BLOCK_ENTRIES // (n * n))
@@ -426,9 +394,7 @@ def agglomerate(labels: Sequence[str], dists: np.ndarray,
     (condensed order over `labels`, which must be natural-sorted): the
     single-linkage dendrogram of the distances, in which entries within
     tol of each other merge simultaneously (see :func:`_single_linkages`).
-    The input is assumed to satisfy the three-point condition; validation
-    belongs to the callers.
-    """
+    The input is assumed to satisfy the three-point condition."""
     n = len(labels)
     dists = np.asarray(dists, dtype=float)
     if dists.shape != (n * (n - 1) // 2,):

@@ -223,10 +223,8 @@ def _emit(out: TextIO | None, head: str, blocks: Iterable[str], tail: str) -> st
     """Write the text to `out` as it is made, or return it as one string."""
     if out is None:
         return "".join([head, *blocks, tail])
-    out.write(head)
-    for text in blocks:
+    for text in itertools.chain([head], blocks, [tail]):
         out.write(text)
-    out.write(tail)
     return None
 
 
@@ -257,10 +255,9 @@ def _bend_shifts(params: np.ndarray, last: np.ndarray | None = None,
 
 #: The fewest distance entries, bends times pairs, at which a segment reads
 #: its bends from a :class:`~troptree._meets.MeetTable`; smaller ones take
-#: the batched single-linkage pass.  The table costs about 30 numpy calls
-#: per segment whatever its size, which single linkage saves on small
-#: segments: over pairs at n 4-40 the table was the slower below about
-#: 2,500 entries and the faster above about 5,000.
+#: the batched single-linkage pass, which saves the table's fixed cost: over
+#: pairs at n 4-40 the table was the slower below about 2,500 entries and
+#: the faster above about 5,000.
 _TABLE_MIN_ENTRIES = 1 << 12
 
 
@@ -279,62 +276,49 @@ class TreeSegment:
     The bend topologies are read from the clusters of each bend, without
     building a tree: the nodes of the single-linkage dendrogram of its
     point, on which runs of distance values within tol merge at half their
-    largest value.  They are read from the candidate table of the segment
-    (:class:`~troptree._meets.MeetTable`).  A bend point is
-    w = max(u + a, v + b) with a = min(d, 0) and b = -max(d, 0), so two
-    leaves are joined in w at level t exactly when they are joined in u at
-    t - a and in v at t - b, and every cluster of every bend is a meet
-    A ∩ B of a cluster A of u and a cluster B of v (Develin & Sturmfels
-    2004).  The candidates are the
-    distinct meets of two or more leaves, about one per bend.  A meet's
-    value at a bend, max(diam_u(A) + a, diam_v(B) + b) for the smallest
-    such A and B, is the entry of the bend point on every pair whose lca
-    nodes are A and B: the same float operations as
-    :attr:`TropicalSegment.bend_points`, so the values are bit for bit
-    the bend's distinct entries, and one run reader
-    (:func:`~troptree.trees._runs`) splits them into the same runs and
-    merge heights as single linkage.  The clusters of u and of v are read
-    by single linkage with no tolerance, once per segment, and the table
-    needs every pair's entry to be its lca's value: that holds when they
-    meet the three-point condition exactly, in floats, and fails when
-    root-to-leaf sums differ in their last bits.  A segment that fails
-    it, and one whose bend points hold fewer than ``_TABLE_MIN_ENTRIES``
-    distance entries, for which the table's fixed cost exceeds the saving,
-    is read by single linkage of its bend points instead, in one batched
-    pass (:func:`troptree._linkages.segment_linkages`), with the same result.
+    largest value.  Every cluster of every bend is a meet A ∩ B of a
+    cluster A of u and a cluster B of v (Develin & Sturmfels 2004), and a
+    large segment reads its bends from the table of those meets
+    (:class:`~troptree._meets.MeetTable`), bit for bit as single linkage
+    reads them.  A segment whose endpoints fail the table's guard, and one
+    whose bend points hold fewer than ``_TABLE_MIN_ENTRIES`` distance
+    entries, for which the table's fixed cost exceeds the saving, is read
+    by single linkage of its bend points instead, in one batched pass
+    (:func:`troptree._linkages.segment_linkages`), with the same result.
 
     Each piece topology follows from its two bends.  On an open piece no
     coordinate changes side between ``u + d`` and ``v``, so every
-    coordinate is affine in d; the tree's shape is constant there (tropical
-    types are constant on open cells, Develin & Sturmfels 2004), so every
-    branch length, a difference of two node heights, is affine in d as
-    well, and at a bend it is the limit of its values on the piece.  A
-    branch length that is affine and non-negative on the closed piece is
-    positive inside it exactly when it is positive at one of its ends, so
-    the piece's clades are the union of the two bends' clades.
+    coordinate is affine in d, the tree's shape is constant (tropical types
+    are constant on open cells, Develin & Sturmfels 2004), and so every
+    branch length, a difference of two node heights, is affine in d, with
+    its limits at the bends.  Affine and non-negative on the closed piece,
+    it is positive inside it exactly when it is positive at one end, so the
+    piece's clades are the union of its two bends' clades.
 
     The tolerance breaks that argument near `tol`: a branch of length l at
     one end and 0 at the other has l/2 at the midpoint, which the
     midpoint's tree drops when l <= 2 tol, and values within tol of each
-    other merge into one run, which can hide a branch.  The union is used
-    only where neither can happen: when, at both bends, every run of
-    distance values is at most tol/4 wide and consecutive runs are more
-    than 8 tol apart.  Then every branch of a bend lies either within a
-    run (at most tol/8 long, dropped) or between runs (longer than 4 tol,
-    kept).  On the piece, two coordinates on the same side keep their
-    difference, so a run at the midpoint joins at most one value class of
-    each side and is at most tol + tol/2 wide.  It moves a node height by
-    at most 3 tol / 4: a branch longer than 2 tol at the midpoint keeps
-    more than tol, and one short at both bends stays at most 7 tol / 8.
-    Elsewhere a piece gets its topology from the clusters of its midpoint,
-    read in one more pass over all such midpoints on either route.
+    other merge into one run, which can hide a branch.  So the union is
+    used only when, at both bends, every run of distance values is at most
+    tol/4 wide and consecutive runs are more than 8 tol apart.  Then every
+    branch of a bend lies within a run (at most tol/8, dropped) or between
+    runs (longer than 4 tol, kept).  On the piece, two coordinates on the
+    same side keep their difference, so a run at the midpoint joins at most
+    one value class of each side, at most tol + tol/2 wide, and moves a node
+    height by at most 3 tol / 4: a branch longer than 2 tol at the midpoint
+    keeps more than tol, and one short at both bends stays at most 7 tol / 8.
+    Elsewhere a piece reads the clusters of its midpoint, in one more pass
+    over all such midpoints on either route.
 
     Both routes hold each bend's clusters in arrays
-    (:class:`~troptree._linkages.Linkage`) with the parent and branch of
-    every node and leaf, from which :meth:`bend_newicks` writes the Newick
-    strings in block passes.  Merges and trees are made on first use of
-    :attr:`bend_trees`; :meth:`to_csv` writes each distinct entry once.
-    The NNI survey reads its many small segments with the reader of the
+    (:class:`~troptree._linkages.Linkage`): the rows of clade masks of the
+    topologies, and the parent and branch of every node and leaf, from
+    which :meth:`bend_newicks` writes the Newick strings in block passes.
+    :class:`~troptree.trees.Topology` objects are made on first access to
+    :attr:`bend_topologies` and :attr:`piece_topologies`, merges and trees
+    on first use of :attr:`bend_trees`; the writers make none, and
+    :meth:`to_csv` writes each distinct entry and clade once.  The NNI
+    survey reads its many small segments with the reader of the
     single-linkage route, a block of them at a time (:mod:`troptree._survey`).
     """
 
@@ -353,21 +337,27 @@ class TreeSegment:
             from . import _linkages
             found = _linkages.segment_linkages(u.labels, segment.u[None], segment.v[None],
                                                tol)[2:]
-        unclean, self._linkage, midlinkage = found
-        self.bend_topologies = bends = _topologies(u.labels, self._linkage)
-        self.piece_topologies = [Topology._of_masks(u.labels, a.masks | b.masks)
-                                 for a, b in zip(bends, bends[1:])]
-        if midlinkage is not None:
-            for k, topology in zip(unclean.tolist(), _topologies(u.labels, midlinkage)):
-                self.piece_topologies[k] = topology
+        self._unclean, self._linkage, self._midlinkage = found
+
+    @cached_property
+    def bend_topologies(self) -> list[Topology]:
+        """The topology of every bend, made on first use from its kept clades."""
+        return _topologies(self.u.labels, self._linkage)
+
+    @cached_property
+    def piece_topologies(self) -> list[Topology]:
+        """The topology of every piece, made on first use: its bends' union, or its midpoint's."""
+        labels, bends = self.u.labels, self.bend_topologies
+        mids = {} if self._midlinkage is None else dict(
+            zip(self._unclean.tolist(), _topologies(labels, self._midlinkage)))
+        return [mids[k] if k in mids else Topology._of_masks(labels, a.masks | b.masks)
+                for k, (a, b) in enumerate(zip(bends, bends[1:]))]
 
     @cached_property
     def bend_ultrametrics(self) -> list[Ultrametric]:
-        """The ultrametric at every bend point, made on first use.  Making
-        them checks nothing that the endpoints have not passed: coordinate
-        by coordinate, the bend at parameter d is ``max(u + min(d, 0),
-        v - max(d, 0))``, at least v for d <= 0 and at least u for d >= 0,
-        so the bends of positive endpoints are positive."""
+        """The ultrametric at every bend point, made on first use, with no
+        check: the bend at d is ``max(u + min(d, 0), v - max(d, 0))``, at
+        least v for d <= 0 and at least u for d >= 0, so it is positive."""
         return [Ultrametric._of_sorted(self.u.labels, b) for b in self.segment.bend_points]
 
     @cached_property
@@ -391,30 +381,21 @@ class TreeSegment:
 
     @property
     def n_bends(self) -> int:
-        return len(self.bend_topologies)
+        return len(self._linkage.kept)
 
     def positions(self) -> list[Topology]:
         """Topology at every position (bends and pieces interleaved, from
         the v end to the u end)."""
-        out: list[Topology] = []
-        for k, topo in enumerate(self.bend_topologies):
-            out.append(topo)
-            if k < len(self.piece_topologies):
-                out.append(self.piece_topologies[k])
-        return out
+        pairs = zip(self.bend_topologies, self.piece_topologies)
+        return [topo for pair in pairs for topo in pair] + self.bend_topologies[-1:]
 
     @property
     def topology_runs(self) -> list[tuple[Topology, int, int]]:
         """Maximal runs of equal topology as (topology, first, last) over
         the interleaved positions."""
-        runs: list[tuple[Topology, int, int]] = []
-        for pos, topo in enumerate(self.positions()):
-            if runs and runs[-1][0] == topo:
-                prev = runs.pop()
-                runs.append((prev[0], prev[1], pos))
-            else:
-                runs.append((topo, pos, pos))
-        return runs
+        runs = [list(run) for _, run in itertools.groupby(enumerate(self.positions()),
+                                                          key=lambda position: position[1])]
+        return [(run[0][1], run[0][0], run[-1][0]) for run in runs]
 
     def to_csv(self, precision: int = 10, out: TextIO | None = None) -> str | None:
         """One row per bend point: index, the bend's lambda parameter, the
@@ -454,34 +435,31 @@ class TreeSegment:
               sep: str) -> Iterator[str]:
         """The text of the bends, a block of ``_BLOCK_ELEMENTS`` entries at
         a time, rows made by `row` and parted by `sep`.  A bend entry is
-        max(u + a, v + b) of the endpoint entries, so it is fixed by the
-        pair (u, v) of its column: the values of the distinct pairs at
-        every bend are the distinct entries of the segment, and `entry`
-        writes each once, before the first block.  They are computed a
-        block at a time, so no array spans every bend and pair."""
-        from ._linkages import _BLOCK_ELEMENTS
+        max(u + a, v + b) of the endpoint entries, fixed by the pair (u, v)
+        of its column, so `entry` writes each distinct value of the
+        distinct pairs once, and a block gathers the texts of its pairs
+        before those of its columns.  The topologies are written from the
+        bends' mask rows (:func:`~troptree._linkages.canonical_strs`)."""
+        from ._linkages import _BLOCK_ELEMENTS, canonical_strs, entry_pairs
         newicks = itertools.chain.from_iterable(self._newicks(precision))
-        pairs, columns = np.unique(np.stack((self.u.entries, self.v.entries), axis=1),
-                                   axis=0, return_inverse=True)
-        columns = columns.reshape(-1)
+        pu, pv, columns = entry_pairs(self.u.entries, self.v.entries)
         a, b = _bend_shifts(self.segment.bend_parameters)
         lams = self.segment.bend_parameters.tolist()
         block = max(1, _BLOCK_ELEMENTS // self.u.e)
         starts = range(0, len(lams), block)
 
         def points(first: int) -> np.ndarray:
-            return _shifted_max(pairs[:, 0], pairs[:, 1], a[first:first + block],
-                                b[first:first + block])
+            return _shifted_max(pu, pv, a[first:first + block], b[first:first + block])
         values = np.unique(np.concatenate([np.unique(points(first)) for first in starts]))
         texts = np.array([entry(x) for x in values.tolist()], dtype=object)
-        clades: dict[int, tuple[int, str]] = {}
+        topologies = canonical_strs(self.u.labels, self._linkage.masks, self._linkage.kept)
 
         def rows(first: int) -> str:
             at = slice(first, first + block)
-            entries = texts.take(np.searchsorted(values, points(first))[:, columns]).tolist()
-            topologies = _trees._canonical_strs(self.bend_topologies[at], clades)
-            return (sep if first else "") + sep.join(itertools.starmap(
-                row, zip(itertools.count(first), lams[at], entries, newicks, topologies)))
+            # each distinct pair's text, then each column's
+            entries = texts.take(np.searchsorted(values, points(first))).take(columns, axis=1)
+            return (sep if first else "") + sep.join(itertools.starmap(row, zip(
+                itertools.count(first), lams[at], entries.tolist(), newicks, topologies(at))))
         return map(rows, starts)
 
     def __repr__(self) -> str:
@@ -505,20 +483,9 @@ def tree_segment(t1: RootedTree, t2: RootedTree, tol: float = DEFAULT_TOL) -> Tr
 
 def topology_sequence(seg: TreeSegment) -> list[Topology]:
     """Deduplicated sequence of topologies along the segment, from the t2
-    end to the t1 end (bends and straight pieces interleaved)."""
-    return _topology_sequence(seg.bend_topologies, seg.piece_topologies)
-
-
-def _topology_sequence(bends: list[Topology], pieces: list[Topology]) -> list[Topology]:
-    """The bend topologies interleaved with the piece topologies between
-    them, consecutive duplicates removed."""
-    out = [bends[0]]
-    for piece, bend in zip(pieces, bends[1:]):
-        if piece != out[-1]:
-            out.append(piece)
-        if bend != out[-1]:
-            out.append(bend)
-    return out
+    end to the t1 end (bends and straight pieces interleaved): the
+    topologies of its :attr:`~TreeSegment.topology_runs`."""
+    return [topology for topology, _, _ in seg.topology_runs]
 
 
 # --------------------------------------------------------------------------
@@ -527,13 +494,10 @@ def _topology_sequence(bends: list[Topology], pieces: list[Topology]) -> list[To
 
 def segment_to_star(tree: RootedTree, tol: float = DEFAULT_TOL) -> list[RootedTree]:
     """The trees at the bend points of the segment from `tree` to the star
-    tree of the same height, ordered from `tree` to the star.
-
-    With speciation times t_1 < ... < t_k, the i-th tree raises every
-    internal node of height below t_i up to t_i (coordinate-wise
-    max(d, 2 t_i) on the distance vector); the first tree is the input and
-    the last is the star.
-    """
+    tree of the same height, ordered from `tree` to the star.  With
+    speciation times t_1 < ... < t_k, the i-th tree raises every internal
+    node of height below t_i up to t_i (coordinate-wise max(d, 2 t_i) on
+    the distance vector); the first tree is the input, the last the star."""
     u = ultrametric_of(tree, tol)
     require_ultrametric(u, tol)
     from ._linkages import merges
@@ -577,7 +541,11 @@ def check_clade_preservation(t1: RootedTree, t2: RootedTree,
     """Given a leaf set that is a clade of both trees with the same induced
     topology, check that every bend tree of their segment keeps it as a
     clade with that same induced topology.  (This always holds; the checker
-    exists to exercise the implementation.)"""
+    exists to exercise the implementation.)  A bend where the clean rule of
+    :class:`TreeSegment` holds is read from its point, in one single-linkage
+    pass over the restricted columns of all bends: every distance of its
+    tree lies within tol/4 of the point's, and its runs more than 8 tol
+    apart, so the answers are its tree's.  The others check their trees."""
     leaves = sorted_labels(set(leaves))
     if not (_trees.is_clade(t1, leaves, tol) and _trees.is_clade(t2, leaves, tol)):
         raise ValueError(f"{list(leaves)} is not a clade of both trees")
@@ -589,8 +557,19 @@ def check_clade_preservation(t1: RootedTree, t2: RootedTree,
     if induced(t2) != target:
         raise ValueError(
             f"the trees induce different topologies on {list(leaves)}")
-    return all(_trees.is_clade(bend, leaves, tol) and induced(bend) == target
-               for bend in tree_segment(t1, t2, tol).bend_trees)
+    seg = tree_segment(t1, t2, tol)
+    points = np.stack(seg.segment.bend_points)
+    inside = np.isin(seg.u.labels, leaves)
+    index = square_index(seg.u.n)
+    columns = index[np.ix_(inside, inside)][np.triu_indices(len(leaves), k=1)]
+    clade = points[:, index[np.ix_(inside, ~inside)].reshape(-1)].min(axis=1, initial=np.inf)
+    clade = clade - points[:, columns].max(axis=1) > tol
+    linkage = _trees._single_linkages(points[:, columns], len(leaves), tol)[0]
+    fast = _is_clean(*_trees._runs(points, tol)[1:], tol) & ~linkage.unequal
+    return all(clade[k] and topology == target if fast[k] else
+               _trees.is_clade(seg.bend_trees[k], leaves, tol)
+               and induced(seg.bend_trees[k]) == target
+               for k, topology in enumerate(_topologies(leaves, linkage)))
 
 
 def check_nni_theorem(t1: RootedTree, t2: RootedTree,

@@ -17,8 +17,9 @@ import tree_walks as walk
 from troptree import (DEFAULT_TOL, NotEquidistantError, SampleConfig, Topology,
                       TreeSegment, Ultrametric, check_nni_conjecture, parse_newick,
                       random_equidistant_tree, sample_rng, structurally_equal,
-                      topology_of, topology_sequence, tree_segment, tropical_segment)
-from troptree import trees
+                      topology_of, topology_sequence, tree_segment, tropical_segment,
+                      ultrametric_of)
+from troptree import _linkages, trees
 from troptree.cli import main
 from troptree.newick import RootedTree, TreeNode, _newick_of_merges
 from troptree.trees import (_equidistance_error, _merge_lengths, _topology_of_merges,
@@ -369,15 +370,38 @@ def reference_canonical_str(tree):
     """Clades as label sets, read from the tree's schedule: the root and
     every internal node whose branch exceeds tol, sorted by size and then by
     their members' natural keys."""
-    nodes = [frozenset([lab]) for lab in tree.leaf_labels]
-    for _, children in tree.merges:
-        nodes.append(frozenset().union(*(nodes[c] for c in children)))
-    root = len(nodes) - 1
-    sets = {nodes[k] for k in range(tree.n_leaves, root + 1)
-            if k == root or tree.lengths[k] > TOL}
-    ordered = sorted((sorted(c, key=natural_key) for c in sets),
-                     key=lambda c: (len(c), [natural_key(x) for x in c]))
-    return "|".join("{" + ",".join(c) + "}" for c in ordered)
+    return walk.canonical_str(tree.leaf_labels, tree.merges, tree.lengths, TOL)
+
+
+def writer_rows(n, labels, rng):
+    """Distance rows over n leaves for one canonical writer: two random
+    trees, a caterpillar whose runs lie 1.5 tol and 6 tol apart (so some
+    of its clades fall to the clade cut and some do not), and a star."""
+    rows = [ultrametric_of(random_equidistant_tree(n, 1.0, rng)).entries for _ in range(2)]
+    steps = [1.5 * TOL if k % 2 else 6 * TOL for k in range(n)]
+    tops = 1.0 + np.cumsum(steps)
+    first, second = np.triu_indices(n, k=1)
+    rows.append(tops[second])       # leaf j joins leaves 0..j-1 at tops[j] / 2
+    rows.append(np.full(n * (n - 1) // 2, 2.0))
+    return [Ultrametric(labels, row) for row in rows]
+
+
+@pytest.mark.parametrize("n", [*range(3, 13), 63, 64, 65, 80, 130])
+def test_canonical_writer_matches_label_set_reference(n):
+    # one writer over several rows, written whole and a row at a time:
+    # masks are uint64 up to 64 leaves and Python ints above, labels sort
+    # naturally ("t2" before "t10"), and the star row keeps no clade
+    labels = sorted_labels(f"t{k}" for k in range(1, n + 1))
+    rows = writer_rows(n, labels, sample_rng(19, n))
+    linkage = trees._single_linkages(np.stack([u.entries for u in rows]), n, TOL)[0]
+    assert linkage.masks.dtype == (np.uint64 if n <= 64 else object)
+    assert not linkage.kept[-1].any() and linkage.nodes[-2].sum() > linkage.kept[-2].sum() > 0
+    want = [reference_canonical_str(agglomerate(labels, u.entries)) for u in rows]
+    write = _linkages.canonical_strs(labels, linkage.masks, linkage.kept)
+    assert write(slice(None)) == want
+    assert [write(slice(k, k + 1))[0] for k in range(len(rows))] == want
+    assert [topology_of(agglomerate(labels, u.entries)).canonical_str() for u in rows] == want
+    assert want[-1] == "{" + ",".join(labels) + "}"
 
 
 MIXED = ("a", "B", "t2", "t10", "t1", "x9", "x10", "10", "9", "A1b2", "A1b10", "z")

@@ -21,6 +21,7 @@ leaves, the guard the table used before.
 
 import csv
 import gzip
+import hashlib
 import importlib.util
 import io
 import itertools
@@ -105,18 +106,18 @@ def disagreements(u, v, tol=TOL, midpoints=True):
 def oracle_csv(seg, precision, merges):
     """TreeSegment.to_csv as csv.writer writes it, with every entry and
     every branch length of the bends' merge schedules formatted where it
-    stands."""
+    stands, and each topology written from its clades as label sets."""
     fmt = f".{precision}g"
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["index", "lambda"] + [f"d({a},{b})" for a, b in seg.u.pairs()]
                     + ["newick", "topology"])
     for k, point in enumerate(seg.segment.bend_points):
+        lengths = trees._merge_lengths(seg.u.n, merges[k])
         writer.writerow([str(k), format(seg.segment.bend_parameters[k], fmt),
                          *[format(x, fmt) for x in point.tolist()],
-                         _newick_of_merges(seg.u.labels, merges[k],
-                                           trees._merge_lengths(seg.u.n, merges[k]), precision),
-                         seg.bend_topologies[k].canonical_str()])
+                         _newick_of_merges(seg.u.labels, merges[k], lengths, precision),
+                         walk.canonical_str(seg.u.labels, merges[k], lengths, seg.tol)])
     return buf.getvalue()
 
 
@@ -569,3 +570,125 @@ def test_newick_writer_matches_merge_writer(route, monkeypatch):
         linkage = trees._single_linkages(points, 120, TOL)[0]
         assert [*itertools.chain(*_linkages.newicks(u.labels, linkage, 10))] == merge_newicks(
             u.labels, [walk.single_linkage(p, 120, TOL) for p in points], 10)
+
+
+def golden_pairs():
+    for name in sorted(p.name for p in GOLDEN_CLI.iterdir()):
+        yield name, tuple(ultrametric_of(parse_newick((GOLDEN_CLI / name / f"t{k}.nwk")
+                                                      .read_text())) for k in (1, 2))
+
+
+def test_entry_pairs_match_the_row_unique(monkeypatch):
+    # the one-key unique of the segment writers gives the pairs and columns
+    # that a unique of the stacked (u, v) rows gives
+    pairs = [*benchmark_pairs(monkeypatch, [1]), *(pair for _, pair in golden_pairs())]
+    assert len(pairs) == 10
+    for u, v in pairs:
+        rows, columns = np.unique(np.stack((u.entries, v.entries), axis=1), axis=0,
+                                  return_inverse=True)
+        pu, pv, got = _linkages.entry_pairs(u.entries, v.entries)
+        assert np.stack((pu, pv), axis=1).tobytes() == rows.tobytes()
+        assert got.tolist() == columns.reshape(-1).tolist()
+
+
+def test_output_builds_no_topology(monkeypatch):
+    # CSV, JSON and Newick output, the bend count and repr read the bends'
+    # mask rows on both routes; the topologies are made on first access
+    made = []
+    real = trees.Topology._of_masks.__func__
+
+    def counted(cls, labels, masks):
+        made.append(labels)
+        return real(cls, labels, masks)
+
+    monkeypatch.setattr(trees.Topology, "_of_masks", classmethod(counted))
+    pairs = [pair for name, pair in golden_pairs() if name.startswith(("tolgaps", "random"))]
+    pairs.append(next(benchmark_pairs(monkeypatch, [1])))
+    for u, v in pairs:
+        for seg in both_routes(monkeypatch, u, v):
+            for write in (seg.to_csv, seg.to_json, seg.to_newick):
+                write(10, out=Sink())
+            assert repr(seg).startswith(f"TreeSegment(n={u.n}, bends={seg.n_bends},")
+            assert made == []
+    seg.bend_topologies
+    assert len(made) == seg.n_bends
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN_CLI.iterdir()))
+def test_topologies_on_first_access_match_point_readings(name, monkeypatch):
+    # on both routes, the lazy bend topologies are those of single linkage
+    # of each bend point, one at a time, and a piece's are its bends' union,
+    # or its midpoint's where the clean rule fails (the tolgaps goldens)
+    u, v = dict(golden_pairs())[name]
+
+    def read(point):
+        merges = walk.single_linkage(point, u.n, TOL)
+        return trees._topology_of_merges(u.labels, merges, trees._merge_lengths(u.n, merges), TOL)
+
+    for seg in both_routes(monkeypatch, u, v):
+        assert "bend_topologies" not in vars(seg) and "piece_topologies" not in vars(seg)
+        bends = [read(point) for point in seg.segment.bend_points]
+        pieces = [trees.Topology._of_masks(u.labels, a.masks | b.masks)
+                  for a, b in zip(bends, bends[1:])]
+        for k in seg._unclean.tolist():
+            pieces[k] = read(seg.segment.piece_midpoint(k))
+        assert seg.bend_topologies == bends and seg.piece_topologies == pieces
+        assert seg.bend_topologies is seg.bend_topologies
+        if name.startswith("tolgaps"):
+            assert len(seg._unclean) > 0
+
+
+#: sha256 of `segment --format csv` and `--format json` on pair 0 of the
+#: seed-1 segment-n80 benchmark inputs (80 leaves: masks are Python ints)
+N80_DIGESTS = {"csv": "ba6b33becfec511c58260dbd8b062d505ce7091d4a36ca1fb9319f88a8177428",
+               "json": "559172ea92b2114784f64a7bc74d1a940ee975c1fcfe55f0e24dca80d6af6612"}
+
+
+def test_segment_bytes_above_64_leaves(monkeypatch, tmp_path, capsys):
+    spec = importlib.util.spec_from_file_location("bench_gen", ROOT / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, gen)
+    spec.loader.exec_module(gen)
+    rng = gen.input_stream(1, "segment-n80", 0)
+    paths = [tmp_path / f"pair0{tag}.nwk" for tag in "ab"]
+    for path in paths:
+        path.write_text(gen.draw_tree(80, 1.0, rng).newick() + "\n")
+    for bound in (0, float("inf")):
+        monkeypatch.setattr(treespace, "_TABLE_MIN_ENTRIES", bound)
+        for fmt, digest in N80_DIGESTS.items():
+            assert cli.main(["segment", *map(str, paths), "--format", fmt]) == 0
+            out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def leaf_flags(n, masks):
+    """The leaf flags of an array of clade masks, shape (..., n)."""
+    width = -(-n // 8)
+    raw = np.frombuffer(b"".join(int(m).to_bytes(width, "big") for m in masks.reshape(-1).tolist()),
+                        dtype=np.uint8)
+    flags = np.unpackbits(raw.reshape(-1, width), axis=1)[:, 8 * width - n:]
+    return flags.reshape(masks.shape + (n,)).astype(bool)
+
+
+def test_table_parents_match_the_leaf_flag_pass(monkeypatch):
+    # the parents that the table reads level by level, and the branches
+    # from them, are those of the pass over the leaf flags of the same slots
+    pairs = [*(pair for _, pair in golden_pairs()), next(benchmark_pairs(monkeypatch, [1])),
+             *sampled_pairs([5, 9, 70], [1e-3, 1.0], range(2))]
+    checked = 0
+    for u, v in pairs:
+        table = _meets.MeetTable.of(u, v)
+        if table is None:
+            continue
+        params = tropical_segment(u.entries, v.entries, TOL).bend_parameters
+        middle = 0.5 * (params[:-1] + params[1:])
+        for shifts in (treespace._bend_shifts(params), treespace._shifts(middle)):
+            linkage = table.linkages(*shifts, TOL)[0]
+            lengths, parents = _linkages.leaf_depths(linkage.tops / 2.0,
+                                                     leaf_flags(u.n, linkage.masks),
+                                                     linkage.firsts)[1:]
+            nodes = np.append(np.ones((len(parents), u.n), dtype=bool), linkage.nodes, axis=1)
+            assert parents[nodes].tolist() == linkage.parents[nodes].tolist()
+            assert lengths[nodes].tobytes() == linkage.lengths[nodes].tobytes()
+            checked += len(parents)
+    assert checked > 1000

@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from troptree import (Topology, Ultrametric, check_clade_preservation,
                       parse_newick, segment_to_star, star_on_segment,
                       topology_of, topology_sequence, tree_of, tree_segment,
                       trop_dist, ultrametric_of, write_newick)
+from troptree.util import sorted_labels
 
 U_A = np.array([0.4, 0.8, 2.0, 0.8, 2.0, 2.0])
 U_B = np.array([0.8, 0.8, 2.0, 0.4, 2.0, 2.0])
@@ -425,3 +427,75 @@ def test_check_nni_theorem_random(n, seed):
 def test_check_clade_preservation_random(n, seed):
     t1, t2, leaves = tt.random_shared_clade_pair(n, 1.0, tt.sample_rng(seed, 0))
     assert check_clade_preservation(t1, t2, leaves)
+
+
+def per_bend_clade_preservation(t1, t2, leaves, tol=1e-9):
+    """check_clade_preservation as it checked every bend tree of the
+    segment on the tree route, one at a time."""
+    leaves = sorted_labels(set(leaves))
+    if not (tt.is_clade(t1, leaves, tol) and tt.is_clade(t2, leaves, tol)):
+        raise ValueError(f"{list(leaves)} is not a clade of both trees")
+
+    def induced(tree):
+        return topology_of(tree_of(ultrametric_of(tree, tol).restrict(leaves), tol), tol)
+
+    target = induced(t1)
+    if induced(t2) != target:
+        raise ValueError(f"the trees induce different topologies on {list(leaves)}")
+    return all(tt.is_clade(bend, leaves, tol) and induced(bend) == target
+               for bend in tree_segment(t1, t2, tol).bend_trees)
+
+
+def grid_shared_clade_pair(rng, n, m):
+    """Two trees on leaves 1..n sharing the clade 1..m with one induced
+    subtree, their node heights from a coarse grid plus offsets near tol:
+    ties, polytomies, and clades and runs about tol apart."""
+    offsets = (0.0, 0.5e-9, 1.5e-9, 3e-9)
+
+    def merge(D, members, heights):
+        while len(members) > 1:
+            picked = sorted(rng.choice(len(members), min(len(members), rng.integers(2, 4)),
+                                       replace=False).tolist())
+            h = (max(max(heights[k] for k in picked), rng.choice([0.1, 0.2, 0.3, 0.5, 0.8]))
+                 + rng.choice(offsets))
+            for x, y in itertools.combinations(picked, 2):
+                D[np.ix_(members[x], members[y])] = D[np.ix_(members[y], members[x])] = 2 * h
+            members = [g for k, g in enumerate(members) if k not in picked] + \
+                [[a for k in picked for a in members[k]]]
+            heights = [g for k, g in enumerate(heights) if k not in picked] + [h]
+        return heights[0]
+
+    inner = np.zeros((n, n))
+    top = merge(inner, [[k] for k in range(m)], [0.0] * m)
+    labels = tuple(str(k) for k in range(1, n + 1))
+    trees = []
+    for _ in range(2):
+        D = inner.copy()
+        merge(D, [list(range(m))] + [[k] for k in range(m, n)], [top] + [0.0] * (n - m))
+        trees.append(tree_of(Ultrametric(labels, D[np.triu_indices(n, k=1)])))
+    return trees[0], trees[1], labels[:m]
+
+
+def outcome(check, *args):
+    try:
+        return check(*args)
+    except tt.TropTreeError as err:
+        return type(err).__name__, str(err)
+    except ValueError as err:
+        return "ValueError", str(err)
+
+
+def test_clade_preservation_matches_per_bend_loop(monkeypatch):
+    # the same answer, or the same error, as the loop over bend trees: on
+    # sampled pairs at three heights, and on grid pairs near tol, with the
+    # clean rule as it is and with every bend sent to the tree route
+    cases = [tt.random_shared_clade_pair(4 + k % 7, height, tt.sample_rng(61, k))
+             for height in (1e-3, 1.0, 1e3) for k in range(12)]
+    rng = np.random.default_rng(62)
+    cases += [grid_shared_clade_pair(rng, n, m) for n in range(4, 10) for m in range(2, n)
+              for _ in range(3)]
+    want = [outcome(per_bend_clade_preservation, *case) for case in cases]
+    assert {w if isinstance(w, bool) else w[0] for w in want} >= {True, "ValueError"}
+    assert [outcome(check_clade_preservation, *case) for case in cases] == want
+    monkeypatch.setattr(tt.treespace, "_is_clean", lambda widths, gaps, tol: widths < 0)
+    assert [outcome(check_clade_preservation, *case) for case in cases] == want

@@ -15,7 +15,9 @@ balls around its leaves (`ball_clusters`), as the table read them before
 it read them by single linkage.  So is the union-find that merged the
 spanning tree of one distance vector at a time (`merge_runs`, through
 `single_linkage`), before every vector went through the batched pass of
-`trees._single_linkages`."""
+`trees._single_linkages`.  And the canonical string of a topology is
+written here from its clades as label sets (`canonical_str`), without the
+bitmask ranks of `_linkages.canonical_strs`."""
 
 import itertools
 import math
@@ -277,6 +279,20 @@ def topology_of(root, tol):
 
     visit(root)
     return Topology._of_masks(labels, masks)
+
+
+def canonical_str(labels, merges, lengths, tol):
+    """The canonical string of a merge schedule's topology, from its clades
+    as label sets: the root and every internal node whose branch exceeds
+    tol, sorted by size and then by their members' natural keys."""
+    nodes = [frozenset([lab]) for lab in labels]
+    for _, children in merges:
+        nodes.append(frozenset().union(*(nodes[c] for c in children)))
+    root = len(nodes) - 1
+    sets = {nodes[k] for k in range(len(labels), root + 1) if k == root or lengths[k] > tol}
+    ordered = sorted((sorted(c, key=natural_key) for c in sets),
+                     key=lambda c: (len(c), [natural_key(x) for x in c]))
+    return "|".join("{" + ",".join(c) + "}" for c in ordered)
 
 
 def clade_table(root, labels=None):

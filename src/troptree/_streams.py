@@ -20,8 +20,8 @@ four words of block c of a stream are a pure function of its key and c
   random integer generation in an interval", ACM TOMACS 29).  A half left
   over by the first tree's pair draws is the second tree's first, as the
   ``Generator`` keeps it, so a sample spends 5n - 8 words;
-* :func:`rows` writes the ultrametric row of every draw with the float
-  additions of :func:`~troptree.trees._distances_of_merges`.
+* :func:`rows` writes every draw's ultrametric row, as a column, with the
+  float additions of :func:`~troptree.trees._distances_of_merges`.
 
 :func:`block_draws` chains the first three for a block of samples of either
 experiment.  Lemire's method redraws when the low word of its product falls
@@ -47,11 +47,12 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _POOL = 4
 
-# Philox4x64's round multipliers and Weyl key increments, one per word of a pair
+_32 = np.uint64(32)
+# Philox4x64's round multipliers, their 32-bit halves and Weyl key increments, per word
 _PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64)[:, None, None]
+_PHILOX_M1, _PHILOX_M0 = _PHILOX_M >> _32, _PHILOX_M & _MASK32
 _PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64)[:, None, None]
 _ROUNDS = 10
-_32 = np.uint64(32)
 
 
 def _mix(x, y):
@@ -106,16 +107,6 @@ def keys(seed: int, indices: np.ndarray) -> np.ndarray:
     return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=-1)
 
 
-def _mulhilo(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The high and low 64-bit words of the 128-bit products a * b of uint64
-    arrays, from the four products of their 32-bit halves."""
-    a1, a0 = a >> _32, a & _MASK32
-    b1, b0 = b >> _32, b & _MASK32
-    p00, p01, p10 = b0 * a0, b0 * a1, b1 * a0
-    carry = (p00 >> _32) + (p01 & _MASK32) + (p10 & _MASK32)
-    return b1 * a1 + (p01 >> _32) + (p10 >> _32) + (carry >> _32), b * a
-
-
 def philox(key: np.ndarray, blocks: int) -> np.ndarray:
     """Words 0..4*blocks-1 of the Philox4x64-10 stream of every key in
     `key` (shape (streams, 2) uint64), shape (streams, 4*blocks): counter
@@ -134,8 +125,11 @@ def philox(key: np.ndarray, blocks: int) -> np.ndarray:
     for r in range(_ROUNDS):
         if r:
             k = k + _PHILOX_W
-        hi, lo = _mulhilo(_PHILOX_M, x)
-        x, y = hi[::-1] ^ y ^ k, lo[::-1]
+        # the high words of M * x from 32-bit halves, as Hacker's Delight's mulhu
+        x1, x0 = x >> _32, x & _MASK32
+        t = x1 * _PHILOX_M0 + (x0 * _PHILOX_M0 >> _32)
+        hi = x1 * _PHILOX_M1 + (t >> _32) + (x0 * _PHILOX_M1 + (t & _MASK32) >> _32)
+        x, y = hi[::-1] ^ y ^ k, (x * _PHILOX_M)[::-1]
     return np.stack([x[0], y[0], x[1], y[1]], axis=-1).reshape(streams, 4 * blocks)
 
 
@@ -226,25 +220,27 @@ def rows(n: int, heights: np.ndarray, first: np.ndarray, second: np.ndarray,
     depths right after the merge that joins them.  The depths are kept
     after every step.  The step that joins a pair is read from the leaf
     order in which each merge puts its first lineage before its second: it
-    is the largest step that splits the leaves between the two."""
+    is the largest step that splits the leaves between the two.  Arrays
+    hold a column per draw, and the rows view the (entries, draws) result:
+    each step and reduction runs along the draws, not along n."""
     count = len(heights)
-    lineage = np.broadcast_to(np.arange(n), (count, n)).copy()      # each leaf's position
-    top = np.zeros((count, n))                                      # its lineage's height
-    depth = np.zeros((count, n))
-    depths = np.empty((count, n - 1, n))
-    seconds = np.empty((count, n - 1, n), dtype=bool)     # the leaves of each step's j
-    firsts = np.empty((count, n - 1), dtype=np.int32)     # and the size of its i
-    above = np.empty((count, n), dtype=bool)
-    for m in range(n - 1):
-        i, j, h = first[:, m, None], second[:, m, None], heights[:, m, None]
+    lineage = np.arange(n).repeat(count).reshape(n, count)    # each leaf's position
+    top = np.zeros((n, count))                                # its lineage's height
+    depth = np.zeros((n, count))
+    depths = np.empty((n - 1, n, count))
+    seconds = np.empty((n - 1, n, count), dtype=bool)   # the leaves of each step's j
+    firsts = np.empty((n - 1, count), dtype=np.int32)   # and the size of its i
+    above = np.empty((n, count), dtype=bool)
+    joins = None if members is None else members.transpose(1, 2, 0)
+    for m, (h, i, j) in enumerate(zip(heights.T, first.T, second.T)):
         in_i = lineage == i
-        in_j = np.equal(lineage, j, out=seconds[:, m])
-        joined = np.logical_or(in_i, in_j, out=None if members is None else members[:, m])
+        in_j = np.equal(lineage, j, out=seconds[m])
+        joined = np.logical_or(in_i, in_j, out=None if joins is None else joins[m])
         # heights never fall along a schedule, so no branch is clamped at 0
         np.add(depth, h - top, out=depth, where=joined)
-        depths[:, m] = depth
+        depths[m] = depth
         np.copyto(top, h, where=joined)
-        np.sum(in_i, axis=1, out=firsts[:, m])
+        np.sum(in_i, axis=0, out=firsts[m])
         # pop j, pop i, append the merged lineage
         np.subtract(lineage, np.greater(lineage, j, out=above), out=lineage)
         np.subtract(lineage, np.greater(lineage, i, out=above), out=lineage)
@@ -252,22 +248,22 @@ def rows(n: int, heights: np.ndarray, first: np.ndarray, second: np.ndarray,
     # a leaf's place in the leaf order: the sizes of the first lineages of
     # the merges where it is in the second; each step splits the gap before
     # its second lineage's first leaf
-    place = (seconds * firsts[:, :, None]).sum(axis=1, dtype=np.int32)
-    gap = np.where(seconds, place[:, None, :], n).min(axis=2) - 1
-    row = np.arange(count)[:, None]
+    place = (seconds * firsts[:, None]).sum(axis=0, dtype=np.int32)
+    gap = np.where(seconds, place, n).min(axis=1) - 1
+    col = np.arange(count)
     # each gap's step, as the offset of that step's depths in `depths`
-    gap_at = np.empty((count, n - 1), dtype=np.intp)
-    gap_at[row, gap] = row * ((n - 1) * n) + np.arange(n - 1) * n
-    join = np.zeros((count, n, n), dtype=np.intp)
+    gap_at = np.empty((n - 1, count), dtype=np.intp)
+    gap_at[gap, col] = np.arange(n - 1)[:, None] * (n * count) + col
+    join = np.zeros((n, n, count), dtype=np.intp)
     for p in range(n - 1):
-        np.maximum.accumulate(gap_at[:, p:], axis=1, out=join[:, p, p + 1:])
-    join += join.transpose(0, 2, 1)
+        np.maximum.accumulate(gap_at[p:], axis=0, out=join[p, p + 1:])
+    join += join.transpose(1, 0, 2)
     x, y = np.triu_indices(n, k=1)
-    at = join.ravel().take((place * n + row * (n * n))[:, x] + place[:, y])
+    at = join.ravel().take((place[x] * n + place[y]) * count + col)
     depths = depths.ravel()
-    out = depths.take(at + x)
-    out += depths.take(at + y)
-    return out
+    out = depths.take(at + x[:, None] * count)
+    out += depths.take(at + y[:, None] * count)
+    return out.T
 
 
 def sample_draws(seed: int, first: int, count: int, n: int, height: float,
@@ -309,12 +305,11 @@ def block_draws(cfg: SampleConfig, first: int, count: int,
     return heights, i, j
 
 
-def star_rows(cfg: SampleConfig, first: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The u and v rows of samples first..first+count-1 (:func:`block_draws`)."""
+def star_rows(cfg: SampleConfig, first: int, count: int) -> np.ndarray:
+    """The rows of samples first..first+count-1 (:func:`block_draws`), u and
+    v in turn: a view of :func:`rows`' leaf-major array."""
     n = cfg.n
     # sums past the float range are inf, as in Python floats, and the
     # distance check names them
     with np.errstate(over="ignore"):
-        out = rows(n, *(a.reshape(2 * count, n - 1) for a in block_draws(cfg, first, count)))
-    out = out.reshape(count, 2, -1)
-    return out[:, 0], out[:, 1]
+        return rows(n, *(a.reshape(2 * count, n - 1) for a in block_draws(cfg, first, count)))

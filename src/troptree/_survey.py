@@ -58,9 +58,10 @@ def _survey_block(cfg: SampleConfig, labels: tuple[str, ...], first: int, stop: 
     heights, i, j = (x.reshape(2 * count, n - 1) for x in _streams.block_draws(cfg, first, count))
     members = np.empty((2 * count, n - 1, n), dtype=bool)
     # sums past the float range are inf, as in Python floats, and the
-    # distance check names them
+    # distance check names them; the segment passes read the rows in
+    # sample order, so they are made contiguous once
     with np.errstate(over="ignore"):
-        rows = _streams.rows(n, heights, i, j, members)
+        rows = np.ascontiguousarray(_streams.rows(n, heights, i, j, members))
     unequal = _linkages.unequal(_linkages.leaf_depths(heights, members)[0], tol)
     squares = np.concatenate((rows, np.zeros((len(rows), 1))), axis=1)[:, square_index(n)]
     faults = [_invalid_distances(rows), _violating_triple(squares, tol)]

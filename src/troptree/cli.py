@@ -57,13 +57,11 @@ def _load_tree(path: str) -> RootedTree:
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
     try:
-        text = data.decode("utf-8")
-        return parse_newick(text)
+        return parse_newick(data.decode("utf-8"))
     except UnicodeDecodeError as exc:
         raise NewickParseError(f"{path}: not UTF-8 ({exc.reason})", exc.start) from None
-    except NewickParseError as exc:     # its offset indexes the text, not the file's bytes
-        raise NewickParseError(f"{path}: {exc.message}",
-                               len(text[:exc.offset].encode("utf-8"))) from None
+    except NewickParseError as exc:
+        raise NewickParseError(f"{path}: {exc.message}", exc.offset) from None
 
 
 class _Stdout:

@@ -8,8 +8,8 @@ class TropTreeError(ValueError):
 
 
 class NewickParseError(TropTreeError):
-    """Malformed Newick input.  `offset` is the index of the problem into
-    the string parsed, its byte offset if the text is ASCII."""
+    """Malformed Newick input.  `offset` is the byte offset of the problem
+    in the UTF-8 encoding of the string parsed."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (at byte {offset})")

@@ -12,7 +12,7 @@ Dialect rules:
 * whitespace is insignificant.
 
 Errors are reported as :class:`~troptree.errors.NewickParseError` with the
-offset of the offending character, an index into the string.
+byte offset of the offending character in the string's UTF-8 encoding.
 """
 
 from __future__ import annotations
@@ -208,9 +208,11 @@ def parse_newick(text: str) -> RootedTree:
     One match of ``_NODE`` reads each node.  Internal nodes close in
     left-to-right postorder, and n leaves have n - 1 commas, so the m-th to
     close is node n + m: the tree's form but for the leaves' ranks.  Raises
-    :class:`NewickParseError`, its offset an index into `text`, on any
+    :class:`NewickParseError`, its offset in `text`'s UTF-8 bytes, on any
     input that violates the dialect.
     """
+    def fail(message: str, at: int) -> NewickParseError:    # at: an index into text
+        return NewickParseError(message, len(text[:at].encode("utf-8")))
     n = text.count(",") + 1
     leaves = {}                         # label -> k, for the k-th leaf to appear
     children = []                       # of node n + m
@@ -227,13 +229,13 @@ def parse_newick(text: str) -> RootedTree:
                         stack.append((at, below))
                         below = []
             if not label:
-                raise NewickParseError("expected a leaf label or '('", m.start(2))
+                raise fail("expected a leaf label or '('", m.start(2))
             if label in leaves:
-                raise NewickParseError(f"duplicate leaf label {label!r}", m.start(2))
+                raise fail(f"duplicate leaf label {label!r}", m.start(2))
             node = leaves[label] = len(leaves)
         elif opens:                     # an internal label never starts with '('
-            raise NewickParseError("missing branch length on a non-root node" if stack
-                                   else "expected ';' terminating the tree", m.start())
+            raise fail("missing branch length on a non-root node" if stack
+                       else "expected ';' terminating the tree", m.start())
         if token is not None:
             if not sep:                 # then any digits, like '²', that isdigit takes
                 end = m.end(3)
@@ -241,22 +243,22 @@ def parse_newick(text: str) -> RootedTree:
                     end += 1
                 token = text[m.start(3):end]
             if not token:
-                raise NewickParseError("expected a branch length after ':'", m.start(3))
+                raise fail("expected a branch length after ':'", m.start(3))
             try:
                 length = float(token)
             except ValueError:
-                raise NewickParseError(f"invalid branch length {token!r}", m.start(3)) from None
+                raise fail(f"invalid branch length {token!r}", m.start(3)) from None
             if not 0 <= length < math.inf:
-                raise NewickParseError(f"negative branch length {token}" if length < 0
-                                       else f"branch length {token} overflows", m.start(3))
+                raise fail(f"negative branch length {token}" if length < 0
+                           else f"branch length {token} overflows", m.start(3))
             lengths[node] = length
         elif stack:
-            raise NewickParseError("missing branch length on a non-root node", m.start(4))
+            raise fail("missing branch length on a non-root node", m.start(4))
         if not stack:
             if sep != ";":
-                raise NewickParseError("expected ';' terminating the tree", m.start(4))
+                raise fail("expected ';' terminating the tree", m.start(4))
             if m.end() < len(text):
-                raise NewickParseError("trailing content after ';'", m.end())
+                raise fail("trailing content after ';'", m.end())
             tree = object.__new__(RootedTree)
             tree._set(list(leaves), children, lengths)
             return tree
@@ -265,13 +267,13 @@ def parse_newick(text: str) -> RootedTree:
             node = None
         elif sep == ")":
             if len(below) < 2:
-                raise NewickParseError("internal node needs at least 2 children", stack[-1][0])
+                raise fail("internal node needs at least 2 children", stack[-1][0])
             node = n + len(children)
             children.append(below)
             below = stack.pop()[1]
         else:
-            raise NewickParseError("expected ',' or ')' (unbalanced parentheses?)",
-                                   m.start(4) if m.start(4) < len(text) else stack[-1][0])
+            raise fail("expected ',' or ')' (unbalanced parentheses?)",
+                       m.start(4) if m.start(4) < len(text) else stack[-1][0])
 
 
 def write_newick(tree: RootedTree, precision: int = 10) -> str:

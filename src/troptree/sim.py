@@ -310,13 +310,12 @@ def estimate_star_probability(cfg: SampleConfig) -> ExperimentReport:
     block = _star_block_rows(cfg.n)
     hits = 0
     for first in range(0, cfg.samples, block):
-        u, v = star_rows(cfg, first, min(block, cfg.samples - first))
-        # the per-sample loop checks a sample's u before its v, and would
-        # have height-checked every sample before the first invalid one
-        faults = [f for f in (_invalid_distances(u), _invalid_distances(v)) if f is not None]
-        bad = min(faults, key=lambda f: f[0], default=None)
-        valid = len(u) if bad is None else bad[0]
-        hits += int(np.count_nonzero(star_crossings(u[:valid], v[:valid])))
+        rows = star_rows(cfg, first, min(block, cfg.samples - first))
+        # u and v in turn, as the per-sample loop checks them; it would have
+        # height-checked every sample before the first invalid one
+        bad = _invalid_distances(rows)
+        valid = len(rows) if bad is None else bad[0] - bad[0] % 2
+        hits += int(np.count_nonzero(star_crossings(rows[0:valid:2], rows[1:valid:2])))
         if bad is not None:
             raise TropTreeError(bad[1])
     return ExperimentReport(

@@ -269,9 +269,10 @@ class TreeSegment:
     coordinate segment to the u end (from the second input tree of
     :func:`tree_segment` to the first).  Positions along the segment
     interleave bends and pieces: ``2*k`` is bend k and ``2*k + 1`` is the
-    open piece between bends k and k+1.  Nothing re-checks the three-point
-    condition, so `u` and `v` must already have passed
-    :func:`require_ultrametric` (as in :func:`tree_segment`).
+    open piece between bends k and k+1.  `u` and `v` take
+    :func:`require_ultrametric` where the candidate table's guard, the
+    three-point condition at tol 0, does not stand in for it: no triple
+    fails at a tol >= 0 where the guard holds.
 
     The bend topologies are read from the clusters of each bend, without
     building a tree: the nodes of the single-linkage dendrogram of its
@@ -334,6 +335,8 @@ class TreeSegment:
             from . import _meets
             found = _meets.segment_linkages(u, v, segment.bend_parameters, tol)
         if found is None:
+            require_ultrametric(u, tol)
+            require_ultrametric(v, tol)
             from . import _linkages
             found = _linkages.segment_linkages(u.labels, segment.u[None], segment.v[None],
                                                tol)[2:]
@@ -473,12 +476,9 @@ def tree_segment(t1: RootedTree, t2: RootedTree, tol: float = DEFAULT_TOL) -> Tr
     require_same_leaves(t1.leaf_labels, t2.leaf_labels)
     u = ultrametric_of(t1, tol)
     v = ultrametric_of(t2, tol)
-    require_ultrametric(u, tol)
-    require_ultrametric(v, tol)
-    if u.n < 3:
+    if u.n < 3:     # no triple of fewer leaves fails the three-point condition
         raise TropTreeError(f"a tree segment needs at least 3 leaves, got {u.n}")
-    seg = tropical_segment(u.entries, v.entries, tol)
-    return TreeSegment(u, v, seg, tol)
+    return TreeSegment(u, v, tropical_segment(u.entries, v.entries, tol), tol)
 
 
 def topology_sequence(seg: TreeSegment) -> list[Topology]:

@@ -154,9 +154,12 @@ def test_flat_natural_key_sorts_as_the_nested_key():
 
 
 def test_parse_error_offsets_index_the_string():
+    # the offset is into the string's UTF-8 bytes: 'é' takes two
+    text = "(é:1,b:-1);"
     with pytest.raises(NewickParseError) as err:
-        parse_newick("(é:1,b:-1);")
-    assert err.value.offset == 7 and "(é:1,b:-1);"[7] == "-"
+        parse_newick(text)
+    assert err.value.offset == 8 and text.encode("utf-8")[8:9] == b"-"
+    assert str(err.value) == "negative branch length -1 (at byte 8)"
 
 
 @settings(max_examples=100, deadline=None)

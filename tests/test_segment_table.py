@@ -35,7 +35,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tree_walks as walk
-from troptree import (DEFAULT_TOL, NotEquidistantError, TreeSegment, Ultrametric,
+from troptree import (DEFAULT_TOL, NotEquidistantError, TreeSegment, TropTreeError, Ultrametric,
                       parse_newick, random_equidistant_tree, sample_rng, tree_segment,
                       tropical_segment, ultrametric_of, write_newick)
 from troptree import _linkages, _meets, cli, treespace, trees
@@ -354,6 +354,74 @@ def test_guard_sends_last_bit_variants_to_single_linkage(monkeypatch):
         if refused == 3:
             break
     assert refused == 3
+
+
+def test_table_guard_stands_in_for_the_triple_search(monkeypatch):
+    # the guard is the three-point condition at tol 0, so where it holds no
+    # triple fails at a tol >= 0 and a segment read from the table runs no
+    # search; every other segment searches both endpoints before single
+    # linkage reads it, and raises what the search raises, in the same order
+    searched = []
+    search = treespace._violating_triple
+
+    def counted(D, tol):
+        searched.append(tol)
+        return search(D, tol)
+
+    monkeypatch.setattr(treespace, "_violating_triple", counted)
+    checked = []
+
+    def checked_segment(t1, t2, tol):
+        """What tree_segment did before the table's guard stood in for the
+        triple search: both endpoints searched, u then v, then the segment
+        read with the searches counted out."""
+        u, v = ultrametric_of(t1, tol), ultrametric_of(t2, tol)
+        try:
+            treespace.require_ultrametric(u, tol)
+            treespace.require_ultrametric(v, tol)
+        finally:
+            checked.append(len(searched))
+        with monkeypatch.context() as patch:
+            patch.setattr(treespace, "_violating_triple", search)
+            return TreeSegment(u, v, tropical_segment(u.entries, v.entries, tol), tol)
+
+    def outcome(build, t1, t2, tol):
+        try:
+            return "read", build(t1, t2, tol).to_csv(17)
+        except TropTreeError as exc:
+            return "raised", f"{type(exc).__name__}: {exc}"
+
+    routes = {"table": 0, "refused": 0, "small": 0, "raised": 0, "skipped": 0}
+    pairs = [tuple(parse_newick((GOLDEN_CLI / "random_n32_seed32" / f"t{k}.nwk").read_text())
+                   for k in (1, 2))]
+    for n, height, seed in itertools.product([6, 12, 32], [1e-3, 1e3], range(4)):
+        rng = sample_rng(seed, n)
+        pairs.append((random_equidistant_tree(n, height, rng),
+                      random_equidistant_tree(n, height, rng)))
+    for t1, t2 in pairs:
+        u, v = ultrametric_of(t1), ultrametric_of(t2)
+        seg = tropical_segment(u.entries, v.entries, TOL)
+        large = len(seg.bend_parameters) * u.e >= treespace._TABLE_MIN_ENTRIES
+        guarded = large and _meets.MeetTable.of(u, v) is not None
+        routes["table" if guarded else "refused" if large else "small"] += 1
+        for tol in (TOL, 0.0, -TOL):
+            searched.clear()
+            got = outcome(tree_segment, t1, t2, tol)
+            calls = len(searched)
+            searched.clear()
+            checked.clear()
+            assert got == outcome(checked_segment, t1, t2, tol)
+            # the searches that the checked route ran: none if an
+            # equidistance check raised first, one if u's search raised; a
+            # bend that fails the equidistance check on the table sends the
+            # segment to single linkage, which searches and then raises
+            read = guarded and got[0] == "read"
+            assert calls == (0 if read else sum(checked)), (tol, got)
+            routes["raised"] += got[1].startswith("NotUltrametricError")
+            routes["skipped"] += read
+            if tol < 0:     # every tree fails the equidistance check first
+                assert got[1].startswith("NotEquidistantError") and calls == 0
+    assert min(routes.values()) > 0, routes
 
 
 def test_large_segment_runs_single_linkage_only_on_its_endpoints(monkeypatch):

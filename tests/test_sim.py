@@ -368,6 +368,11 @@ GOLDEN = Path(__file__).parent / "golden"
     # at odd n a half word carries over between a sample's two draws
     ("nni_conjecture_n5_seed1.json", check_nni_conjecture,
      SampleConfig(n=5, samples=200, seed=1)),
+    # blocks of 496 and 172 samples, where the entries bound sets the size
+    ("star_prob_n12_seed1.json", estimate_star_probability,
+     SampleConfig(n=12, samples=2000, seed=1)),
+    ("star_prob_n20_seed1.json", estimate_star_probability,
+     SampleConfig(n=20, samples=500, seed=1)),
 ])
 def test_report_golden(name, experiment, cfg):
     # byte for byte; the n = 6 survey holds 429 transitions, 390 single-NNI,

@@ -13,6 +13,7 @@ import troptree as tt
 from troptree import SampleConfig, _streams, estimate_star_probability, sample_rng
 from troptree.cli import main
 from troptree.sim import _merges_of, _schedule
+from troptree.treespace import _invalid_distances, star_crossings
 from troptree.trees import _distances_of_merges, _merge_lengths
 
 #: Seeds of one, two and five uint32 words.
@@ -66,6 +67,64 @@ def test_block_draws_match_scalar_draws():
                     assert rng.bit_generator.random_raw() == words[k, spent]
                     streams += 1
     assert streams >= 1000
+
+
+@pytest.mark.parametrize("n", range(2, 21))
+def test_leaf_major_rows_match_sample_major_rows(n):
+    # whole blocks, from one draw to the entries bound's block, at heights
+    # whose sums reach the float range: rows bit for bit against the
+    # sample-major writer and, on a spread of draws, _distances_of_merges;
+    # the leaves below each step as the sample-major writer gives them
+    for count in sorted({1, 7, 512, tt.sim._star_block_rows(n)}):
+        for height in (1e-3, 1.0, 1e3, 1e308):
+            h, i, j, _ = _streams.sample_draws(5, 0, count, n, height)
+            h, i, j = (a.reshape(2 * count, n - 1) for a in (h, i, j))
+            members = np.empty((2 * count, n - 1, n), dtype=bool)
+            want_members = np.empty_like(members)
+            with np.errstate(over="ignore"):
+                rows = _streams.rows(n, h, i, j, members)
+                want = star_loop.sample_major_rows(n, h, i, j, want_members)
+                assert _streams.rows(n, h, i, j).tobytes() == rows.tobytes()
+            assert rows.shape == (2 * count, n * (n - 1) // 2)
+            assert rows.tobytes() == want.tobytes(), (n, count, height)
+            assert np.array_equal(members, want_members), (n, count, height)
+            for t in sorted({*range(0, 2 * count, 61), 2 * count - 1}):
+                merges = _streams.draw_merges(n, h[t], i[t], j[t])
+                row = _distances_of_merges(n, merges, _merge_lengths(n, merges))
+                assert rows[t].tobytes() == np.array(row).tobytes(), (n, count, height, t)
+
+
+@pytest.mark.parametrize("n, height, samples, seed", [
+    (4, 1.0, 512, 1), (12, 1.0, 496, 1), (20, 1e9, 300, 2),
+    (4, 5e-324, 512, 1), (6, 1e308, 64, 1),
+])
+def test_checks_read_strided_rows_as_contiguous_ones(n, height, samples, seed):
+    # the star experiment checks views of the leaf-major rows, u and v in
+    # turn: the distance checks and the star test, with their messages,
+    # are those of contiguous copies, on zero rows and infinite rows too
+    rows = _streams.star_rows(SampleConfig(n=n, height=height, samples=samples, seed=seed),
+                              0, samples)
+    assert not rows.flags.c_contiguous
+    copy = np.ascontiguousarray(rows)
+    assert rows.tobytes() == copy.tobytes()
+
+    def answers(x):
+        found = [_invalid_distances(part) for part in (x, x[0::2], x[1::2], x[5:40:3])]
+        try:
+            with np.errstate(invalid="ignore"):     # inf - inf in the height check
+                found.append(star_crossings(x[0::2], x[1::2]).tolist())
+        except tt.TropTreeError as exc:
+            found.append(str(exc))
+        return found
+
+    got = answers(rows)
+    assert got == answers(copy)
+    if height == 5e-324:
+        assert got[0][1] == "all pairwise distances must be positive"
+    if height == 1e308:
+        assert got[0][1] == "all pairwise distances must be finite"
+    if height == 1e9:
+        assert got[-1].startswith("height mismatch: ")
 
 
 def test_two_word_spawn_keys_are_flagged():
@@ -191,6 +250,8 @@ def test_star_reports_match_per_sample_loop_across_a_natural_block(n):
     # the absolute tolerance of 1e-9 lies below the rounding of the heights
     (20, 1e9, 300, 2, "height mismatch: 1000000000 vs 1000000000"),
     (4, 5e-324, 10, 1, "all pairwise distances must be positive"),
+    # the first invalid row is sample 4's v, after its valid u
+    (3, 1e-323, 10, 2, "all pairwise distances must be positive"),
     # sums past the largest float are inf, with no warning on the way
     (4, 1e308, 5, 1, "all pairwise distances must be finite"),
 ])

@@ -13,10 +13,12 @@ after the nodes inside it, which the candidate table of a large segment
 branch, and with :func:`unequal` they are the equidistance check of
 :func:`~troptree.trees._equidistance_error` on arrays, in its float order.
 :func:`newicks` and :func:`merges` write each row's tree.
-:func:`segment_linkages` reads the bends and pieces of a block of tree
-segments by single linkage (the NNI survey's blocks, and the single-linkage
-route of :class:`~troptree.treespace.TreeSegment`), and :func:`segment_rows`
-writes their topologies as rows of clade masks for the survey.  Imported by
+:func:`segment_linkages` is the one reader of the bends and pieces of tree
+segments: of the NNI survey's blocks, by single linkage, and of both routes
+of :class:`~troptree.treespace.TreeSegment`, which hands it its own bend
+parameters and, on the table route, the candidate table as its point
+reader.  :func:`segment_rows` writes their topologies as rows of clade
+masks for the survey.  Imported by
 the first batched pass, so that ``import troptree.cli`` does not load it.
 """
 
@@ -298,19 +300,15 @@ def within(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, :, None] == b[:, None, :]).any(axis=2)
 
 
-def bend_points(u: np.ndarray, v: np.ndarray, tol: float,
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def bend_parameters(u: np.ndarray, v: np.ndarray, tol: float,
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The bends of the segments from the rows of v to those of u, from one
-    sort of the stacked v - u: each bend's segment, its parameter and its
-    point, bit for bit as :class:`~troptree.tropical.TropicalSegment` gives
-    them, and whether it is its segment's last."""
+    sort of the stacked v - u: each bend's segment, its parameter, bit for
+    bit as :attr:`~troptree.tropical.TropicalSegment.bend_parameters` gives
+    it, and whether it is its segment's last."""
     lam = _lambdas(u, v)
     segment, column = np.nonzero(_bend_starts(lam, tol))
-    params = lam[segment, column]
-    last = np.ones(len(params), dtype=bool)
-    last[:-1] = segment[1:] != segment[:-1]
-    return (segment, params, _shifted_max(u[segment], v[segment], *_bend_shifts(params, last)),
-            last)
+    return segment, lam[segment, column], np.append(segment[1:] != segment[:-1], True)
 
 
 def topology_rows(n: int, linkage: Linkage) -> np.ndarray:
@@ -332,28 +330,41 @@ def _raise_at(labels: tuple[str, ...], linkage: Linkage, row: int, tol: float) -
 
 
 def segment_linkages(labels: tuple[str, ...], u: np.ndarray, v: np.ndarray, tol: float,
+                     params: np.ndarray | None = None,
+                     read: Callable | None = None,
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, Linkage, Linkage | None]:
-    """The single linkage of the segments from the rows of v to those of
+    """The bends and pieces of the segments from the rows of v to those of
     u, as :class:`~troptree.treespace.TreeSegment` reads them: the segment
     of each bend; the first bend of each piece; those of the pieces where
     the clean rule fails at either bend, which take the topology of their
-    midpoint; the :class:`Linkage` of the bends (:func:`bend_points`), and
-    that of those midpoints (None without one), each from one pass of
-    :func:`~troptree.trees._single_linkages`.  Raises what the tree route
-    raises at the first segment with a bend or a piece midpoint that fails
-    the equidistance check."""
+    midpoint; the :class:`Linkage` of the bends, and that of those
+    midpoints (None without one).  The bends are those of
+    :func:`bend_parameters`, or the bend parameters `params` of one
+    segment, u and v one row each.  ``read(rows, a, b)`` reads the points
+    max(u[rows] + a, v[rows] + b): their :class:`Linkage` and the widest run
+    and narrowest gap of each, by default in one pass of
+    :func:`~troptree.trees._single_linkages`; the candidate table of one
+    segment reads them from its meets.  Raises what the tree route raises
+    at the first segment with a bend or a piece midpoint that fails the
+    equidistance check."""
     n = len(labels)
-    segment, params, points, last = bend_points(u, v, tol)
-    linkage, widths, gaps = _trees._single_linkages(points, n, tol)
+    if params is None:
+        segment, params, last = bend_parameters(u, v, tol)
+    else:
+        segment = np.zeros(len(params), dtype=np.intp)
+        last = np.arange(len(params)) == len(params) - 1
+    if read is None:
+        def read(rows, a, b):
+            return _trees._single_linkages(_shifted_max(u[rows], v[rows], a, b), n, tol)
+    linkage, widths, gaps = read(segment, *_bend_shifts(params, last))
     clean = _is_clean(widths, gaps, tol)
     left = np.flatnonzero(~last)
     unclean = left[~(clean[left] & clean[left + 1])]
     midlinkage = None
     flagged = [(segment[k], 0, linkage, k) for k in np.flatnonzero(linkage.unequal)[:1]]
     if unclean.size:
-        mids = _shifted_max(u[segment[unclean]], v[segment[unclean]],
-                            *_shifts(0.5 * (params[unclean] + params[unclean + 1])))
-        midlinkage = _trees._single_linkages(mids, n, tol)[0]
+        midlinkage = read(segment[unclean],
+                          *_shifts(0.5 * (params[unclean] + params[unclean + 1])))[0]
         flagged += [(segment[unclean[k]], 1, midlinkage, k)
                     for k in np.flatnonzero(midlinkage.unequal)[:1]]
     # the tree route reads every bend of a segment before its pieces

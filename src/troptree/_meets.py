@@ -1,8 +1,10 @@
 """The candidate table of a tree segment: the meets of the clusters of its
 two endpoints, from which :class:`~troptree.treespace.TreeSegment` reads the
-clusters and the tree of every bend of a large segment.  It is imported on the
-first such segment, so that the callers that never build one (the
-simulations, small segments) do not load it.
+clusters and the tree of every bend of a large segment: :meth:`MeetTable.linkages`
+is the point reader that it hands to the one segment reader,
+:func:`troptree._linkages.segment_linkages`.  It is imported on the first
+such segment, so that the callers that never build one (the simulations,
+small segments) do not load it.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import numpy as np
 
 from . import trees as _trees
 from ._linkages import Linkage, branch_depths, linkage_of
-from .treespace import _bend_shifts, _is_clean, _shifts
 from .tropical import _shifted_max
 from .util import square_form
 
@@ -208,29 +209,6 @@ def _padded(lists: list[list[int]]) -> np.ndarray:
     """Non-empty lists as the columns of one array, each padded with its first entry."""
     width = max(map(len, lists))
     return np.array([x + x[:1] * (width - len(x)) for x in lists]).T
-
-
-def segment_linkages(u: Ultrametric, v: Ultrametric, params: np.ndarray, tol: float,
-                     ) -> tuple[np.ndarray, Linkage, Linkage | None] | None:
-    """What :func:`troptree._linkages.segment_linkages` reads of the segment
-    from v to u with bend parameters `params`, read from its candidate
-    table: the unclean pieces, the bends' Linkage and that of those pieces'
-    midpoints.  None when u and v fail the table's guard, and when a bend
-    or a midpoint fails the equidistance check: single linkage fails there
-    too, and names the leaf that its own schedule's preorder names."""
-    table = MeetTable.of(u, v)
-    if table is None:
-        return None
-    linkage, widths, gaps = table.linkages(*_bend_shifts(params), tol)
-    clean = _is_clean(widths, gaps, tol)
-    unclean = np.flatnonzero(~(clean[:-1] & clean[1:]))
-    midlinkage = None
-    if unclean.size:
-        midlinkage = table.linkages(*_shifts(0.5 * (params[unclean] + params[unclean + 1])),
-                                    tol)[0]
-    if any(x is not None and x.unequal.any() for x in (linkage, midlinkage)):
-        return None
-    return unclean, linkage, midlinkage
 
 
 def meets_above(a: int, chain: list[int], mask: int, um: list[int], vm: list[int],

@@ -284,8 +284,11 @@ class TreeSegment:
     reads them.  A segment whose endpoints fail the table's guard, and one
     whose bend points hold fewer than ``_TABLE_MIN_ENTRIES`` distance
     entries, for which the table's fixed cost exceeds the saving, is read
-    by single linkage of its bend points instead, in one batched pass
-    (:func:`troptree._linkages.segment_linkages`), with the same result.
+    by single linkage of its bend points instead, in one batched pass.  One
+    reader, :func:`troptree._linkages.segment_linkages`, takes either as its
+    point reader and the segment's own bend parameters, and raises at the
+    first bend or midpoint that fails the equidistance check: the table's
+    error is single linkage's, and no segment is read twice.
 
     Each piece topology follows from its two bends.  On an open piece no
     coordinate changes side between ``u + d`` and ``v``, so every
@@ -330,17 +333,19 @@ class TreeSegment:
         self.segment = segment
         self.tol = tol
         # imported here: ``import troptree.cli`` loads neither, small segments no table
-        found = None
-        if len(segment.bend_parameters) * u.e >= _TABLE_MIN_ENTRIES:
-            from . import _meets
-            found = _meets.segment_linkages(u, v, segment.bend_parameters, tol)
-        if found is None:
+        from ._linkages import segment_linkages
+        params, read = segment.bend_parameters, None
+        if len(params) * u.e >= _TABLE_MIN_ENTRIES:
+            from ._meets import MeetTable
+            table = MeetTable.of(u, v)
+            if table is not None:
+                def read(rows, a, b):
+                    return table.linkages(a, b, tol)
+        if read is None:
             require_ultrametric(u, tol)
             require_ultrametric(v, tol)
-            from . import _linkages
-            found = _linkages.segment_linkages(u.labels, segment.u[None], segment.v[None],
-                                               tol)[2:]
-        self._unclean, self._linkage, self._midlinkage = found
+        self._unclean, self._linkage, self._midlinkage = segment_linkages(
+            u.labels, segment.u[None], segment.v[None], tol, params, read)[2:]
 
     @cached_property
     def bend_topologies(self) -> list[Topology]:

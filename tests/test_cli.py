@@ -325,7 +325,9 @@ def test_outputs_are_byte_deterministic(files, capsys):
 #: input polytomies (`ties_n8`); and trees whose node heights differ by
 #: 0.5 and 1.5 tol (`tolgaps_height_n8`) or 0.25 and 0.75 tol
 #: (`tolgaps_dist_n8`, distance gaps of 0.5 and 1.5 tol), nested and
-#: between subtrees.
+#: between subtrees; and the n = 32 pair written by `write_newick(tree, 10)`
+#: (`random_n32_seed32_p10`), whose rounded endpoints the candidate table's
+#: guard refuses, so its 119 bends are read by single linkage.
 CLI_GOLDEN = Path(__file__).parent / "golden" / "cli"
 CLI_OUTPUTS = {
     "segment.csv": ["segment", "--format", "csv"],

@@ -250,12 +250,23 @@ def test_survey_redraws_a_block_that_fails_its_guard(monkeypatch):
     assert drawn == list(range(20))
 
 
-def test_bend_points_match_tropical_segment():
-    # one sort of the stacked v - u rows gives the bends of every segment
-    pairs = list(sampled_pairs(range(3, 13), [1e-3, 1.0, 1e3], range(3)))
-    u = np.stack([p[0].entries for p in pairs if p[0].n == 8])
-    v = np.stack([p[1].entries for p in pairs if p[0].n == 8])
-    segment, params, points, last = _linkages.bend_points(u, v, TOL)
+def test_bend_points_match_tropical_segment(monkeypatch):
+    # one sort of the stacked v - u rows gives the bends of every segment,
+    # and the default point reader of segment_linkages reads their points
+    pairs = [p for p in sampled_pairs(range(3, 13), [1e-3, 1.0, 1e3], range(3)) if p[0].n == 8]
+    u = np.stack([p[0].entries for p in pairs])
+    v = np.stack([p[1].entries for p in pairs])
+    segment, params, last = _linkages.bend_parameters(u, v, TOL)
+    read = []
+    real = trees._single_linkages
+
+    def spied(points, n, tol):
+        read.append(points)
+        return real(points, n, tol)
+
+    monkeypatch.setattr(trees, "_single_linkages", spied)
+    assert _linkages.segment_linkages(pairs[0][0].labels, u, v, TOL)[0].tolist() == segment.tolist()
+    points = read[0]
     for s in range(len(u)):
         seg = tropical_segment(u[s], v[s], TOL)
         at = segment == s

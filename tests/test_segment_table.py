@@ -413,12 +413,11 @@ def test_table_guard_stands_in_for_the_triple_search(monkeypatch):
             assert got == outcome(checked_segment, t1, t2, tol)
             # the searches that the checked route ran: none if an
             # equidistance check raised first, one if u's search raised; a
-            # bend that fails the equidistance check on the table sends the
-            # segment to single linkage, which searches and then raises
-            read = guarded and got[0] == "read"
-            assert calls == (0 if read else sum(checked)), (tol, got)
+            # guarded segment runs none, whether it reads or a bend or
+            # midpoint fails the equidistance check on the table
+            assert calls == (0 if guarded else sum(checked)), (tol, got)
             routes["raised"] += got[1].startswith("NotUltrametricError")
-            routes["skipped"] += read
+            routes["skipped"] += guarded and got[0] == "read"
             if tol < 0:     # every tree fails the equidistance check first
                 assert got[1].startswith("NotEquidistantError") and calls == 0
     assert min(routes.values()) > 0, routes
@@ -472,19 +471,41 @@ def test_large_segment_runs_single_linkage_only_on_its_endpoints(monkeypatch):
 
 
 def test_failing_bend_raises_what_single_linkage_raises(monkeypatch):
-    # at height 1e9 the root-to-leaf sums of a bend's branch lengths round
-    # apart by more than tol; both routes stop at the same bend, and name
-    # the leaf that the single-linkage schedule's preorder names
-    t1, t2 = (random_equidistant_tree(10, 1.0, sample_rng(0, k)) for k in range(2))
-    u, v = (Ultrametric(t.leaf_labels, ultrametric_of(t).entries * 1e9) for t in (t1, t2))
-    assert _meets.MeetTable.of(u, v) is not None
-    messages = []
-    for bound in (0, float("inf")):
+    # from height 1e7 up the root-to-leaf sums of a bend's branch lengths
+    # round apart by more than tol; the table raises at its own Linkage what
+    # single linkage raises, at the same bend or midpoint and naming the leaf
+    # that the single-linkage schedule's preorder names, or both read, and
+    # the table route reads single linkage only on its endpoints
+    calls = []
+    real = trees._single_linkages
+
+    def counted(points, n, tol):
+        calls.append((len(points), tol))
+        return real(points, n, tol)
+
+    monkeypatch.setattr(trees, "_single_linkages", counted)
+
+    def outcome(u, v, bound):
         monkeypatch.setattr(treespace, "_TABLE_MIN_ENTRIES", bound)
-        with pytest.raises(NotEquidistantError) as err:
-            TreeSegment(u, v, tropical_segment(u.entries, v.entries, TOL), TOL)
-        messages.append((str(err.value), err.value.leaf))
-    assert messages[0] == messages[1]
+        calls.clear()
+        try:
+            seg = TreeSegment(u, v, tropical_segment(u.entries, v.entries, TOL), TOL)
+        except TropTreeError as exc:
+            return type(exc).__name__, str(exc), exc.leaf
+        return "read", linkage_clades(seg._linkage)
+
+    guarded = raised = 0
+    for height in (1e7, 1e9, 1e11):
+        for pair in sampled_pairs([4, 6, 9, 12, 20, 40], [1.0], range(6)):
+            u, v = (Ultrametric(w.labels, w.entries * height) for w in pair)
+            if _meets.MeetTable.of(u, v) is None:
+                continue
+            guarded += 1
+            table = outcome(u, v, 0)
+            assert calls == [(2, 0.0)]
+            assert table == outcome(u, v, float("inf")), (u.n, height)
+            raised += table[0] != "read"
+    assert guarded > 100 and raised >= 50
 
 
 def test_csv_quotes_labels_with_quote_marks(monkeypatch):
@@ -650,7 +671,7 @@ def test_entry_pairs_match_the_row_unique(monkeypatch):
     # the one-key unique of the segment writers gives the pairs and columns
     # that a unique of the stacked (u, v) rows gives
     pairs = [*benchmark_pairs(monkeypatch, [1]), *(pair for _, pair in golden_pairs())]
-    assert len(pairs) == 10
+    assert len(pairs) == 11
     for u, v in pairs:
         rows, columns = np.unique(np.stack((u.entries, v.entries), axis=1), axis=0,
                                   return_inverse=True)

@@ -8,7 +8,8 @@ vector's clusters, one pass per edge rank: the edges of one run join their
 components into one node each, at half the run's top.  Each node sits in
 the slot of the first edge of its run inside it: n - 1 slots, each node
 after the nodes inside it, which the candidate table of a large segment
-(:meth:`troptree._meets.MeetTable.linkages`) fills too.
+(:meth:`troptree._meets.MeetTable.linkages`) fills too, with each row's
+widest run and narrowest gap, the margins of the clean rule.
 :func:`leaf_depths` gives each node its parent, :func:`branch_depths` its
 branch, and with :func:`unequal` they are the equidistance check of
 :func:`~troptree.trees._equidistance_error` on arrays, in its float order.
@@ -30,8 +31,8 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from . import trees as _trees
-from .treespace import _bend_shifts, _is_clean, _shifts
-from .tropical import _bend_starts, _lambdas, _shifted_max
+from .treespace import _is_clean
+from .tropical import _bend_parameters, _bend_shifts, _shifted_max, _shifts
 
 
 class Linkage(NamedTuple):
@@ -58,6 +59,9 @@ class Linkage(NamedTuple):
     parents: np.ndarray
     lengths: np.ndarray
     firsts: np.ndarray
+    #: per vector, its widest run and narrowest gap (:func:`~troptree.trees._runs`)
+    widths: np.ndarray
+    gaps: np.ndarray
 
 
 def leaf_masks(n: int, members: np.ndarray) -> np.ndarray:
@@ -120,14 +124,15 @@ def branch_depths(heights: np.ndarray, parents: np.ndarray) -> tuple[np.ndarray,
 
 def linkage_of(tops: np.ndarray, masks: np.ndarray, nodes: np.ndarray, firsts: np.ndarray,
                depths: np.ndarray, lengths: np.ndarray, parents: np.ndarray, tol: float,
-               ) -> Linkage:
+               widths: np.ndarray, gaps: np.ndarray) -> Linkage:
     """The :class:`Linkage` of slots sorted by `tops`, with their nodes' masks and smallest leaves,
-    whether they hold one, and :func:`branch_depths`; a clade is kept if its branch exceeds tol."""
+    whether they hold one, :func:`branch_depths` and the rows' run margins; a clade is kept if
+    its branch exceeds tol."""
     steps, n = tops.shape[1], parents.shape[1] - tops.shape[1]
     lengths[:, n:][~nodes] = 0.0
     parents[:, n:][~nodes] = steps
     return Linkage(tops, masks, nodes, nodes & (lengths[:, n:] > tol), unequal(depths, tol),
-                   parents, lengths, firsts)
+                   parents, lengths, firsts, widths, gaps)
 
 
 def merges(n: int, linkage: Linkage) -> list[list[tuple[float, list[int]]]]:
@@ -255,9 +260,10 @@ def unequal(depths: np.ndarray, tol: float) -> np.ndarray:
 
 
 def linkage(n: int, near: np.ndarray, far: np.ndarray, tops: np.ndarray,
-            tol: float) -> Linkage:
+            tol: float, widths: np.ndarray, gaps: np.ndarray) -> Linkage:
     """The clusters of a block of vectors from their spanning-tree edges
-    (near, far), shape (rows, n-1), sorted by the top of their run, `tops`.
+    (near, far), shape (rows, n-1), sorted by the top of their run, `tops`,
+    and their run margins `widths` and `gaps`.
 
     One pass over the edge ranks joins every row's components, each leaf
     labelled by the smallest leaf of its component.  An edge's node is its
@@ -291,24 +297,13 @@ def linkage(n: int, near: np.ndarray, far: np.ndarray, tops: np.ndarray,
     nodes = ~twin.any(axis=2)
     members = (final == node[:, :, None]) & nodes[:, :, None]
     return linkage_of(tops, leaf_masks(n, members), nodes, node,
-                      *leaf_depths(tops / 2.0, members, node), tol)
+                      *leaf_depths(tops / 2.0, members, node), tol, widths, gaps)
 
 
 def within(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """For rows of clade masks a and b, shape (rows, width) each, whether
     each mask of a is in its row of b, shape (rows, width)."""
     return (a[:, :, None] == b[:, None, :]).any(axis=2)
-
-
-def bend_parameters(u: np.ndarray, v: np.ndarray, tol: float,
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The bends of the segments from the rows of v to those of u, from one
-    sort of the stacked v - u: each bend's segment, its parameter, bit for
-    bit as :attr:`~troptree.tropical.TropicalSegment.bend_parameters` gives
-    it, and whether it is its segment's last."""
-    lam = _lambdas(u, v)
-    segment, column = np.nonzero(_bend_starts(lam, tol))
-    return segment, lam[segment, column], np.append(segment[1:] != segment[:-1], True)
 
 
 def topology_rows(n: int, linkage: Linkage) -> np.ndarray:
@@ -339,32 +334,34 @@ def segment_linkages(labels: tuple[str, ...], u: np.ndarray, v: np.ndarray, tol:
     the clean rule fails at either bend, which take the topology of their
     midpoint; the :class:`Linkage` of the bends, and that of those
     midpoints (None without one).  The bends are those of
-    :func:`bend_parameters`, or the bend parameters `params` of one
-    segment, u and v one row each.  ``read(rows, a, b)`` reads the points
-    max(u[rows] + a, v[rows] + b): their :class:`Linkage` and the widest run
-    and narrowest gap of each, by default in one pass of
-    :func:`~troptree.trees._single_linkages`; the candidate table of one
-    segment reads them from its meets.  Raises what the tree route raises
-    at the first segment with a bend or a piece midpoint that fails the
-    equidistance check."""
+    :func:`~troptree.tropical._bend_parameters`, or the bend parameters
+    `params` of one segment, u and v one row each.  ``read(rows, a, b)`` reads the points
+    max(u[rows] + a, v[rows] + b): their :class:`Linkage`, which carries
+    the widest run and narrowest gap of each, by default in one pass of
+    :func:`~troptree.trees._single_linkages`, the row of one segment
+    broadcast to all its points rather than copied for each; the candidate
+    table of one segment reads them from its meets.  Raises what the tree
+    route raises at the first segment with a bend or a piece midpoint that
+    fails the equidistance check."""
     n = len(labels)
     if params is None:
-        segment, params, last = bend_parameters(u, v, tol)
+        segment, params, last = _bend_parameters(u, v, tol)
     else:
         segment = np.zeros(len(params), dtype=np.intp)
         last = np.arange(len(params)) == len(params) - 1
     if read is None:
         def read(rows, a, b):
-            return _trees._single_linkages(_shifted_max(u[rows], v[rows], a, b), n, tol)
-    linkage, widths, gaps = read(segment, *_bend_shifts(params, last))
-    clean = _is_clean(widths, gaps, tol)
+            ends = (u, v) if len(u) == 1 else (u[rows], v[rows])
+            return _trees._single_linkages(_shifted_max(*ends, a, b), n, tol)
+    linkage = read(segment, *_bend_shifts(params, last))
+    clean = _is_clean(linkage.widths, linkage.gaps, tol)
     left = np.flatnonzero(~last)
     unclean = left[~(clean[left] & clean[left + 1])]
     midlinkage = None
     flagged = [(segment[k], 0, linkage, k) for k in np.flatnonzero(linkage.unequal)[:1]]
     if unclean.size:
         midlinkage = read(segment[unclean],
-                          *_shifts(0.5 * (params[unclean] + params[unclean + 1])))[0]
+                          *_shifts(0.5 * (params[unclean] + params[unclean + 1])))
         flagged += [(segment[unclean[k]], 1, midlinkage, k)
                     for k in np.flatnonzero(midlinkage.unequal)[:1]]
     # the tree route reads every bend of a segment before its pieces

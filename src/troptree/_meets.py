@@ -38,7 +38,7 @@ def clusters(n: int, entries: np.ndarray,
     of its run: a vector equals its single-linkage (subdominant)
     ultrametric exactly when it meets the three-point condition, here in
     floats, so this fails when root-to-leaf sums differ in their last bits."""
-    linkage = _trees._single_linkages(entries, n, 0.0)[0]
+    linkage = _trees._single_linkages(entries, n, 0.0)
     out = []
     for row, nodes, masks, tops, parents in zip(entries, linkage.nodes, linkage.masks,
                                                 linkage.tops, linkage.parents):
@@ -143,11 +143,10 @@ class MeetTable:
         table.levels = [(np.array(ids), _padded([ups[c] for c in ids])) for ids in levels]
         return table
 
-    def linkages(self, a: np.ndarray, b: np.ndarray, tol: float,
-                 ) -> tuple[Linkage, np.ndarray, np.ndarray]:
+    def linkages(self, a: np.ndarray, b: np.ndarray, tol: float) -> Linkage:
         """What single linkage reads of the points max(u + a, v + b), in
         blocks of `_BLOCK_ENTRIES` meet values: their
-        :class:`~troptree._linkages.Linkage`, and the width of each point's
+        :class:`~troptree._linkages.Linkage`, with the width of each point's
         widest run and its narrowest gap between runs.
 
         A meet's value at shifts (a, b), max(diam_u(A) + a, diam_v(B) + b),
@@ -198,11 +197,9 @@ class MeetTable:
             slot_of[:, meets] = n - 1                       # above the root
             parents = np.take_along_axis(slot_of, np.append(
                 leaf_up, np.take_along_axis(up.T, at, axis=1), axis=1), axis=1)
-            parts.append((linkage_of(tops, self.masks[at], at < meets, self.firsts[at],
-                                     *branch_depths(tops / 2.0, parents), parents, tol),
-                          width, gap))
-        linkages, widths, gaps = zip(*parts)
-        return Linkage(*map(np.concatenate, zip(*linkages))), *map(np.concatenate, (widths, gaps))
+            parts.append(linkage_of(tops, self.masks[at], at < meets, self.firsts[at],
+                                    *branch_depths(tops / 2.0, parents), parents, tol, width, gap))
+        return Linkage(*map(np.concatenate, zip(*parts)))
 
 
 def _padded(lists: list[list[int]]) -> np.ndarray:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import LeafSetMismatchError, NotEquidistantError
 from .newick import RootedTree, _merge_masks, _node_depths, _preorder_leaves
-from .util import DEFAULT_TOL, sorted_labels, square_form, square_index
+from .util import DEFAULT_TOL, sorted_labels, square_form, square_index, valid_tol
 
 if TYPE_CHECKING:
     from ._linkages import Linkage
@@ -26,14 +26,15 @@ if TYPE_CHECKING:
 # --------------------------------------------------------------------------
 
 def is_equidistant(tree: RootedTree, tol: float = DEFAULT_TOL) -> bool:
-    """True iff :func:`require_equidistant` accepts the tree."""
-    return _equidistance_error(tree.leaf_labels, tree.merges, tree.lengths, tol) is None
+    """True iff :func:`require_equidistant` accepts the tree; it refuses the same tol."""
+    return _equidistance_error(tree.leaf_labels, tree.merges, tree.lengths, valid_tol(tol)) is None
 
 
 def require_equidistant(tree: RootedTree, tol: float = DEFAULT_TOL) -> None:
     """Raise :class:`NotEquidistantError` naming a deviant leaf: one whose
-    root-to-leaf path length is more than tol from the median."""
-    error = _equidistance_error(tree.leaf_labels, tree.merges, tree.lengths, tol)
+    root-to-leaf path length is more than tol from the median, and
+    ValueError for a tol below 0 or NaN."""
+    error = _equidistance_error(tree.leaf_labels, tree.merges, tree.lengths, valid_tol(tol))
     if error is not None:
         raise error
 
@@ -293,12 +294,12 @@ def _spanning_edges(stack: np.ndarray, n: int, tol: float,
 
 
 def _single_linkages(points: Sequence[np.ndarray] | np.ndarray, n: int,
-                     tol: float) -> tuple[Linkage, np.ndarray, np.ndarray]:
+                     tol: float) -> Linkage:
     """The single-linkage clusters of each of a non-empty sequence of
     condensed distance vectors over n leaves, as numpy arrays
-    (:class:`~troptree._linkages.Linkage`), with the clade cut at tol and
-    the equidistance check of each schedule, and the width of each
-    vector's widest run and its narrowest gap between runs (:func:`_runs`).
+    (:class:`~troptree._linkages.Linkage`), with the clade cut at tol, the
+    equidistance check of each schedule, and the width of each vector's
+    widest run and its narrowest gap between runs (:func:`_runs`).
     Every distance vector that the library turns into clusters is read
     here.  The pairs of a run merge at once, at half the run's top, so
     values within tol of each other make polytomies.  Only the edges of a
@@ -317,9 +318,9 @@ def _single_linkages(points: Sequence[np.ndarray] | np.ndarray, n: int,
     # square entry where Prim's algorithm holds floats, and its cost per
     # block grows with n whatever the block's size
     step *= 8
-    parts = [linkage(n, near[k:k + step], far[k:k + step], tops[k:k + step], tol)
-             for k in range(0, len(near), step)]
-    return Linkage(*map(np.concatenate, zip(*parts))), widths, gaps
+    parts = [linkage(n, near[k:k + step], far[k:k + step], tops[k:k + step], tol,
+                     widths[k:k + step], gaps[k:k + step]) for k in range(0, len(near), step)]
+    return Linkage(*map(np.concatenate, zip(*parts)))
 
 
 def _merge_lengths(n: int, merges: list[tuple[float, list[int]]]) -> list[float]:
@@ -401,7 +402,7 @@ def agglomerate(labels: Sequence[str], dists: np.ndarray,
         raise ValueError("distance vector length does not match the labels")
     from ._linkages import merges
     # a single leaf merges nothing
-    schedule = merges(n, _single_linkages(dists[None], n, tol)[0])[0] if n > 1 else []
+    schedule = merges(n, _single_linkages(dists[None], n, tol))[0] if n > 1 else []
     return _tree_of_merges(labels, schedule)
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from . import trees as _trees
 from .errors import NotEquidistantError, NotUltrametricError, TropTreeError
 from .newick import RootedTree
-from .tropical import TropicalSegment, _shifted_max, tropical_segment
+from .tropical import _bend_shifts, _shifted_max, tropical_segment
 from .trees import (Topology, require_equidistant, require_same_leaves,
                     speciation_times, topology_of)
 from .util import DEFAULT_TOL, sorted_labels, square_form, square_index
@@ -228,31 +228,6 @@ def _emit(out: TextIO | None, head: str, blocks: Iterable[str], tail: str) -> st
     return None
 
 
-def _shifts(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The shifts (a, b) = (min(d, 0), -max(d, 0)) of each parameter d, with
-    which the point at d is max(u + a, v + b) (:meth:`TropicalSegment.point_at`:
-    u + a is u + d or u + 0, v + b is v - d or v - 0, bit for bit)."""
-    return np.minimum(params, 0.0), -np.maximum(params, 0.0)
-
-
-def _bend_shifts(params: np.ndarray, last: np.ndarray | None = None,
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_shifts` of the bend parameters of a segment, or of segments
-    laid end to end whose last bends `last` flags, with which the bend
-    points of :attr:`TropicalSegment.bend_points` are max(u + a, v + b) bit
-    for bit: the ends are v and u exactly, so there a is -inf at the v end
-    and b is -inf at the u end."""
-    a, b = _shifts(params)
-    if last is None:
-        last = np.arange(len(params)) == len(params) - 1
-    first = np.ones_like(last)
-    first[1:] = last[:-1]
-    a[first], b[first] = -np.inf, 0.0
-    ends = last & ~first
-    a[ends], b[ends] = 0.0, -np.inf
-    return a, b
-
-
 #: The fewest distance entries, bends times pairs, at which a segment reads
 #: its bends from a :class:`~troptree._meets.MeetTable`; smaller ones take
 #: the batched single-linkage pass, which saves the table's fixed cost: over
@@ -269,10 +244,11 @@ class TreeSegment:
     coordinate segment to the u end (from the second input tree of
     :func:`tree_segment` to the first).  Positions along the segment
     interleave bends and pieces: ``2*k`` is bend k and ``2*k + 1`` is the
-    open piece between bends k and k+1.  `u` and `v` take
-    :func:`require_ultrametric` where the candidate table's guard, the
-    three-point condition at tol 0, does not stand in for it: no triple
-    fails at a tol >= 0 where the guard holds.
+    open piece between bends k and k+1.  ``TreeSegment(u, v, tol)`` makes
+    its own tropical segment (:attr:`segment`) of the entries of `u` and `v`,
+    which take :func:`require_ultrametric` where the candidate table's
+    guard, the three-point condition at tol 0, does not stand in for it: no
+    triple fails at a tol >= 0 where the guard holds.
 
     The bend topologies are read from the clusters of each bend, without
     building a tree: the nodes of the single-linkage dendrogram of its
@@ -316,8 +292,10 @@ class TreeSegment:
 
     Both routes hold each bend's clusters in arrays
     (:class:`~troptree._linkages.Linkage`): the rows of clade masks of the
-    topologies, and the parent and branch of every node and leaf, from
-    which :meth:`bend_newicks` writes the Newick strings in block passes.
+    topologies, the parent and branch of every node and leaf, from which
+    :meth:`bend_newicks` writes the Newick strings in block passes, and
+    each bend's widest run and narrowest gap, which the clean rule and
+    :func:`check_clade_preservation` read.
     :class:`~troptree.trees.Topology` objects are made on first access to
     :attr:`bend_topologies` and :attr:`piece_topologies`, merges and trees
     on first use of :attr:`bend_trees`; the writers make none, and
@@ -326,11 +304,10 @@ class TreeSegment:
     single-linkage route, a block of them at a time (:mod:`troptree._survey`).
     """
 
-    def __init__(self, u: Ultrametric, v: Ultrametric, segment: TropicalSegment,
-                 tol: float):
+    def __init__(self, u: Ultrametric, v: Ultrametric, tol: float):
         self.u = u
         self.v = v
-        self.segment = segment
+        self.segment = segment = tropical_segment(u.entries, v.entries, tol)
         self.tol = tol
         # imported here: ``import troptree.cli`` loads neither, small segments no table
         from ._linkages import segment_linkages
@@ -396,14 +373,6 @@ class TreeSegment:
         the v end to the u end)."""
         pairs = zip(self.bend_topologies, self.piece_topologies)
         return [topo for pair in pairs for topo in pair] + self.bend_topologies[-1:]
-
-    @property
-    def topology_runs(self) -> list[tuple[Topology, int, int]]:
-        """Maximal runs of equal topology as (topology, first, last) over
-        the interleaved positions."""
-        runs = [list(run) for _, run in itertools.groupby(enumerate(self.positions()),
-                                                          key=lambda position: position[1])]
-        return [(run[0][1], run[0][0], run[-1][0]) for run in runs]
 
     def to_csv(self, precision: int = 10, out: TextIO | None = None) -> str | None:
         """One row per bend point: index, the bend's lambda parameter, the
@@ -483,14 +452,14 @@ def tree_segment(t1: RootedTree, t2: RootedTree, tol: float = DEFAULT_TOL) -> Tr
     v = ultrametric_of(t2, tol)
     if u.n < 3:     # no triple of fewer leaves fails the three-point condition
         raise TropTreeError(f"a tree segment needs at least 3 leaves, got {u.n}")
-    return TreeSegment(u, v, tropical_segment(u.entries, v.entries, tol), tol)
+    return TreeSegment(u, v, tol)
 
 
 def topology_sequence(seg: TreeSegment) -> list[Topology]:
     """Deduplicated sequence of topologies along the segment, from the t2
-    end to the t1 end (bends and straight pieces interleaved): the
-    topologies of its :attr:`~TreeSegment.topology_runs`."""
-    return [topology for topology, _, _ in seg.topology_runs]
+    end to the t1 end (bends and straight pieces interleaved): one per
+    maximal run of equal topologies of its :meth:`~TreeSegment.positions`."""
+    return [topology for topology, _ in itertools.groupby(seg.positions())]
 
 
 # --------------------------------------------------------------------------
@@ -507,7 +476,7 @@ def segment_to_star(tree: RootedTree, tol: float = DEFAULT_TOL) -> list[RootedTr
     require_ultrametric(u, tol)
     from ._linkages import merges
     points = np.maximum(u.entries, 2.0 * np.array(speciation_times(tree, tol))[:, None])
-    linkage = _trees._single_linkages(points, u.n, tol)[0]
+    linkage = _trees._single_linkages(points, u.n, tol)
     return [_trees._tree_of_merges(u.labels, m) for m in merges(u.n, linkage)]
 
 
@@ -547,10 +516,12 @@ def check_clade_preservation(t1: RootedTree, t2: RootedTree,
     topology, check that every bend tree of their segment keeps it as a
     clade with that same induced topology.  (This always holds; the checker
     exists to exercise the implementation.)  A bend where the clean rule of
-    :class:`TreeSegment` holds is read from its point, in one single-linkage
-    pass over the restricted columns of all bends: every distance of its
-    tree lies within tol/4 of the point's, and its runs more than 8 tol
-    apart, so the answers are its tree's.  The others check their trees."""
+    :class:`TreeSegment` holds, on the run margins that the segment's bend
+    :class:`~troptree._linkages.Linkage` keeps, is read from its point, in
+    one single-linkage pass over the restricted columns of all bends: every
+    distance of its tree lies within tol/4 of the point's, and its runs
+    more than 8 tol apart, so the answers are its tree's.  The others check
+    their trees."""
     leaves = sorted_labels(set(leaves))
     if not (_trees.is_clade(t1, leaves, tol) and _trees.is_clade(t2, leaves, tol)):
         raise ValueError(f"{list(leaves)} is not a clade of both trees")
@@ -569,8 +540,8 @@ def check_clade_preservation(t1: RootedTree, t2: RootedTree,
     columns = index[np.ix_(inside, inside)][np.triu_indices(len(leaves), k=1)]
     clade = points[:, index[np.ix_(inside, ~inside)].reshape(-1)].min(axis=1, initial=np.inf)
     clade = clade - points[:, columns].max(axis=1) > tol
-    linkage = _trees._single_linkages(points[:, columns], len(leaves), tol)[0]
-    fast = _is_clean(*_trees._runs(points, tol)[1:], tol) & ~linkage.unequal
+    linkage = _trees._single_linkages(points[:, columns], len(leaves), tol)
+    fast = _is_clean(seg._linkage.widths, seg._linkage.gaps, tol) & ~linkage.unequal
     return all(clade[k] and topology == target if fast[k] else
                _trees.is_clade(seg.bend_trees[k], leaves, tol)
                and induced(seg.bend_trees[k]) == target

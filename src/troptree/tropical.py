@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .util import DEFAULT_TOL
+from .util import DEFAULT_TOL, valid_tol
 
 
 def as_torus_point(x) -> np.ndarray:
@@ -87,7 +87,7 @@ class TropicalSegment:
                              f"got shape {u.shape}")
         if u.shape != v.shape:
             raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-        self.tol = float(tol)
+        self.tol = valid_tol(tol)
         self.lambdas = _lambdas(u, v)
 
     @cached_property
@@ -107,20 +107,10 @@ class TropicalSegment:
     @cached_property
     def bend_points(self) -> list[np.ndarray]:
         """Vertices of the polygonal path, from v to u, consecutive
-        duplicates removed.  The endpoints are returned exactly as given."""
-        params = self.bend_parameters
-        if len(params) == 1:
-            return [self.v.copy()]
-        # point_at at every inner parameter, as rows of one array written in
-        # place: the parameters ascend, so those <= 0, at which the point is
-        # max(u + d, v), come first, and at the others it is max(u, v - d)
-        d = params[1:-1, None]
-        inner = np.empty((len(d), self.u.size))
-        cut = int(np.searchsorted(params[1:-1], 0.0, side="right"))
-        below, above = inner[:cut], inner[cut:]
-        np.maximum(np.add(self.u, d[:cut], out=below), self.v, out=below)
-        np.maximum(np.subtract(self.v, d[cut:], out=above), self.u, out=above)
-        return [self.v.copy(), *inner, self.u.copy()]
+        duplicates removed: the rows of :func:`_shifted_max` at the shifts
+        of the bend parameters (:func:`_bend_shifts`), :meth:`point_at`
+        bit for bit.  The endpoints are v and u exactly."""
+        return list(_shifted_max(self.u, self.v, *_bend_shifts(self.bend_parameters)))
 
     def piece_midpoint(self, k: int) -> np.ndarray:
         """Interior point of the k-th straight piece (between bends k, k+1)."""
@@ -158,13 +148,49 @@ def _bend_starts(lam: np.ndarray, tol: float) -> np.ndarray:
     return starts
 
 
+def _bend_parameters(u: np.ndarray, v: np.ndarray, tol: float,
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The bends of the segments from the rows of v to those of u, from one
+    sort of the stacked v - u: each bend's segment, its parameter, bit for
+    bit as :attr:`TropicalSegment.bend_parameters` gives it, and whether it
+    is its segment's last."""
+    lam = _lambdas(u, v)
+    segment, column = np.nonzero(_bend_starts(lam, tol))
+    return segment, lam[segment, column], np.append(segment[1:] != segment[:-1], True)
+
+
 def _shifted_max(u: np.ndarray, v: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """max(u + a[k], v + b[k]) for every k, as rows, shape (len(a), len(u)),
-    with u and v one vector each or one row per k: with the shifts of
-    :meth:`TropicalSegment.point_at` (a = min(d, 0), b = -max(d, 0)), the
-    point at d, made with the same float operations."""
+    """max(u + a[k], v + b[k]) for every k, as rows, shape (len(a), e), with
+    u and v one vector (or row) each, broadcast, or one row per k: at the
+    shifts of d (:func:`_shifts`), the point at d, in :meth:`TropicalSegment.point_at`'s
+    floats.  Every bend point of a tropical segment is made here."""
     out = u + a[:, None]
     return np.maximum(out, v + b[:, None], out=out)
+
+
+def _shifts(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The shifts (a, b) = (min(d, 0), -max(d, 0)) of each parameter d, with
+    which the point at d is max(u + a, v + b) (:meth:`TropicalSegment.point_at`:
+    u + a is u + d or u + 0, v + b is v - d or v - 0, bit for bit)."""
+    return np.minimum(params, 0.0), -np.maximum(params, 0.0)
+
+
+def _bend_shifts(params: np.ndarray, last: np.ndarray | None = None,
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_shifts` of the bend parameters of a segment, or of segments
+    laid end to end whose last bends `last` flags, with which the bend
+    points of :attr:`TropicalSegment.bend_points` are max(u + a, v + b): the
+    ends are v and u exactly, signed zeros too, so a is -inf and b is -0.0
+    at the v end, and the other way round at the u end."""
+    a, b = _shifts(params)
+    if last is None:
+        last = np.arange(len(params)) == len(params) - 1
+    first = np.ones_like(last)
+    first[1:] = last[:-1]
+    a[first], b[first] = -np.inf, -0.0
+    ends = last & ~first
+    a[ends], b[ends] = -0.0, -np.inf
+    return a, b
 
 
 def tropical_segment(u, v, tol: float = DEFAULT_TOL) -> TropicalSegment:

@@ -29,6 +29,13 @@ def natural_key(label: str) -> tuple:
     return *parts, -1, label
 
 
+def valid_tol(tol: float) -> float:
+    """`tol` as a float, or ValueError when it is below 0 or NaN; inf passes."""
+    if not float(tol) >= 0.0:
+        raise ValueError(f"tolerance must be >= 0, got {tol}")
+    return float(tol)
+
+
 def sorted_labels(labels: Iterable[str]) -> tuple[str, ...]:
     return tuple(sorted(labels, key=natural_key))
 

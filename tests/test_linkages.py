@@ -24,7 +24,7 @@ import troptree as tt
 from troptree import (DEFAULT_TOL, SampleConfig, Ultrametric, _linkages, _streams,
                       check_nni_conjecture, parse_newick, random_equidistant_tree, sample_rng,
                       tropical_segment, ultrametric_of)
-from troptree import trees
+from troptree import trees, tropical
 from troptree.newick import _merge_masks
 from troptree.sim import _merges_of
 
@@ -62,7 +62,7 @@ def linkage_rows(linkage):
 def disagreements(labels, points, tol=TOL):
     """The points at which the arrays and the one-point route differ, the
     number of points and the number that fail the equidistance check."""
-    linkage = trees._single_linkages(points, len(labels), tol)[0]
+    linkage = trees._single_linkages(points, len(labels), tol)
     bad = []
     failing = 0
     for k, (got, point) in enumerate(zip(linkage_rows(linkage), points)):
@@ -142,7 +142,7 @@ def test_clusters_match_merge_runs_on_cli_goldens(name):
 def test_clusters_match_merge_runs_above_64_leaves():
     # masks wider than a word are Python ints
     (u, v), = sampled_pairs([70], [1.0], [0])
-    linkage = trees._single_linkages(segment_points(u, v)[:40], 70, TOL)[0]
+    linkage = trees._single_linkages(segment_points(u, v)[:40], 70, TOL)
     assert linkage.masks.dtype == object
     assert disagreements(u.labels, segment_points(u, v)[:40])[0] == []
 
@@ -256,7 +256,7 @@ def test_bend_points_match_tropical_segment(monkeypatch):
     pairs = [p for p in sampled_pairs(range(3, 13), [1e-3, 1.0, 1e3], range(3)) if p[0].n == 8]
     u = np.stack([p[0].entries for p in pairs])
     v = np.stack([p[1].entries for p in pairs])
-    segment, params, last = _linkages.bend_parameters(u, v, TOL)
+    segment, params, last = tropical._bend_parameters(u, v, TOL)
     read = []
     real = trees._single_linkages
 

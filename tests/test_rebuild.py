@@ -17,8 +17,7 @@ import tree_walks as walk
 from troptree import (DEFAULT_TOL, NotEquidistantError, SampleConfig, Topology,
                       TreeSegment, Ultrametric, check_nni_conjecture, parse_newick,
                       random_equidistant_tree, sample_rng, structurally_equal,
-                      topology_of, topology_sequence, tree_segment, tropical_segment,
-                      ultrametric_of)
+                      topology_of, topology_sequence, tree_segment, ultrametric_of)
 from troptree import _linkages, trees
 from troptree.cli import main
 from troptree.newick import RootedTree, TreeNode, _newick_of_merges
@@ -300,7 +299,7 @@ def test_piece_next_to_a_wide_run_reads_its_midpoint():
         return Ultrametric(labels, D[np.triu_indices(8, k=1)])
 
     v, u = ultrametric(0.0), ultrametric(10 * TOL)
-    seg = TreeSegment(u, v, tropical_segment(u.entries, v.entries, TOL), TOL)
+    seg = TreeSegment(u, v, TOL)
     assert seg.n_bends == 2
     cherry = frozenset({"1", "2"})
     assert all(cherry not in bend.clades for bend in seg.bend_topologies)
@@ -327,7 +326,7 @@ def test_piece_topologies_match_midpoint_pass(case):
     n, u, v = case
     labels = tuple(str(k) for k in range(1, n + 1))
     u, v = Ultrametric(labels, u), Ultrametric(labels, v)
-    seg = TreeSegment(u, v, tropical_segment(u.entries, v.entries, TOL), TOL)
+    seg = TreeSegment(u, v, TOL)
     disagreements = [k for k in range(len(seg.piece_topologies))
                      if seg.piece_topologies[k] != midpoint_topology(seg, k)]
     assert disagreements == []
@@ -393,7 +392,7 @@ def test_canonical_writer_matches_label_set_reference(n):
     # naturally ("t2" before "t10"), and the star row keeps no clade
     labels = sorted_labels(f"t{k}" for k in range(1, n + 1))
     rows = writer_rows(n, labels, sample_rng(19, n))
-    linkage = trees._single_linkages(np.stack([u.entries for u in rows]), n, TOL)[0]
+    linkage = trees._single_linkages(np.stack([u.entries for u in rows]), n, TOL)
     assert linkage.masks.dtype == (np.uint64 if n <= 64 else object)
     assert not linkage.kept[-1].any() and linkage.nodes[-2].sum() > linkage.kept[-2].sum() > 0
     want = [reference_canonical_str(agglomerate(labels, u.entries)) for u in rows]

@@ -38,7 +38,7 @@ import tree_walks as walk
 from troptree import (DEFAULT_TOL, NotEquidistantError, TreeSegment, TropTreeError, Ultrametric,
                       parse_newick, random_equidistant_tree, sample_rng, tree_segment,
                       tropical_segment, ultrametric_of, write_newick)
-from troptree import _linkages, _meets, cli, treespace, trees
+from troptree import _linkages, _meets, cli, treespace, trees, tropical
 from troptree.newick import _merge_masks, _newick_of_merges
 from troptree.util import sorted_labels, square_form
 
@@ -84,7 +84,8 @@ def disagreements(u, v, tol=TOL, midpoints=True):
     seg = tropical_segment(u.entries, v.entries, tol)
     table = _meets.MeetTable.of(u, v)
     assert table is not None
-    linkage, widths, gaps = table.linkages(*treespace._bend_shifts(seg.bend_parameters), tol)
+    linkage = table.linkages(*tropical._bend_shifts(seg.bend_parameters), tol)
+    widths, gaps = linkage.widths, linkage.gaps
     oracle, oracle_widths, oracle_gaps = single_linkages(seg.bend_points, n, tol)
     bad = [("bend", k) for k, (a, b) in enumerate(zip(linkage_clades(linkage), oracle))
            if a != clades(n, b)]
@@ -93,7 +94,8 @@ def disagreements(u, v, tol=TOL, midpoints=True):
     params = seg.bend_parameters
     middle = 0.5 * (params[:-1] + params[1:])
     if midpoints and len(middle):
-        linkage, widths, gaps = table.linkages(*treespace._shifts(middle), tol)
+        linkage = table.linkages(*tropical._shifts(middle), tol)
+        widths, gaps = linkage.widths, linkage.gaps
         points = [seg.piece_midpoint(k) for k in range(len(middle))]
         oracle, oracle_widths, oracle_gaps = single_linkages(points, n, tol)
         bad += [("midpoint", k) for k, (a, b) in enumerate(zip(linkage_clades(linkage), oracle))
@@ -124,11 +126,10 @@ def oracle_csv(seg, precision, merges):
 def both_routes(monkeypatch, u, v, tol=TOL):
     """The TreeSegment of u and v on the table route, where the guard lets
     it, and on the single-linkage route."""
-    seg = tropical_segment(u.entries, v.entries, tol)
     monkeypatch.setattr(treespace, "_TABLE_MIN_ENTRIES", 0)
-    table = TreeSegment(u, v, seg, tol)
+    table = TreeSegment(u, v, tol)
     monkeypatch.setattr(treespace, "_TABLE_MIN_ENTRIES", float("inf"))
-    linkage = TreeSegment(u, v, seg, tol)
+    linkage = TreeSegment(u, v, tol)
     return table, linkage
 
 
@@ -383,12 +384,12 @@ def test_table_guard_stands_in_for_the_triple_search(monkeypatch):
             checked.append(len(searched))
         with monkeypatch.context() as patch:
             patch.setattr(treespace, "_violating_triple", search)
-            return TreeSegment(u, v, tropical_segment(u.entries, v.entries, tol), tol)
+            return TreeSegment(u, v, tol)
 
     def outcome(build, t1, t2, tol):
         try:
             return "read", build(t1, t2, tol).to_csv(17)
-        except TropTreeError as exc:
+        except ValueError as exc:       # a TropTreeError, or a negative tol
             return "raised", f"{type(exc).__name__}: {exc}"
 
     routes = {"table": 0, "refused": 0, "small": 0, "raised": 0, "skipped": 0}
@@ -418,8 +419,9 @@ def test_table_guard_stands_in_for_the_triple_search(monkeypatch):
             assert calls == (0 if guarded else sum(checked)), (tol, got)
             routes["raised"] += got[1].startswith("NotUltrametricError")
             routes["skipped"] += guarded and got[0] == "read"
-            if tol < 0:     # every tree fails the equidistance check first
-                assert got[1].startswith("NotEquidistantError") and calls == 0
+            if tol < 0:     # refused before any check, on every route
+                assert got == ("raised", f"ValueError: tolerance must be >= 0, got {tol}")
+                assert calls == 0
     assert min(routes.values()) > 0, routes
 
 
@@ -489,7 +491,7 @@ def test_failing_bend_raises_what_single_linkage_raises(monkeypatch):
         monkeypatch.setattr(treespace, "_TABLE_MIN_ENTRIES", bound)
         calls.clear()
         try:
-            seg = TreeSegment(u, v, tropical_segment(u.entries, v.entries, TOL), TOL)
+            seg = TreeSegment(u, v, TOL)
         except TropTreeError as exc:
             return type(exc).__name__, str(exc), exc.leaf
         return "read", linkage_clades(seg._linkage)
@@ -643,7 +645,7 @@ def test_newick_writer_matches_merge_writer(route, monkeypatch):
     bends = 0
     for n, height in cases:
         (u, v), = sampled_pairs([n], [height], [7])
-        seg = TreeSegment(u, v, tropical_segment(u.entries, v.entries, TOL), TOL)
+        seg = TreeSegment(u, v, TOL)
         for precision in (3, 17) if n < 100 else (17,):
             assert seg.bend_newicks(precision) == merge_newicks(u.labels, bend_merges(seg),
                                                                 precision)
@@ -656,7 +658,7 @@ def test_newick_writer_matches_merge_writer(route, monkeypatch):
         # 120 leaves: 40 bends read in one batched single-linkage pass
         (u, v), = sampled_pairs([120], [1e3], [7])
         points = tropical_segment(u.entries, v.entries, TOL).bend_points[:40]
-        linkage = trees._single_linkages(points, 120, TOL)[0]
+        linkage = trees._single_linkages(points, 120, TOL)
         assert [*itertools.chain(*_linkages.newicks(u.labels, linkage, 10))] == merge_newicks(
             u.labels, [walk.single_linkage(p, 120, TOL) for p in points], 10)
 
@@ -665,6 +667,22 @@ def golden_pairs():
     for name in sorted(p.name for p in GOLDEN_CLI.iterdir()):
         yield name, tuple(ultrametric_of(parse_newick((GOLDEN_CLI / name / f"t{k}.nwk")
                                                       .read_text())) for k in (1, 2))
+
+
+def test_bend_linkage_keeps_the_run_margins_of_the_bend_points(monkeypatch):
+    # on both routes each bend's Linkage row carries the widest run and the
+    # narrowest gap of its point, those that trees._runs gives, byte for
+    # byte: the clean rule and check_clade_preservation read them there
+    pairs = [*(pair for name, pair in golden_pairs() if name.startswith(("tolgaps", "ties"))),
+             *sampled_pairs([3, 4, 6, 9, 13, 21, 40, 80], [1e-3, 1.0, 1e3], [0])]
+    tables = 0
+    for u, v in pairs:
+        tables += _meets.MeetTable.of(u, v) is not None
+        for seg in both_routes(monkeypatch, u, v):
+            _, widths, gaps = trees._runs(np.stack(seg.segment.bend_points), TOL)
+            assert seg._linkage.widths.tobytes() == widths.tobytes()
+            assert seg._linkage.gaps.tobytes() == gaps.tobytes()
+    assert len(pairs) == 27 and tables == 22
 
 
 def test_entry_pairs_match_the_row_unique(monkeypatch):
@@ -771,8 +789,8 @@ def test_table_parents_match_the_leaf_flag_pass(monkeypatch):
             continue
         params = tropical_segment(u.entries, v.entries, TOL).bend_parameters
         middle = 0.5 * (params[:-1] + params[1:])
-        for shifts in (treespace._bend_shifts(params), treespace._shifts(middle)):
-            linkage = table.linkages(*shifts, TOL)[0]
+        for shifts in (tropical._bend_shifts(params), tropical._shifts(middle)):
+            linkage = table.linkages(*shifts, TOL)
             lengths, parents = _linkages.leaf_depths(linkage.tops / 2.0,
                                                      leaf_flags(u.n, linkage.masks),
                                                      linkage.firsts)[1:]

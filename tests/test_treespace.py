@@ -1,6 +1,7 @@
 import csv
 import io
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -170,12 +171,13 @@ def test_segment_restriction_keeps_clade_topology(clade_a, clade_b):
         assert got == want
 
 
-def test_topology_runs_structure(quartet_a, quartet_b):
+def test_topology_sequence_dedupes_positions(quartet_a, quartet_b):
     seg = tree_segment(quartet_a, quartet_b)
-    runs = seg.topology_runs
+    positions = seg.positions()
     # positions: bend0, piece0, bend1, piece1, bend2 -> 5 positions
-    assert [r[0] for r in runs] == topology_sequence(seg)
-    assert runs[0][1] == 0 and runs[-1][2] == 4
+    assert len(positions) == 5
+    want = [positions[0]] + [b for a, b in zip(positions, positions[1:]) if b != a]
+    assert topology_sequence(seg) == want
 
 
 def per_entry_csv(seg, precision):
@@ -427,6 +429,26 @@ def test_check_nni_theorem_random(n, seed):
 def test_check_clade_preservation_random(n, seed):
     t1, t2, leaves = tt.random_shared_clade_pair(n, 1.0, tt.sample_rng(seed, 0))
     assert check_clade_preservation(t1, t2, leaves)
+
+
+@pytest.mark.parametrize("n", [40, 80])
+def test_check_clade_preservation_on_table_segments(n):
+    # these segments read their bends from the candidate table, whose run
+    # margins choose the bends that are read from their points
+    for k in range(2):
+        t1, t2, leaves = tt.random_shared_clade_pair(n, 1.0, tt.sample_rng(60, k))
+        assert check_clade_preservation(t1, t2, leaves)
+
+
+@pytest.mark.parametrize("tol", [-1e-9, float("nan")])
+def test_negative_or_nan_tol_is_refused(tol, quartet_a, quartet_b):
+    want = re.escape(f"tolerance must be >= 0, got {tol}")
+    for call in (lambda: tt.is_equidistant(quartet_a, tol), lambda: ultrametric_of(quartet_a, tol),
+                 lambda: tree_segment(quartet_a, quartet_b, tol),
+                 lambda: tt.tropical_segment(U_A, U_B, tol)):
+        with pytest.raises(ValueError, match=want) as raised:
+            call()
+        assert raised.type is ValueError
 
 
 def per_bend_clade_preservation(t1, t2, leaves, tol=1e-9):

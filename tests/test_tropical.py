@@ -125,9 +125,11 @@ def test_segment_properties(data):
     u, v = data.draw(pts), data.draw(pts)
     seg = tropical_segment(u, v)
     bends = seg.bend_points
-    # endpoint recovery
+    # endpoint recovery; the ends are v and u themselves, signed zeros too
     assert same_point(bends[0], v, tol=1e-9)
     assert same_point(bends[-1], u, tol=1e-9)
+    assert bends[0].tobytes() == v.tobytes()
+    assert len(bends) == 1 or bends[-1].tobytes() == u.tobytes()
     # consecutive retained bends are distinct
     for a, b in zip(bends, bends[1:]):
         assert trop_dist(a, b) > 1e-9

@@ -23,12 +23,13 @@ four words of block c of a stream are a pure function of its key and c
 * :func:`rows` writes every draw's ultrametric row, as a column, with the
   float additions of :func:`~troptree.trees._distances_of_merges`.
 
-:func:`block_draws` chains the first three for a block of samples of either
-experiment.  Lemire's method redraws when the low word of its product falls
-below 2**32 mod (bound + 1), with probability about bound / 2**32 per draw;
-a sample with such a draw is drawn again one sample at a time.  The first
-block of either experiment imports this module, so that the other callers
-of :mod:`troptree.sim` do not load it.
+:func:`sample_blocks` gives either experiment its blocks: one :func:`keys`
+and :func:`philox` pass for a run of blocks, and the rest per block.
+Lemire's method redraws when the low word of its product falls below
+2**32 mod (bound + 1), with probability about bound / 2**32 per draw; a
+sample with such a draw is drawn again one sample at a time.  Either
+experiment imports this module, so that the other callers of
+:mod:`troptree.sim` do not load it.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ import functools
 
 import numpy as np
 
-from .sim import SampleConfig, _draws, _merges_of, _pair_bounds, _schedule, sample_rng
+from .sim import (_STAR_BLOCK_ENTRIES, SampleConfig, _draws, _merges_of, _pair_bounds, _schedule,
+                  sample_rng)
 
 _MASK32 = 0xFFFFFFFF
 
@@ -118,18 +120,31 @@ def philox(key: np.ndarray, blocks: int) -> np.ndarray:
     between rounds.  The words are kept in pairs, x = (c0, c2) and
     y = (c1, c3), so that each step is one array operation for both."""
     streams = len(key)
-    k = np.ascontiguousarray(key.T)[:, :, None]                 # (k0, k1)
-    x = np.zeros((2, streams, blocks), dtype=np.uint64)         # (c0, c2)
+    k = np.array(key.T, order="C")[:, :, None]                # (k0, k1)
+    # (c0, c2), (c1, c3) and four scratch arrays, made once and rotated
+    x, y, a, b, t, c = np.zeros((6, 2, streams, blocks), dtype=np.uint64)
     x[0] = np.arange(1, blocks + 1, dtype=np.uint64)
-    y = np.zeros_like(x)                                        # (c1, c3)
     for r in range(_ROUNDS):
         if r:
-            k = k + _PHILOX_W
+            k += _PHILOX_W
         # the high words of M * x from 32-bit halves, as Hacker's Delight's mulhu
-        x1, x0 = x >> _32, x & _MASK32
-        t = x1 * _PHILOX_M0 + (x0 * _PHILOX_M0 >> _32)
-        hi = x1 * _PHILOX_M1 + (t >> _32) + (x0 * _PHILOX_M1 + (t & _MASK32) >> _32)
-        x, y = hi[::-1] ^ y ^ k, (x * _PHILOX_M)[::-1]
+        np.right_shift(x, _32, out=a)
+        np.bitwise_and(x, _MASK32, out=b)
+        np.multiply(a, _PHILOX_M0, out=t)
+        np.multiply(b, _PHILOX_M0, out=c)
+        c >>= _32
+        t += c
+        a *= _PHILOX_M1
+        a += np.right_shift(t, _32, out=c)
+        t &= _MASK32
+        b *= _PHILOX_M1
+        b += t
+        b >>= _32
+        a += b
+        np.multiply(x[::-1], _PHILOX_M[::-1], out=b)            # the next y
+        y ^= k
+        y ^= a[::-1]                                            # the next x
+        x, y, b = y, b, x
     return np.stack([x[0], y[0], x[1], y[1]], axis=-1).reshape(streams, 4 * blocks)
 
 
@@ -207,6 +222,9 @@ def draw_merges(n: int, heights: np.ndarray, i: np.ndarray, j: np.ndarray) -> li
     return _merges_of(n, heights.tolist(), i.tolist(), j.tolist())
 
 
+# sums past the float range are inf, as in Python floats, and the distance
+# check names them
+@np.errstate(over="ignore")
 def rows(n: int, heights: np.ndarray, first: np.ndarray, second: np.ndarray,
          members: np.ndarray | None = None) -> np.ndarray:
     """The condensed ultrametric rows, shape (draws, n(n-1)/2), of merge
@@ -266,17 +284,6 @@ def rows(n: int, heights: np.ndarray, first: np.ndarray, second: np.ndarray,
     return out.T
 
 
-def sample_draws(seed: int, first: int, count: int, n: int, height: float,
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`draws` for samples first..first+count-1 of a run with `seed`,
-    with a sample of index 2**32 or more, whose spawn key has two words,
-    flagged as well."""
-    indices = np.arange(first, first + count, dtype=np.uint64)
-    words = philox(keys(seed, indices & _MASK32), -(-words_per_sample(n) // 4))
-    heights, i, j, redraw = draws(words, n, height)
-    return heights, i, j, redraw | (indices > _MASK32)
-
-
 def sample_draw(cfg: SampleConfig, index: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sample `index`'s two draws as :func:`draws` gives them, from
     :func:`~troptree.sim.sample_rng` and :func:`~troptree.sim._draws`."""
@@ -286,14 +293,33 @@ def sample_draw(cfg: SampleConfig, index: int) -> tuple[np.ndarray, np.ndarray, 
     return (heights, *_pair_positions(cfg.n, i, j))
 
 
-def block_draws(cfg: SampleConfig, first: int, count: int,
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`sample_draws` for samples first..first+count-1, with each
-    flagged sample drawn again by :func:`sample_draw`, and every sample if
-    the first one's schedules differ from :func:`~troptree.sim._schedule`'s,
-    as a numpy that draws differently would make them."""
-    n = cfg.n
-    heights, i, j, redraw = sample_draws(cfg.seed, first, count, n, cfg.height)
+def sample_blocks(cfg: SampleConfig, block: int):
+    """Samples 0..cfg.samples-1 in blocks of `block`, each as its first
+    sample and the merge heights and positions i < j of :func:`draws`,
+    shape (2 * samples, n-1), u and v in turn.  One :func:`keys` and
+    :func:`philox` pass makes the words of a run of whole blocks, as many
+    as :data:`~troptree.sim._STAR_BLOCK_ENTRIES` words hold (at least
+    one); the rest runs per block (:func:`_block`)."""
+    width = -(-words_per_sample(cfg.n) // 4)
+    run = block * max(1, _STAR_BLOCK_ENTRIES // (4 * width * block))
+    for start in range(0, cfg.samples, run):
+        indices = np.arange(start, min(start + run, cfg.samples), dtype=np.uint64)
+        words = philox(keys(cfg.seed, indices & _MASK32), width)
+        for at in range(0, len(indices), block):
+            yield _block(cfg, indices[at:at + block], words[at:at + block])
+
+
+def _block(cfg: SampleConfig, indices: np.ndarray, words: np.ndarray,
+           ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """A block of :func:`sample_blocks` from its samples' indices and
+    words: :func:`draws`, with each sample that hit a Lemire rejection, or
+    whose index of 2**32 or more makes a two-word spawn key, drawn again by
+    :func:`sample_draw`, and every sample if the first one's schedules
+    differ from :func:`~troptree.sim._schedule`'s, as a numpy that draws
+    differently would make them."""
+    n, first = cfg.n, int(indices[0])
+    heights, i, j, redraw = draws(words, n, cfg.height)
+    redraw |= indices > _MASK32
     rng = sample_rng(cfg.seed, first)
     if not redraw[0] and any(
             _schedule(n, cfg.height, rng)
@@ -302,14 +328,4 @@ def block_draws(cfg: SampleConfig, first: int, count: int,
         redraw[:] = True
     for r in np.flatnonzero(redraw).tolist():
         heights[r], i[r], j[r] = sample_draw(cfg, first + r)
-    return heights, i, j
-
-
-def star_rows(cfg: SampleConfig, first: int, count: int) -> np.ndarray:
-    """The rows of samples first..first+count-1 (:func:`block_draws`), u and
-    v in turn: a view of :func:`rows`' leaf-major array."""
-    n = cfg.n
-    # sums past the float range are inf, as in Python floats, and the
-    # distance check names them
-    with np.errstate(over="ignore"):
-        return rows(n, *(a.reshape(2 * count, n - 1) for a in block_draws(cfg, first, count)))
+    return first, *(a.reshape(2 * len(words), n - 1) for a in (heights, i, j))

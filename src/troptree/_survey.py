@@ -26,20 +26,21 @@ from .treespace import _invalid_distances, _violating_triple, Ultrametric, requi
 from .util import DEFAULT_TOL, square_index
 
 
-def _survey_block(cfg: SampleConfig, labels: tuple[str, ...], first: int, stop: int,
+def _survey_block(cfg: SampleConfig, labels: tuple[str, ...], first: int, heights: np.ndarray,
+                  i: np.ndarray, j: np.ndarray,
                   ) -> tuple[np.ndarray, int, int, int, int, list[dict]]:
-    """Samples first..stop-1 of the NNI survey, in numpy arrays: the number
-    of topologies along each sample's segment, the number of transitions
-    between binary topologies and of those one NNI move apart, the number
-    of degenerate topologies and of those that resolve against a binary
-    neighbour they are no contraction of, and the violations, each with the
-    Newick strings of its sample's two trees.
+    """A block of the NNI survey from its first sample and its draws, as
+    :func:`troptree._streams.sample_blocks` gives them, in numpy arrays:
+    the number of topologies along each sample's segment, the number of
+    transitions between binary topologies and of those one NNI move apart,
+    the number of degenerate topologies and of those that resolve against
+    a binary neighbour they are no contraction of, and the violations, each
+    with the Newick strings of its sample's two trees.
 
-    The draws come from :func:`troptree._streams.block_draws`, as
-    star-prob's do.  Their rows are checked as the tree route checks them,
-    batched: the equidistance of each draw (:func:`troptree._linkages.unequal`),
-    positivity and the three-point condition give their first failing
-    sample without raising.
+    The draws are star-prob's.  Their rows are checked as the tree route
+    checks them, batched: the equidistance of each draw
+    (:func:`troptree._linkages.unequal`), positivity and the three-point
+    condition give their first failing sample without raising.
     The segments of the samples before it are read together by
     :func:`troptree._linkages.segment_rows`, the reader of
     :class:`~troptree.treespace.TreeSegment`'s single-linkage route: from
@@ -54,14 +55,11 @@ def _survey_block(cfg: SampleConfig, labels: tuple[str, ...], first: int, stop: 
     that fails.  Merge schedules are built only for the error messages and
     for the Newick strings of samples with a violation."""
     n, tol = cfg.n, DEFAULT_TOL
-    count = stop - first
-    heights, i, j = (x.reshape(2 * count, n - 1) for x in _streams.block_draws(cfg, first, count))
+    count = len(heights) // 2
     members = np.empty((2 * count, n - 1, n), dtype=bool)
-    # sums past the float range are inf, as in Python floats, and the
-    # distance check names them; the segment passes read the rows in
-    # sample order, so they are made contiguous once
-    with np.errstate(over="ignore"):
-        rows = np.ascontiguousarray(_streams.rows(n, heights, i, j, members))
+    # the segment passes read the rows in sample order, so they are made
+    # contiguous once
+    rows = np.ascontiguousarray(_streams.rows(n, heights, i, j, members))
     unequal = _linkages.unequal(_linkages.leaf_depths(heights, members)[0], tol)
     squares = np.concatenate((rows, np.zeros((len(rows), 1))), axis=1)[:, square_index(n)]
     faults = [_invalid_distances(rows), _violating_triple(squares, tol)]

@@ -300,17 +300,16 @@ def estimate_star_probability(cfg: SampleConfig) -> ExperimentReport:
     them passes through the star tree (the origin of the coordinates).
 
     The pairs are drawn straight into ultrametric rows a block of samples
-    at a time (:func:`troptree._streams.star_rows`) and tested with the
-    distance and height checks and the star test of
-    :func:`star_on_segment`, raising what it raises.  The trees are
-    equidistant by construction, so their depths are not re-checked."""
+    at a time, the stream words of a run of blocks in one pass
+    (:func:`troptree._streams.sample_blocks`), and tested with the checks
+    and the star test of :func:`star_on_segment`, raising what it raises.
+    The trees are equidistant by construction, so no depth is re-checked."""
     # imported here, so that only star-probability runs load it
-    from ._streams import star_rows
+    from . import _streams
     start = time.perf_counter()
-    block = _star_block_rows(cfg.n)
     hits = 0
-    for first in range(0, cfg.samples, block):
-        rows = star_rows(cfg, first, min(block, cfg.samples - first))
+    for _, *draws in _streams.sample_blocks(cfg, _star_block_rows(cfg.n)):
+        rows = _streams.rows(cfg.n, *draws)
         # u and v in turn, as the per-sample loop checks them; it would have
         # height-checked every sample before the first invalid one
         bad = _invalid_distances(rows)
@@ -345,13 +344,15 @@ def check_nni_conjecture(cfg: SampleConfig) -> ExperimentReport:
 
     The samples run in blocks of :func:`_survey_block_rows`, each a fixed
     number of numpy passes (:func:`troptree._survey._survey_block`): the
-    draws of the whole block, the bend clusters of all its segments and
-    its transitions, compared as sets of clade masks.  No tree and no
-    :class:`~troptree.trees.Topology` is built, and the Newick strings are
-    written from merge schedules, only for samples with a violation.  The
-    survey stops with the error, and the message, that the tree route
-    raises for the first sample that fails."""
-    # imported here, so that only survey runs load it
+    draws of the whole block (one word pass per run of blocks, as in
+    star-prob), the bend clusters of all its segments and its transitions,
+    compared as sets of clade masks.  No tree and no
+    :class:`~troptree.trees.Topology` is built; Newick strings are written
+    from merge schedules, only for samples with a violation.  The survey
+    stops with the error and message that the tree route raises for the
+    first sample that fails."""
+    # imported here, so that only survey runs load them
+    from ._streams import sample_blocks
     from ._survey import _survey_block
     start = time.perf_counter()
     labels = tuple(str(k) for k in range(1, cfg.n + 1))
@@ -361,11 +362,9 @@ def check_nni_conjecture(cfg: SampleConfig) -> ExperimentReport:
     unresolved_total = 0
     histogram: dict[int, int] = {}
     violations: list[dict] = []
-    block = _survey_block_rows(cfg.n)
-    for first in range(0, cfg.samples, block):
-        stop = min(first + block, cfg.samples)
+    for block in sample_blocks(cfg, _survey_block_rows(cfg.n)):
         counts, transitions, singles, degenerate, unresolved, found = _survey_block(
-            cfg, labels, first, stop)
+            cfg, labels, *block)
         for size, times in zip(*(x.tolist() for x in np.unique(counts, return_counts=True))):
             histogram[size] = histogram.get(size, 0) + times
         total += transitions

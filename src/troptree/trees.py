@@ -184,7 +184,7 @@ def _members(labels: Sequence[str], mask: int) -> list[str]:
 def topology_of(tree: RootedTree, tol: float = DEFAULT_TOL) -> Topology:
     """Clade set of an equidistant tree after collapsing every internal edge
     of length <= tol into its parent, read from its merge schedule."""
-    return _topology_of_merges(tree.leaf_labels, tree.merges, tree.lengths, tol)
+    return _topology_of_merges(tree.leaf_labels, tree.merges, tree.lengths, valid_tol(tol))
 
 
 def _clade_table(tree: RootedTree, labels: Sequence[str] | None = None,
@@ -443,6 +443,7 @@ def is_clade(tree: RootedTree, leaves: Iterable[str], tol: float = DEFAULT_TOL) 
     """True iff every within-set distance is smaller than every distance to
     an outside leaf (with a tol margin): the pairwise-distance criterion for
     the set being the descendant leaves of one internal node."""
+    tol = valid_tol(tol)
     keep = set(leaves)
     full = set(tree.leaf_labels)
     if not keep <= full:

@@ -26,7 +26,7 @@ from .newick import RootedTree
 from .tropical import _bend_shifts, _shifted_max, tropical_segment
 from .trees import (Topology, require_equidistant, require_same_leaves,
                     speciation_times, topology_of)
-from .util import DEFAULT_TOL, sorted_labels, square_form, square_index
+from .util import DEFAULT_TOL, sorted_labels, square_form, square_index, valid_tol
 
 if TYPE_CHECKING:
     from ._linkages import Linkage
@@ -140,6 +140,7 @@ def _violating_triple(D: np.ndarray, tol: float) -> tuple[int, int, int, int] | 
 def is_ultrametric(entries, tol: float = DEFAULT_TOL) -> bool:
     """True iff every leaf triple attains its maximum pairwise distance at
     least twice, within tol."""
+    tol = valid_tol(tol)
     vec = np.asarray(entries, dtype=float)
     if vec.ndim != 1:
         raise ValueError("expected a 1-D condensed distance vector")
@@ -165,7 +166,7 @@ def require_ultrametric(u: Ultrametric, tol: float = DEFAULT_TOL) -> None:
     ultrametrics that pass is again one that passes, so validating a
     segment's endpoints validates all of it."""
     D = square_form(u.entries, u.n)
-    bad = _violating_triple(D[None], tol)
+    bad = _violating_triple(D[None], valid_tol(tol))
     if bad is not None:
         _, i, j, k = bad
         names = (u.labels[i], u.labels[j], u.labels[k])
@@ -534,7 +535,7 @@ def check_clade_preservation(t1: RootedTree, t2: RootedTree,
         raise ValueError(
             f"the trees induce different topologies on {list(leaves)}")
     seg = tree_segment(t1, t2, tol)
-    points = np.stack(seg.segment.bend_points)
+    points = seg.segment.bend_points[0].base     # the rows are views of one array
     inside = np.isin(seg.u.labels, leaves)
     index = square_index(seg.u.n)
     columns = index[np.ix_(inside, inside)][np.triu_indices(len(leaves), k=1)]

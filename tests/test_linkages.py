@@ -165,7 +165,7 @@ def test_draw_equidistance_matches_equidistance_error(height):
     for n in range(3, 13):
         labels = tuple(str(k) for k in range(1, n + 1))
         cfg = SampleConfig(n=n, height=height, samples=50, seed=n)
-        heights, i, j = (x.reshape(-1, n - 1) for x in _streams.block_draws(cfg, 0, 50))
+        _, heights, i, j = next(_streams.sample_blocks(cfg, 50))
         members = np.empty((len(heights), n - 1, n), dtype=bool)
         _streams.rows(n, heights, i, j, members)
         unequal = _linkages.unequal(_linkages.leaf_depths(heights, members)[0], TOL)
@@ -225,7 +225,8 @@ def test_survey_redraws_rejected_samples_one_at_a_time(n, monkeypatch):
 
     monkeypatch.setattr(_streams, "keys", seen)
     monkeypatch.setattr(_streams, "philox", zeroed)
-    assert _streams.sample_draws(1, 0, 1, n, 1.0)[3].tolist() == [True]
+    assert _streams.draws(np.zeros((1, _streams.words_per_sample(n)), dtype=np.uint64),
+                          n, 1.0)[3].tolist() == [True]
     drawn = spy_on_scalar_draws(monkeypatch)
     assert check_nni_conjecture(cfg).to_json() == want
     assert drawn == sorted(crafted)

@@ -10,7 +10,9 @@ import pytest
 
 import star_loop
 import troptree as tt
-from troptree import SampleConfig, _streams, estimate_star_probability, sample_rng
+from test_sim import oracle_survey
+from troptree import (SampleConfig, _streams, check_nni_conjecture, estimate_star_probability,
+                      sample_rng)
 from troptree.cli import main
 from troptree.sim import _merges_of, _schedule
 from troptree.treespace import _invalid_distances, star_crossings
@@ -77,7 +79,9 @@ def test_leaf_major_rows_match_sample_major_rows(n):
     # the leaves below each step as the sample-major writer gives them
     for count in sorted({1, 7, 512, tt.sim._star_block_rows(n)}):
         for height in (1e-3, 1.0, 1e3, 1e308):
-            h, i, j, _ = _streams.sample_draws(5, 0, count, n, height)
+            words = _streams.philox(_streams.keys(5, np.arange(count, dtype=np.uint64)),
+                                    -(-_streams.words_per_sample(n) // 4))
+            h, i, j, _ = _streams.draws(words, n, height)
             h, i, j = (a.reshape(2 * count, n - 1) for a in (h, i, j))
             members = np.empty((2 * count, n - 1, n), dtype=bool)
             want_members = np.empty_like(members)
@@ -102,8 +106,8 @@ def test_checks_read_strided_rows_as_contiguous_ones(n, height, samples, seed):
     # the star experiment checks views of the leaf-major rows, u and v in
     # turn: the distance checks and the star test, with their messages,
     # are those of contiguous copies, on zero rows and infinite rows too
-    rows = _streams.star_rows(SampleConfig(n=n, height=height, samples=samples, seed=seed),
-                              0, samples)
+    cfg = SampleConfig(n=n, height=height, samples=samples, seed=seed)
+    rows = _streams.rows(n, *next(_streams.sample_blocks(cfg, samples))[1:])
     assert not rows.flags.c_contiguous
     copy = np.ascontiguousarray(rows)
     assert rows.tobytes() == copy.tobytes()
@@ -127,17 +131,21 @@ def test_checks_read_strided_rows_as_contiguous_ones(n, height, samples, seed):
         assert got[-1].startswith("height mismatch: ")
 
 
-def test_two_word_spawn_keys_are_flagged():
+def test_two_word_spawn_keys_are_flagged(monkeypatch):
     # indices from 2**32 on have a two-word spawn key, which keys() does
-    # not derive; the samples below it are drawn as usual
+    # not derive: those samples are drawn one at a time, the ones below it
+    # from the block's words
     n, first = 5, 2**32 - 2
-    h, i, j, redraw = _streams.sample_draws(3, first, 4, n, 1.0)
-    assert redraw.tolist() == [False, False, True, True]
-    for k in range(2):
+    indices = np.arange(first, first + 4, dtype=np.uint64)
+    words = _streams.philox(_streams.keys(3, indices & 0xFFFFFFFF), 5)
+    drawn = spy_on_scalar_rows(monkeypatch)
+    got, h, i, j = _streams._block(SampleConfig(n=n, seed=3), indices, words)
+    assert (got, drawn) == (first, [2**32, 2**32 + 1])
+    for k in range(4):
         rng = sample_rng(3, first + k)
-        for t in range(2):
+        for t in (2 * k, 2 * k + 1):
             want = _schedule(n, 1.0, rng)
-            assert _merges_of(n, h[k, t].tolist(), i[k, t].tolist(), j[k, t].tolist()) == want
+            assert _merges_of(n, h[t].tolist(), i[t].tolist(), j[t].tolist()) == want
 
 
 def test_lemire_rejections_are_flagged():
@@ -271,3 +279,112 @@ def test_star_errors_match_per_sample_loop(n, height, samples, seed, message, ca
                  "--samples", str(samples), "--seed", str(seed)])
     out, err = capsys.readouterr()
     assert (code, out, err.splitlines()[0]) == (3, "", f"error: {message}")
+
+
+#: Samples per block in the pass tests: three blocks and a half fit the
+#: patched pass bound, so a pass holds three.
+BLOCK = 7
+#: The first sample of a run (a pass and a block), of a block inside a
+#: pass, of the second pass, and one inside a block.
+CRAFTED = {0, 7, 21, 30}
+#: The route's own key and word makers, for the words that each block should get.
+KEYS, PHILOX = _streams.keys, _streams.philox
+
+
+def patch_passes(monkeypatch, n, crafted=frozenset()):
+    """Blocks of BLOCK samples for either experiment, three to a word pass,
+    with the words of the `crafted` samples zeroed (a Lemire rejection at
+    any n).  Returns what the route read: the sample indices of each
+    :func:`keys` call, and the indices and words of each block."""
+    width = -(-_streams.words_per_sample(n) // 4)
+    monkeypatch.setattr(tt.sim, "_star_block_rows", lambda n: BLOCK)
+    monkeypatch.setattr(tt.sim, "_survey_block_rows", lambda n: BLOCK)
+    monkeypatch.setattr(_streams, "_STAR_BLOCK_ENTRIES", 4 * width * (3 * BLOCK + BLOCK // 2))
+    block = _streams._block
+    passes, blocks = [], []
+
+    def seen(seed, indices):
+        passes.append(indices.tolist())
+        return KEYS(seed, indices)
+
+    def zeroed(key, count):
+        words = PHILOX(key, count)
+        words[[k for k, index in enumerate(passes[-1]) if index in crafted]] = 0
+        return words
+
+    def one_block(cfg, indices, words):
+        blocks.append((indices.tolist(), words.copy()))
+        return block(cfg, indices, words)
+
+    monkeypatch.setattr(_streams, "keys", seen)
+    monkeypatch.setattr(_streams, "philox", zeroed)
+    monkeypatch.setattr(_streams, "_block", one_block)
+    return passes, blocks
+
+
+def check_passes(cfg, passes, blocks, crafted=frozenset()):
+    """Each sample index is keyed once, in passes of three blocks, and each
+    block's words are those of its own keys, bit for bit."""
+    run = 3 * BLOCK
+    assert [k for p in passes for k in p] == list(range(cfg.samples))
+    assert [len(p) for p in passes] == [min(run, cfg.samples - s) for s in range(0, cfg.samples, run)]
+    assert len(passes) >= 2 and cfg.samples % BLOCK
+    assert [k for b, _ in blocks for k in b] == list(range(cfg.samples))
+    assert [len(b) for b, _ in blocks] == [len(p[s:s + BLOCK]) for p in passes
+                                           for s in range(0, len(p), BLOCK)]
+    width = -(-_streams.words_per_sample(cfg.n) // 4)
+    for indices, words in blocks:
+        want = PHILOX(KEYS(cfg.seed, np.array(indices, dtype=np.uint64)), width)
+        want[[k for k, index in enumerate(indices) if index in crafted]] = 0
+        assert words.tobytes() == want.tobytes(), indices
+
+
+@pytest.mark.parametrize("n, samples, height", [
+    (3, 200, 1.0), (4, 47, 1e-3), (5, 101, 1.0), (8, 64, 1e3), (12, 40, 1.0), (20, 45, 1e6),
+])
+def test_star_passes_match_per_sample_loop(n, samples, height, monkeypatch):
+    # passes of three blocks of 7, the last block of the run partial, with
+    # rejections at the first sample of a pass and of a block
+    cfg = SampleConfig(n=n, height=height, samples=samples, seed=4)
+    want = outcome(star_loop.star_report, cfg)
+    passes, blocks = patch_passes(monkeypatch, n, CRAFTED)
+    drawn = spy_on_scalar_rows(monkeypatch)
+    assert outcome(estimate_star_probability, cfg) == want
+    check_passes(cfg, passes, blocks, CRAFTED)
+    assert drawn == sorted(CRAFTED)
+
+
+@pytest.mark.parametrize("n, samples", [(3, 45), (5, 47), (6, 40), (9, 41)])
+def test_survey_passes_match_tree_route(n, samples, monkeypatch):
+    cfg = SampleConfig(n=n, samples=samples, seed=4)
+    want = oracle_survey(cfg).to_json()
+    passes, blocks = patch_passes(monkeypatch, n, CRAFTED)
+    drawn = spy_on_scalar_rows(monkeypatch)
+    assert check_nni_conjecture(cfg).to_json() == want
+    check_passes(cfg, passes, blocks, CRAFTED)
+    assert drawn == sorted(CRAFTED)
+
+
+@pytest.mark.parametrize("experiment, oracle, n", [
+    (estimate_star_probability, star_loop.star_report, 4),
+    (estimate_star_probability, star_loop.star_report, 7),
+    (check_nni_conjecture, oracle_survey, 6),
+])
+def test_every_block_of_a_pass_runs_its_guard(experiment, oracle, n, monkeypatch):
+    # draws that differ in the last bit of every merge height, as a numpy
+    # whose internals moved might give: every block fails its guard, not
+    # only the first of each pass
+    cfg = SampleConfig(n=n, samples=50, seed=6)
+    want = outcome(oracle, cfg)
+    passes, blocks = patch_passes(monkeypatch, n)
+    draws = _streams.draws
+
+    def drifted(words, n, height):
+        h, i, j, rejected = draws(words, n, height)
+        return np.nextafter(h, np.inf), i, j, rejected
+
+    monkeypatch.setattr(_streams, "draws", drifted)
+    drawn = spy_on_scalar_rows(monkeypatch)
+    assert outcome(experiment, cfg) == want
+    check_passes(cfg, passes, blocks)
+    assert drawn == list(range(cfg.samples))

@@ -443,9 +443,14 @@ def test_check_clade_preservation_on_table_segments(n):
 @pytest.mark.parametrize("tol", [-1e-9, float("nan")])
 def test_negative_or_nan_tol_is_refused(tol, quartet_a, quartet_b):
     want = re.escape(f"tolerance must be >= 0, got {tol}")
+    u = ultrametric_of(quartet_a)
     for call in (lambda: tt.is_equidistant(quartet_a, tol), lambda: ultrametric_of(quartet_a, tol),
                  lambda: tree_segment(quartet_a, quartet_b, tol),
-                 lambda: tt.tropical_segment(U_A, U_B, tol)):
+                 lambda: tt.tropical_segment(U_A, U_B, tol),
+                 lambda: tt.is_ultrametric(U_A, tol), lambda: tt.is_ultrametric([1.0], tol),
+                 lambda: tt.treespace.require_ultrametric(u, tol), lambda: tree_of(u, tol),
+                 lambda: topology_of(quartet_a, tol), lambda: tt.is_clade(quartet_a, ["1"], tol),
+                 lambda: tt.speciation_times(quartet_a, tol)):
         with pytest.raises(ValueError, match=want) as raised:
             call()
         assert raised.type is ValueError

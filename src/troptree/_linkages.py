@@ -1,15 +1,15 @@
-"""Single linkage of a block of distance vectors in numpy arrays, and the
-topologies along a block of tree segments read from it.
+"""Single linkage of a block of distance vectors in numpy arrays, the
+clean rule, and the topologies along a block of tree segments read from them.
 
-:func:`~troptree.trees._single_linkages` splits the values of each vector
-into runs and finds its minimum spanning tree; :func:`linkage` turns the
-edges of the whole block, sorted by the top of their run, into every
+:func:`_single_linkages` splits the values of each vector into runs
+(:func:`_runs`) and finds its minimum spanning tree; :func:`linkage` turns
+the edges of the whole block, sorted by the top of their run, into every
 vector's clusters, one pass per edge rank: the edges of one run join their
 components into one node each, at half the run's top.  Each node sits in
 the slot of the first edge of its run inside it: n - 1 slots, each node
 after the nodes inside it, which the candidate table of a large segment
 (:meth:`troptree._meets.MeetTable.linkages`) fills too, with each row's
-widest run and narrowest gap, the margins of the clean rule.
+widest run and narrowest gap, the margins of the clean rule (:func:`_is_clean`).
 :func:`leaf_depths` gives each node its parent, :func:`branch_depths` its
 branch, and with :func:`unequal` they are the equidistance check of
 :func:`~troptree.trees._equidistance_error` on arrays, in its float order.
@@ -18,8 +18,7 @@ branch, and with :func:`unequal` they are the equidistance check of
 segments: of the NNI survey's blocks, by single linkage, and of both routes
 of :class:`~troptree.treespace.TreeSegment`, which hands it its own bend
 parameters and, on the table route, the candidate table as its point
-reader.  :func:`segment_rows` writes their topologies as rows of clade
-masks for the survey.  Imported by
+reader; it applies the clean rule to the pieces.  Imported by
 the first batched pass, so that ``import troptree.cli`` does not load it.
 """
 
@@ -31,8 +30,8 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from . import trees as _trees
-from .treespace import _is_clean
 from .tropical import _bend_parameters, _bend_shifts, _shifted_max, _shifts
+from .util import square_index
 
 
 class Linkage(NamedTuple):
@@ -59,7 +58,7 @@ class Linkage(NamedTuple):
     parents: np.ndarray
     lengths: np.ndarray
     firsts: np.ndarray
-    #: per vector, its widest run and narrowest gap (:func:`~troptree.trees._runs`)
+    #: per vector, its widest run and narrowest gap (:func:`_runs`)
     widths: np.ndarray
     gaps: np.ndarray
 
@@ -300,28 +299,129 @@ def linkage(n: int, near: np.ndarray, far: np.ndarray, tops: np.ndarray,
                       *leaf_depths(tops / 2.0, members, node), tol, widths, gaps)
 
 
-def within(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """For rows of clade masks a and b, shape (rows, width) each, whether
-    each mask of a is in its row of b, shape (rows, width)."""
-    return (a[:, :, None] == b[:, None, :]).any(axis=2)
+#: Entries of the (rows, n, n) distance stack that one block of
+#: :func:`_single_linkages` builds: 1 MiB of floats, so memory stays flat
+#: at any number of rows and any n.
+_LINKAGE_BLOCK_ENTRIES = 1 << 17
 
 
-def topology_rows(n: int, linkage: Linkage) -> np.ndarray:
-    """The topology row of each vector of a :class:`Linkage`, n wide: its
-    kept clades and the full set, unsorted, zeros in the other slots."""
-    rows = np.empty((len(linkage.kept), n), dtype=linkage.masks.dtype)
-    rows[:, :n - 1] = np.where(linkage.kept, linkage.masks, 0)
-    rows[:, n - 1] = (1 << n) - 1
-    return rows
+def _mst_edges(stack: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-1 edges (near, far) of a minimum spanning tree of the complete
+    graph on n vertices for every row of a stack of condensed edge
+    weights, shape (rows, n(n-1)/2): two (rows, n-1) arrays, in the order
+    Prim's algorithm adds the edges (numpy updates of all rows at once,
+    O(n^2) per row)."""
+    rows = stack.shape[0]
+    at = np.arange(rows)
+    D = np.concatenate((stack, np.full((rows, 1), np.inf)), axis=1)[:, square_index(n)]
+    best = D[:, 0].copy()                       # distance of each vertex to the tree
+    closest = np.zeros((rows, n), dtype=np.intp)  # and the tree vertex it is closest to
+    D[:, :, 0] = np.inf
+    near = np.empty((rows, n - 1), dtype=np.intp)
+    far = np.empty((rows, n - 1), dtype=np.intp)
+    for k in range(n - 1):
+        j = best.argmin(axis=1)
+        near[:, k] = closest[at, j]
+        far[:, k] = j
+        D[at, :, j] = np.inf                    # j joins the tree: no row may lower best[j]
+        best[at, j] = np.inf
+        row = D[at, j]
+        np.copyto(closest, j[:, None], where=row < best)
+        np.minimum(best, row, out=best)
+    return near, far
+
+
+def _runs(values: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The runs of each row of a (rows, m) stack of values: sorted, the
+    values split into runs wherever consecutive ones differ by more than
+    tol.  Returns the top (largest value) of each value's run, in the row's
+    own order, the width of each row's widest run (largest minus smallest
+    value, 0 for a single value) and its narrowest gap between two
+    consecutive runs (inf with one run).  Single linkage and the candidate
+    table (:meth:`~troptree._meets.MeetTable.linkages`) both split by it."""
+    rows, m = values.shape
+    order = np.arange(rows)[:, None], np.argsort(values, axis=1)
+    svals = values[order]
+    step = np.diff(svals, axis=1)
+    start = np.ones((rows, m), dtype=bool)
+    np.greater(step, tol, out=start[:, 1:])
+    gaps = np.where(start[:, 1:], step, np.inf).min(axis=1, initial=np.inf)
+    del step
+    # the top and the bottom of every sorted value's run: the values
+    # ascend, so they are the nearest run end after it and the nearest run
+    # start before it
+    bottoms = np.where(start, svals, -np.inf)
+    np.maximum.accumulate(bottoms, axis=1, out=bottoms)
+    tops = svals[:, ::-1]                   # the run ends hold their own tops
+    np.copyto(tops[:, 1:], np.inf, where=~start[:, :0:-1])
+    np.minimum.accumulate(tops, axis=1, out=tops)
+    widths = np.subtract(svals, bottoms, out=bottoms).max(axis=1, initial=0.0)
+    top = np.empty_like(values)
+    top[order] = svals
+    return top, widths, gaps
+
+
+def _spanning_edges(stack: np.ndarray, n: int, tol: float,
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The n-1 edges (near, far) of a minimum spanning tree of each row of
+    a stack of condensed distance vectors, shape (rows, n(n-1)/2), sorted
+    by the top of their run (:func:`_runs`), by which they merge, stably;
+    those tops, and the widest run and narrowest gap of each row."""
+    top, widths, gaps = _runs(stack, tol)
+    near, far = _mst_edges(stack, n)
+    row = np.arange(len(stack))[:, None]
+    tops = top[row, square_index(n)[near, far]]
+    by_top = row, np.argsort(tops, axis=1, kind="stable")
+    return near[by_top], far[by_top], tops[by_top], widths, gaps
+
+
+def _single_linkages(points: Sequence[np.ndarray] | np.ndarray, n: int,
+                     tol: float) -> Linkage:
+    """The single-linkage clusters of each of a non-empty sequence of condensed
+    distance vectors over n leaves, as numpy arrays (:class:`Linkage`), with
+    the clade cut at tol, the equidistance check of each schedule, and the
+    width of each vector's widest run and its narrowest gap between runs
+    (:func:`_runs`).  Every distance vector that the library turns into
+    clusters is read here.  The pairs of a run merge at once, at half the run's
+    top, so values within tol of each other make polytomies.  Only the edges of
+    a minimum spanning tree are merged: for every threshold, those at or below
+    it connect the same leaves as all pairs at or below it (Gower & Ross 1969),
+    O(n^2) per vector.  The run split and Prim's algorithm run on blocks of
+    `_LINKAGE_BLOCK_ENTRIES` square entries, the merging of the edges
+    (:func:`linkage`) on eight at once."""
+    step = max(1, _LINKAGE_BLOCK_ENTRIES // (n * n))
+    near, far, tops, widths, gaps = map(np.concatenate, zip(*(
+        _spanning_edges(np.asarray(points[first:first + step], dtype=float), n, tol)
+        for first in range(0, len(points), step))))
+    # the edges are merged in larger blocks: the pass holds a few bytes per
+    # square entry where Prim's algorithm holds floats, and its cost per
+    # block grows with n whatever the block's size
+    step *= 8
+    parts = [linkage(n, near[k:k + step], far[k:k + step], tops[k:k + step], tol,
+                     widths[k:k + step], gaps[k:k + step]) for k in range(0, len(near), step)]
+    return Linkage(*map(np.concatenate, zip(*parts)))
+
+
+#: Bounds, in multiples of tol, on the widest run of distance values and
+#: the narrowest gap between runs of a bend point under which the pieces
+#: next to it read their topologies from their bends (:class:`~troptree.treespace.TreeSegment`).
+_RUN_WIDTH = 0.25
+_RUN_GAP = 8.0
+
+
+def _is_clean(widths: np.ndarray, gaps: np.ndarray, tol: float) -> np.ndarray:
+    """The clean rule of :class:`~troptree.treespace.TreeSegment` for each bend, from the
+    width of its widest run of distance values and its narrowest gap between runs."""
+    return (widths <= _RUN_WIDTH * tol) & (gaps > _RUN_GAP * tol)
 
 
 def _raise_at(labels: tuple[str, ...], linkage: Linkage, row: int, tol: float) -> None:
-    """Raise what the tree route raises at a row of a :class:`Linkage`
-    whose schedule the array check flags: the leaf named is the first in
-    the preorder of the row's :func:`merges` schedule."""
+    """Raise the error of :func:`~troptree.trees._equidistance_error`, as the tree
+    route does, at a row of a :class:`Linkage` whose schedule the array check
+    flags: it names the first leaf in the preorder of the row's :func:`merges` schedule."""
     n = len(labels)
     schedule, = merges(n, Linkage(*(field[row:row + 1] for field in linkage)))
-    _trees._topology_of_merges(labels, schedule, _trees._merge_lengths(n, schedule), tol)
+    raise _trees._equidistance_error(labels, schedule, _trees._merge_lengths(n, schedule), tol)
 
 
 def segment_linkages(labels: tuple[str, ...], u: np.ndarray, v: np.ndarray, tol: float,
@@ -338,7 +438,7 @@ def segment_linkages(labels: tuple[str, ...], u: np.ndarray, v: np.ndarray, tol:
     `params` of one segment, u and v one row each.  ``read(rows, a, b)`` reads the points
     max(u[rows] + a, v[rows] + b): their :class:`Linkage`, which carries
     the widest run and narrowest gap of each, by default in one pass of
-    :func:`~troptree.trees._single_linkages`, the row of one segment
+    :func:`_single_linkages`, the row of one segment
     broadcast to all its points rather than copied for each; the candidate
     table of one segment reads them from its meets.  Raises what the tree
     route raises at the first segment with a bend or a piece midpoint that
@@ -352,7 +452,7 @@ def segment_linkages(labels: tuple[str, ...], u: np.ndarray, v: np.ndarray, tol:
     if read is None:
         def read(rows, a, b):
             ends = (u, v) if len(u) == 1 else (u[rows], v[rows])
-            return _trees._single_linkages(_shifted_max(*ends, a, b), n, tol)
+            return _single_linkages(_shifted_max(*ends, a, b), n, tol)
     linkage = read(segment, *_bend_shifts(params, last))
     clean = _is_clean(linkage.widths, linkage.gaps, tol)
     left = np.flatnonzero(~last)
@@ -368,29 +468,3 @@ def segment_linkages(labels: tuple[str, ...], u: np.ndarray, v: np.ndarray, tol:
     if flagged:
         _raise_at(labels, *min(flagged, key=lambda f: f[:2])[2:], tol)
     return segment, left, unclean, linkage, midlinkage
-
-
-def segment_rows(labels: tuple[str, ...], u: np.ndarray, v: np.ndarray, tol: float,
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """The topologies along the segments from the rows of v to those of u
-    (:func:`segment_linkages`): one row of clade masks per position, 2n
-    wide, sorted and padded with zeros, so that two rows are one topology
-    exactly when they are equal, and the segment of each row.  The
-    positions are those of :class:`~troptree.treespace.TreeSegment`, bend
-    k of a segment and then its piece k, which takes the union of its
-    bends' clades or its midpoint's."""
-    n = len(labels)
-    segment, left, unclean, linkage, midlinkage = segment_linkages(labels, u, v, tol)
-    # bend k at position 2k - (its segment), the piece after it at one more
-    bends = topology_rows(n, linkage)
-    position = np.zeros((2 * len(bends) - len(u), 2 * n), dtype=bends.dtype)
-    at = 2 * np.arange(len(bends)) - segment
-    position[at, :n] = bends
-    a, b = bends[left], bends[left + 1]
-    position[at[left] + 1, :n] = a
-    position[at[left] + 1, n:] = np.where(within(b, a), 0, b)
-    if midlinkage is not None:
-        position[at[unclean] + 1, :n] = topology_rows(n, midlinkage)
-        position[at[unclean] + 1, n:] = 0
-    position.sort(axis=1)
-    return position, np.repeat(np.arange(len(u)), 2 * np.bincount(segment, minlength=len(u)) - 1)

@@ -1,9 +1,10 @@
-"""The candidate table of a tree segment: the meets of the clusters of its
-two endpoints, from which :class:`~troptree.treespace.TreeSegment` reads the
-clusters and the tree of every bend of a large segment: :meth:`MeetTable.linkages`
-is the point reader that it hands to the one segment reader,
-:func:`troptree._linkages.segment_linkages`.  It is imported on the first
-such segment, so that the callers that never build one (the simulations,
+"""The candidate table of a tree segment: the meets of the clusters of its two
+endpoints, from which :class:`~troptree.treespace.TreeSegment` reads the
+clusters and the tree of every bend of a large segment:
+:meth:`MeetTable.linkages` is the point reader that it hands to the one segment
+reader, :func:`troptree._linkages.segment_linkages`, whose module also reads
+the endpoints' clusters and the runs of the meet values.  It is imported on the
+first such segment, so that the callers that never build one (the simulations,
 small segments) do not load it.
 """
 
@@ -14,7 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import trees as _trees
+from . import _linkages
 from ._linkages import Linkage, branch_depths, linkage_of
 from .tropical import _shifted_max
 from .util import square_form
@@ -38,7 +39,7 @@ def clusters(n: int, entries: np.ndarray,
     of its run: a vector equals its single-linkage (subdominant)
     ultrametric exactly when it meets the three-point condition, here in
     floats, so this fails when root-to-leaf sums differ in their last bits."""
-    linkage = _trees._single_linkages(entries, n, 0.0)
+    linkage = _linkages._single_linkages(entries, n, 0.0)
     out = []
     for row, nodes, masks, tops, parents in zip(entries, linkage.nodes, linkage.masks,
                                                 linkage.tops, linkage.parents):
@@ -152,7 +153,7 @@ class MeetTable:
         A meet's value at shifts (a, b), max(diam_u(A) + a, diam_v(B) + b),
         is the entry of the point on every pair whose lca nodes are A and
         B, in the same floats, so the run reader of single linkage
-        (:func:`~troptree.trees._runs`) reads the point's runs from them.
+        (:func:`~troptree._linkages._runs`) reads the point's runs from them.
         The component that holds a meet C at the top T of its run is the
         meet A* ∩ B* of the highest ancestors of A and B with values at
         most T, so C is a cluster exactly when every meet strictly above it
@@ -167,7 +168,7 @@ class MeetTable:
         for first in range(0, len(a), step):
             values = _shifted_max(self.du, self.dv, a[first:first + step], b[first:first + step])
             rows = len(values)
-            top, width, gap = _trees._runs(values, tol)
+            top, width, gap = _linkages._runs(values, tol)
             # meets by rows, so that each gathers a contiguous row, a column at a time
             reach = np.append(values, np.full((rows, 1), np.inf), axis=1).T.copy()
             row, meet = np.nonzero(reduce(np.minimum, map(reach.__getitem__, self.above)).T > top)

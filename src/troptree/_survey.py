@@ -4,22 +4,20 @@ number of numpy passes (see :func:`_survey_block`).  It is imported by
 :func:`~troptree.sim.check_nni_conjecture`, so that the other callers of
 :mod:`troptree.sim` do not load it.
 
-A topology is a row of clade masks (:func:`troptree._linkages.segment_rows`)
-with the full set among them, padded with zeros and sorted, so that two
-rows are one topology exactly when they are equal.  The survey's questions
-are then set operations on rows: whether one topology is binary (n - 1
-clades), whether one is a contraction of another (its clades are among the
-other's), and whether two are one NNI move apart (binary, and one clade of
-either is not a clade of the other).
+A topology is a row of clade masks (:func:`segment_rows`) with the full set
+among them, padded with zeros and sorted, so that two rows are one topology
+exactly when they are equal.  The survey's questions are then set operations
+on rows: whether one topology is binary (n - 1 clades), whether one is a
+contraction of another (its clades are among the other's), and whether two
+are one NNI move apart (binary, and one clade of either is not a clade of
+the other).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import _linkages, _streams
-from . import trees as _trees
-from ._linkages import segment_rows, within
+from . import _linkages, _streams, trees as _trees
 from .newick import _newick_of_merges
 from .sim import SampleConfig
 from .treespace import _invalid_distances, _violating_triple, Ultrametric, require_ultrametric
@@ -42,7 +40,7 @@ def _survey_block(cfg: SampleConfig, labels: tuple[str, ...], first: int, height
     (:func:`troptree._linkages.unequal`), positivity and the three-point
     condition give their first failing sample without raising.
     The segments of the samples before it are read together by
-    :func:`troptree._linkages.segment_rows`, the reader of
+    :func:`segment_rows`, through the reader of
     :class:`~troptree.treespace.TreeSegment`'s single-linkage route: from
     one sort of their v - u rows and one single-linkage pass over all their
     bends, and one more over the piece midpoints that the clean rule needs.
@@ -87,8 +85,7 @@ def _transitions(labels: tuple[str, ...], u: np.ndarray, v: np.ndarray, heights:
                  ) -> tuple[np.ndarray, int, int, int, int, list[dict]]:
     """What :func:`_survey_block` returns for the samples whose draws have
     the rows u and v and pass every check, samples first, first+1, ...,
-    from the topologies along their segments
-    (:func:`troptree._linkages.segment_rows`)."""
+    from the topologies along their segments (:func:`segment_rows`)."""
     n = len(labels)
     samples = len(u)
     position, owner = segment_rows(labels, u, v, tol)
@@ -132,3 +129,44 @@ def _transitions(labels: tuple[str, ...], u: np.ndarray, v: np.ndarray, heights:
                            "t1": newicks[s][0], "t2": newicks[s][1]})
     return (np.bincount(owner, minlength=samples), len(pair), int(np.count_nonzero(single)),
             int(np.count_nonzero(~binary)), unresolved, violations)
+
+
+def segment_rows(labels: tuple[str, ...], u: np.ndarray, v: np.ndarray, tol: float,
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """The topologies along the segments from the rows of v to those of u
+    (:func:`troptree._linkages.segment_linkages`): one row of clade masks per
+    position, 2n wide, sorted and padded with zeros, so that two rows are one
+    topology exactly when they are equal, and the segment of each row.  The
+    positions are those of :class:`~troptree.treespace.TreeSegment`, bend k of
+    a segment and then its piece k, which takes the union of its bends' clades
+    or its midpoint's."""
+    n = len(labels)
+    segment, left, unclean, linkage, midlinkage = _linkages.segment_linkages(labels, u, v, tol)
+    # bend k at position 2k - (its segment), the piece after it at one more
+    bends = topology_rows(n, linkage)
+    position = np.zeros((2 * len(bends) - len(u), 2 * n), dtype=bends.dtype)
+    at = 2 * np.arange(len(bends)) - segment
+    position[at, :n] = bends
+    a, b = bends[left], bends[left + 1]
+    position[at[left] + 1, :n] = a
+    position[at[left] + 1, n:] = np.where(within(b, a), 0, b)
+    if midlinkage is not None:
+        position[at[unclean] + 1, :n] = topology_rows(n, midlinkage)
+        position[at[unclean] + 1, n:] = 0
+    position.sort(axis=1)
+    return position, np.repeat(np.arange(len(u)), 2 * np.bincount(segment, minlength=len(u)) - 1)
+
+
+def topology_rows(n: int, linkage: _linkages.Linkage) -> np.ndarray:
+    """The topology row of each vector of a :class:`~troptree._linkages.Linkage`, n wide:
+    its kept clades and the full set, unsorted, zeros in the other slots."""
+    rows = np.empty((len(linkage.kept), n), dtype=linkage.masks.dtype)
+    rows[:, :n - 1] = np.where(linkage.kept, linkage.masks, 0)
+    rows[:, n - 1] = (1 << n) - 1
+    return rows
+
+
+def within(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """For rows of clade masks a and b, shape (rows, width) each, whether
+    each mask of a is in its row of b, shape (rows, width)."""
+    return (a[:, :, None] == b[:, None, :]).any(axis=2)

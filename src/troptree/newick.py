@@ -22,7 +22,7 @@ import re
 from typing import Sequence
 
 from .errors import NewickParseError
-from .util import sorted_labels
+from .util import sorted_labels, valid_tol
 
 # a node: the '(' before it, label, length, separator (\s is isspace, \d isdecimal)
 _NODE = re.compile(r"((?:\(\s*)*)([^(),:;\s]*)\s*(?::\s*([\d+\-.eE]*))?\s*([,);]?)\s*")
@@ -309,7 +309,8 @@ def _newick_of_merges(labels: Sequence[str], merges: list[tuple[float, list[int]
 def structurally_equal(a: RootedTree, b: RootedTree, tol: float = 0.0) -> bool:
     """Node-for-node equality up to `tol` on branch lengths, ignoring child
     order: the same leaf labels, the same clades and, clade by clade, the
-    same non-root branch lengths within tol."""
+    same non-root branch lengths within tol; ValueError for a tol below 0 or NaN."""
+    tol = valid_tol(tol)
     if a.leaf_labels != b.leaf_labels:
         return False
     leaves = [1 << k for k in range(a.n_leaves - 1, -1, -1)]

@@ -28,7 +28,7 @@ from .newick import RootedTree
 from .trees import (_clade_table, _merge_lengths, _tree_of_clades, _tree_of_merges,
                     nni_neighbors)
 from .treespace import _invalid_distances, star_crossings
-from .util import DEFAULT_TOL
+from .util import DEFAULT_TOL, valid_tol
 
 MODEL_TAG = "coalescent-uniform-heights"
 
@@ -198,9 +198,11 @@ def random_equidistant_tree(n: int, height: float, rng: np.random.Generator,
 
 def random_one_nni_pair(n: int, height: float, rng: np.random.Generator,
                         tol: float = DEFAULT_TOL) -> tuple[RootedTree, RootedTree]:
-    """A random tree and a uniformly chosen NNI neighbor of it."""
+    """A random tree and a uniformly chosen NNI neighbor of it; a tol below
+    0 or NaN raises ValueError before any draw."""
     if n < 3:
         raise ValueError("need at least 3 leaves for an NNI move")
+    tol = valid_tol(tol)
     t1 = random_equidistant_tree(n, height, rng)
     nbrs = nni_neighbors(t1, tol)
     return t1, nbrs[int(rng.integers(len(nbrs)))]
@@ -211,9 +213,10 @@ def random_shared_clade_pair(n: int, height: float, rng: np.random.Generator,
                              ) -> tuple[RootedTree, RootedTree, tuple[str, ...]]:
     """Two random trees sharing one clade with an identical induced
     topology (the shared subtree is rescaled to fit the second tree, which
-    preserves its topology)."""
+    preserves its topology); a tol below 0 or NaN raises ValueError before any draw."""
     if n < 4:
         raise ValueError("need at least 4 leaves to share a proper clade")
+    tol = valid_tol(tol)
     labels = tuple(str(k) for k in range(1, n + 1))
     merges = _schedule(n, height, rng)
     t1 = _tree_of_merges(labels, merges)

@@ -3,22 +3,20 @@ times, and rooted NNI moves.
 
 Heights here are measured upward from the leaves (a leaf has height 0); the
 pairwise distance between two leaves of an equidistant tree is twice the
-height of their most recent common ancestor.
+height of their most recent common ancestor.  Trees are built here from merge
+schedules, those of distances by single linkage (:mod:`troptree._linkages`).
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import LeafSetMismatchError, NotEquidistantError
 from .newick import RootedTree, _merge_masks, _node_depths, _preorder_leaves
 from .util import DEFAULT_TOL, sorted_labels, square_form, square_index, valid_tol
-
-if TYPE_CHECKING:
-    from ._linkages import Linkage
 
 
 # --------------------------------------------------------------------------
@@ -217,112 +215,6 @@ def speciation_times(tree: RootedTree, tol: float = DEFAULT_TOL) -> tuple[float,
 # building trees from distances or clade maps
 # --------------------------------------------------------------------------
 
-#: Entries of the (rows, n, n) distance stack that one block of
-#: :func:`_single_linkages` builds: 1 MiB of floats, so memory stays flat
-#: at any number of rows and any n.
-_LINKAGE_BLOCK_ENTRIES = 1 << 17
-
-
-def _mst_edges(stack: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The n-1 edges (near, far) of a minimum spanning tree of the complete
-    graph on n vertices for every row of a stack of condensed edge
-    weights, shape (rows, n(n-1)/2): two (rows, n-1) arrays, in the order
-    Prim's algorithm adds the edges (numpy updates of all rows at once,
-    O(n^2) per row)."""
-    rows = stack.shape[0]
-    at = np.arange(rows)
-    D = np.concatenate((stack, np.full((rows, 1), np.inf)), axis=1)[:, square_index(n)]
-    best = D[:, 0].copy()                       # distance of each vertex to the tree
-    closest = np.zeros((rows, n), dtype=np.intp)  # and the tree vertex it is closest to
-    D[:, :, 0] = np.inf
-    near = np.empty((rows, n - 1), dtype=np.intp)
-    far = np.empty((rows, n - 1), dtype=np.intp)
-    for k in range(n - 1):
-        j = best.argmin(axis=1)
-        near[:, k] = closest[at, j]
-        far[:, k] = j
-        D[at, :, j] = np.inf                    # j joins the tree: no row may lower best[j]
-        best[at, j] = np.inf
-        row = D[at, j]
-        np.copyto(closest, j[:, None], where=row < best)
-        np.minimum(best, row, out=best)
-    return near, far
-
-
-def _runs(values: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The runs of each row of a (rows, m) stack of values: sorted, the
-    values split into runs wherever consecutive ones differ by more than
-    tol.  Returns the top (largest value) of each value's run, in the row's
-    own order, the width of each row's widest run (largest minus smallest
-    value, 0 for a single value) and its narrowest gap between two
-    consecutive runs (inf with one run).  Single linkage and the candidate
-    table (:meth:`~troptree._meets.MeetTable.linkages`) both split by it."""
-    rows, m = values.shape
-    order = np.arange(rows)[:, None], np.argsort(values, axis=1)
-    svals = values[order]
-    step = np.diff(svals, axis=1)
-    start = np.ones((rows, m), dtype=bool)
-    np.greater(step, tol, out=start[:, 1:])
-    gaps = np.where(start[:, 1:], step, np.inf).min(axis=1, initial=np.inf)
-    del step
-    # the top and the bottom of every sorted value's run: the values
-    # ascend, so they are the nearest run end after it and the nearest run
-    # start before it
-    bottoms = np.where(start, svals, -np.inf)
-    np.maximum.accumulate(bottoms, axis=1, out=bottoms)
-    tops = svals[:, ::-1]                   # the run ends hold their own tops
-    np.copyto(tops[:, 1:], np.inf, where=~start[:, :0:-1])
-    np.minimum.accumulate(tops, axis=1, out=tops)
-    widths = np.subtract(svals, bottoms, out=bottoms).max(axis=1, initial=0.0)
-    top = np.empty_like(values)
-    top[order] = svals
-    return top, widths, gaps
-
-
-def _spanning_edges(stack: np.ndarray, n: int, tol: float,
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The n-1 edges (near, far) of a minimum spanning tree of each row of
-    a stack of condensed distance vectors, shape (rows, n(n-1)/2), sorted
-    by the top of their run (:func:`_runs`), by which they merge, stably;
-    those tops, and the widest run and narrowest gap of each row."""
-    top, widths, gaps = _runs(stack, tol)
-    near, far = _mst_edges(stack, n)
-    row = np.arange(len(stack))[:, None]
-    tops = top[row, square_index(n)[near, far]]
-    by_top = row, np.argsort(tops, axis=1, kind="stable")
-    return near[by_top], far[by_top], tops[by_top], widths, gaps
-
-
-def _single_linkages(points: Sequence[np.ndarray] | np.ndarray, n: int,
-                     tol: float) -> Linkage:
-    """The single-linkage clusters of each of a non-empty sequence of
-    condensed distance vectors over n leaves, as numpy arrays
-    (:class:`~troptree._linkages.Linkage`), with the clade cut at tol, the
-    equidistance check of each schedule, and the width of each vector's
-    widest run and its narrowest gap between runs (:func:`_runs`).
-    Every distance vector that the library turns into clusters is read
-    here.  The pairs of a run merge at once, at half the run's top, so
-    values within tol of each other make polytomies.  Only the edges of a
-    minimum spanning tree are merged: for every threshold, those at or
-    below it connect the same leaves as all pairs at or below it (Gower &
-    Ross 1969), O(n^2) per vector.  The run split and Prim's algorithm run
-    on blocks of `_LINKAGE_BLOCK_ENTRIES` square entries, the merging of
-    the edges (:func:`~troptree._linkages.linkage`) on eight at once."""
-    # imported here, so that importing the package does not load it
-    from ._linkages import Linkage, linkage
-    step = max(1, _LINKAGE_BLOCK_ENTRIES // (n * n))
-    near, far, tops, widths, gaps = map(np.concatenate, zip(*(
-        _spanning_edges(np.asarray(points[first:first + step], dtype=float), n, tol)
-        for first in range(0, len(points), step))))
-    # the edges are merged in larger blocks: the pass holds a few bytes per
-    # square entry where Prim's algorithm holds floats, and its cost per
-    # block grows with n whatever the block's size
-    step *= 8
-    parts = [linkage(n, near[k:k + step], far[k:k + step], tops[k:k + step], tol,
-                     widths[k:k + step], gaps[k:k + step]) for k in range(0, len(near), step)]
-    return Linkage(*map(np.concatenate, zip(*parts)))
-
-
 def _merge_lengths(n: int, merges: list[tuple[float, list[int]]]) -> list[float]:
     """The branch length of every node of a merge schedule over n leaves,
     by node number: the parent's height minus the node's own, clamped at
@@ -394,13 +286,14 @@ def agglomerate(labels: Sequence[str], dists: np.ndarray,
     """Build the equidistant tree whose cophenetic distances are `dists`
     (condensed order over `labels`, which must be natural-sorted): the
     single-linkage dendrogram of the distances, in which entries within
-    tol of each other merge simultaneously (see :func:`_single_linkages`).
+    tol of each other merge simultaneously (see
+    :func:`~troptree._linkages._single_linkages`).
     The input is assumed to satisfy the three-point condition."""
     n = len(labels)
     dists = np.asarray(dists, dtype=float)
     if dists.shape != (n * (n - 1) // 2,):
         raise ValueError("distance vector length does not match the labels")
-    from ._linkages import merges
+    from ._linkages import _single_linkages, merges     # not loaded with the package
     # a single leaf merges nothing
     schedule = merges(n, _single_linkages(dists[None], n, tol))[0] if n > 1 else []
     return _tree_of_merges(labels, schedule)
@@ -471,8 +364,9 @@ def nni_neighbors(tree: RootedTree, tol: float = DEFAULT_TOL) -> list[RootedTree
     subtree does not fit strictly below its new parent, its internal heights
     are rescaled into the lower half of the available span (the move is then
     metrically refitted but topologically exact); "strictly" means by more
-    than 2 tol.
+    than 2 tol.  Raises ValueError for a tol below 0 or NaN.
     """
+    tol = valid_tol(tol)
     table = _clade_table(tree)
     if any(len(kids) != 2 for _, kids in table.values()):
         raise ValueError("NNI moves are defined on binary trees only")

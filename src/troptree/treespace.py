@@ -193,19 +193,6 @@ def tree_of(u: Ultrametric, tol: float = DEFAULT_TOL) -> RootedTree:
 # tree segments
 # --------------------------------------------------------------------------
 
-#: Bounds, in multiples of tol, on the widest run of distance values and
-#: the narrowest gap between runs of a bend point under which the pieces
-#: next to it read their topologies from their bends (see :class:`TreeSegment`).
-_RUN_WIDTH = 0.25
-_RUN_GAP = 8.0
-
-
-def _is_clean(widths: np.ndarray, gaps: np.ndarray, tol: float) -> np.ndarray:
-    """The clean rule of :class:`TreeSegment` for each bend, from the width
-    of its widest run of distance values and its narrowest gap between runs."""
-    return (widths <= _RUN_WIDTH * tol) & (gaps > _RUN_GAP * tol)
-
-
 def _topologies(labels: tuple[str, ...], linkage: Linkage) -> list[Topology]:
     """The topology of each vector of a :class:`~troptree._linkages.Linkage`:
     its kept clades."""
@@ -229,12 +216,11 @@ def _emit(out: TextIO | None, head: str, blocks: Iterable[str], tail: str) -> st
     return None
 
 
-#: The fewest distance entries, bends times pairs, at which a segment reads
-#: its bends from a :class:`~troptree._meets.MeetTable`; smaller ones take
-#: the batched single-linkage pass, which saves the table's fixed cost: over
-#: pairs at n 4-40 the table was the slower below about 2,500 entries and
-#: the faster above about 5,000.
-_TABLE_MIN_ENTRIES = 1 << 12
+#: The fewest distance entries, bends times pairs, at which a segment reads its bends
+#: from a :class:`~troptree._meets.MeetTable`; smaller ones take the batched single-linkage
+#: pass: over random pairs at n 16-24 the table was the slower up to about 12,000 entries
+#: (n = 20) and the faster from about 19,000 (n = 24), on 11 of 12 pairs at either n.
+_TABLE_MIN_ENTRIES = 1 << 14
 
 
 class TreeSegment:
@@ -260,7 +246,7 @@ class TreeSegment:
     (:class:`~troptree._meets.MeetTable`), bit for bit as single linkage
     reads them.  A segment whose endpoints fail the table's guard, and one
     whose bend points hold fewer than ``_TABLE_MIN_ENTRIES`` distance
-    entries, for which the table's fixed cost exceeds the saving, is read
+    entries, where the table measured slower than single linkage, is read
     by single linkage of its bend points instead, in one batched pass.  One
     reader, :func:`troptree._linkages.segment_linkages`, takes either as its
     point reader and the segment's own bend parameters, and raises at the
@@ -281,7 +267,8 @@ class TreeSegment:
     midpoint's tree drops when l <= 2 tol, and values within tol of each
     other merge into one run, which can hide a branch.  So the union is
     used only when, at both bends, every run of distance values is at most
-    tol/4 wide and consecutive runs are more than 8 tol apart.  Then every
+    tol/4 wide and consecutive runs are more than 8 tol apart: the clean
+    rule, :func:`troptree._linkages._is_clean`, beside its reader.  Then every
     branch of a bend lies within a run (at most tol/8, dropped) or between
     runs (longer than 4 tol, kept).  On the piece, two coordinates on the
     same side keep their difference, so a run at the midpoint joins at most
@@ -475,9 +462,9 @@ def segment_to_star(tree: RootedTree, tol: float = DEFAULT_TOL) -> list[RootedTr
     the distance vector); the first tree is the input, the last the star."""
     u = ultrametric_of(tree, tol)
     require_ultrametric(u, tol)
-    from ._linkages import merges
+    from ._linkages import _single_linkages, merges
     points = np.maximum(u.entries, 2.0 * np.array(speciation_times(tree, tol))[:, None])
-    linkage = _trees._single_linkages(points, u.n, tol)
+    linkage = _single_linkages(points, u.n, tol)
     return [_trees._tree_of_merges(u.labels, m) for m in merges(u.n, linkage)]
 
 
@@ -535,13 +522,14 @@ def check_clade_preservation(t1: RootedTree, t2: RootedTree,
         raise ValueError(
             f"the trees induce different topologies on {list(leaves)}")
     seg = tree_segment(t1, t2, tol)
+    from ._linkages import _is_clean, _single_linkages
     points = seg.segment.bend_points[0].base     # the rows are views of one array
     inside = np.isin(seg.u.labels, leaves)
     index = square_index(seg.u.n)
     columns = index[np.ix_(inside, inside)][np.triu_indices(len(leaves), k=1)]
     clade = points[:, index[np.ix_(inside, ~inside)].reshape(-1)].min(axis=1, initial=np.inf)
     clade = clade - points[:, columns].max(axis=1) > tol
-    linkage = _trees._single_linkages(points[:, columns], len(leaves), tol)
+    linkage = _single_linkages(points[:, columns], len(leaves), tol)
     fast = _is_clean(seg._linkage.widths, seg._linkage.gaps, tol) & ~linkage.unequal
     return all(clade[k] and topology == target if fast[k] else
                _trees.is_clade(seg.bend_trees[k], leaves, tol)

@@ -202,7 +202,8 @@ def point_type(generators: Sequence, x, tol: float = DEFAULT_TOL) -> tuple[froze
     """The type of x relative to a generator list: for each coordinate j,
     the set of generator numbers i (1-based) whose shifted copy attains the
     coordinate-wise maximum there, i.e. u^i_j - x_j = max_l(u^i_l - x_l)
-    within tol."""
+    within tol.  Raises ValueError for a tol below 0 or NaN."""
+    tol = valid_tol(tol)
     if len(generators) == 0:
         raise ValueError("need at least one generator")
     x = as_torus_point(x)

@@ -1,3 +1,4 @@
+import ast
 import csv
 import gzip
 import io
@@ -400,6 +401,45 @@ def test_cli_import_loads_no_lazy_module():
     assert [m for m in lazy if m in at_import] == []
     assert [m for m in lazy if m in star] == ["troptree._streams"]
     assert [m for m in lazy if m in survey] == [m for m in lazy if m != "troptree._meets"]
+
+
+def package_imports(module):
+    """The troptree modules that a module of the package imports, anywhere
+    in its source, each with whether the import sits in an
+    ``if TYPE_CHECKING:`` block, read with ast."""
+    tree = ast.parse((Path(__file__).parents[1] / "src" / "troptree" / f"{module}.py").read_text())
+    typing_only = {id(node) for block in ast.walk(tree)
+                   if isinstance(block, ast.If) and ast.unparse(block.test) == "TYPE_CHECKING"
+                   for statement in block.body for node in ast.walk(statement)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if not node.level:
+                if base.split(".")[0] != "troptree":
+                    continue
+                base = base.removeprefix("troptree").lstrip(".")
+            names = [base.split(".")[0]] if base else [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name.split(".")[1] for alias in node.names
+                     if alias.name.startswith("troptree.")]
+        else:
+            continue
+        found += [(name, id(node) in typing_only) for name in names]
+    return found
+
+
+def test_single_linkage_reads_no_tree_module():
+    # distances become clusters in _linkages alone: it imports nothing from
+    # treespace, and the candidate table reaches single linkage and the run
+    # split through it, with treespace for its type hints only
+    assert [name for name, _ in package_imports("_linkages") if name == "treespace"] == []
+    meets = package_imports("_meets")
+    assert [name for name, typing_only in meets
+            if name == "trees" or name == "treespace" and not typing_only] == []
+    # the reader finds the imports that are there
+    assert ("_linkages", False) in meets and ("treespace", True) in meets
+    assert ("trees", False) in package_imports("_linkages")
 
 
 def test_two_leaf_trees_exit_three(files):

@@ -1,7 +1,7 @@
 """The array routes of single linkage and of the NNI survey against the
 routes that read one point, or draw one sample, at a time.
 
-`trees._single_linkages` reads the clusters of a block of points in numpy
+`_linkages._single_linkages` reads the clusters of a block of points in numpy
 arrays (`_linkages.linkage`), and is the library's one reader from
 distances to clusters.  The reference reads one point with the union-find
 of `tree_walks.merge_runs` over the same run split and spanning tree, and
@@ -62,7 +62,7 @@ def linkage_rows(linkage):
 def disagreements(labels, points, tol=TOL):
     """The points at which the arrays and the one-point route differ, the
     number of points and the number that fail the equidistance check."""
-    linkage = trees._single_linkages(points, len(labels), tol)
+    linkage = _linkages._single_linkages(points, len(labels), tol)
     bad = []
     failing = 0
     for k, (got, point) in enumerate(zip(linkage_rows(linkage), points)):
@@ -142,7 +142,7 @@ def test_clusters_match_merge_runs_on_cli_goldens(name):
 def test_clusters_match_merge_runs_above_64_leaves():
     # masks wider than a word are Python ints
     (u, v), = sampled_pairs([70], [1.0], [0])
-    linkage = trees._single_linkages(segment_points(u, v)[:40], 70, TOL)
+    linkage = _linkages._single_linkages(segment_points(u, v)[:40], 70, TOL)
     assert linkage.masks.dtype == object
     assert disagreements(u.labels, segment_points(u, v)[:40])[0] == []
 
@@ -259,13 +259,13 @@ def test_bend_points_match_tropical_segment(monkeypatch):
     v = np.stack([p[1].entries for p in pairs])
     segment, params, last = tropical._bend_parameters(u, v, TOL)
     read = []
-    real = trees._single_linkages
+    real = _linkages._single_linkages
 
     def spied(points, n, tol):
         read.append(points)
         return real(points, n, tol)
 
-    monkeypatch.setattr(trees, "_single_linkages", spied)
+    monkeypatch.setattr(_linkages, "_single_linkages", spied)
     assert _linkages.segment_linkages(pairs[0][0].labels, u, v, TOL)[0].tolist() == segment.tolist()
     points = read[0]
     for s in range(len(u)):

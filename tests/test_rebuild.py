@@ -207,10 +207,11 @@ def midpoint_topology(seg, k):
     return merge_topology(seg.u.labels, seg.segment.piece_midpoint(k), seg.tol)
 
 
-def counted_calls(monkeypatch, module, names):
-    calls = dict.fromkeys(names, 0)
+def counted_calls(monkeypatch, modules):
+    """Count the calls of each name of each module, by name."""
+    calls = {name: 0 for names in modules.values() for name in names}
 
-    def counted(name):
+    def counted(module, name):
         real = getattr(module, name)
 
         def wrapper(*args, **kwargs):
@@ -218,14 +219,15 @@ def counted_calls(monkeypatch, module, names):
             return real(*args, **kwargs)
         return wrapper
 
-    for name in names:
-        monkeypatch.setattr(module, name, counted(name))
+    for module, names in modules.items():
+        for name in names:
+            monkeypatch.setattr(module, name, counted(module, name))
     return calls
 
 
 def test_segment_builds_trees_only_for_output(monkeypatch):
-    calls = counted_calls(monkeypatch, trees, ("agglomerate", "_single_linkages",
-                                               "_tree_of_merges", "_clade_merges"))
+    calls = counted_calls(monkeypatch, {trees: ("agglomerate", "_tree_of_merges", "_clade_merges"),
+                                        _linkages: ("_single_linkages",)})
     check_nni_conjecture(SampleConfig(n=6, samples=20, seed=1))
     # one batched single-linkage pass per block of samples (20 samples fit
     # in one) and no tree
@@ -263,13 +265,13 @@ def test_fallback_pieces_of_a_pair_with_gaps_near_tol(monkeypatch):
     t1, t2 = (parse_newick((GOLDEN_CLI / "tolgaps_height_n8" / f"t{k}.nwk").read_text())
               for k in (1, 2))
     passes = []
-    batched = trees._single_linkages
+    batched = _linkages._single_linkages
 
     def spy(points, n, tol):
         passes.append(len(points))
         return batched(points, n, tol)
 
-    monkeypatch.setattr(trees, "_single_linkages", spy)
+    monkeypatch.setattr(_linkages, "_single_linkages", spy)
     seg = tree_segment(t1, t2)
     # one pass over the bends, one over the midpoints of some pieces
     bends, fallback = passes
@@ -392,7 +394,7 @@ def test_canonical_writer_matches_label_set_reference(n):
     # naturally ("t2" before "t10"), and the star row keeps no clade
     labels = sorted_labels(f"t{k}" for k in range(1, n + 1))
     rows = writer_rows(n, labels, sample_rng(19, n))
-    linkage = trees._single_linkages(np.stack([u.entries for u in rows]), n, TOL)
+    linkage = _linkages._single_linkages(np.stack([u.entries for u in rows]), n, TOL)
     assert linkage.masks.dtype == (np.uint64 if n <= 64 else object)
     assert not linkage.kept[-1].any() and linkage.nodes[-2].sum() > linkage.kept[-2].sum() > 0
     want = [reference_canonical_str(agglomerate(labels, u.entries)) for u in rows]

@@ -3,20 +3,20 @@
 Every bend of a segment, and the midpoint of every piece, is read twice:
 from the table of meets of the endpoints' clusters (`_meets.MeetTable`), and by
 single linkage of the point itself, one point at a time with the union-find of
-`tree_walks.merge_runs` (small segments take the batched `_single_linkages`,
-the library's one reader from distances to clusters).  The two must agree bit
-for bit: the clades with their node heights, the widest run and the narrowest
-gap of every point, and then the topologies, Newick strings and CSV bytes of
-the whole segment.  `TreeSegment` takes the table route from `_TABLE_MIN_ENTRIES`
-distance entries up; the tests move that bound to force one route or the
-other.
+`tree_walks.merge_runs` (small segments take the batched
+`_linkages._single_linkages`, the library's one reader from distances to
+clusters).  The two must agree bit for bit: the clades with their node
+heights, the widest run and the narrowest gap of every point, and then the
+topologies, Newick strings and CSV bytes of the whole segment.
+`TreeSegment` takes the table route from `_TABLE_MIN_ENTRIES` distance
+entries up; the tests move that bound to force one route or the other.
 
-Both routes split distance values into runs by the same `trees._runs`, and
-the table reads the clusters of both its endpoints in one `_single_linkages`
-pass with no tolerance.  So those
-two decisions are checked against oracles of their own in `tree_walks`: a
-run split in plain Python, and the clusters read from balls around the
-leaves, the guard the table used before.
+Both routes split distance values into runs by the same `_linkages._runs`,
+and the table reads the clusters of both its endpoints in one
+`_single_linkages` pass with no tolerance.  So those two decisions are
+checked against oracles of their own in `tree_walks`: a run split in plain
+Python, and the clusters read from balls around the leaves, the guard the
+table used before.
 """
 
 import csv
@@ -72,7 +72,7 @@ def single_linkages(points, n, tol):
     """The single-linkage schedule of each point, one point at a time, and
     the widest run and narrowest gap of each."""
     return ([walk.single_linkage(p, n, tol) for p in points],
-            *trees._runs(np.stack(points), tol)[1:])
+            *_linkages._runs(np.stack(points), tol)[1:])
 
 
 def disagreements(u, v, tol=TOL, midpoints=True):
@@ -286,7 +286,7 @@ def run_rows(draw):
 @given(case=run_rows())
 def test_run_split_matches_plain_python(case):
     stack, tol = case
-    top, widths, gaps = trees._runs(stack, tol)
+    top, widths, gaps = _linkages._runs(stack, tol)
     for row, row_top, width, gap in zip(stack.tolist(), top.tolist(), widths.tolist(),
                                         gaps.tolist()):
         want_top, want_width, want_gap = walk.runs(row, tol)
@@ -430,13 +430,13 @@ def test_large_segment_runs_single_linkage_only_on_its_endpoints(monkeypatch):
     # pass with no tolerance, no bend point or midpoint by single linkage,
     # and writes its output with no merge schedule
     calls = {"_single_linkages": [], "_clade_merges": []}
-    for name, seen in calls.items():
-        real = getattr(trees, name)
+    for module, (name, seen) in zip((_linkages, trees), calls.items()):
+        real = getattr(module, name)
 
         def counted(*args, _seen=seen, _real=real):
             _seen.append(args)
             return _real(*args)
-        monkeypatch.setattr(trees, name, counted)
+        monkeypatch.setattr(module, name, counted)
 
     def assert_endpoint_calls(seg):
         # one call on the entries of both endpoints, u then v, at tol 0
@@ -479,13 +479,13 @@ def test_failing_bend_raises_what_single_linkage_raises(monkeypatch):
     # that the single-linkage schedule's preorder names, or both read, and
     # the table route reads single linkage only on its endpoints
     calls = []
-    real = trees._single_linkages
+    real = _linkages._single_linkages
 
     def counted(points, n, tol):
         calls.append((len(points), tol))
         return real(points, n, tol)
 
-    monkeypatch.setattr(trees, "_single_linkages", counted)
+    monkeypatch.setattr(_linkages, "_single_linkages", counted)
 
     def outcome(u, v, bound):
         monkeypatch.setattr(treespace, "_TABLE_MIN_ENTRIES", bound)
@@ -658,7 +658,7 @@ def test_newick_writer_matches_merge_writer(route, monkeypatch):
         # 120 leaves: 40 bends read in one batched single-linkage pass
         (u, v), = sampled_pairs([120], [1e3], [7])
         points = tropical_segment(u.entries, v.entries, TOL).bend_points[:40]
-        linkage = trees._single_linkages(points, 120, TOL)
+        linkage = _linkages._single_linkages(points, 120, TOL)
         assert [*itertools.chain(*_linkages.newicks(u.labels, linkage, 10))] == merge_newicks(
             u.labels, [walk.single_linkage(p, 120, TOL) for p in points], 10)
 
@@ -671,7 +671,7 @@ def golden_pairs():
 
 def test_bend_linkage_keeps_the_run_margins_of_the_bend_points(monkeypatch):
     # on both routes each bend's Linkage row carries the widest run and the
-    # narrowest gap of its point, those that trees._runs gives, byte for
+    # narrowest gap of its point, those that _linkages._runs gives, byte for
     # byte: the clean rule and check_clade_preservation read them there
     pairs = [*(pair for name, pair in golden_pairs() if name.startswith(("tolgaps", "ties"))),
              *sampled_pairs([3, 4, 6, 9, 13, 21, 40, 80], [1e-3, 1.0, 1e3], [0])]
@@ -679,7 +679,7 @@ def test_bend_linkage_keeps_the_run_margins_of_the_bend_points(monkeypatch):
     for u, v in pairs:
         tables += _meets.MeetTable.of(u, v) is not None
         for seg in both_routes(monkeypatch, u, v):
-            _, widths, gaps = trees._runs(np.stack(seg.segment.bend_points), TOL)
+            _, widths, gaps = _linkages._runs(np.stack(seg.segment.bend_points), TOL)
             assert seg._linkage.widths.tobytes() == widths.tobytes()
             assert seg._linkage.gaps.tobytes() == gaps.tobytes()
     assert len(pairs) == 27 and tables == 22

@@ -2,6 +2,7 @@ import csv
 import io
 import itertools
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from troptree import (Topology, Ultrametric, check_clade_preservation,
                       parse_newick, segment_to_star, star_on_segment,
                       topology_of, topology_sequence, tree_of, tree_segment,
                       trop_dist, ultrametric_of, write_newick)
+from troptree import _linkages
 from troptree.util import sorted_labels
 
 U_A = np.array([0.4, 0.8, 2.0, 0.8, 2.0, 2.0])
@@ -444,16 +446,25 @@ def test_check_clade_preservation_on_table_segments(n):
 def test_negative_or_nan_tol_is_refused(tol, quartet_a, quartet_b):
     want = re.escape(f"tolerance must be >= 0, got {tol}")
     u = ultrametric_of(quartet_a)
+    rng = tt.sample_rng(5, 0)
     for call in (lambda: tt.is_equidistant(quartet_a, tol), lambda: ultrametric_of(quartet_a, tol),
                  lambda: tree_segment(quartet_a, quartet_b, tol),
                  lambda: tt.tropical_segment(U_A, U_B, tol),
                  lambda: tt.is_ultrametric(U_A, tol), lambda: tt.is_ultrametric([1.0], tol),
                  lambda: tt.treespace.require_ultrametric(u, tol), lambda: tree_of(u, tol),
                  lambda: topology_of(quartet_a, tol), lambda: tt.is_clade(quartet_a, ["1"], tol),
-                 lambda: tt.speciation_times(quartet_a, tol)):
+                 lambda: tt.speciation_times(quartet_a, tol),
+                 lambda: tt.nni_neighbors(quartet_a, tol),
+                 lambda: tt.random_one_nni_pair(5, 1.0, rng, tol),
+                 lambda: tt.random_shared_clade_pair(5, 1.0, rng, tol),
+                 lambda: tt.point_type([U_A, U_B], U_A, tol),
+                 lambda: in_tropical_hull([U_A, U_B], U_A, tol),
+                 lambda: tt.structurally_equal(quartet_a, quartet_a, tol)):
         with pytest.raises(ValueError, match=want) as raised:
             call()
         assert raised.type is ValueError
+    # the samplers refuse before any draw
+    assert rng.random() == tt.sample_rng(5, 0).random()
 
 
 def per_bend_clade_preservation(t1, t2, leaves, tol=1e-9):
@@ -524,5 +535,16 @@ def test_clade_preservation_matches_per_bend_loop(monkeypatch):
     want = [outcome(per_bend_clade_preservation, *case) for case in cases]
     assert {w if isinstance(w, bool) else w[0] for w in want} >= {True, "ValueError"}
     assert [outcome(check_clade_preservation, *case) for case in cases] == want
-    monkeypatch.setattr(tt.treespace, "_is_clean", lambda widths, gaps, tol: widths < 0)
+    # the checker's own clean rule sends its bends to the tree route; the
+    # segment reader's, called from segment_linkages, keeps the pieces as they are
+    real, checked = _linkages._is_clean, []
+
+    def clean(widths, gaps, tol):
+        if sys._getframe(1).f_code is not check_clade_preservation.__code__:
+            return real(widths, gaps, tol)
+        checked.append(len(widths))
+        return widths < 0
+
+    monkeypatch.setattr(_linkages, "_is_clean", clean)
     assert [outcome(check_clade_preservation, *case) for case in cases] == want
+    assert len(checked) >= sum(isinstance(w, bool) for w in want) > 0

@@ -144,8 +144,8 @@ def test_segment_properties(data):
         assert np.array_equal(b, seg.point_at(d))
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the absolute tol chains lambdas "
-                   "1e-9 apart into one run")
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1, stage B: the absolute tol chains "
+                   "lambdas 1e-9 apart into one run")
 def test_segment_recovers_an_endpoint_two_tol_away():
     # a falsifying example of test_segment_properties: the lambdas -1e-9, 0
     # and 1e-9 are each tol apart, so one run holds all three and the only

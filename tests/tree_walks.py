@@ -15,7 +15,7 @@ balls around its leaves (`ball_clusters`), as the table read them before
 it read them by single linkage.  So is the union-find that merged the
 spanning tree of one distance vector at a time (`merge_runs`, through
 `single_linkage`), before every vector went through the batched pass of
-`trees._single_linkages`.  And the canonical string of a topology is
+`_linkages._single_linkages`.  And the canonical string of a topology is
 written here from its clades as label sets (`canonical_str`), without the
 bitmask ranks of `_linkages.canonical_strs`."""
 
@@ -25,7 +25,7 @@ import statistics
 
 import numpy as np
 
-from troptree import NewickParseError, NotEquidistantError, Topology, TreeNode, trees
+from troptree import NewickParseError, NotEquidistantError, Topology, TreeNode, _linkages
 from troptree.util import natural_key, sorted_labels, square_form
 
 
@@ -457,6 +457,6 @@ def single_linkage(dists, n, tol):
     """The merge schedule of one condensed distance vector over n leaves,
     one (height, children) per internal node in the order the nodes are
     made, leaves 0..n-1 and the m-th internal node n + m: its spanning-tree
-    edges and run tops (`trees._spanning_edges`) merged by `merge_runs`."""
-    edges = trees._spanning_edges(np.asarray(dists, dtype=float)[None], n, tol)[:3]
+    edges and run tops (`_linkages._spanning_edges`) merged by `merge_runs`."""
+    edges = _linkages._spanning_edges(np.asarray(dists, dtype=float)[None], n, tol)[:3]
     return merge_runs(n, *(edge[0].tolist() for edge in edges))

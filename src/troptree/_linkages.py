@@ -151,7 +151,7 @@ def newicks(labels: tuple[str, ...], linkage: Linkage, precision: int) -> Iterat
     """The Newick string of the tree of each row of a :class:`Linkage` over
     natural-sorted `labels`, as :func:`~troptree.newick.write_newick` writes
     it, in lists of a block of `_BLOCK_ELEMENTS` at a time, each distinct
-    branch length formatted once.  Siblings go by smallest leaf rank,
+    branch length of a block formatted once.  Siblings go by smallest leaf rank,
     so an element's first leaf is its parent's plus the leaves of the
     siblings before it, added from the root down.  Each element is written
     at its last leaf, after the smaller ones that close there, with a "("
@@ -161,7 +161,6 @@ def newicks(labels: tuple[str, ...], linkage: Linkage, precision: int) -> Iterat
     rows, steps = linkage.nodes.shape
     width = n + steps
     fmt = f".{precision}g"
-    written: dict[float, str] = {}
     # "(" * k, the labels, ")" and "", then the block's lengths with a comma and without, ";" and ""
     fixed = ["(" * k for k in range(n)] + [*labels, ")", ""]
     leaves = np.arange(n)
@@ -171,8 +170,7 @@ def newicks(labels: tuple[str, ...], linkage: Linkage, precision: int) -> Iterat
         nodes = linkage.nodes[at]
         count = len(nodes)
         values, inverse = np.unique(linkage.lengths[at], return_inverse=True)
-        texts = [written[x] if x in written else written.setdefault(x, ":" + format(x, fmt))
-                 for x in values.tolist()]
+        texts = [":" + format(x, fmt) for x in values.tolist()]
         tokens = np.array(fixed + [t + "," for t in texts] + texts + [";", ""], dtype=object)
         root = 2 * n + 2 + 2 * len(values)
         row = np.arange(count)[:, None]

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TextIO
 import numpy as np
 
 from . import trees as _trees
-from .errors import NotEquidistantError, NotUltrametricError, TropTreeError
+from .errors import NotUltrametricError, TropTreeError
 from .newick import RootedTree
 from .tropical import _bend_shifts, _shifted_max, tropical_segment
 from .trees import (Topology, require_equidistant, require_same_leaves,
@@ -204,7 +204,7 @@ def _topologies(labels: tuple[str, ...], linkage: Linkage) -> list[Topology]:
 def _quoted(field: str) -> str:
     """A csv field in quotes, as csv's minimal quoting writes one that
     holds a comma."""
-    return '"' + field.replace('"', '""') + '"'
+    return f'"{field}"' if '"' not in field else '"' + field.replace('"', '""') + '"'
 
 
 def _emit(out: TextIO | None, head: str, blocks: Iterable[str], tail: str) -> str | None:
@@ -372,8 +372,7 @@ class TreeSegment:
         fmt = f".{precision}g"
 
         def row(k: int, lam: float, entries: list[str], newick: str, topology: str) -> str:
-            return ",".join([str(k), format(lam, fmt), *entries, _quoted(newick),
-                             _quoted(topology)]) + "\n"
+            return f"{k},{lam:{fmt}},{','.join(entries)},{_quoted(newick)},{_quoted(topology)}\n"
         head = ("index,lambda," + ",".join([_quoted(f"d({x},{y})") for x, y in self.u.pairs()])
                 + ",newick,topology\n")
         return _emit(out, head, self._rows(precision, lambda x: format(x, fmt), row, ""), "")
@@ -384,17 +383,18 @@ class TreeSegment:
         entries, the Newick string and the topology id of each.  Written
         or returned as by :meth:`to_csv`."""
         from json import dumps
+        comma = ",\n      "
 
         def row(k: int, lam: float, entries: list[str], newick: str, topology: str) -> str:
             return (f'  {{\n    "index": {k},\n    "lambda": {lam!r},\n    "newick": '
                     f'{dumps(newick)},\n    "topology": {dumps(topology)},\n    "ultrametric": '
-                    '[\n      ' + ",\n      ".join(entries) + "\n    ]\n  }")
+                    f'[\n      {comma.join(entries)}\n    ]\n  }}')
         return _emit(out, "[\n", self._rows(precision, repr, row, ",\n"), "\n]\n")
 
     def to_newick(self, precision: int = 10, out: TextIO | None = None) -> str | None:
         """The Newick string of every bend, one per line, written or
         returned as by :meth:`to_csv`."""
-        return _emit(out, "", ("\n".join(block) + "\n" for block in self._newicks(precision)), "")
+        return _emit(out, "", ("\n".join(block + [""]) for block in self._newicks(precision)), "")
 
     def _rows(self, precision: int, entry: Callable[[float], str], row: Callable[..., str],
               sep: str) -> Iterator[str]:
@@ -423,8 +423,9 @@ class TreeSegment:
             at = slice(first, first + block)
             # each distinct pair's text, then each column's
             entries = texts.take(np.searchsorted(values, points(first))).take(columns, axis=1)
-            return (sep if first else "") + sep.join(itertools.starmap(row, zip(
-                itertools.count(first), lams[at], entries.tolist(), newicks, topologies(at))))
+            # a block after the first opens with `sep`
+            return sep.join(itertools.chain([""] * (first > 0), itertools.starmap(row, zip(
+                itertools.count(first), lams[at], entries.tolist(), newicks, topologies(at)))))
         return map(rows, starts)
 
     def __repr__(self) -> str:

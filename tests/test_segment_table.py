@@ -19,6 +19,7 @@ Python, and the clusters read from balls around the leaves, the guard the
 table used before.
 """
 
+import collections
 import csv
 import gzip
 import hashlib
@@ -27,6 +28,7 @@ import io
 import itertools
 import json
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -635,13 +637,14 @@ def merge_newicks(labels, schedules, precision):
 @pytest.mark.parametrize("route", ["single linkage", "candidate table"])
 def test_newick_writer_matches_merge_writer(route, monkeypatch):
     # the block writer against the writer behind write_newick on the merges
-    # of every bend, n 3-120 at heights 1e-3, 1 and 1e3 (the table route
-    # reads the pairs that pass its guard); on the single-linkage route also
+    # of every bend, n 3-200 at heights 1e-3, 1 and 1e3 (the table route
+    # reads the pairs that pass its guard, and alone takes n = 120 and 200,
+    # several blocks of bends each); on the single-linkage route also
     # against the union-find schedule of each bend point
     table = route == "candidate table"
     monkeypatch.setattr(treespace, "_TABLE_MIN_ENTRIES", 0 if table else float("inf"))
     cases = [(3, 1e-3), (4, 1.0), (5, 1e3), (8, 1e-3), (13, 1.0), (21, 1e3), (21, 1e-3),
-             (40, 1.0), (40, 1e3)] + [(120, 1.0)] * table
+             (40, 1.0), (40, 1e3)] + [(120, 1.0), (200, 1.0)] * table
     bends = 0
     for n, height in cases:
         (u, v), = sampled_pairs([n], [height], [7])
@@ -653,7 +656,7 @@ def test_newick_writer_matches_merge_writer(route, monkeypatch):
             assert seg.bend_newicks(10) == merge_newicks(
                 u.labels, [walk.single_linkage(p, n, TOL) for p in seg.segment.bend_points], 10)
         bends += seg.n_bends
-    assert bends > (1000 if table else 400)
+    assert bends > (2000 if table else 400)
     if not table:
         # 120 leaves: 40 bends read in one batched single-linkage pass
         (u, v), = sampled_pairs([120], [1e3], [7])
@@ -661,6 +664,25 @@ def test_newick_writer_matches_merge_writer(route, monkeypatch):
         linkage = _linkages._single_linkages(points, 120, TOL)
         assert [*itertools.chain(*_linkages.newicks(u.labels, linkage, 10))] == merge_newicks(
             u.labels, [walk.single_linkage(p, 120, TOL) for p in points], 10)
+
+
+def test_newick_writer_memory_stays_flat_in_n():
+    # the block writer holds one block of bends at a time, and a block has
+    # about as many elements at any n: drained as to_newick writes to a
+    # stream, its traced peak at n = 200 (7 blocks) stays near its peak at
+    # n = 80 (one block), about 1.3x; a cache of formatted lengths kept
+    # across blocks would read about 2x
+    peaks = []
+    for n in (80, 200):
+        (u, v), = sampled_pairs([n], [1.0], [1])
+        seg = TreeSegment(u, v, TOL)
+        tracemalloc.start()
+        try:
+            collections.deque(seg._newicks(10), maxlen=0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.6 * peaks[0], [peak / 2**20 for peak in peaks]
 
 
 def golden_pairs():

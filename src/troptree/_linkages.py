@@ -422,6 +422,25 @@ def _raise_at(labels: tuple[str, ...], linkage: Linkage, row: int, tol: float) -
     raise _trees._equidistance_error(labels, schedule, _trees._merge_lengths(n, schedule), tol)
 
 
+class _ShiftedRows:
+    """The points max(u[rows] + a, v[rows] + b), made by :func:`_shifted_max`
+    for the slice or index of a and b asked for: one row of u and v is
+    broadcast to every point rather than copied for each."""
+
+    def __init__(self, u: np.ndarray, v: np.ndarray, rows: np.ndarray, a: np.ndarray,
+                 b: np.ndarray):
+        self.ends, self.rows, self.a, self.b = (u, v), rows, a, b
+
+    def __len__(self) -> int:
+        return len(self.a)
+
+    def __getitem__(self, at) -> np.ndarray:
+        u, v = self.ends
+        if len(u) > 1:
+            u, v = u[self.rows[at]], v[self.rows[at]]
+        return _shifted_max(u, v, self.a[at], self.b[at])
+
+
 def segment_linkages(labels: tuple[str, ...], u: np.ndarray, v: np.ndarray, tol: float,
                      params: np.ndarray | None = None,
                      read: Callable | None = None,
@@ -436,9 +455,9 @@ def segment_linkages(labels: tuple[str, ...], u: np.ndarray, v: np.ndarray, tol:
     `params` of one segment, u and v one row each.  ``read(rows, a, b)`` reads the points
     max(u[rows] + a, v[rows] + b): their :class:`Linkage`, which carries
     the widest run and narrowest gap of each, by default in one pass of
-    :func:`_single_linkages`, the row of one segment
-    broadcast to all its points rather than copied for each; the candidate
-    table of one segment reads them from its meets.  Raises what the tree
+    :func:`_single_linkages`, which makes each point once, a block at a
+    time, as it reads it (:class:`_ShiftedRows`); the candidate table of
+    one segment reads them from its meets.  Raises what the tree
     route raises at the first segment with a bend or a piece midpoint that
     fails the equidistance check."""
     n = len(labels)
@@ -449,8 +468,7 @@ def segment_linkages(labels: tuple[str, ...], u: np.ndarray, v: np.ndarray, tol:
         last = np.arange(len(params)) == len(params) - 1
     if read is None:
         def read(rows, a, b):
-            ends = (u, v) if len(u) == 1 else (u[rows], v[rows])
-            return _single_linkages(_shifted_max(*ends, a, b), n, tol)
+            return _single_linkages(_ShiftedRows(u, v, rows, a, b), n, tol)
     linkage = read(segment, *_bend_shifts(params, last))
     clean = _is_clean(linkage.widths, linkage.gaps, tol)
     left = np.flatnonzero(~last)

@@ -283,7 +283,8 @@ class TreeSegment:
     topologies, the parent and branch of every node and leaf, from which
     :meth:`bend_newicks` writes the Newick strings in block passes, and
     each bend's widest run and narrowest gap, which the clean rule and
-    :func:`check_clade_preservation` read.
+    :func:`check_clade_preservation` read; each bend point is made once, a
+    block at a time, by the reader that reads it, and none is kept.
     :class:`~troptree.trees.Topology` objects are made on first access to
     :attr:`bend_topologies` and :attr:`piece_topologies`, merges and trees
     on first use of :attr:`bend_trees`; the writers make none, and
@@ -473,7 +474,8 @@ def star_crossings(u: np.ndarray, v: np.ndarray, tol: float = DEFAULT_TOL) -> np
     """Star test on stacked pairs of ultrametric rows, shape (pairs, e): one
     bool per pair, true iff their coordinate-wise maximum is a constant
     vector.  Raises :class:`TropTreeError` naming the first pair whose
-    heights differ by more than tol."""
+    heights differ by more than tol, and ValueError for a tol below 0 or NaN."""
+    tol = valid_tol(tol)
     hu = u.max(axis=1) / 2.0
     hv = v.max(axis=1) / 2.0
     mismatch = np.flatnonzero(np.abs(hu - hv) > tol)
@@ -505,12 +507,12 @@ def check_clade_preservation(t1: RootedTree, t2: RootedTree,
     topology, check that every bend tree of their segment keeps it as a
     clade with that same induced topology.  (This always holds; the checker
     exists to exercise the implementation.)  A bend where the clean rule of
-    :class:`TreeSegment` holds, on the run margins that the segment's bend
-    :class:`~troptree._linkages.Linkage` keeps, is read from its point, in
-    one single-linkage pass over the restricted columns of all bends: every
-    distance of its tree lies within tol/4 of the point's, and its runs
-    more than 8 tol apart, so the answers are its tree's.  The others check
-    their trees."""
+    :class:`TreeSegment` holds is read from its own row of the segment's bend
+    :class:`~troptree._linkages.Linkage`, with no bend point made again: the
+    set is a clade there exactly when its mask is a node's, and its induced
+    topology is the row's kept clades inside it, as every distance of the
+    restricted tree lies within tol/4 of the point's, its runs more than
+    8 tol apart.  The others check their trees."""
     leaves = sorted_labels(set(leaves))
     if not (_trees.is_clade(t1, leaves, tol) and _trees.is_clade(t2, leaves, tol)):
         raise ValueError(f"{list(leaves)} is not a clade of both trees")
@@ -523,19 +525,18 @@ def check_clade_preservation(t1: RootedTree, t2: RootedTree,
         raise ValueError(
             f"the trees induce different topologies on {list(leaves)}")
     seg = tree_segment(t1, t2, tol)
-    from ._linkages import _is_clean, _single_linkages
-    points = seg.segment.bend_points[0].base     # the rows are views of one array
-    inside = np.isin(seg.u.labels, leaves)
-    index = square_index(seg.u.n)
-    columns = index[np.ix_(inside, inside)][np.triu_indices(len(leaves), k=1)]
-    clade = points[:, index[np.ix_(inside, ~inside)].reshape(-1)].min(axis=1, initial=np.inf)
-    clade = clade - points[:, columns].max(axis=1) > tol
-    linkage = _single_linkages(points[:, columns], len(leaves), tol)
-    fast = _is_clean(seg._linkage.widths, seg._linkage.gaps, tol) & ~linkage.unequal
-    return all(clade[k] and topology == target if fast[k] else
+    from ._linkages import _is_clean
+    bends = seg._linkage
+    bit = {label: 1 << k for k, label in enumerate(reversed(seg.u.labels))}
+    mask = sum(bit[label] for label in leaves)
+    want = {sum(bit[label] for label in clade) for clade in target.clades}
+    clade = (bends.masks == mask).any(axis=1)          # a slot without a node holds 0
+    inside = bends.kept & ((bends.masks & mask) == bends.masks)
+    fast = _is_clean(bends.widths, bends.gaps, tol)
+    return all(clade[k] and {mask, *bends.masks[k][inside[k]].tolist()} == want if fast[k] else
                _trees.is_clade(seg.bend_trees[k], leaves, tol)
                and induced(seg.bend_trees[k]) == target
-               for k, topology in enumerate(_topologies(leaves, linkage)))
+               for k in range(seg.n_bends))
 
 
 def check_nni_theorem(t1: RootedTree, t2: RootedTree,

@@ -685,6 +685,24 @@ def test_newick_writer_memory_stays_flat_in_n():
     assert peaks[1] < 1.6 * peaks[0], [peak / 2**20 for peak in peaks]
 
 
+def test_single_linkage_reader_memory_stays_flat_in_n(monkeypatch):
+    # the default reader of segment_linkages makes each bend point as its
+    # block is read: the traced peak of a TreeSegment on the single-linkage
+    # route at n = 120 (about 610 bends) stays near its peak at n = 80
+    # (about 380), about 1.4x; a stack of every bend point read about 3.6x
+    monkeypatch.setattr(treespace, "_TABLE_MIN_ENTRIES", float("inf"))
+    peaks = []
+    for n in (80, 120):
+        u, v = (ultrametric_of(random_equidistant_tree(n, 1.0, sample_rng(s, n))) for s in (1, 2))
+        tracemalloc.start()
+        try:
+            TreeSegment(u, v, TOL)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 2 * peaks[0], [peak / 2**20 for peak in peaks]
+
+
 def golden_pairs():
     for name in sorted(p.name for p in GOLDEN_CLI.iterdir()):
         yield name, tuple(ultrametric_of(parse_newick((GOLDEN_CLI / name / f"t{k}.nwk")

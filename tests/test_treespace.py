@@ -353,6 +353,20 @@ def test_star_crossings_rows():
         tt.treespace.star_crossings(u, v)
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP items 1 and 2: the star test holds max(u, v) to "
+                   "2 tol, the segment's topologies split each point's runs at tol")
+def test_star_tests_agree_near_tol():
+    # node heights 1.8e-9 apart: max(u, v) spans 3.6e-9 > 2 tol, so
+    # star_on_segment says no, but the midpoint of the middle piece reads as
+    # the star tree, so `topologies` reports a star crossing
+    labels = ("1", "2", "3", "4")
+    t1, t2 = (tree_of(Ultrametric(labels, d)) for d in (
+        (2, 1.9999999964, 1.9999999928, 2, 2, 1.9999999964),
+        (1.9999999964, 1.9999999928, 2, 1.9999999964, 2, 2)))
+    sequence = topology_sequence(tree_segment(t1, t2))
+    assert star_on_segment(t1, t2) == any(topology.is_star for topology in sequence)
+
+
 def test_three_leaf_law():
     # different topologies at equal height: the star appears mid-segment
     t1 = parse_newick("((1:0.3,2:0.3):0.7,3:1);")
@@ -459,7 +473,8 @@ def test_negative_or_nan_tol_is_refused(tol, quartet_a, quartet_b):
                  lambda: tt.random_shared_clade_pair(5, 1.0, rng, tol),
                  lambda: tt.point_type([U_A, U_B], U_A, tol),
                  lambda: in_tropical_hull([U_A, U_B], U_A, tol),
-                 lambda: tt.structurally_equal(quartet_a, quartet_a, tol)):
+                 lambda: tt.structurally_equal(quartet_a, quartet_a, tol),
+                 lambda: tt.treespace.star_crossings(U_A[None], U_B[None], tol)):
         with pytest.raises(ValueError, match=want) as raised:
             call()
         assert raised.type is ValueError
@@ -525,10 +540,15 @@ def outcome(check, *args):
 
 def test_clade_preservation_matches_per_bend_loop(monkeypatch):
     # the same answer, or the same error, as the loop over bend trees: on
-    # sampled pairs at three heights, and on grid pairs near tol, with the
-    # clean rule as it is and with every bend sent to the tree route
+    # sampled pairs at three heights, on pairs above 64 leaves (masks as
+    # Python ints), and on grid pairs near tol, with the clean rule as it is
+    # and with every bend sent to the tree route
     cases = [tt.random_shared_clade_pair(4 + k % 7, height, tt.sample_rng(61, k))
              for height in (1e-3, 1.0, 1e3) for k in range(12)]
+    cases += [tt.random_shared_clade_pair(n, 1.0, tt.sample_rng(61, n)) for n in (66, 70)]
+    # the full leaf set, which the root holds: two trees on a shared clade
+    cases += [(*(tree_of(ultrametric_of(t).restrict(leaves)) for t in (t1, t2)), leaves)
+              for t1, t2, leaves in cases[:36] if len(leaves) > 2]
     rng = np.random.default_rng(62)
     cases += [grid_shared_clade_pair(rng, n, m) for n in range(4, 10) for m in range(2, n)
               for _ in range(3)]
@@ -548,3 +568,24 @@ def test_clade_preservation_matches_per_bend_loop(monkeypatch):
     monkeypatch.setattr(_linkages, "_is_clean", clean)
     assert [outcome(check_clade_preservation, *case) for case in cases] == want
     assert len(checked) >= sum(isinstance(w, bool) for w in want) > 0
+
+
+def test_clade_preservation_answers_no_as_the_bend_trees_do(monkeypatch):
+    # the checker reading a segment from t1 to a third tree t3, on which the
+    # leaf set may be no clade or induce another topology: its answer is
+    # that of the loop over the bend trees of that segment, False included
+    real = tt.treespace.tree_segment
+    got, want = [], []
+    for k in range(60):
+        rng = tt.sample_rng(63, k)
+        n = 4 + k % 7
+        t1, t2, leaves = tt.random_shared_clade_pair(n, 1.0, rng)
+        t3 = tt.random_equidistant_tree(n, 1.0, rng)
+        monkeypatch.setattr(tt.treespace, "tree_segment", lambda a, b, tol, t3=t3: real(a, t3, tol))
+        got.append(check_clade_preservation(t1, t2, leaves))
+        monkeypatch.setattr(tt.treespace, "tree_segment", real)
+        target = topology_of(tree_of(ultrametric_of(t1).restrict(leaves)))
+        want.append(all(tt.is_clade(bend, leaves) and target == topology_of(
+            tree_of(ultrametric_of(bend).restrict(leaves))) for bend in real(t1, t3).bend_trees))
+    assert got == want
+    assert 0 < sum(want) < len(want)

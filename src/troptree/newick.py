@@ -282,7 +282,10 @@ def write_newick(tree: RootedTree, precision: int = 10) -> str:
     Children are ordered by the natural-order rank of the smallest leaf
     label in their clade, lengths are printed with `precision` significant
     digits and trailing zeros trimmed, and the root never carries a length,
-    so equal trees produce byte-identical strings.
+    so equal trees produce byte-identical strings.  The text is written by
+    :func:`_newick_of_merges` from the tree's merge schedule, with no cache:
+    its bytes are those of ``format(x, '.{precision}g')`` per length and a
+    sort of each node's children by smallest leaf rank.
     """
     if precision < 1:
         raise ValueError("precision must be >= 1")
@@ -294,15 +297,24 @@ def _newick_of_merges(labels: Sequence[str], merges: list[tuple[float, list[int]
     """The Newick string of a merge schedule over natural-sorted `labels`,
     so that a leaf's rank is its node number, with the branch `lengths` of
     its nodes: each node's children in the order of their smallest leaf
-    rank, as :func:`write_newick` writes them."""
-    fmt = f".{precision}g"
-    lengths = [format(x, fmt) for x in lengths]
+    rank, as :func:`write_newick` writes them.  One ``%`` operation formats
+    every length (``'%.{p}g'`` writes the text of ``format(x, '.{p}g')``), and
+    a two-child node takes one comparison of its children's smallest ranks
+    and one f-string, with no sort; a polytomy sorts its children."""
+    lengths = (f"%.{precision}g\n" * len(lengths) % tuple(lengths)).split("\n")
     first = list(range(len(labels)))        # smallest leaf rank below each node
     text = list(labels)
     for _, children in merges:
-        children = sorted(children, key=first.__getitem__)
-        first.append(first[children[0]])
-        text.append("(" + ",".join([text[c] + ":" + lengths[c] for c in children]) + ")")
+        if len(children) == 2:
+            a, b = children
+            if first[b] < first[a]:
+                a, b = b, a
+            first.append(first[a])
+            text.append(f"({text[a]}:{lengths[a]},{text[b]}:{lengths[b]})")
+        else:
+            children = sorted(children, key=first.__getitem__)
+            first.append(first[children[0]])
+            text.append("(" + ",".join([text[c] + ":" + lengths[c] for c in children]) + ")")
     return text[-1] + ";"
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import LeafSetMismatchError, NotEquidistantError
 from .newick import RootedTree, _merge_masks, _node_depths, _preorder_leaves
-from .util import DEFAULT_TOL, sorted_labels, square_form, square_index, valid_tol
+from .util import DEFAULT_TOL, sorted_labels, square_form, square_rows, valid_tol
 
 
 # --------------------------------------------------------------------------
@@ -40,9 +40,12 @@ def require_equidistant(tree: RootedTree, tol: float = DEFAULT_TOL) -> None:
 def pairwise_distances(tree: RootedTree) -> tuple[tuple[str, ...], np.ndarray]:
     """Cophenetic path distances between all leaf pairs, written from the
     tree's merge schedule by :func:`_distances_of_merges`: the natural-sorted
-    labels and the condensed vector in lexicographic pair order over them."""
+    labels and the condensed vector in lexicographic pair order over them,
+    its float64 entries read from the row list by ``np.fromiter``, bit for
+    bit those of ``np.array`` of it."""
     labels = tree.leaf_labels
-    return labels, np.array(_distances_of_merges(len(labels), tree.merges, tree.lengths))
+    row = _distances_of_merges(len(labels), tree.merges, tree.lengths)
+    return labels, np.fromiter(row, dtype=np.float64, count=len(row))
 
 
 def _distances_of_merges(n: int, merges: list[tuple[float, list[int]]],
@@ -51,8 +54,10 @@ def _distances_of_merges(n: int, merges: list[tuple[float, list[int]]],
     with the branch `lengths` of its nodes.  Each leaf keeps its depth below
     the newest node above it, added upward from the leaf, one branch per
     merge; the distance of two leaves is the sum of their depths below the
-    node that joins them."""
-    index = square_index(n).tolist()
+    node that joins them.  Pair positions come from the rows cached per n by
+    :func:`~troptree.util.square_rows`, so a call builds no index; the cache
+    changes no addition, so every float is the one a fresh index gives."""
+    index = square_rows(n)
     row = [0.0] * (n * (n - 1) // 2)
     depth = [0.0] * n
     members = [[k] for k in range(n)]
@@ -244,7 +249,8 @@ def _equidistance_error(labels: Sequence[str], merges: list[tuple[float, list[in
     if there is none: a deviant leaf is one whose root-to-leaf sum
     (:func:`~troptree.newick._node_depths`) is more than tol from the median
     of all; of several that deviate most, the first in the schedule's
-    preorder (:func:`~troptree.newick._preorder_leaves`)."""
+    preorder (:func:`~troptree.newick._preorder_leaves`).  Its message gives
+    the leaf's depth, the median, how far apart they are and the tol."""
     n = len(labels)
     if n < 2:
         return None
@@ -258,10 +264,12 @@ def _equidistance_error(labels: Sequence[str], merges: list[tuple[float, list[in
     if ordered[-1] - ref <= tol and ref - ordered[0] <= tol:
         return None
     worst = max(_preorder_leaves(n, merges), key=lambda k: abs(depths[k] - ref))
-    if abs(depths[worst] - ref) > tol:
+    off = abs(depths[worst] - ref)
+    if off > tol:
         return NotEquidistantError(
             f"tree is not equidistant: leaf {labels[worst]!r} has depth "
-            f"{depths[worst]:.12g}, expected {ref:.12g}", leaf=labels[worst])
+            f"{depths[worst]:.12g}, expected {ref:.12g} (off by {off:.2g}, tol {tol:g})",
+            leaf=labels[worst])
     return None
 
 

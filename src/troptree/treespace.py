@@ -474,14 +474,17 @@ def star_crossings(u: np.ndarray, v: np.ndarray, tol: float = DEFAULT_TOL) -> np
     """Star test on stacked pairs of ultrametric rows, shape (pairs, e): one
     bool per pair, true iff their coordinate-wise maximum is a constant
     vector.  Raises :class:`TropTreeError` naming the first pair whose
-    heights differ by more than tol, and ValueError for a tol below 0 or NaN."""
+    heights differ by more than tol, with the two heights, their difference
+    and the tol, and ValueError for a tol below 0 or NaN."""
     tol = valid_tol(tol)
     hu = u.max(axis=1) / 2.0
     hv = v.max(axis=1) / 2.0
-    mismatch = np.flatnonzero(np.abs(hu - hv) > tol)
+    off = np.abs(hu - hv)
+    mismatch = np.flatnonzero(off > tol)
     if mismatch.size:
         k = mismatch[0]
-        raise TropTreeError(f"height mismatch: {hu[k]:.12g} vs {hv[k]:.12g}")
+        raise TropTreeError(f"height mismatch: {hu[k]:.12g} vs {hv[k]:.12g} "
+                            f"(off by {off[k]:.2g}, tol {tol:g})")
     m = np.maximum(u, v)
     return m.max(axis=1) - m.min(axis=1) <= 2.0 * tol
 

@@ -362,8 +362,8 @@ def test_schedule_equidistance_checks_the_lengths_it_is_given():
     with pytest.raises(NotEquidistantError) as got:
         _topology_of_merges(labels, merges, lengths, TOL)
     for error in (_equidistance_error(labels, merges, lengths, TOL), got.value):
-        assert str(error) == str(want.value) == \
-            "tree is not equidistant: leaf '2' has depth 0.8, expected 1"
+        assert str(error) == str(want.value) == ("tree is not equidistant: leaf '2' has "
+                                                 "depth 0.8, expected 1 (off by 0.2, tol 1e-09)")
         assert error.leaf == want.value.leaf == "2"
 
 

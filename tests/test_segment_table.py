@@ -108,19 +108,23 @@ def disagreements(u, v, tol=TOL, midpoints=True):
 
 
 def oracle_csv(seg, precision, merges):
-    """TreeSegment.to_csv as csv.writer writes it, with every entry and
-    every branch length of the bends' merge schedules formatted where it
-    stands, and each topology written from its clades as label sets."""
+    """TreeSegment.to_csv as csv.writer writes it: every entry by `format`,
+    once per distinct float (by its bits, so 0.0 and -0.0 stay apart), each
+    bend's Newick by the sorting writer of `tree_walks`, with every branch
+    length formatted where it stands, and each topology written from its
+    clades as label sets."""
     fmt = f".{precision}g"
+    points = np.array(seg.segment.bend_points)
+    bits, at = np.unique(points.view(np.int64).ravel(), return_inverse=True)
+    texts = np.array([format(x, fmt) for x in bits.view(np.float64).tolist()], dtype=object)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["index", "lambda"] + [f"d({a},{b})" for a, b in seg.u.pairs()]
                     + ["newick", "topology"])
-    for k, point in enumerate(seg.segment.bend_points):
+    for k, row in enumerate(texts[at.reshape(points.shape)].tolist()):
         lengths = trees._merge_lengths(seg.u.n, merges[k])
-        writer.writerow([str(k), format(seg.segment.bend_parameters[k], fmt),
-                         *[format(x, fmt) for x in point.tolist()],
-                         _newick_of_merges(seg.u.labels, merges[k], lengths, precision),
+        writer.writerow([str(k), format(seg.segment.bend_parameters[k], fmt), *row,
+                         walk.newick_of_merges(seg.u.labels, merges[k], lengths, precision),
                          walk.canonical_str(seg.u.labels, merges[k], lengths, seg.tol)])
     return buf.getvalue()
 

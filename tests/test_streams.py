@@ -256,7 +256,7 @@ def test_star_reports_match_per_sample_loop_across_a_natural_block(n):
 
 @pytest.mark.parametrize("n, height, samples, seed, message", [
     # the absolute tolerance of 1e-9 lies below the rounding of the heights
-    (20, 1e9, 300, 2, "height mismatch: 1000000000 vs 1000000000"),
+    (20, 1e9, 300, 2, "height mismatch: 1000000000 vs 1000000000 (off by 1.2e-07, tol 1e-09)"),
     (4, 5e-324, 10, 1, "all pairwise distances must be positive"),
     # the first invalid row is sample 4's v, after its valid u
     (3, 1e-323, 10, 2, "all pairwise distances must be positive"),

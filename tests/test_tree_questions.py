@@ -120,6 +120,7 @@ def test_equidistance_ties_name_the_first_leaf_in_preorder():
     text = "((1:0.5,2:1):0,3:1.5,4:1);"
     tree = parse_newick(text)
     want = outcome(walk.require_equidistant, walk.parse_newick(text), DEFAULT_TOL)
-    assert want[2] == "tree is not equidistant: leaf '3' has depth 1.5, expected 1"
+    assert want[2] == ("tree is not equidistant: leaf '3' has depth 1.5, expected 1 "
+                       "(off by 0.5, tol 1e-09)")
     assert outcome(require_equidistant, tree, DEFAULT_TOL) == want
     assert outcome(topology_of, tree, DEFAULT_TOL) == want

@@ -17,7 +17,10 @@ spanning tree of one distance vector at a time (`merge_runs`, through
 `single_linkage`), before every vector went through the batched pass of
 `_linkages._single_linkages`.  And the canonical string of a topology is
 written here from its clades as label sets (`canonical_str`), without the
-bitmask ranks of `_linkages.canonical_strs`."""
+bitmask ranks of `_linkages.canonical_strs`.  The two schedule writers are
+kept as they were before they read cached index rows and wrote a two-child
+node without a sort (`distances_of_merges`, `newick_of_merges`), so that the
+library's writers can be held to them bit for bit."""
 
 import itertools
 import math
@@ -26,7 +29,7 @@ import statistics
 import numpy as np
 
 from troptree import NewickParseError, NotEquidistantError, Topology, TreeNode, _linkages
-from troptree.util import natural_key, sorted_labels, square_form
+from troptree.util import natural_key, sorted_labels, square_form, square_index
 
 
 def leaf_labels(root):
@@ -210,10 +213,12 @@ def require_equidistant(root, tol):
         return
     ref = statistics.median(depths.values())
     worst = max(depths, key=lambda lab: abs(depths[lab] - ref))
-    if abs(depths[worst] - ref) > tol:
+    off = abs(depths[worst] - ref)
+    if off > tol:
         raise NotEquidistantError(
             f"tree is not equidistant: leaf {worst!r} has depth "
-            f"{depths[worst]:.12g}, expected {ref:.12g}", leaf=worst)
+            f"{depths[worst]:.12g}, expected {ref:.12g} (off by {off:.2g}, tol {tol:g})",
+            leaf=worst)
 
 
 def write_newick(root, precision=10):
@@ -460,3 +465,42 @@ def single_linkage(dists, n, tol):
     edges and run tops (`_linkages._spanning_edges`) merged by `merge_runs`."""
     edges = _linkages._spanning_edges(np.asarray(dists, dtype=float)[None], n, tol)[:3]
     return merge_runs(n, *(edge[0].tolist() for edge in edges))
+
+
+def distances_of_merges(n, merges, lengths):
+    """The condensed cophenetic distances of a merge schedule over n leaves
+    with the branch `lengths` of its nodes, each leaf's depth added upward
+    one branch per merge, the pair positions listed from a fresh
+    `square_index(n)` on every call."""
+    index = square_index(n).tolist()
+    row = [0.0] * (n * (n - 1) // 2)
+    depth = [0.0] * n
+    members = [[k] for k in range(n)]
+    for _, children in merges:
+        below = []
+        for c in children:
+            group, step = members[c], lengths[c]
+            for x in group:
+                depth[x] += step
+            for x in group:
+                dx, at = depth[x], index[x]
+                for y in below:
+                    row[at[y]] = dx + depth[y]
+            below += group
+        members.append(below)
+    return row
+
+
+def newick_of_merges(labels, merges, lengths, precision):
+    """The Newick string of a merge schedule over natural-sorted `labels`:
+    every length by `format`, and every node's children, two or more, sorted
+    by their smallest leaf rank."""
+    fmt = f".{precision}g"
+    lengths = [format(x, fmt) for x in lengths]
+    first = list(range(len(labels)))
+    text = list(labels)
+    for _, children in merges:
+        children = sorted(children, key=first.__getitem__)
+        first.append(first[children[0]])
+        text.append("(" + ",".join([text[c] + ":" + lengths[c] for c in children]) + ")")
+    return text[-1] + ";"

@@ -12,12 +12,18 @@ stdout, diagnostics to stderr.  Exit codes are stable:
 * 4 - leaf-set mismatch between the two input trees
 * 141 - a write found stdout closed by its reader (``| head``), as a
         shell reports a writer stopped by SIGPIPE; nothing on stderr
+
+``troptree.cli.main(argv)`` returns the exit code on every path, help
+included, and may be called repeatedly in one process.  It builds its
+parser on the first call and reuses it; the parser keeps nothing between
+calls, so no output depends on earlier calls.
 """
 
 from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import math
 import os
 import sys
@@ -79,8 +85,11 @@ class _Stdout:
             raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
 
 
+@functools.cache
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="troptree", description=__doc__,
+    # the help shows the docstring up to its note on calling main from Python
+    description = __doc__.partition("\n\n``troptree.cli.main")[0]
+    parser = _Parser(prog="troptree", description=description,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -204,6 +213,8 @@ def main(argv=None) -> int:
         code = handler(args)
         sys.stdout.flush()
         return code
+    except SystemExit as exc:       # argparse's exit after printing the help
+        return exc.code
     except BrokenPipeError:
         # the reader is gone: point stdout at devnull, so that the flush at
         # exit raises no second error

@@ -4,12 +4,14 @@ import gzip
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from troptree import cli
 from troptree.cli import EXIT_PIPE, main
 from tests.conftest import CLADE_A, QUARTET_A, QUARTET_B
 
@@ -317,6 +319,68 @@ def test_outputs_are_byte_deterministic(files, capsys):
             assert code == 0
             outs.add((tuple(cmd[0:1] + cmd[3:]), out))
     assert len(outs) == 4
+
+
+def test_help_returns_its_exit_code(monkeypatch, capsys):
+    # help is printed to stdout and returned as 0, as every other path
+    # returns its code, with the same text as `python -m troptree --help`
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv in (["--help"], ["segment", "-h"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        done = python_m(*argv)
+        assert (done.returncode, done.stdout, done.stderr) == (0, out, ""), argv
+    # the docstring's note on calling main from Python is not in the help
+    code, out, _ = run(capsys, "-h")
+    assert "nothing on stderr\n\npositional arguments:" in out
+    assert "cli.main" not in out
+
+
+def test_reused_parser_answers_as_a_fresh_one(files, monkeypatch, capsys):
+    # one process, every subcommand and exit path interleaved: each call
+    # answers as it does on a parser built for it alone, and the sequence
+    # builds the parser once
+    monkeypatch.setenv("COLUMNS", "80")
+    a = files("a.nwk", QUARTET_A)
+    b = files("b.nwk", QUARTET_B)
+    other = files("other.nwk", CLADE_A)
+    broken = files("broken.nwk", "((1:0.2,2:0.2):0.8,3;")
+    uneven = files("uneven.nwk", "(1:1,(2:0.5,3:0.5):0.2);")
+    calls = [
+        (0, ["segment", a, b]),
+        (1, []),
+        (0, ["segment", a, b, "--format", "newick", "--precision", "3"]),
+        (0, ["-h"]),
+        (2, ["validate", broken]),
+        (0, ["segment", a, b, "--format", "json"]),
+        (1, ["bogus", a]),
+        (0, ["topologies", a, b]),
+        (3, ["validate", uneven]),
+        (0, ["segment", "--help"]),
+        (0, ["dist", a, b, "--tol", "0"]),
+        (1, ["segment", a, b, "--tol", "-1"]),
+        (4, ["segment", a, other]),
+        (0, ["validate", a]),
+        (1, ["dist", a, b, "--precision", "0"]),
+        (0, ["simulate", "star-prob", "--n", "4", "--samples", "50", "--seed", "1"]),
+        (1, ["simulate", "nni-conjecture", "--n", "2"]),
+        (0, ["simulate", "nni-conjecture", "--n", "5", "--samples", "20", "--seed", "1"]),
+        (3, ["dist", a, uneven]),
+        (4, ["topologies", other, b]),
+        (0, ["segment", a, b]),
+    ]
+
+    def answer(argv):
+        code, out, err = run(capsys, *argv)
+        return code, out, re.sub(r"wall-clock: \S+", "wall-clock", err)
+
+    cli._build_parser.cache_clear()
+    reused = [answer(argv) for _, argv in calls]
+    assert cli._build_parser.cache_info().misses == 1
+    assert [code for code, _ in calls] == [code for code, _, _ in reused]
+    for (_, argv), got in zip(calls, reused):
+        cli._build_parser.cache_clear()
+        assert answer(argv) == got, argv
 
 
 #: One directory per input pair: t1.nwk, t2.nwk and the stdout of

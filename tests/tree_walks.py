@@ -295,8 +295,9 @@ def canonical_str(labels, merges, lengths, tol):
         nodes.append(frozenset().union(*(nodes[c] for c in children)))
     root = len(nodes) - 1
     sets = {nodes[k] for k in range(len(labels), root + 1) if k == root or lengths[k] > tol}
-    ordered = sorted((sorted(c, key=natural_key) for c in sets),
-                     key=lambda c: (len(c), [natural_key(x) for x in c]))
+    key = {lab: natural_key(lab) for lab in labels}     # one key per label
+    ordered = sorted((sorted(c, key=key.__getitem__) for c in sets),
+                     key=lambda c: (len(c), [key[x] for x in c]))
     return "|".join("{" + ",".join(c) + "}" for c in ordered)
 
 
